@@ -40,23 +40,16 @@ let expiry_of_string s =
       | None -> Error ("bad expiry " ^ s))
   | _ -> Error ("bad expiry " ^ s)
 
-(* Per-receiver, per-key soft-state entry. [gap] is the scalable-timer
-   estimate of the sender's refresh interval for this key (EWMA of
+(* Struct-of-arrays receiver state, one per receiver, indexed by the
+   record's dense Table slot: one row of parallel arrays instead of
+   one boxed entry per (receiver, key). [gap_a] is the scalable-timer
+   estimate of the sender's refresh interval for the key (EWMA of
    observed inter-announcement gaps); [nan] until two announcements
-   have been heard. *)
-type entry = {
-  mutable version : Record.version;
-  mutable last_heard : float;
-  mutable gap : float;
-}
-
-(* Struct-of-arrays receiver state, indexed by the record's dense
-   Table slot: one row of parallel arrays instead of one boxed
-   Hashtbl entry per (receiver, key). Rows relocate in lockstep with
-   Table's swap-remove, and rows at slots >= live are always cleared.
-   Slots beyond the current capacity are implicitly absent — arrays
-   only grow when a delivery actually writes that far. Flag bits:
-   bit 0 = copy present, bit 1 = a wheel expiry timer is armed. *)
+   have been heard. Rows relocate in lockstep with Table's
+   swap-remove, and rows at slots >= live are always cleared. Slots
+   beyond the current capacity are implicitly absent — arrays only
+   grow when a delivery actually writes that far. Flag bits: bit 0 =
+   copy present, bit 1 = a wheel expiry timer is armed. *)
 type soa = {
   mutable version_a : Record.version array;
   mutable last_heard_a : float array;
@@ -64,21 +57,13 @@ type soa = {
   mutable flags : Bytes.t;
 }
 
-(* Which receiver-state backend a run uses is decided by the expiry
-   spec at create time. The sweep implementation keeps its historical
-   Hashtbl maps (its scan iterates per-key state directly); the
-   no-expiry and wheel paths run on the flat rows. *)
-type store =
-  | Maps of (Record.key, entry) Hashtbl.t array
-  | Rows of soa array
-
 type t = {
   engine : Engine.t;
   arrival_rng : Rng.t;
   death_rng : Rng.t;
   update_rng : Rng.t;
   table : Table.t;
-  store : store;
+  rows : soa array;
   wheel : (int * Record.key) Expiry_wheel.t;
   mutable wheel_event : (Engine.event * float) option;
   tracker : Consistency.t;
@@ -148,6 +133,9 @@ let soa_ensure soa slot =
 let soa_present soa slot =
   slot < soa_capacity soa && Bytes.get_uint8 soa.flags slot land 1 <> 0
 
+let soa_has_gap soa slot =
+  soa_present soa slot && not (Float.is_nan soa.gap_a.(slot))
+
 let soa_armed soa slot =
   slot < soa_capacity soa && Bytes.get_uint8 soa.flags slot land 2 <> 0
 
@@ -183,19 +171,12 @@ let create ~engine ~rng ~workload ~death ?(receivers = 1)
   if receivers < 1 then invalid_arg "Base.create: receivers >= 1";
   if Consistency.receivers tracker <> receivers then
     invalid_arg "Base.create: tracker sized for a different group";
-  let store =
-    match expiry with
-    | Refresh_timeout _ ->
-        Maps (Array.init receivers (fun _ -> Hashtbl.create 256))
-    | No_expiry | Refresh_wheel _ ->
-        Rows (Array.init receivers (fun _ -> soa_create ()))
-  in
   { engine;
     arrival_rng = Rng.split rng;
     death_rng = Rng.split rng;
     update_rng = Rng.split rng;
     table = Table.create ();
-    store;
+    rows = Array.init receivers (fun _ -> soa_create ());
     wheel = Expiry_wheel.create ~start:(Engine.now engine) ();
     wheel_event = None;
     tracker; workload; death; expiry; next_key = 0;
@@ -212,8 +193,7 @@ let table t = t.table
 let tracker t = t.tracker
 let workload t = t.workload
 
-let receiver_count t =
-  match t.store with Maps a -> Array.length a | Rows a -> Array.length a
+let receiver_count t = Array.length t.rows
 
 let false_expiries t = t.false_expiries
 let stale_purged t = t.stale_purged
@@ -224,16 +204,10 @@ let check_receiver t receiver =
 
 let receiver_version t ~receiver key =
   check_receiver t receiver;
-  match t.store with
-  | Maps maps -> (
-      match Hashtbl.find_opt maps.(receiver) key with
-      | Some e -> Some e.version
-      | None -> None)
-  | Rows rows -> (
-      match Table.slot_of_key t.table key with
-      | Some slot when soa_present rows.(receiver) slot ->
-          Some rows.(receiver).version_a.(slot)
-      | Some _ | None -> None)
+  let soa = t.rows.(receiver) in
+  match Table.slot_of_key t.table key with
+  | Some slot when soa_present soa slot -> Some soa.version_a.(slot)
+  | Some _ | None -> None
 
 let is_matching t ~receiver r =
   match receiver_version t ~receiver r.Record.key with
@@ -241,57 +215,45 @@ let is_matching t ~receiver r =
   | None -> false
 
 let matching_count t r =
-  match t.store with
-  | Maps maps ->
+  match Table.slot_of_key t.table r.Record.key with
+  | None -> 0
+  | Some slot ->
       Array.fold_left
-        (fun acc map ->
-          match Hashtbl.find_opt map r.Record.key with
-          | Some e when e.version = r.Record.version -> acc + 1
-          | Some _ | None -> acc)
-        0 maps
-  | Rows rows -> (
-      match Table.slot_of_key t.table r.Record.key with
-      | None -> 0
-      | Some slot ->
-          Array.fold_left
-            (fun acc soa ->
-              if
-                soa_present soa slot
-                && soa.version_a.(slot) = r.Record.version
-              then acc + 1
-              else acc)
-            0 rows)
+        (fun acc soa ->
+          if soa_present soa slot && soa.version_a.(slot) = r.Record.version
+          then acc + 1
+          else acc)
+        0 t.rows
 
 let remove_record t ~now r =
   (* matching_count only reads receiver state, so it commutes with the
      table removal; it must run while the key still has a slot. *)
   let matching = matching_count t r in
   let key = r.Record.key in
-  (match t.store with
-  | Maps maps ->
-      ignore (Table.remove t.table key);
-      (* With sweep expiry running, dead records linger in the receiver
-         maps until their refresh timeout fires - soft-state garbage
-         collection doing its job (counted by stale_purged). Without
-         timers we drop them eagerly so nothing leaks. *)
-      (match t.expiry with
-      | No_expiry -> Array.iter (fun map -> Hashtbl.remove map key) maps
-      | Refresh_timeout _ | Refresh_wheel _ -> ())
-  | Rows rows ->
-      (* Slot-indexed rows cannot outlive the slot: the dying record's
-         row is reclaimed here, in lockstep with Table's swap-remove.
-         Under wheel expiry an armed timer for the dead key stays in
-         the wheel and is counted as stale_purged when it surfaces —
-         the same garbage-collection event the sweep counts, observed
-         at timer-fire time instead of scan time. *)
-      let slot =
-        match Table.slot_of_key t.table key with
-        | Some s -> s
-        | None -> assert false
-      in
-      let last_slot = Table.live_count t.table - 1 in
-      ignore (Table.remove t.table key);
-      Array.iter (fun soa -> soa_on_remove soa ~slot ~last_slot) rows);
+  (* Slot-indexed rows cannot outlive the slot: the dying record's row
+     is reclaimed here, in lockstep with Table's swap-remove. That
+     reclaim is the soft-state garbage collection: under the sweep,
+     each copy with a gap estimate (one the sweep could expire) counts
+     as a stale purge now; under the wheel, an armed timer for the
+     dead key stays in the wheel and is counted when it surfaces. *)
+  let slot =
+    match Table.slot_of_key t.table key with
+    | Some s -> s
+    | None -> assert false
+  in
+  let last_slot = Table.live_count t.table - 1 in
+  ignore (Table.remove t.table key);
+  let count_purges =
+    match t.expiry with
+    | Refresh_timeout _ -> true
+    | No_expiry | Refresh_wheel _ -> false
+  in
+  Array.iter
+    (fun soa ->
+      if count_purges && soa_has_gap soa slot then
+        t.stale_purged <- t.stale_purged + 1;
+      soa_on_remove soa ~slot ~last_slot)
+    t.rows;
   Consistency.on_death t.tracker ~now ~matching;
   t.on_death r
 
@@ -352,38 +314,29 @@ let arrival t =
       schedule_expiry t r;
       t.on_arrival r
 
-(* One expiry sweep over one receiver's soft state. A record is
-   expired after [multiple] estimated refresh intervals of silence;
-   without a gap estimate (heard fewer than twice) it is left alone. *)
-let sweep_receiver t ~now ~multiple receiver =
-  let map =
-    match t.store with
-    | Maps maps -> maps.(receiver)
-    | Rows _ -> assert false
-  in
-  let doomed =
-    (* lint: allow D003 commutative: builds an unordered removal set; per-key expiry effects are independent *)
-    Hashtbl.fold
-      (fun key e acc ->
-        if
-          (not (Float.is_nan e.gap))
-          && now -. e.last_heard > multiple *. e.gap
-        then key :: acc
-        else acc)
-      map []
-  in
-  List.iter
-    (fun key ->
-      match Table.find t.table key with
-      | Some r ->
-          t.false_expiries <- t.false_expiries + 1;
-          let was_matching = is_matching t ~receiver r in
-          Hashtbl.remove map key;
-          if was_matching then Consistency.on_unmatch t.tracker ~now
-      | None ->
-          t.stale_purged <- t.stale_purged + 1;
-          Hashtbl.remove map key)
-    doomed
+(* One expiry sweep over one receiver's soft state: a scan of the live
+   slots, so O(live keys). A record is expired after [multiple]
+   estimated refresh intervals of silence; without a gap estimate
+   (heard fewer than twice) it is left alone. Every copy here belongs
+   to a live record — dead keys' rows were reclaimed at death — so
+   each expiry is a false one. *)
+let sweep_receiver t ~now ~multiple soa =
+  for slot = 0 to min (Table.live_count t.table) (soa_capacity soa) - 1 do
+    if
+      soa_has_gap soa slot
+      && now -. soa.last_heard_a.(slot) > multiple *. soa.gap_a.(slot)
+    then begin
+      t.false_expiries <- t.false_expiries + 1;
+      let r =
+        match Option.bind (Table.key_at t.table slot) (Table.find t.table) with
+        | Some r -> r
+        | None -> assert false
+      in
+      let was_matching = soa.version_a.(slot) = r.Record.version in
+      soa_set_flags soa slot ~present:false ~armed:false;
+      if was_matching then Consistency.on_unmatch t.tracker ~now
+    end
+  done
 
 (* --- wheel-based expiry -------------------------------------------
 
@@ -399,13 +352,9 @@ let sweep_receiver t ~now ~multiple receiver =
    Contract vs the sweep: the wheel fires at the deadline itself, so a
    record is expired when now - last_heard >= multiple * gap (the
    sweep, sampling at sweep_period boundaries, tests with strict >
-   some time after the deadline has passed). Dead keys cannot linger
-   in slot-indexed rows (the slot is recycled), so their copies are
-   reclaimed at sender death and stale_purged counts the orphaned
-   timer firing instead of a scan hit. *)
-
-let wheel_rows t =
-  match t.store with Rows rows -> rows | Maps _ -> assert false
+   some time after the deadline has passed). Under both, dead keys'
+   copies are reclaimed at sender death; the wheel counts stale_purged
+   when the orphaned timer fires, the sweep at the reclaim itself. *)
 
 let wheel_multiple t =
   match t.expiry with
@@ -435,7 +384,7 @@ and fire_expiry t ~now receiver key =
          slot, and this orphaned timer is the purge event *)
       t.stale_purged <- t.stale_purged + 1
   | Some slot ->
-      let soa = (wheel_rows t).(receiver) in
+      let soa = t.rows.(receiver) in
       if soa_present soa slot && soa_armed soa slot then begin
         let deadline =
           soa.last_heard_a.(slot)
@@ -510,9 +459,7 @@ let start t =
       let (_ : unit -> bool) =
         Engine.every t.engine ~period:sweep_period (fun engine ->
             let now = Engine.now engine in
-            for receiver = 0 to receiver_count t - 1 do
-              sweep_receiver t ~now ~multiple receiver
-            done)
+            Array.iter (sweep_receiver t ~now ~multiple) t.rows)
       in
       ()
 
@@ -529,7 +476,7 @@ let deliver t ~now ~receiver ann =
      keeps the receiver state bounded by the live set. *)
   match Table.find t.table ann.key with
   | None -> ()
-  | Some r -> (
+  | Some r ->
       let note_match () =
         if r.Record.version = ann.version then begin
           Consistency.on_match t.tracker ~now;
@@ -539,66 +486,47 @@ let deliver t ~now ~receiver ann =
             Consistency.on_first_delivery t.tracker ~now ~born:r.Record.born
         end
       in
-      match t.store with
-      | Maps maps -> (
-          let map = maps.(receiver) in
-          match Hashtbl.find_opt map ann.key with
-          | None ->
-              Hashtbl.replace map ann.key
-                { version = ann.version; last_heard = now; gap = nan };
-              note_match ()
-          | Some e ->
-              (* scalable-timers gap estimation: EWMA of observed
-                 inter-announcement gaps, gain 0.25 *)
-              let observed = now -. e.last_heard in
-              e.gap <-
-                (if Float.is_nan e.gap then observed
-                 else (0.25 *. observed) +. (0.75 *. e.gap));
-              e.last_heard <- now;
-              if ann.version > e.version then begin
-                e.version <- ann.version;
-                note_match ()
-              end)
-      | Rows rows ->
-          let slot =
-            match Table.slot_of_key t.table ann.key with
-            | Some s -> s
-            | None -> assert false
-          in
-          let soa = rows.(receiver) in
-          soa_ensure soa slot;
-          if not (soa_present soa slot) then begin
-            soa.version_a.(slot) <- ann.version;
-            soa.last_heard_a.(slot) <- now;
-            soa.gap_a.(slot) <- nan;
-            soa_set_flags soa slot ~present:true ~armed:false;
-            note_match ()
-          end
-          else begin
-            let observed = now -. soa.last_heard_a.(slot) in
-            let gap =
-              if Float.is_nan soa.gap_a.(slot) then observed
-              else (0.25 *. observed) +. (0.75 *. soa.gap_a.(slot))
-            in
-            soa.gap_a.(slot) <- gap;
-            soa.last_heard_a.(slot) <- now;
-            (match t.expiry with
-            | Refresh_wheel { multiple } ->
-                if not (soa_armed soa slot) then begin
-                  (* first defined gap estimate: arm the expiry timer *)
-                  let deadline = now +. (multiple *. gap) in
-                  ignore
-                    (Expiry_wheel.schedule t.wheel ~time:deadline
-                       (receiver, ann.key));
-                  soa_set_flags soa slot ~present:true ~armed:true;
-                  note_deadline t ~now ~deadline
-                end
-            | No_expiry | Refresh_timeout _ -> ());
-            if ann.version > soa.version_a.(slot) then begin
-              soa.version_a.(slot) <- ann.version;
-              note_match ()
+      let slot =
+        match Table.slot_of_key t.table ann.key with
+        | Some s -> s
+        | None -> assert false
+      in
+      let soa = t.rows.(receiver) in
+      soa_ensure soa slot;
+      if not (soa_present soa slot) then begin
+        soa.version_a.(slot) <- ann.version;
+        soa.last_heard_a.(slot) <- now;
+        soa.gap_a.(slot) <- nan;
+        soa_set_flags soa slot ~present:true ~armed:false;
+        note_match ()
+      end
+      else begin
+        (* scalable-timers gap estimation: EWMA of observed
+           inter-announcement gaps, gain 0.25 *)
+        let observed = now -. soa.last_heard_a.(slot) in
+        let gap =
+          if Float.is_nan soa.gap_a.(slot) then observed
+          else (0.25 *. observed) +. (0.75 *. soa.gap_a.(slot))
+        in
+        soa.gap_a.(slot) <- gap;
+        soa.last_heard_a.(slot) <- now;
+        (match t.expiry with
+        | Refresh_wheel { multiple } ->
+            if not (soa_armed soa slot) then begin
+              (* first defined gap estimate: arm the expiry timer *)
+              let deadline = now +. (multiple *. gap) in
+              ignore
+                (Expiry_wheel.schedule t.wheel ~time:deadline
+                   (receiver, ann.key));
+              soa_set_flags soa slot ~present:true ~armed:true;
+              note_deadline t ~now ~deadline
             end
-          end)
+        | No_expiry | Refresh_timeout _ -> ());
+        if ann.version > soa.version_a.(slot) then begin
+          soa.version_a.(slot) <- ann.version;
+          note_match ()
+        end
+      end
 
 let death_draw t ~now r =
   match t.death with

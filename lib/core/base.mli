@@ -36,18 +36,16 @@ type death_spec =
     gap estimate yet) — the death process or explicit withdrawal
     covers them.
 
-    Two implementations share those semantics. {!Refresh_timeout} is
-    the historical periodic sweep: O(keys) per sweep_period, expiry
-    observed at the first scan after the deadline (strict [>] test),
-    dead-at-sender copies lingering in receiver maps until swept.
-    {!Refresh_wheel} arms one hierarchical timing-wheel timer per
-    (receiver, key) and is O(1) amortised per event: expiry fires at
-    the deadline itself ([now - last_heard >= multiple * gap]), and
-    dead-at-sender copies are reclaimed when the sender's slot is
-    recycled, with the orphaned timer firing counted as
-    {!stale_purged}. The wheel variant runs on flat struct-of-arrays
-    receiver state, so per-copy memory is a few words instead of a
-    Hashtbl binding. *)
+    Two timer disciplines share those semantics and one
+    struct-of-arrays receiver store (a few words per copy, indexed by
+    the record's table slot). Under either, a stale copy is reclaimed
+    at sender death, when the record's slot is recycled.
+    {!Refresh_timeout} is the periodic sweep: O(live keys) per sweep,
+    with expiry observed at the first scan after the deadline (strict
+    [>] test). {!Refresh_wheel} arms one hierarchical timing-wheel
+    timer per (receiver, key) and is O(1) amortised per event: expiry
+    fires at the deadline itself ([now - last_heard >= multiple *
+    gap]). *)
 type expiry_spec =
   | No_expiry
   | Refresh_timeout of {
@@ -135,5 +133,10 @@ val false_expiries : t -> int
     sender — consistency lost to an over-eager timeout. *)
 
 val stale_purged : t -> int
-(** Receiver-side expiries of records already dead at the sender —
-    the garbage collection soft state is supposed to provide. *)
+(** Receiver copies of records already dead at the sender that the
+    expiry timers would have collected — the garbage collection soft
+    state is supposed to provide. Every copy is reclaimed at sender
+    death; only copies with a gap estimate (heard at least twice)
+    count. {!Refresh_timeout} counts them at the reclaim;
+    {!Refresh_wheel} counts each when its orphaned timer fires.
+    Always 0 under {!No_expiry}. *)

@@ -100,7 +100,10 @@ type result = {
   nack_overflows : int;
   reheats : int;
   false_expiries : int;        (** receiver timeouts of live records *)
-  stale_purged : int;          (** receiver timeouts of dead records *)
+  stale_purged : int;
+      (** receiver copies of dead records the expiry timers would have
+          collected: counted at sender death under the sweep, at the
+          orphaned timer's firing under the wheel ({!Base.stale_purged}) *)
   live_at_end : int;
   utilisation : float;         (** data link busy fraction *)
   fault_transitions : int;     (** effective topology fault flips *)

@@ -752,6 +752,39 @@ let test_expiry_wheel_stale_purge () =
   Alcotest.(check int) "wheel no false" 0 (Base.false_expiries wheel);
   Alcotest.(check int) "sweep no false" 0 (Base.false_expiries sweep)
 
+let test_expiry_sweep_reclaims_at_death () =
+  (* A copy heard once has no gap estimate, so no sweep can expire it:
+     the sender's death must reclaim it, without counting a purge. *)
+  let sweep = Base.Refresh_timeout { multiple = 2.0; sweep_period = 1.0 } in
+  let once =
+    expiry_micro sweep (fun ~insert ~deliver_at ~engine ~base ->
+        let key = (insert 1).Record.key in
+        deliver_at 0.0 key;
+        Engine.run ~until:5.0 engine;
+        Base.kill base ~now:(Engine.now engine) key;
+        Alcotest.(check (option int)) "once-heard copy reclaimed" None
+          (Base.receiver_version base ~receiver:0 key);
+        Engine.run ~until:60.0 engine)
+  in
+  Alcotest.(check int) "once-heard copy is no purge" 0 (Base.stale_purged once);
+  Alcotest.(check int) "once-heard no false" 0 (Base.false_expiries once);
+  (* heard twice, the copy has a gap estimate: its reclaim is the
+     purge, counted at the kill rather than at a later scan *)
+  let twice =
+    expiry_micro sweep (fun ~insert ~deliver_at ~engine ~base ->
+        let key = (insert 1).Record.key in
+        deliver_at 0.0 key;
+        deliver_at 10.0 key;
+        Engine.run ~until:15.0 engine;
+        Base.kill base ~now:(Engine.now engine) key;
+        Alcotest.(check int) "purged at the kill" 1 (Base.stale_purged base);
+        Alcotest.(check (option int)) "twice-heard copy reclaimed" None
+          (Base.receiver_version base ~receiver:0 key);
+        Engine.run ~until:60.0 engine)
+  in
+  Alcotest.(check int) "purged once" 1 (Base.stale_purged twice);
+  Alcotest.(check int) "twice-heard no false" 0 (Base.false_expiries twice)
+
 let test_expiry_wheel_vs_sweep_agreement () =
   (* same end-to-end experiment under both implementations: identical
      semantics up to observation timing, so the aggregate counters and
@@ -970,6 +1003,31 @@ let test_golden_multicast () =
                   mu_fb_kbps = 7.0; nack_bits = 500; suppression = true;
                   nack_slot = 0.5 }
           }))
+
+(* Periodic-sweep expiry on the open-loop expiry config. Consistency,
+   latency and false expiries were pinned while the sweep still ran on
+   per-receiver Hashtbl maps and stayed bitwise identical when it moved
+   onto the struct-of-arrays rows: the expiry predicate is unchanged
+   and a sweep's unmatches all happen at one instant, so their order
+   cannot reach the time-weighted integral. *)
+let test_golden_sweep () =
+  let r = Experiment.run (expiry_config 3.0) in
+  Alcotest.(check string) "sweep bitwise stable"
+    "avg=0x1.496f72b24f54cp-1 final=0x1.3644c25814751p-1 \
+     lat=0x1.4f14af4bc64ffp+4 false=156"
+    (Printf.sprintf "avg=%h final=%h lat=%h false=%d"
+       r.Experiment.avg_consistency r.Experiment.final_consistency
+       r.Experiment.latency_mean r.Experiment.false_expiries)
+
+(* Pin provenance: under the sweep, stale_purged is counted at slot
+   reclaim (sender death), once per receiver copy that had a gap
+   estimate. Before the sweep moved onto the struct-of-arrays rows,
+   dead copies lingered in Hashtbl maps and were counted at the next
+   sweep scan past their deadline, which gave 38804 here: dead copies
+   whose deadline fell past the horizon were never counted. *)
+let test_golden_sweep_stale_purged () =
+  let r = Experiment.run (expiry_config 3.0) in
+  Alcotest.(check int) "sweep stale purges" 39576 r.Experiment.stale_purged
 
 (* ------------------------------------------------------------------ *)
 (* Experiments over a topology *)
@@ -1301,6 +1359,8 @@ let () =
             test_expiry_wheel_fires_at_deadline;
           Alcotest.test_case "wheel stale purge" `Quick
             test_expiry_wheel_stale_purge;
+          Alcotest.test_case "sweep reclaims at death" `Quick
+            test_expiry_sweep_reclaims_at_death;
           Alcotest.test_case "wheel vs sweep agreement" `Slow
             test_expiry_wheel_vs_sweep_agreement;
         ] );
@@ -1326,6 +1386,9 @@ let () =
           Alcotest.test_case "two queue" `Quick test_golden_two_queue;
           Alcotest.test_case "feedback" `Quick test_golden_feedback;
           Alcotest.test_case "multicast" `Quick test_golden_multicast;
+          Alcotest.test_case "refresh sweep" `Quick test_golden_sweep;
+          Alcotest.test_case "refresh sweep stale purged" `Quick
+            test_golden_sweep_stale_purged;
         ] );
       ( "topology",
         [
