@@ -368,28 +368,35 @@ let topology_to_string = function
       (* %.17g, not %g: random edge probabilities must round-trip *)
       Printf.sprintf "random:%d:%s" nodes (f17 edge_prob)
 
+(* Total over what the builders accept: a shape that parses but that
+   [Experiment.run] would reject (or, for a NaN [edge_prob], silently
+   run as a bare chain) is an [Error] here. *)
 let topology_of_string s =
-  let it x = int_of_string_opt x in
+  let pos x =
+    match int_of_string_opt x with Some n when n >= 1 -> Some n | _ -> None
+  in
+  let bad = Error ("bad topology " ^ s) in
   match String.split_on_char ':' s with
   | [ "single-hop" ] -> Ok Experiment.Single_hop
   | [ "star"; n ] -> (
-      match it n with
+      match pos n with
       | Some leaves -> Ok (Experiment.Star { leaves })
-      | None -> Error ("bad topology " ^ s))
+      | None -> bad)
   | [ "chain"; n ] -> (
-      match it n with
+      match pos n with
       | Some hops -> Ok (Experiment.Chain { hops })
-      | None -> Error ("bad topology " ^ s))
+      | None -> bad)
   | [ "tree"; a; d ] -> (
-      match (it a, it d) with
+      match (pos a, pos d) with
       | Some arity, Some depth -> Ok (Experiment.Kary_tree { arity; depth })
-      | _ -> Error ("bad topology " ^ s))
+      | _ -> bad)
   | [ "random"; n; p ] -> (
-      match (it n, float_of_string_opt p) with
-      | Some nodes, Some edge_prob ->
+      match (pos n, float_of_string_opt p) with
+      | Some nodes, Some edge_prob
+        when nodes >= 2 && edge_prob >= 0.0 && edge_prob <= 1.0 ->
           Ok (Experiment.Random_graph { nodes; edge_prob })
-      | _ -> Error ("bad topology " ^ s))
-  | _ -> Error ("bad topology " ^ s)
+      | _ -> bad)
+  | _ -> bad
 
 let death_to_string = function
   | Base.Per_service p -> Printf.sprintf "service:%s" (f17 p)

@@ -654,8 +654,9 @@ let report ?obs ~config r =
    Reuses [topology_spec] vocabulary: [Single_hop] means uniform
    (complete-graph) mixing over [g_nodes] peers — the configuration
    the mean-field fluid limit describes exactly — while the graph
-   kinds run over {!Softstate_net.Flat_topology} meshes, which is
-   what makes [random:1000000:p] populations feasible. *)
+   kinds run over bare {!Softstate_net.Flat_topology} meshes, with
+   none of {!Softstate_net.Topology}'s per-edge queues, which is what
+   makes [random:1000000:p] populations feasible. *)
 
 type gossip_config = {
   g_seed : int;

@@ -30,7 +30,7 @@
    the full infection sequence (node ids in infection order plus
    round boundaries) through a 64-bit mix, so two runs agree on the
    digest iff they agree on the entire delivery trace — the golden
-   pins and the flat-vs-object equivalence test both hang off it. *)
+   pins and the Mesh-vs-View equivalence test both hang off it. *)
 
 module Rng = Softstate_util.Rng
 module Flat = Softstate_net.Flat_topology

@@ -12,7 +12,7 @@
     Determinism: a run is a pure function of [(config, peers)]. The
     [digest] folds the complete infection sequence through a 64-bit
     mix — equal digests mean identical delivery traces, which is what
-    the golden pins and the flat-vs-object equivalence tests check. *)
+    the golden pins and the Mesh-vs-View equivalence test check. *)
 
 type mode = Push | Push_pull
 

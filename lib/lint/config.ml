@@ -68,6 +68,8 @@ let hot_paths =
     ("Flat_topology", "degree");
     ("Flat_topology", "neighbor");
     ("Flat_topology", "neighbor_cable");
+    ("Flat_topology", "is_cable_up");
+    ("Flat_topology", "is_node_up");
     ("Seq_ring", "store");
     ("Seq_ring", "find") ]
 

@@ -1,30 +1,26 @@
-(* Flat struct-of-arrays network substrate.
+(* Flat struct-of-arrays network graph: the one graph substrate.
 
-   The object engine ({!Topology}) builds one Node.t, one edge record
-   and one adjacency list cell per graph element, plus O(N) BFS arrays
-   per cached source — fine at 10^3-10^4 nodes, prohibitive at 10^6.
-   This module keeps the whole graph in a handful of flat int arrays:
+   The whole graph is a handful of flat int arrays, so a 10^6-node
+   graph costs tens of megabytes and building it allocates nothing per
+   element:
 
    - CSR adjacency: node [u]'s incident directed edges occupy the
      slice [adj_off.(u) .. adj_off.(u+1) - 1] of [adj_node] (the
      neighbour) and [adj_cable] (the undirected cable it rides),
      sorted ascending by neighbour id (ties by cable id). That order
      is a contract: protocols that pick "the k-th neighbour of u"
-     observe the same peer on every engine that honours it, which is
-     what the flat-vs-object equivalence tests pin.
+     observe the same peer whether they read a Mesh or a View of it.
    - One int pair per undirected cable ([cable_a]/[cable_b]).
    - Fault state as bitsets (one bit per node / cable).
    - Routing is lazy and compressed: a single dist/parent/queue
      scratch (3 ints per node) allocated on first use and reused
-     across sources, instead of per-source cached arrays. Like the
-     object engine, routing is computed over the full graph and is
-     not fault-adaptive.
+     across sources, instead of per-source cached arrays. Routing is
+     computed over the full graph and is not fault-adaptive.
 
    Cost: 5 int arrays totalling [4*cables + nodes + 1] words plus two
-   bitsets — about 40 bytes per node on a sparse graph — versus
-   several hundred for the object engine. Builders allocate O(N + E)
-   transient arrays (two stable counting-sort passes) and nothing per
-   element.
+   bitsets — about 40 bytes per node on a sparse graph. Builders
+   allocate O(N + E) transient arrays (two stable counting-sort
+   passes) and nothing per element.
 
    Determinism: the random builder draws a geometric skip per accepted
    pair (the G(n,p) pair loop would be O(N^2) draws), so its cable
@@ -168,7 +164,7 @@ let kary_tree ~arity ~depth () =
   done;
   let n = !nodes in
   (* node i's children are arity*i + 1 .. arity*i + arity, level order
-     from root 0 — the object builder's numbering *)
+     from root 0 *)
   let a = Array.init (n - 1) (fun i -> i / arity) in
   let b = Array.init (n - 1) (fun i -> i + 1) in
   build ~kind:(Printf.sprintf "tree:%d:%d" arity depth) ~nodes:n a b
@@ -194,10 +190,10 @@ let random ~rng ~nodes ~edge_prob () =
     !eb.(!len) <- j;
     incr len
   in
-  (* the object builder's extra-pair space: i < j - 1 (chain pairs are
-     already cabled), row i holding pairs (i, i+2 .. nodes-1). One
-     geometric skip per accepted pair replaces its O(N^2) per-pair
-     Bernoulli loop. *)
+  (* the extra-pair space: i < j - 1 (chain pairs are already
+     cabled), row i holding pairs (i, i+2 .. nodes-1). One geometric
+     skip per accepted pair replaces an O(N^2) per-pair Bernoulli
+     loop. *)
   if edge_prob > 0.0 && nodes > 2 then
     if edge_prob >= 1.0 then
       for i = 0 to nodes - 3 do
@@ -323,8 +319,7 @@ let restart_node t u =
 let fault_transitions t = t.transitions
 
 (* ------------------------------------------------------------------ *)
-(* Routing: lazy BFS into a shared scratch (static, fault-blind, like
-   the object engine's routing) *)
+(* Routing: lazy BFS into a shared scratch (static, fault-blind) *)
 
 let ensure_route t src =
   check_node t src "route";

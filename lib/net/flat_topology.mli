@@ -1,13 +1,14 @@
-(** Flat struct-of-arrays network substrate for 10^5-10^6-node graphs.
+(** Flat struct-of-arrays network graph: the one graph substrate in
+    this library.
 
-    Where {!Topology} allocates objects per node/cable and O(N) BFS
-    arrays per cached source, this engine stores the whole graph in a
-    few int arrays (CSR adjacency, one endpoint pair per cable,
-    bitset fault state) — roughly 40 bytes per node on a sparse
-    graph — and computes routing lazily into a single reusable
-    scratch. It carries no engine, queues or loss processes: it is
-    the structural substrate that round-batched protocols (e.g.
-    {!Softstate_core.Gossip}) run over.
+    The whole graph lives in a few int arrays (CSR adjacency, one
+    endpoint pair per cable, bitset fault state) — roughly 40 bytes
+    per node on a sparse graph — and routing is computed lazily into
+    a single reusable scratch. It carries no engine, queues or loss
+    processes: round-batched protocols (e.g.
+    {!Softstate_core.Gossip}) run over it directly, and {!Topology}
+    wraps it with the per-edge queues and fault-gated forwarding that
+    packet-level protocols need.
 
     {2 Determinism contract}
 
@@ -34,22 +35,19 @@ val chain : hops:int -> unit -> t
 val kary_tree : arity:int -> depth:int -> unit -> t
 (** Complete [arity]-ary tree of [depth] >= 1 cable levels, numbered
     level-order from root 0 (node [i]'s children are
-    [arity*i + 1 .. arity*i + arity]) — the {!Topology.kary_tree}
-    numbering. *)
+    [arity*i + 1 .. arity*i + arity]). *)
 
 val random : rng:Softstate_util.Rng.t -> nodes:int -> edge_prob:float -> unit -> t
 (** Connected G(n, p) variant: a spanning chain [0-1-...-n-1] plus
     each non-adjacent pair with probability [edge_prob], sampled by
     geometric skips (one draw per {e accepted} pair), so
     [random:1000000:p] builds without an O(N^2) pair loop. The cable
-    set differs from {!Topology.random_graph} at equal seeds (that
-    builder draws per pair); both are deterministic in [rng]. *)
+    set is deterministic in [rng]. *)
 
 val of_cables : nodes:int -> (int * int) array -> t
 (** Exact cable list (e.g. extracted from a {!Topology.t} via
-    [cable_endpoints]) — the bridge the flat-vs-object equivalence
-    tests use. Cable [i] keeps index [i]. Raises [Invalid_argument]
-    on out-of-range endpoints or self-loops. *)
+    [cable_endpoints]). Cable [i] keeps index [i]. Raises
+    [Invalid_argument] on out-of-range endpoints or self-loops. *)
 
 (** {1 Structure} *)
 
@@ -79,8 +77,8 @@ val footprint_words : t -> int
 
     Bitset per node / cable; transitions are counted and idempotent
     repeats return [false]. Routing ignores fault state (static
-    routing, as in the object engine); protocols consult
-    {!is_node_up} / {!is_cable_up} at transmission time. *)
+    routing); protocols consult {!is_node_up} / {!is_cable_up} at
+    transmission time. *)
 
 val set_cable : t -> int -> up:bool -> bool
 val crash_node : t -> int -> bool
@@ -93,8 +91,10 @@ val fault_transitions : t -> int
 
     Lazily computed breadth-first distances from one cached source at
     a time into a shared 3-ints-per-node scratch (allocated on first
-    use, reused across sources) — switching sources recomputes, but
-    nothing is cached per source. *)
+    use, reused across sources). A query recomputes only when its
+    source differs from the cached one; nothing is cached per source.
+    Neighbours are visited in CSR order, so ties between equal-length
+    routes break by ascending neighbour id. *)
 
 val dist : t -> src:int -> dst:int -> int
 (** Hop distance, [-1] if unreachable, [0] when [src = dst]. *)

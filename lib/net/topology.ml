@@ -4,17 +4,11 @@ module Obs = Softstate_obs.Obs
 module Metrics = Softstate_obs.Metrics
 module Trace = Softstate_obs.Trace
 
-type edge = {
-  eid : int;
-  cable : int;
-  src : int;
-  dst : int;
-  rate_bps : float;
-  delay : float;
-  loss_spec : unit -> Loss.t;
-  elabel : string;
-}
-
+(* Graph, routes and fault bits all live in the flat core [g]; this
+   record adds only what packet-level overlays need. Every directed
+   edge carries the topology-wide rate, delay and loss, so an edge is
+   just its id [eid = 2 * cable + dir]: direction 0 runs from the
+   cable's first endpoint to its second, direction 1 back. *)
 type t = {
   engine : Engine.t;
   rng : Rng.t;
@@ -22,15 +16,10 @@ type t = {
   trace : Trace.t;
   traced : bool;
   label : string;
-  kind : string;
-  nodes : Node.t array;
-  edges : edge array;
-  out : int list array; (* node -> outgoing edge ids, ascending *)
-  cables : (int * int) array;
-  cable_up : bool array;
-  bfs_cache : (int, int array * int array) Hashtbl.t;
-      (* src -> (parent edge per node or -1, hop distance) *)
-  mutable fault_transitions : int;
+  g : Flat_topology.t;
+  rate_bps : float;
+  delay : float;
+  loss : unit -> Loss.t;
   mutable bh_inject : int;   (* packets destroyed entering a down element *)
   mutable bh_deliver : int;  (* packets destroyed leaving a down element *)
   mutable injected : int;    (* packets offered to an edge stage *)
@@ -51,36 +40,30 @@ type substrate = {
 }
 
 let engine t = t.engine
-let node_count t = Array.length t.nodes
-let cable_count t = Array.length t.cables
-let edge_count t = Array.length t.edges
+let node_count t = Flat_topology.node_count t.g
+let cable_count t = Flat_topology.cable_count t.g
+let edge_count t = 2 * cable_count t
 
 let check_node t id name =
-  if id < 0 || id >= Array.length t.nodes then
+  if id < 0 || id >= node_count t then
     invalid_arg (Printf.sprintf "Topology.%s: no node %d" name id)
 
-let check_cable t id name =
-  if id < 0 || id >= Array.length t.cables then
-    invalid_arg (Printf.sprintf "Topology.%s: no cable %d" name id)
+let cable_endpoints t id = Flat_topology.cable_endpoints t.g id
 
-let node t id =
-  check_node t id "node";
-  t.nodes.(id)
+(* The builder tag without its parameters: ["tree"] for ["tree:2:3"]. *)
+let kind t =
+  let k = Flat_topology.kind t.g in
+  match String.index_opt k ':' with Some i -> String.sub k 0 i | None -> k
 
-let cable_endpoints t id =
-  check_cable t id "cable_endpoints";
-  t.cables.(id)
+(* Endpoints of directed edge [eid]. *)
+let edge_ends t eid =
+  let a, b = Flat_topology.cable_endpoints t.g (eid lsr 1) in
+  if eid land 1 = 0 then (a, b) else (b, a)
 
 let leaves t =
-  let degree = Array.make (Array.length t.nodes) 0 in
-  Array.iter
-    (fun (a, b) ->
-      degree.(a) <- degree.(a) + 1;
-      degree.(b) <- degree.(b) + 1)
-    t.cables;
   let acc = ref [] in
-  for id = Array.length t.nodes - 1 downto 0 do
-    if degree.(id) = 1 then acc := id :: !acc
+  for id = node_count t - 1 downto 0 do
+    if Flat_topology.degree t.g id = 1 then acc := id :: !acc
   done;
   !acc
 
@@ -119,60 +102,38 @@ let note_pipe t pipe =
     (fun () -> (Pipe.link_stats pipe, Pipe.overflows pipe, Pipe.queue_length pipe))
     :: t.pipe_readers
 
+let count_down n up =
+  let down = ref 0 in
+  for i = 0 to n - 1 do
+    if not (up i) then incr down
+  done;
+  !down
+
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let build ~engine ~rng ?obs ?(label = "topo") ~kind ~nodes:n ~cables:cl
-    ~rate_bps ?(delay = 0.0) ?(loss = fun () -> Loss.never) () =
-  if n < 1 then invalid_arg "Topology: need at least one node";
+let wrap ~engine ~rng ?obs ?(label = "topo") ~rate_bps ?(delay = 0.0)
+    ?(loss = fun () -> Loss.never) g =
   if rate_bps <= 0.0 then invalid_arg "Topology: rate must be positive";
   if delay < 0.0 then invalid_arg "Topology: negative delay";
-  let cables = Array.of_list cl in
-  Array.iter
-    (fun (a, b) ->
-      if a < 0 || a >= n || b < 0 || b >= n || a = b then
-        invalid_arg "Topology: bad cable endpoints")
-    cables;
-  let nodes = Array.init n (fun id -> Node.create id) in
-  let edges =
-    Array.init
-      (2 * Array.length cables)
-      (fun eid ->
-        let cable = eid / 2 in
-        let a, b = cables.(cable) in
-        let src, dst = if eid land 1 = 0 then (a, b) else (b, a) in
-        { eid; cable; src; dst; rate_bps; delay; loss_spec = loss;
-          elabel = Printf.sprintf "%s.e%d" label eid })
-  in
-  let out = Array.make n [] in
-  for eid = Array.length edges - 1 downto 0 do
-    let e = edges.(eid) in
-    out.(e.src) <- eid :: out.(e.src)
-  done;
   let t =
     { engine; rng; obs; trace = Obs.trace_of obs;
-      traced = Trace.enabled (Obs.trace_of obs); label; kind; nodes; edges;
-      out; cables; cable_up = Array.make (Array.length cables) true;
-      bfs_cache = Hashtbl.create 8; fault_transitions = 0;
-      bh_inject = 0; bh_deliver = 0; injected = 0; pipe_readers = [] }
+      traced = Trace.enabled (Obs.trace_of obs); label; g; rate_bps; delay;
+      loss; bh_inject = 0; bh_deliver = 0; injected = 0; pipe_readers = [] }
   in
   (match obs with
   | Some o ->
       let m = Obs.metrics o in
       Metrics.probe m (label ^ ".fault_transitions") (fun ~now:_ ->
-          float_of_int t.fault_transitions);
+          float_of_int (Flat_topology.fault_transitions g));
       Metrics.probe m (label ^ ".fault_drops") (fun ~now:_ ->
           float_of_int (t.bh_inject + t.bh_deliver));
       Metrics.probe m (label ^ ".cables_down") (fun ~now:_ ->
           float_of_int
-            (Array.fold_left
-               (fun acc up -> if up then acc else acc + 1)
-               0 t.cable_up));
+            (count_down (Flat_topology.cable_count g) (Flat_topology.is_cable_up g)));
       Metrics.probe m (label ^ ".nodes_down") (fun ~now:_ ->
           float_of_int
-            (Array.fold_left
-               (fun acc nd -> if Node.is_up nd then acc else acc + 1)
-               0 t.nodes));
+            (count_down (Flat_topology.node_count g) (Flat_topology.is_node_up g)));
       (* substrate accounting, for the conservation oracles *)
       let sub name field =
         Metrics.probe m (label ^ "." ^ name) (fun ~now:_ ->
@@ -190,125 +151,69 @@ let build ~engine ~rng ?obs ?(label = "topo") ~kind ~nodes:n ~cables:cl
   t
 
 let star ~engine ~rng ?obs ?label ?delay ?loss ~rate_bps ~leaves () =
-  if leaves < 1 then invalid_arg "Topology.star: leaves must be >= 1";
-  build ~engine ~rng ?obs ?label ~kind:"star" ~nodes:(leaves + 1)
-    ~cables:(List.init leaves (fun i -> (0, i + 1)))
-    ~rate_bps ?delay ?loss ()
+  wrap ~engine ~rng ?obs ?label ~rate_bps ?delay ?loss
+    (Flat_topology.star ~leaves ())
 
 let chain ~engine ~rng ?obs ?label ?delay ?loss ~rate_bps ~hops () =
-  if hops < 1 then invalid_arg "Topology.chain: hops must be >= 1";
-  build ~engine ~rng ?obs ?label ~kind:"chain" ~nodes:(hops + 1)
-    ~cables:(List.init hops (fun i -> (i, i + 1)))
-    ~rate_bps ?delay ?loss ()
+  wrap ~engine ~rng ?obs ?label ~rate_bps ?delay ?loss
+    (Flat_topology.chain ~hops ())
 
 let kary_tree ~engine ~rng ?obs ?label ?delay ?loss ~rate_bps ~arity ~depth ()
     =
-  if arity < 1 then invalid_arg "Topology.kary_tree: arity must be >= 1";
-  if depth < 1 then invalid_arg "Topology.kary_tree: depth must be >= 1";
-  let n = ref 1 and level = ref 1 in
-  for _ = 1 to depth do
-    level := !level * arity;
-    n := !n + !level
-  done;
-  let n = !n in
-  let cables = ref [] in
-  for child = n - 1 downto 1 do
-    cables := ((child - 1) / arity, child) :: !cables
-  done;
-  build ~engine ~rng ?obs ?label ~kind:"tree" ~nodes:n ~cables:!cables
-    ~rate_bps ?delay ?loss ()
+  wrap ~engine ~rng ?obs ?label ~rate_bps ?delay ?loss
+    (Flat_topology.kary_tree ~arity ~depth ())
 
 let random_graph ~engine ~rng ?obs ?label ?delay ?loss ~rate_bps ~nodes
     ~edge_prob () =
-  if nodes < 2 then invalid_arg "Topology.random_graph: nodes must be >= 2";
-  if edge_prob < 0.0 || edge_prob > 1.0 then
-    invalid_arg "Topology.random_graph: edge_prob out of [0,1]";
-  let cables = ref [] in
-  (* extra cables first, in deterministic pair order *)
-  for i = 0 to nodes - 1 do
-    for j = i + 2 to nodes - 1 do
-      if Rng.bernoulli rng edge_prob then cables := (i, j) :: !cables
-    done
-  done;
-  (* spanning chain guarantees connectivity *)
-  for i = nodes - 2 downto 0 do
-    cables := (i, i + 1) :: !cables
-  done;
-  build ~engine ~rng ?obs ?label ~kind:"random" ~nodes ~cables:!cables
-    ~rate_bps ?delay ?loss ()
+  wrap ~engine ~rng ?obs ?label ~rate_bps ?delay ?loss
+    (Flat_topology.random ~rng ~nodes ~edge_prob ())
 
 (* ------------------------------------------------------------------ *)
-(* Routing *)
+(* Routing: the flat core's BFS from one source at a time. Setup-time
+   only — overlays resolve their paths and trees once, at creation. *)
 
-let bfs t src =
-  match Hashtbl.find_opt t.bfs_cache src with
-  | Some r -> r
-  | None ->
-      let n = Array.length t.nodes in
-      let parent = Array.make n (-1) in
-      let dist = Array.make n max_int in
-      dist.(src) <- 0;
-      let q = Queue.create () in
-      Queue.add src q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        List.iter
-          (fun eid ->
-            let e = t.edges.(eid) in
-            if dist.(e.dst) = max_int then begin
-              dist.(e.dst) <- dist.(u) + 1;
-              parent.(e.dst) <- eid;
-              Queue.add e.dst q
-            end)
-          t.out.(u)
-      done;
-      Hashtbl.replace t.bfs_cache src (parent, dist);
-      (parent, dist)
+(* The edge from [v]'s BFS parent toward [src] down to [v], found by
+   scanning [v]'s CSR slice for the parent. *)
+let parent_edge t ~src v =
+  let p = Flat_topology.route_parent t.g ~src v in
+  let rec scan k =
+    if Flat_topology.neighbor t.g v k = p then begin
+      let c = Flat_topology.neighbor_cable t.g v k in
+      let a, _ = Flat_topology.cable_endpoints t.g c in
+      (2 * c) + if a = p then 0 else 1
+    end
+    else scan (k + 1)
+  in
+  (p, scan 0)
 
 let path t ~src ~dst =
   check_node t src "path";
   check_node t dst "path";
-  if src = dst then []
-  else begin
-    let parent, _ = bfs t src in
-    if parent.(dst) = -1 then
-      invalid_arg
-        (Printf.sprintf "Topology.path: %d unreachable from %d" dst src);
-    let rec walk acc v =
-      if v = src then acc
-      else
-        let e = t.edges.(parent.(v)) in
-        walk (e :: acc) e.src
-    in
-    walk [] dst
-  end
+  if Flat_topology.dist t.g ~src ~dst < 0 then
+    invalid_arg (Printf.sprintf "Topology.path: %d unreachable from %d" dst src);
+  let rec walk acc v =
+    if v = src then acc
+    else
+      let p, eid = parent_edge t ~src v in
+      walk (eid :: acc) p
+  in
+  walk [] dst
 
-let farthest t ~src =
-  check_node t src "farthest";
-  let _, dist = bfs t src in
-  let best = ref src and best_d = ref 0 in
-  Array.iteri
-    (fun v d -> if d <> max_int && d > !best_d then begin
-        best := v;
-        best_d := d
-      end)
-    dist;
-  !best
+let farthest t ~src = Flat_topology.farthest t.g ~src
 
 let tree_children t ~root =
-  check_node t root "tree_children";
-  let parent, _ = bfs t root in
-  let children = Array.make (Array.length t.nodes) [] in
-  for v = Array.length t.nodes - 1 downto 0 do
-    if v <> root && parent.(v) <> -1 then begin
-      let e = t.edges.(parent.(v)) in
-      children.(e.src) <- parent.(v) :: children.(e.src)
+  let n = node_count t in
+  let children = Array.make n [] in
+  for v = n - 1 downto 0 do
+    if Flat_topology.route_parent t.g ~src:root v >= 0 then begin
+      let p, eid = parent_edge t ~src:root v in
+      children.(p) <- eid :: children.(p)
     end
   done;
   children
 
 (* ------------------------------------------------------------------ *)
-(* Fault state *)
+(* Fault state: the flat core's bits, plus trace emission *)
 
 let emit_fault t kind ~detail ~value =
   if t.traced then
@@ -316,45 +221,29 @@ let emit_fault t kind ~detail ~value =
       (Trace.event ~time:(Engine.now t.engine) ~src:t.label ~detail ~value
          kind)
 
-let set_cable_quiet t cid ~up =
-  if t.cable_up.(cid) = up then false
-  else begin
-    t.cable_up.(cid) <- up;
-    t.fault_transitions <- t.fault_transitions + 1;
-    let a, b = t.cables.(cid) in
+let set_cable t cid ~up =
+  let changed = Flat_topology.set_cable t.g cid ~up in
+  if changed then begin
+    let a, b = Flat_topology.cable_endpoints t.g cid in
     emit_fault t
       (if up then Trace.Link_up else Trace.Link_down)
       ~detail:(Printf.sprintf "%d-%d" a b)
-      ~value:(float_of_int cid);
-    true
-  end
-
-let set_cable t cid ~up =
-  check_cable t cid "set_cable";
-  set_cable_quiet t cid ~up
-
-let crash_node t nid =
-  check_node t nid "crash_node";
-  let changed = Node.crash t.nodes.(nid) in
-  if changed then begin
-    t.fault_transitions <- t.fault_transitions + 1;
-    emit_fault t Trace.Node_crash ~detail:(Node.label t.nodes.(nid))
-      ~value:(float_of_int nid)
+      ~value:(float_of_int cid)
   end;
   changed
 
-let restart_node t nid =
-  check_node t nid "restart_node";
-  let changed = Node.restart t.nodes.(nid) in
-  if changed then begin
-    t.fault_transitions <- t.fault_transitions + 1;
-    emit_fault t Trace.Node_restart ~detail:(Node.label t.nodes.(nid))
-      ~value:(float_of_int nid)
-  end;
+let node_fault flip kind t nid =
+  let changed = flip t.g nid in
+  if changed then
+    emit_fault t kind ~detail:("n" ^ string_of_int nid)
+      ~value:(float_of_int nid);
   changed
+
+let crash_node = node_fault Flat_topology.crash_node Trace.Node_crash
+let restart_node = node_fault Flat_topology.restart_node Trace.Node_restart
 
 let partition t ~group =
-  let in_group = Array.make (Array.length t.nodes) false in
+  let in_group = Array.make (node_count t) false in
   List.iter
     (fun id ->
       check_node t id "partition";
@@ -363,31 +252,24 @@ let partition t ~group =
   emit_fault t Trace.Partition ~detail:"cut"
     ~value:(float_of_int (List.length group));
   let cut = ref 0 in
-  Array.iteri
-    (fun cid (a, b) ->
-      if in_group.(a) <> in_group.(b) && set_cable_quiet t cid ~up:false then
-        incr cut)
-    t.cables;
+  for cid = 0 to cable_count t - 1 do
+    let a, b = Flat_topology.cable_endpoints t.g cid in
+    if in_group.(a) <> in_group.(b) && set_cable t cid ~up:false then incr cut
+  done;
   !cut
 
 let heal t =
   emit_fault t Trace.Heal ~detail:"" ~value:0.0;
   let restored = ref 0 in
-  Array.iteri
-    (fun cid up -> if (not up) && set_cable_quiet t cid ~up:true then
-        incr restored)
-    t.cable_up;
+  for cid = 0 to cable_count t - 1 do
+    if (not (Flat_topology.is_cable_up t.g cid)) && set_cable t cid ~up:true
+    then incr restored
+  done;
   !restored
 
-let is_cable_up t cid =
-  check_cable t cid "is_cable_up";
-  t.cable_up.(cid)
-
-let is_node_up t nid =
-  check_node t nid "is_node_up";
-  Node.is_up t.nodes.(nid)
-
-let fault_transitions t = t.fault_transitions
+let is_cable_up t cid = Flat_topology.is_cable_up t.g cid
+let is_node_up t nid = Flat_topology.is_node_up t.g nid
+let fault_transitions t = Flat_topology.fault_transitions t.g
 let fault_drops t = t.bh_inject + t.bh_deliver
 
 (* ------------------------------------------------------------------ *)
@@ -416,49 +298,51 @@ let endpoint_delivered t ~now ~label ~detail ~hop id =
       (Trace.event ~time:now ~src:(label ^ ".end") ~detail ~packet:id ~hop
          Trace.Packet_delivered)
 
-(* Send-side gate: a packet enters edge [e] only while the cable and
-   the sending node are up; otherwise it is destroyed on the spot. *)
-let inject t e pipe ~hop (inner : 'a Packet.t) =
-  t.injected <- t.injected + 1;
-  if t.cable_up.(e.cable) && Node.is_up t.nodes.(e.src) then
-    ignore
-      (Pipe.send pipe
-         (Packet.make ~id:inner.Packet.id ~size_bits:inner.Packet.size_bits
-            inner))
-  else
-    drop_faulted t ~phase:`Inject ~src_label:e.elabel
-      ~packet:inner.Packet.id ~hop ()
-
-(* One forwarding stage per edge: a Pipe of the edge's rate / delay /
-   loss whose delivery re-checks the fault state (packets in flight
-   when the cable or destination goes down are destroyed). Overlay
-   pipes carry no obs context of their own — per-edge probes would
-   collide across overlays; the topology's fault counters and trace
-   events cover the substrate. [hop] is the stage's position along the
-   overlay path (the head server is hop 0), stamped on every edge
-   trace event so a packet's causal chain reads in path order. *)
-let edge_stage t ~qcap ~overlay_rng ~hop e next =
+(* One forwarding stage per directed edge [eid]: a Pipe at the
+   topology's rate / delay / loss. The send-side gate admits a packet
+   only while the cable and the sending node are up, and delivery
+   re-checks the cable and the receiving node (packets in flight when
+   either goes down are destroyed). Overlay pipes carry no obs context
+   of their own — per-edge probes would collide across overlays; the
+   topology's fault counters and trace events cover the substrate.
+   [hop] is the stage's position along the overlay path (the head
+   server is hop 0), stamped on every edge trace event so a packet's
+   causal chain reads in path order. *)
+let edge_stage t ~qcap ~overlay_rng ~hop eid next =
+  let cable = eid lsr 1 in
+  let src, dst = edge_ends t eid in
+  let elabel = Printf.sprintf "%s.e%d" t.label eid in
   let pipe =
-    Pipe.create t.engine ~rate_bps:e.rate_bps ~delay:e.delay
-      ~loss:(e.loss_spec ()) ~queue_capacity:qcap ~label:e.elabel ~hop
-      ~rng:overlay_rng
+    Pipe.create t.engine ~rate_bps:t.rate_bps ~delay:t.delay ~loss:(t.loss ())
+      ~queue_capacity:qcap ~label:elabel ~hop ~rng:overlay_rng
       ~deliver:(fun ~now inner ->
-        if t.cable_up.(e.cable) && Node.is_up t.nodes.(e.dst) then
-          next ~now inner
+        if Flat_topology.is_cable_up t.g cable
+           && Flat_topology.is_node_up t.g dst
+        then next ~now inner
         else
-          drop_faulted t ~phase:`Deliver ~src_label:e.elabel
+          drop_faulted t ~phase:`Deliver ~src_label:elabel
             ~packet:inner.Packet.id ~hop ())
       ()
   in
   note_pipe t pipe;
-  fun ~now:_ inner -> inject t e pipe ~hop inner
+  fun ~now:_ (inner : 'a Packet.t) ->
+    t.injected <- t.injected + 1;
+    if Flat_topology.is_cable_up t.g cable && Flat_topology.is_node_up t.g src
+    then
+      ignore
+        (Pipe.send pipe
+           (Packet.make ~id:inner.Packet.id ~size_bits:inner.Packet.size_bits
+              inner))
+    else
+      drop_faulted t ~phase:`Inject ~src_label:elabel ~packet:inner.Packet.id
+        ~hop ()
 
 let path_entry t ~qcap ~overlay_rng edges final =
   let n = List.length edges in
   let _, entry =
     List.fold_right
-      (fun e (hop, next) ->
-        (hop - 1, edge_stage t ~qcap ~overlay_rng ~hop e next))
+      (fun eid (hop, next) ->
+        (hop - 1, edge_stage t ~qcap ~overlay_rng ~hop eid next))
       edges (n, final)
   in
   entry
@@ -550,13 +434,14 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
   if delay < 0.0 then invalid_arg "Topology.fanout: negative delay";
   let overlay_rng = Rng.split t.rng in
   let children = tree_children t ~root in
+  let n = node_count t in
   (* BFS depth doubles as the hop index on edge trace events: the
      shared root server is hop 0, an edge into a depth-d node is hop d. *)
-  let _, depth = bfs t root in
+  let depth = Array.init n (fun v -> Flat_topology.dist t.g ~src:root ~dst:v) in
   let subs : 'a subscriber Sub_map.t ref = ref Sub_map.empty in
-  let at_node = Array.make (Array.length t.nodes) [] in
+  let at_node = Array.make n [] in
   let next_sid = ref 0 in
-  let pipes = Array.make (Array.length t.edges) None in
+  let stages = Array.make n [] in
   (* Hop delivery: local subscribers first, in ascending sid order
      (each through its own last-hop loss process), then flood the
      child edges. The explicit sid order keeps the per-subscriber
@@ -579,38 +464,18 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
               s.s_deliver ~now inner.Packet.payload
             end)
       local;
-    List.iter
-      (fun eid ->
-        match pipes.(eid) with
-        | Some pipe ->
-            let e = t.edges.(eid) in
-            inject t e pipe ~hop:depth.(e.dst) inner
-        | None -> assert false)
-      children.(node)
+    List.iter (fun stage -> stage ~now inner) stages.(node)
   in
-  (* Instantiate the tree's edge stages (deterministic eid order). *)
+  (* Instantiate the tree's edge stages (ascending node, then eid). *)
   Array.iteri
     (fun node eids ->
-      ignore node;
-      List.iter
-        (fun eid ->
-          let e = t.edges.(eid) in
-          let hop = depth.(e.dst) in
-          let pipe =
-            Pipe.create t.engine ~rate_bps:e.rate_bps ~delay:e.delay
-              ~loss:(e.loss_spec ()) ~queue_capacity:qcap ~label:e.elabel
-              ~hop ~rng:overlay_rng
-              ~deliver:(fun ~now inner ->
-                if t.cable_up.(e.cable) && Node.is_up t.nodes.(e.dst) then
-                  forward e.dst ~now inner
-                else
-                  drop_faulted t ~phase:`Deliver ~src_label:e.elabel
-                    ~packet:inner.Packet.id ~hop ())
-              ()
-          in
-          note_pipe t pipe;
-          pipes.(eid) <- Some pipe)
-        eids)
+      stages.(node) <-
+        List.map
+          (fun eid ->
+            let _, dst = edge_ends t eid in
+            edge_stage t ~qcap ~overlay_rng ~hop:depth.(dst) eid
+              (fun ~now inner -> forward dst ~now inner))
+          eids)
     children;
   let st = ref (false, 0, 0.0) in
   (* (busy, served, busy_time) *)
@@ -632,7 +497,7 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
                | Some f -> f ~now:(Engine.now engine) packet
                | None -> ());
                let emitdone ~now =
-                 if Node.is_up t.nodes.(root) then forward root ~now packet
+                 if Flat_topology.is_node_up t.g root then forward root ~now packet
                  else
                    drop_faulted t ~phase:`Deliver ~src_label:label
                      ~packet:packet.Packet.id ~hop:0 ()
@@ -704,14 +569,14 @@ let transport ?(src = 0) ?dst ?attach ?(queue_capacity = 256) t =
         let others =
           Array.of_list
             (List.filter (fun v -> v <> src)
-               (List.init (Array.length t.nodes) Fun.id))
+               (List.init (node_count t) Fun.id))
         in
         if Array.length others = 0 then fun _ -> src
         else fun i -> others.(i mod Array.length others)
   in
   let data_path = path t ~src ~dst in
   let fb_path = path t ~src:dst ~dst:src in
-  { Transport.name = "topology:" ^ t.kind;
+  { Transport.name = "topology:" ^ kind t;
     unicast =
       (fun ~rate_bps ?delay ?loss ?on_served ~label ~rng ~fetch ~deliver () ->
         unicast_over t ~path_edges:data_path ~qcap:queue_capacity ~rate_bps

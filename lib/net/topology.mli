@@ -5,18 +5,24 @@
 
     {2 Model}
 
-    Each cable is a bidirectional pair of directed edges with its own
-    service rate, propagation delay and loss-process spec. Traffic
-    crosses an edge through a bounded FIFO queue and a rate-limited
-    server ({!Pipe} underneath), so congestion, loss and delay
-    accumulate per hop instead of being a single flat draw.
+    The graph itself — adjacency, cable endpoints, routes and the
+    node / cable up bits — is a {!Flat_topology.t}; this module adds
+    the packet-level plumbing on top. Each cable is a bidirectional
+    pair of directed edges, and every edge has the topology-wide
+    service rate, propagation delay and loss-process spec, so an edge
+    is just its id [eid = 2 * cable + dir] (direction 0 runs from the
+    cable's first endpoint to its second). Traffic crosses an edge
+    through a bounded FIFO queue and a rate-limited server ({!Pipe}
+    underneath), so congestion, loss and delay accumulate per hop
+    instead of being a single flat draw.
 
-    Routing is computed once over the full graph (breadth-first,
-    deterministic lowest-edge-id tie-break) and is {e not}
-    fault-adaptive: a partitioned or crashed element blackholes the
-    packets routed through it. That is deliberate — soft-state
-    recovery must come from the protocol's own refresh machinery, not
-    from the substrate rerouting around trouble.
+    Routing is the flat core's breadth-first search over the full
+    graph (ties between equal-length routes break by ascending
+    neighbour id), resolved once when an overlay is created, and is
+    {e not} fault-adaptive: a partitioned or crashed element
+    blackholes the packets routed through it. That is deliberate —
+    soft-state recovery must come from the protocol's own refresh
+    machinery, not from the substrate rerouting around trouble.
 
     {2 Fault semantics}
 
@@ -40,17 +46,6 @@
     creation time, keeping runs reproducible. *)
 
 type t
-
-type edge = private {
-  eid : int;
-  cable : int;
-  src : int;
-  dst : int;
-  rate_bps : float;
-  delay : float;
-  loss_spec : unit -> Loss.t;
-  elabel : string;
-}
 
 (** {1 Builders}
 
@@ -114,10 +109,10 @@ val random_graph :
   edge_prob:float ->
   unit ->
   t
-(** A connected G(n, p) variant: a spanning chain [0-1-...-n-1]
-    guarantees connectivity, then every remaining pair gains a cable
-    with probability [edge_prob], drawn from [rng] in deterministic
-    order. *)
+(** A connected G(n, p) variant built by {!Flat_topology.random}: a
+    spanning chain [0-1-...-n-1] guarantees connectivity, then every
+    remaining pair gains a cable with probability [edge_prob], sampled
+    by geometric skips drawn from [rng]. *)
 
 (** {1 Structure} *)
 
@@ -127,14 +122,14 @@ val cable_count : t -> int
 val edge_count : t -> int
 (** Directed edges: [2 * cable_count]. *)
 
-val node : t -> int -> Node.t
 val cable_endpoints : t -> int -> int * int
 val leaves : t -> int list
 (** Degree-1 nodes, ascending — churn targets. *)
 
-val path : t -> src:int -> dst:int -> edge list
-(** Shortest path by hop count, deterministic tie-break; [[]] when
-    [src = dst]. Raises [Invalid_argument] if unreachable. *)
+val path : t -> src:int -> dst:int -> int list
+(** Edge ids of the shortest path by hop count, ties broken by
+    ascending neighbour id; [[]] when [src = dst]. Raises
+    [Invalid_argument] if unreachable. *)
 
 val farthest : t -> src:int -> int
 (** The node at maximum hop distance from [src] (lowest id among

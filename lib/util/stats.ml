@@ -138,26 +138,17 @@ module Histogram = struct
 end
 
 module Series = struct
-  type mode = Subsample | Decimate
-
   type t = {
     capacity : int;
-    mode : mode;
     mutable stride : int;
     mutable seen : int;
     mutable points : (float * float) list; (* newest first *)
     mutable length : int;
-    (* Decimate: running sums over the current window of [stride]
-       samples not yet emitted as a point. *)
-    mutable acc_n : int;
-    mutable acc_time : float;
-    mutable acc_value : float;
   }
 
-  let create ?(capacity = 4096) ?(mode = Subsample) () =
+  let create ?(capacity = 4096) () =
     if capacity < 2 then invalid_arg "Series.create: capacity too small";
-    { capacity; mode; stride = 1; seen = 0; points = []; length = 0;
-      acc_n = 0; acc_time = 0.0; acc_value = 0.0 }
+    { capacity; stride = 1; seen = 0; points = []; length = 0 }
 
   let thin t =
     (* Keep every second retained point (oldest-preserving), doubling
@@ -172,67 +163,14 @@ module Series = struct
     t.length <- List.length t.points;
     t.stride <- t.stride * 2
 
-  (* Decimate overflow: merge adjacent windows pairwise. Every retained
-     point is the mean of exactly [stride] samples, so the mean of two
-     adjacent points is the exact mean of the doubled window. If the
-     count is odd, the newest point is folded back into the running
-     accumulator (its sums are recoverable as mean * stride), which
-     keeps every retained point an equal-weight window after the
-     stride doubles. *)
-  let thin_decimate t =
-    let stride = float_of_int t.stride in
-    (if t.length land 1 = 1 then
-       match t.points with
-       | (pt, pv) :: rest ->
-           t.points <- rest;
-           t.length <- t.length - 1;
-           t.acc_n <- t.acc_n + t.stride;
-           t.acc_time <- t.acc_time +. (pt *. stride);
-           t.acc_value <- t.acc_value +. (pv *. stride)
-       | [] -> ());
-    (* points are newest-first; each adjacent pair (newer, older)
-       merges into one equal-weight point *)
-    let rec pair = function
-      | (ta, va) :: (tb, vb) :: rest ->
-          ((ta +. tb) /. 2.0, (va +. vb) /. 2.0) :: pair rest
-      | ([ _ ] | []) as rest -> rest
-    in
-    t.points <- pair t.points;
-    t.length <- (t.length + 1) / 2;
-    t.stride <- t.stride * 2
-
   let add t ~time ~value =
-    match t.mode with
-    | Subsample ->
-        if t.seen mod t.stride = 0 then begin
-          t.points <- (time, value) :: t.points;
-          t.length <- t.length + 1;
-          if t.length > t.capacity then thin t
-        end;
-        t.seen <- t.seen + 1
-    | Decimate ->
-        t.acc_n <- t.acc_n + 1;
-        t.acc_time <- t.acc_time +. time;
-        t.acc_value <- t.acc_value +. value;
-        t.seen <- t.seen + 1;
-        if t.acc_n >= t.stride then begin
-          let n = float_of_int t.acc_n in
-          t.points <- (t.acc_time /. n, t.acc_value /. n) :: t.points;
-          t.length <- t.length + 1;
-          t.acc_n <- 0;
-          t.acc_time <- 0.0;
-          t.acc_value <- 0.0;
-          if t.length > t.capacity then thin_decimate t
-        end
+    if t.seen mod t.stride = 0 then begin
+      t.points <- (time, value) :: t.points;
+      t.length <- t.length + 1;
+      if t.length > t.capacity then thin t
+    end;
+    t.seen <- t.seen + 1
 
-  let to_list t =
-    let complete = List.rev t.points in
-    if t.acc_n = 0 then complete
-    else
-      (* expose the partial window as a provisional trailing point so
-         the tail of the series is never silently invisible *)
-      let n = float_of_int t.acc_n in
-      complete @ [ (t.acc_time /. n, t.acc_value /. n) ]
-
-  let length t = t.length + if t.acc_n > 0 then 1 else 0
+  let to_list t = List.rev t.points
+  let length t = t.length
 end

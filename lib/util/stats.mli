@@ -75,33 +75,20 @@ end
 module Series : sig
   (** Bounded reservoir of (time, value) points for plotting
       time-series such as Figure 8. Space is O(capacity) regardless of
-      how many samples are added; two retention policies are
-      available. *)
-
-  type mode =
-    | Subsample
-        (** Keep every k-th point once capacity is exceeded
-            (systematic thinning, preserving shape). Historical
-            default. *)
-    | Decimate
-        (** Average non-overlapping windows of k samples into one
-            point each; on overflow adjacent windows merge pairwise
-            and k doubles. Every retained point is the exact mean of
-            its window — no sample is discarded, so slowly drifting
-            signals keep their trend even at extreme stride. *)
+      how many samples are added: once capacity is exceeded, every
+      second retained point is dropped and the sampling stride
+      doubles, so every k-th sample is kept (systematic thinning,
+      preserving shape). *)
 
   type t
 
-  val create : ?capacity:int -> ?mode:mode -> unit -> t
-  (** [create ?capacity ?mode ()] — capacity >= 2 (default 4096),
-      mode defaults to [Subsample]. *)
+  val create : ?capacity:int -> unit -> t
+  (** [create ?capacity ()] — capacity >= 2 (default 4096). *)
 
   val add : t -> time:float -> value:float -> unit
 
   val to_list : t -> (float * float) list
-  (** Oldest first. In [Decimate] mode a partially filled trailing
-      window is exposed as one provisional point (the mean of the
-      samples seen so far in that window). *)
+  (** Oldest first. *)
 
   val length : t -> int
 end

@@ -177,6 +177,35 @@ let test_oracle_select () =
       Alcotest.(check bool) "error names the oracle" true
         (String.length e > 0)
 
+(* The topology grammar is total: a shape the builders would reject
+   fails to parse, instead of raising inside [Experiment.run] or, for
+   a NaN edge probability, running silently as a bare chain. *)
+let test_topology_grammar_rejects () =
+  let base =
+    Scenario.to_string
+      (Scenario.Core
+         { Experiment.default with
+           Experiment.topology = Experiment.Chain { hops = 2 } })
+  in
+  (match Scenario.of_string base with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let with_topo topo =
+    String.concat " "
+      (List.map
+         (fun tok ->
+           if String.starts_with ~prefix:"topo=" tok then "topo=" ^ topo
+           else tok)
+         (String.split_on_char ' ' base))
+  in
+  List.iter
+    (fun bad ->
+      match Scenario.of_string (with_topo bad) with
+      | Ok _ -> Alcotest.failf "accepted topo=%s" bad
+      | Error _ -> ())
+    [ "random:10:nan"; "star:0"; "chain:-1"; "tree:0:2"; "random:1:0.5";
+      "random:10:2" ]
+
 (* ------------------------------------------------------------------ *)
 (* qcheck properties over the generator *)
 
@@ -235,6 +264,8 @@ let () =
           Alcotest.test_case "mutation smoke" `Slow test_mutation_smoke;
           Alcotest.test_case "seed chain prefix" `Quick test_seed_chain_prefix;
           Alcotest.test_case "oracle select" `Quick test_oracle_select;
+          Alcotest.test_case "topology grammar rejects" `Quick
+            test_topology_grammar_rejects;
         ] );
       ( "backlog",
         [ Alcotest.test_case "stability frontier" `Slow test_backlog_frontier ]

@@ -424,49 +424,6 @@ let test_series_thinning () =
   let sorted = List.sort compare times in
   Alcotest.(check (list (float 0.0))) "kept in time order" sorted times
 
-let test_series_decimate_means () =
-  (* capacity 4, 8 samples: one thinning pass leaves stride-2 windows,
-     each point the exact mean of its pair *)
-  let s = Stats.Series.create ~capacity:4 ~mode:Stats.Series.Decimate () in
-  for i = 1 to 8 do
-    Stats.Series.add s ~time:(float_of_int i) ~value:(float_of_int i)
-  done;
-  let pts = Stats.Series.to_list s in
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "pair means"
-    [ (1.5, 1.5); (3.5, 3.5); (5.5, 5.5); (7.5, 7.5) ]
-    pts;
-  (* a partial window surfaces as a provisional trailing point *)
-  Stats.Series.add s ~time:9.0 ~value:9.0;
-  let pts = Stats.Series.to_list s in
-  Alcotest.(check int) "provisional tail" 5 (List.length pts);
-  let t, v = List.nth pts 4 in
-  check_float "tail time" 9.0 t;
-  check_float "tail value" 9.0 v
-
-let test_series_decimate_preserves_mean () =
-  (* decimation preserves the stream mean exactly: every point is the
-     equal-weight mean of its window and the accumulator carries sums *)
-  let g = Rng.create 91 in
-  let s = Stats.Series.create ~capacity:8 ~mode:Stats.Series.Decimate () in
-  let sum = ref 0.0 in
-  (* n = capacity * 2^k: the stream divides into full equal-stride
-     windows with no partial tail, so the unweighted mean of the
-     points is the stream mean (up to float rounding) *)
-  let n = 1024 in
-  for i = 1 to n do
-    let v = Rng.float g in
-    sum := !sum +. v;
-    Stats.Series.add s ~time:(float_of_int i) ~value:v
-  done;
-  let pts = Stats.Series.to_list s in
-  Alcotest.(check bool) "bounded" true (List.length pts <= 9);
-  let mean_pts =
-    List.fold_left (fun a (_, v) -> a +. v) 0.0 pts
-    /. float_of_int (List.length pts)
-  in
-  check_close 1e-9 "stream mean preserved" (!sum /. float_of_int n) mean_pts
-
 (* ------------------------------------------------------------------ *)
 (* Sketch *)
 
@@ -1058,10 +1015,6 @@ let () =
           Alcotest.test_case "histogram basic" `Quick test_histogram_basic;
           Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
           Alcotest.test_case "series thinning" `Quick test_series_thinning;
-          Alcotest.test_case "series decimate means" `Quick
-            test_series_decimate_means;
-          Alcotest.test_case "series decimate stream mean" `Quick
-            test_series_decimate_preserves_mean;
         ] );
       ( "sketch",
         [
