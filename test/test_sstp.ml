@@ -710,6 +710,30 @@ let test_session_track_consistency () =
   let avg = Session.average_consistency s in
   Alcotest.(check bool) "tracked average sane" true (avg > 0.5 && avg <= 1.0)
 
+(* A seeded lossy session whose summary, report and consistency
+   sampling timers all run through [Engine.every]. Pinned before those
+   timers moved from a timing wheel onto the engine's one calendar;
+   the move kept every field bitwise identical. *)
+let test_session_golden () =
+  let engine = Engine.create () in
+  let s = make_session ~loss:0.3 ~fb_loss:0.2 ~seed:13 engine in
+  Session.track_consistency s ~period:0.5;
+  publish_tree s ~groups:3 ~items:6;
+  Engine.run ~until:40.0 engine;
+  Session.publish s ~path:"app/g1/i2" ~payload:"v2";
+  Session.remove s ~path:"app/g2";
+  Engine.run ~until:41.0 engine;
+  let sender_root, receiver_root = Session.root_digests s in
+  Alcotest.(check string) "session bitwise stable"
+    "avg=0x1.e7980e0bf08c9p-1 summaries=78 reports=8 \
+     sender=b61b615e5537d03742ffd7c3e03f8824 \
+     receiver=db60095ab3254b7a88d4bd2c40ed2a44"
+    (Printf.sprintf "avg=%h summaries=%d reports=%d sender=%s receiver=%s"
+       (Session.average_consistency s)
+       (Sstp.Sender.sent_summaries (Session.sender s))
+       (Sstp.Receiver.reports_sent (Session.receiver s))
+       sender_root receiver_root)
+
 (* ------------------------------------------------------------------ *)
 (* Sender data classes (§6.1 application-controlled allocation) *)
 
@@ -1136,6 +1160,7 @@ let () =
           Alcotest.test_case "announce only" `Quick test_session_announce_only_no_feedback;
           Alcotest.test_case "interest filter" `Quick test_session_interest_filter;
           Alcotest.test_case "tracked average" `Quick test_session_track_consistency;
+          Alcotest.test_case "golden lossy session" `Quick test_session_golden;
           Alcotest.test_case "meta converges" `Quick test_session_meta_converges;
           Alcotest.test_case "meta-driven interest" `Quick
             test_session_meta_driven_interest;
