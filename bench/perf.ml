@@ -227,8 +227,9 @@ let fanout_storm ~arity ~depth ~packets =
   assert (!delivered = packets * receivers);
   (receivers, !delivered)
 
-(* Engine-level storm: periodic refresh timers on the wheel plus
-   one-shot deaths on the heap, most cancelled before firing. *)
+(* Engine-level storm: periodic refresh timers ([Engine.every]) plus
+   one-shot deaths, all on the one engine calendar; each death cancels
+   its record's recurrence. *)
 let engine_storm ~records =
   let e = Engine.create () in
   let g = Rng.create 7 in
@@ -337,7 +338,7 @@ let run () =
     end
   in
 
-  (* 2. engine timer storm (wheel periodics + heap one-shots) *)
+  (* 2. engine timer storm (periodics + one-shots on the calendar) *)
   let records = if q then 2_000 else 10_000 in
   let fired, eng_s = timed (fun () -> engine_storm ~records) in
   let eng_rate = float_of_int fired /. eng_s in

@@ -2,11 +2,11 @@
 
    Drives a bare Base instance — no protocol queueing, announcements
    delivered directly — with a fixed-lifetime workload tuned for a
-   steady-state live set of 10^6 keys under the wheel-based expiry
-   path, then gates on live-heap *flatness*: after warmup, a
-   least-squares fit of Gc live words against simulated time must have
-   negligible slope. Any per-key structure that leaks (receiver rows,
-   wheel timers, seq maps, engine calendar entries) shows up as a
+   steady-state live set of 10^6 keys under the per-key expiry timers
+   ([Refresh_wheel], one engine calendar event per armed copy), then
+   gates on live-heap *flatness*: after warmup, a least-squares fit of
+   Gc live words against simulated time must have negligible slope. Any per-key structure that leaks (receiver rows,
+   expiry timers, seq maps, engine calendar entries) shows up as a
    positive drift over the hours-long measurement window.
 
    Shape of the run:

@@ -186,7 +186,7 @@ let expiry_arg =
   let doc =
     "Receiver-side soft-state expiry: none, refresh:M:P (periodic sweep \
      every P seconds, timeout M estimated refresh intervals) or wheel:M \
-     (per-key timing-wheel timers, same timeout rule)."
+     (per-key timers on the engine calendar, same timeout rule)."
   in
   let parse s =
     match Base.expiry_of_string s with

@@ -1,5 +1,4 @@
 module Engine = Softstate_sim.Engine
-module Expiry_wheel = Softstate_sim.Expiry_wheel
 module Rng = Softstate_util.Rng
 
 type announcement = {
@@ -26,19 +25,36 @@ let expiry_to_string = function
       Printf.sprintf "refresh:%s:%s" (f17 multiple) (f17 sweep_period)
   | Refresh_wheel { multiple } -> Printf.sprintf "wheel:%s" (f17 multiple)
 
+(* Guards are negated comparisons so that NaN is rejected too. *)
+let expiry_problem = function
+  | (Refresh_timeout { multiple; _ } | Refresh_wheel { multiple })
+    when not (multiple > 1.0 && Float.is_finite multiple) ->
+      Some "expiry multiple must exceed 1"
+  | Refresh_timeout { sweep_period; _ }
+    when not (sweep_period > 0.0 && Float.is_finite sweep_period) ->
+      Some "sweep period must be positive"
+  | No_expiry | Refresh_timeout _ | Refresh_wheel _ -> None
+
 let expiry_of_string s =
-  match String.split_on_char ':' s with
-  | [ "none" ] -> Ok No_expiry
-  | [ ("refresh" | "sweep"); m; p ] -> (
-      match (float_of_string_opt m, float_of_string_opt p) with
-      | Some multiple, Some sweep_period ->
-          Ok (Refresh_timeout { multiple; sweep_period })
-      | _ -> Error ("bad expiry " ^ s))
-  | [ "wheel"; m ] -> (
-      match float_of_string_opt m with
-      | Some multiple -> Ok (Refresh_wheel { multiple })
-      | None -> Error ("bad expiry " ^ s))
-  | _ -> Error ("bad expiry " ^ s)
+  let parsed =
+    match String.split_on_char ':' s with
+    | [ "none" ] -> Some No_expiry
+    | [ ("refresh" | "sweep"); m; p ] -> (
+        match (float_of_string_opt m, float_of_string_opt p) with
+        | Some multiple, Some sweep_period ->
+            Some (Refresh_timeout { multiple; sweep_period })
+        | _ -> None)
+    | [ "wheel"; m ] ->
+        Option.map (fun multiple -> Refresh_wheel { multiple })
+          (float_of_string_opt m)
+    | _ -> None
+  in
+  match parsed with
+  | None -> Error ("bad expiry " ^ s)
+  | Some e -> (
+      match expiry_problem e with
+      | None -> Ok e
+      | Some problem -> Error (Printf.sprintf "bad expiry %s: %s" s problem))
 
 (* Struct-of-arrays receiver state, one per receiver, indexed by the
    record's dense Table slot: one row of parallel arrays instead of
@@ -64,8 +80,6 @@ type t = {
   update_rng : Rng.t;
   table : Table.t;
   rows : soa array;
-  wheel : (int * Record.key) Expiry_wheel.t;
-  mutable wheel_event : (Engine.event * float) option;
   tracker : Consistency.t;
   workload : Workload.t;
   death : death_spec;
@@ -85,16 +99,10 @@ let validate_death = function
   | Lifetime_fixed ttl | Lifetime_exp ttl ->
       if ttl <= 0.0 then invalid_arg "Base.create: lifetime must be positive"
 
-let validate_expiry = function
-  | No_expiry -> ()
-  | Refresh_timeout { multiple; sweep_period } ->
-      if multiple <= 1.0 then
-        invalid_arg "Base.create: expiry multiple must exceed 1";
-      if sweep_period <= 0.0 then
-        invalid_arg "Base.create: sweep period must be positive"
-  | Refresh_wheel { multiple } ->
-      if multiple <= 1.0 then
-        invalid_arg "Base.create: expiry multiple must exceed 1"
+let validate_expiry e =
+  match expiry_problem e with
+  | None -> ()
+  | Some problem -> invalid_arg ("Base.create: " ^ problem)
 
 let soa_create () =
   { version_a = Array.make 256 0;
@@ -177,8 +185,6 @@ let create ~engine ~rng ~workload ~death ?(receivers = 1)
     update_rng = Rng.split rng;
     table = Table.create ();
     rows = Array.init receivers (fun _ -> soa_create ());
-    wheel = Expiry_wheel.create ~start:(Engine.now engine) ();
-    wheel_event = None;
     tracker; workload; death; expiry; next_key = 0;
     on_arrival = ignore; on_death = ignore; hooks_set = false;
     false_expiries = 0; stale_purged = 0 }
@@ -235,7 +241,8 @@ let remove_record t ~now r =
      reclaim is the soft-state garbage collection: under the sweep,
      each copy with a gap estimate (one the sweep could expire) counts
      as a stale purge now; under the wheel, an armed timer for the
-     dead key stays in the wheel and is counted when it surfaces. *)
+     dead key stays on the engine calendar and is counted when it
+     fires. *)
   let slot =
     match Table.slot_of_key t.table key with
     | Some s -> s
@@ -340,16 +347,15 @@ let sweep_receiver t ~now ~multiple soa =
 
 (* --- wheel-based expiry -------------------------------------------
 
-   One Expiry_wheel of (receiver, key) deadlines, driven by a single
-   armed Engine one-shot at the wheel's next-due time. Timers are
-   lazy-pushback: a delivery never reschedules an armed timer, it only
-   refreshes the row; when the timer fires, the true deadline is
-   recomputed from the row and the timer is pushed back if the record
-   has been heard from since. A timer is armed exactly when the row's
-   armed bit is set, so each (receiver, key) has at most one live
-   wheel entry.
+   One engine event per armed (receiver, key) timer, at its deadline.
+   Timers are lazy-pushback: a delivery never reschedules an armed
+   timer, it only refreshes the row; when the timer fires, the true
+   deadline is recomputed from the row and the timer is pushed back if
+   the record has been heard from since. A timer is armed exactly when
+   the row's armed bit is set, so each (receiver, key) has at most one
+   pending event.
 
-   Contract vs the sweep: the wheel fires at the deadline itself, so a
+   Contract vs the sweep: the timer fires at the deadline itself, so a
    record is expired when now - last_heard >= multiple * gap (the
    sweep, sampling at sweep_period boundaries, tests with strict >
    some time after the deadline has passed). Under both, dead keys'
@@ -361,21 +367,12 @@ let wheel_multiple t =
   | Refresh_wheel { multiple } -> multiple
   | No_expiry | Refresh_timeout _ -> assert false
 
-let rec drive_wheel t engine =
-  let now = Engine.now engine in
-  t.wheel_event <- None;
-  let rec loop () =
-    match Expiry_wheel.next_due t.wheel with
-    | Some due when due <= now -> (
-        match Expiry_wheel.pop t.wheel with
-        | Some (_, (receiver, key)) ->
-            fire_expiry t ~now receiver key;
-            loop ()
-        | None -> ())
-    | Some _ | None -> ()
-  in
-  loop ();
-  rearm_wheel t ~now
+(* The timer closure captures only [t], [receiver] and [key]: one is
+   live per armed copy, so its size is per-key memory. *)
+let rec arm_expiry t ~deadline receiver key =
+  ignore
+    (Engine.schedule_at t.engine ~time:deadline (fun engine ->
+         fire_expiry t ~now:(Engine.now engine) receiver key))
 
 and fire_expiry t ~now receiver key =
   match Table.slot_of_key t.table key with
@@ -404,33 +401,8 @@ and fire_expiry t ~now receiver key =
         else
           (* heard from since the timer was set: push back to the
              recomputed deadline (the armed bit stays set) *)
-          ignore (Expiry_wheel.schedule t.wheel ~time:deadline (receiver, key))
+          arm_expiry t ~deadline receiver key
       end
-
-(* (Re)arm the single engine one-shot at the wheel's next-due time.
-   Only called after a drive drains the due prefix, so the O(levels *
-   slots) next_due scan runs once per firing batch, not per event. *)
-and rearm_wheel t ~now =
-  match Expiry_wheel.next_due t.wheel with
-  | None -> ()
-  | Some due ->
-      let after = Float.max 0.0 (due -. now) in
-      let ev = Engine.schedule t.engine ~after (fun e -> drive_wheel t e) in
-      t.wheel_event <- Some (ev, now +. after)
-
-(* A newly armed timer at [deadline] needs the engine one-shot pulled
-   earlier iff it beats the currently armed time — an O(1) comparison,
-   so deliveries stay cheap. *)
-let note_deadline t ~now ~deadline =
-  match t.wheel_event with
-  | Some (_, armed_at) when armed_at <= deadline -> ()
-  | other ->
-      (match other with
-      | Some (ev, _) -> ignore (Engine.cancel t.engine ev)
-      | None -> ());
-      let after = Float.max 0.0 (deadline -. now) in
-      let ev = Engine.schedule t.engine ~after (fun e -> drive_wheel t e) in
-      t.wheel_event <- Some (ev, now +. after)
 
 let start t =
   if not t.hooks_set then failwith "Base.start: hooks not set";
@@ -452,8 +424,7 @@ let start t =
   match t.expiry with
   | No_expiry -> ()
   | Refresh_wheel _ ->
-      (* timers are armed per-row as gap estimates form; the engine
-         one-shot is managed on demand *)
+      (* timers are armed per-row as gap estimates form *)
       ()
   | Refresh_timeout { multiple; sweep_period } ->
       let (_ : unit -> bool) =
@@ -514,12 +485,9 @@ let deliver t ~now ~receiver ann =
         | Refresh_wheel { multiple } ->
             if not (soa_armed soa slot) then begin
               (* first defined gap estimate: arm the expiry timer *)
-              let deadline = now +. (multiple *. gap) in
-              ignore
-                (Expiry_wheel.schedule t.wheel ~time:deadline
-                   (receiver, ann.key));
-              soa_set_flags soa slot ~present:true ~armed:true;
-              note_deadline t ~now ~deadline
+              arm_expiry t ~deadline:(now +. (multiple *. gap)) receiver
+                ann.key;
+              soa_set_flags soa slot ~present:true ~armed:true
             end
         | No_expiry | Refresh_timeout _ -> ());
         if ann.version > soa.version_a.(slot) then begin

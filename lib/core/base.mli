@@ -42,10 +42,11 @@ type death_spec =
     at sender death, when the record's slot is recycled.
     {!Refresh_timeout} is the periodic sweep: O(live keys) per sweep,
     with expiry observed at the first scan after the deadline (strict
-    [>] test). {!Refresh_wheel} arms one hierarchical timing-wheel
-    timer per (receiver, key) and is O(1) amortised per event: expiry
-    fires at the deadline itself ([now - last_heard >= multiple *
-    gap]). *)
+    [>] test). {!Refresh_wheel} runs per-key timers on the engine
+    calendar: one event per (receiver, key), pushed back lazily when
+    it fires early, so a refresh costs no calendar operation and
+    expiry fires at the deadline itself ([now - last_heard >= multiple
+    * gap]). The name is historical; scenario strings keep it. *)
 type expiry_spec =
   | No_expiry
   | Refresh_timeout of {
@@ -62,7 +63,9 @@ val expiry_to_string : expiry_spec -> string
 
 val expiry_of_string : string -> (expiry_spec, string) result
 (** Inverse of {!expiry_to_string}; also accepts ["sweep:M:P"] as an
-    alias for ["refresh:M:P"]. *)
+    alias for ["refresh:M:P"]. Total: returns [Error] for malformed
+    text and for any value {!create} would reject — a multiple not
+    above 1, a sweep period not above 0, or a non-finite number. *)
 
 type t
 

@@ -61,10 +61,6 @@ let hot_paths =
     ("Heap", "top");
     ("Heap", "drop_top");
     ("Heap", "min_key_or");
-    ("Timer_wheel", "take_entry");
-    ("Timer_wheel", "due_before");
-    ("Expiry_wheel", "place");
-    ("Expiry_wheel", "take");
     ("Flat_topology", "degree");
     ("Flat_topology", "neighbor");
     ("Flat_topology", "neighbor_cable");

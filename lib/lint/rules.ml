@@ -126,10 +126,10 @@ let all =
          non-constant constructor (Some, `Bucket), array/string/Bytes \
          allocation, ref cell or lazy block. Each is a minor-heap bump \
          plus eventual GC work multiplied by event count. Use the \
-         slot-returning zero-alloc variants (Heap.pop_hot, \
-         Timer_wheel.due_before), write results into preallocated \
-         storage, or keep loop state in immutable locals (registers) \
-         instead of refs." };
+         slot-returning zero-alloc variants (Heap.top, Heap.slot_value, \
+         Heap.drop_top), write results into preallocated storage, or \
+         keep loop state in immutable locals (registers) instead of \
+         refs." };
     { id = "A003";
       title = "no partial application on the hot path";
       hint = "supply all arguments at the call site";

@@ -1,10 +1,8 @@
 module Heap = Softstate_util.Heap
-module Wheel = Timer_wheel
 
 type t = {
   mutable clock : float;
   calendar : (t -> unit) Heap.t;
-  wheel : (t -> unit) Wheel.t;
   mutable events_fired : int;
   mutable high_water : int;
   mutable on_step : (t -> unit) option;
@@ -12,38 +10,28 @@ type t = {
 
 type event = Heap.handle
 
-(* A self-rearming wheel entry. [timer] is the currently armed
-   occurrence (None only transiently, inside the firing callback);
-   [stopped] makes cancellation idempotent and stops rearming if the
-   cancel lands while the callback is running. *)
-type periodic = {
-  mutable timer : Wheel.timer option;
-  mutable stopped : bool;
-}
-
-let create ?(start = 0.0) ?wheel_slots ?wheel_granularity () =
-  { clock = start;
-    calendar = Heap.create ();
-    wheel =
-      Wheel.create ?slots:wheel_slots ?granularity:wheel_granularity
-        ~start ();
+let create ?(start = 0.0) () =
+  { clock = start; calendar = Heap.create ();
     events_fired = 0; high_water = 0; on_step = None }
 
 let now t = t.clock
-let pending t = Heap.length t.calendar + Wheel.length t.wheel
+let pending t = Heap.length t.calendar
 
 let note_depth t =
   let depth = pending t in
   if depth > t.high_water then t.high_water <- depth
 
+(* Guards are written as negated comparisons so that NaN, for which
+   every comparison is false, is rejected along with the past. *)
 let schedule_at t ~time f =
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+  if not (time >= t.clock) then
+    invalid_arg "Engine.schedule_at: time in the past";
   let e = Heap.insert t.calendar ~key:time f in
   note_depth t;
   e
 
 let schedule t ~after f =
-  if after < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  if not (after >= 0.0) then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock +. after) f
 
 let cancel t e = Heap.remove t.calendar e
@@ -57,107 +45,66 @@ let on_step t f =
     | None -> Some f
     | Some g -> Some (fun engine -> g engine; f engine))
 
-let fire t time f =
-  t.clock <- time;
-  t.events_fired <- t.events_fired + 1;
-  f t;
-  match t.on_step with None -> () | Some g -> g t
-
-(* Determinism contract: at equal timestamps, calendar events fire
-   before wheel timers ([due_before] is strict), and each source is
-   FIFO within itself. The event order is identical to the previous
-   min_key/pop_before/pop sequence; only the boxing is gone — limit
-   reads without an option, the wheel hands back its own entry record,
-   and the calendar root is read through the heap's slot protocol
-   instead of an option-of-tuple per popped event. *)
+(* Determinism contract: events fire in (time, scheduling order) — the
+   heap breaks key ties by insertion sequence. The root is read through
+   the heap's slot protocol, so a step allocates nothing. *)
 let[@hot] step t =
-  let limit = Heap.min_key_or t.calendar ~default:infinity in
-  match Wheel.due_before t.wheel ~limit with
-  | Some e ->
-      Wheel.take_entry t.wheel e;
-      fire t (Wheel.entry_time e) (Wheel.entry_value e);
-      true
-  | None ->
-      let slot = Heap.top t.calendar in
-      if slot < 0 then false
-      else begin
-        let time = Heap.top_key t.calendar in
-        let f = Heap.slot_value t.calendar slot in
-        Heap.drop_top t.calendar;
-        fire t time f;
-        true
-      end
-
-let next_time t =
-  match Heap.min_key t.calendar, Wheel.next_due t.wheel with
-  | None, None -> None
-  | (Some _ as k), None | None, (Some _ as k) -> k
-  | Some a, Some b -> Some (Float.min a b)
+  let slot = Heap.top t.calendar in
+  if slot < 0 then false
+  else begin
+    let time = Heap.top_key t.calendar in
+    let f = Heap.slot_value t.calendar slot in
+    Heap.drop_top t.calendar;
+    t.clock <- time;
+    t.events_fired <- t.events_fired + 1;
+    f t;
+    (match t.on_step with None -> () | Some g -> g t);
+    true
+  end
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some horizon ->
-      let rec loop () =
-        match next_time t with
-        | Some time when time <= horizon ->
-            ignore (step t);
-            loop ()
-        | Some _ | None -> ()
-      in
-      loop ();
+      while
+        Heap.min_key_or t.calendar ~default:infinity <= horizon && step t
+      do
+        ()
+      done;
       if t.clock < horizon then t.clock <- horizon
 
-let schedule_periodic t ~period ?jitter f =
-  if period <= 0.0 then
-    invalid_arg "Engine.schedule_periodic: period must be positive";
+(* Each occurrence is an ordinary calendar event that re-arms the next
+   one after [f] returns. [next] is the armed occurrence (None while
+   [f] runs); [stopped] makes cancellation idempotent and stops the
+   re-arm when the cancel lands inside [f]. *)
+let every t ~period ?jitter f =
+  if not (period > 0.0 && Float.is_finite period) then
+    invalid_arg "Engine.every: period must be positive";
   let delay () =
     match jitter with
     | None -> period
     | Some j ->
         let d = period +. j () in
-        if d <= 0.0 then
-          invalid_arg "Engine.schedule_periodic: jitter exceeds period";
+        if not (d > 0.0 && Float.is_finite d) then
+          invalid_arg "Engine.every: jitter exceeds period";
         d
   in
-  let p = { timer = None; stopped = false } in
+  let next = ref None and stopped = ref false in
   let rec arm engine =
-    p.timer <-
-      Some
-        (Wheel.schedule engine.wheel
-           ~time:(engine.clock +. delay ())
-           (fun engine ->
-             p.timer <- None;
-             f engine;
-             if not p.stopped then arm engine));
-    note_depth engine
+    next := Some (schedule_at engine ~time:(engine.clock +. delay ()) occur)
+  and occur engine =
+    next := None;
+    f engine;
+    if not !stopped then arm engine
   in
   arm t;
-  p
-
-let cancel_periodic t p =
-  if p.stopped then false
-  else begin
-    p.stopped <- true;
-    match p.timer with
-    | None -> false
-    | Some timer ->
-        p.timer <- None;
-        Wheel.cancel t.wheel timer
-  end
-
-let every t ~period ?jitter f =
-  if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
-  let jitter =
-    match jitter with
-    | None -> None
-    | Some j ->
-        Some
-          (fun () ->
-            let d = j () in
-            if period +. d <= 0.0 then
-              invalid_arg "Engine.every: jitter exceeds period";
-            d)
-  in
-  let p = schedule_periodic t ~period ?jitter f in
-  fun () -> cancel_periodic t p
+  fun () ->
+    if !stopped then false
+    else begin
+      stopped := true;
+      match !next with
+      | None -> false
+      | Some e ->
+          next := None;
+          cancel t e
+    end

@@ -10,38 +10,34 @@
     services, timers) are ordinary closures that reschedule
     themselves.
 
-    Two calendars back the engine: a binary heap for one-shot events
-    and a hashed timing wheel for the periodic-refresh class
-    ([schedule_periodic] / [every]), where schedule and cancel are
-    O(1). Determinism contract: events fire in (time, source, FIFO)
-    order — at equal timestamps every heap event precedes every wheel
-    timer, and each source is FIFO within itself. *)
+    One calendar backs the engine: a binary heap keyed by time. One-shot
+    events ({!schedule}), each occurrence of a recurring timer
+    ({!every}) and every per-key soft-state timer are entries in it.
+    Determinism contract: events fire in (time, scheduling order) —
+    at equal timestamps, whichever event was scheduled first fires
+    first. *)
 
 type t
 
 type event
 (** Cancellable reference to a scheduled callback. *)
 
-type periodic
-(** Cancellable reference to a recurring timer on the wheel. *)
-
-val create :
-  ?start:float -> ?wheel_slots:int -> ?wheel_granularity:float -> unit -> t
+val create : ?start:float -> unit -> t
 (** [create ~start ()] makes an engine whose clock starts at [start]
-    (default 0). [wheel_slots] and [wheel_granularity] size the timing
-    wheel (defaults 256 slots of 0.25 s); periods beyond the wheel's
-    span still work, via its overflow heap. *)
+    (default 0). *)
 
 val now : t -> float
 (** Current simulation time. *)
 
 val schedule : t -> after:float -> (t -> unit) -> event
 (** [schedule t ~after f] arranges for [f t] to run at
-    [now t +. after]. [after] must be non-negative: the past is not
-    schedulable. Events at equal times fire in scheduling order. *)
+    [now t +. after]. [after] must be non-negative (NaN is rejected):
+    the past is not schedulable. Events at equal times fire in
+    scheduling order. *)
 
 val schedule_at : t -> time:float -> (t -> unit) -> event
-(** Absolute-time variant; [time] must not precede [now t]. *)
+(** Absolute-time variant; [time] must not precede [now t] and must
+    not be NaN. *)
 
 val cancel : t -> event -> bool
 (** [cancel t e] prevents [e] from firing; [false] if it already fired
@@ -72,19 +68,11 @@ val run : ?until:float -> t -> unit
     horizon is given the clock is left at [until] (so time-weighted
     statistics can be closed out at the horizon). *)
 
-val schedule_periodic :
-  t -> period:float -> ?jitter:(unit -> float) -> (t -> unit) -> periodic
-(** [schedule_periodic t ~period f] arms a recurring timer on the
-    timing wheel: [f] runs at now + period, then repeatedly each
-    [period] (plus [jitter ()] if given, which must return values
-    > -period). Scheduling and cancelling each occurrence is O(1). *)
-
-val cancel_periodic : t -> periodic -> bool
-(** Stop a recurrence; [false] if already cancelled or no firing was
-    pending. *)
-
 val every : t -> period:float -> ?jitter:(unit -> float) -> (t -> unit)
   -> (unit -> bool)
-(** [every t ~period f] is [schedule_periodic] packaged as a closure:
-    the returned canceller stops the recurrence and reports whether a
-    firing was still pending. *)
+(** [every t ~period f] arms a recurring timer: [f] runs at
+    now + period, then repeatedly each [period] (plus [jitter ()] if
+    given). [period] must be positive and finite, and so must each
+    jittered delay. Each occurrence is one calendar event, scheduled
+    when the previous one fires. The returned canceller stops the
+    recurrence and reports whether a firing was still pending. *)

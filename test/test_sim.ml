@@ -85,6 +85,35 @@ let test_schedule_in_past_rejected () =
     (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
       ignore (Engine.schedule_at e ~time:1.0 (fun _ -> ())))
 
+let test_nan_rejected () =
+  (* NaN compares false against everything, so a guard written as
+     [x < 0.0] lets it through and the heap then misorders events *)
+  let e = Engine.create () in
+  let log = ref [] in
+  let at d _ = log := d :: !log in
+  ignore (Engine.schedule e ~after:1.0 (at 1.0));
+  Alcotest.check_raises "nan delay"
+    (Invalid_argument "Engine.schedule: negative delay") (fun () ->
+      ignore (Engine.schedule e ~after:nan (at nan)));
+  ignore (Engine.schedule e ~after:2.0 (at 2.0));
+  ignore (Engine.schedule e ~after:3.0 (at 3.0));
+  Alcotest.check_raises "nan time"
+    (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
+      ignore (Engine.schedule_at e ~time:nan (at nan)));
+  Alcotest.check_raises "nan period"
+    (Invalid_argument "Engine.every: period must be positive") (fun () ->
+      let (_ : unit -> bool) = Engine.every e ~period:nan ignore in ());
+  Alcotest.check_raises "nan jitter"
+    (Invalid_argument "Engine.every: jitter exceeds period") (fun () ->
+      let (_ : unit -> bool) =
+        Engine.every e ~period:1.0 ~jitter:(fun () -> nan) ignore
+      in
+      ());
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "fires in time order" [ 1.0; 2.0; 3.0 ]
+    (List.rev !log);
+  Alcotest.(check int) "nothing left pending" 0 (Engine.pending e)
+
 let test_zero_delay_fires () =
   let e = Engine.create () in
   let fired = ref false in
@@ -153,259 +182,66 @@ let test_on_step_composes () =
   Alcotest.(check int) "both hooks ran per step" 6 !steps
 
 (* ------------------------------------------------------------------ *)
-(* Timing wheel and periodic timers *)
+(* Periodic timers *)
 
-module Wheel = Softstate_sim.Timer_wheel
-
-let test_wheel_ordering () =
-  let w = Wheel.create ~start:0.0 () in
-  (* mix in-window buckets with overflow (beyond 256 * 0.25 = 64 s) *)
-  ignore (Wheel.schedule w ~time:1.0 "bucket-1");
-  ignore (Wheel.schedule w ~time:100.0 "overflow");
-  ignore (Wheel.schedule w ~time:0.5 "bucket-0.5");
-  ignore (Wheel.schedule w ~time:1.0 "bucket-1b");
-  Alcotest.(check int) "length" 4 (Wheel.length w);
-  Alcotest.(check (option (float 0.0))) "next due" (Some 0.5) (Wheel.next_due w);
-  let pop () = match Wheel.pop w with Some (_, v) -> v | None -> "?" in
-  Alcotest.(check string) "earliest first" "bucket-0.5" (pop ());
-  Alcotest.(check string) "fifo at equal deadline" "bucket-1" (pop ());
-  Alcotest.(check string) "fifo at equal deadline 2" "bucket-1b" (pop ());
-  Alcotest.(check string) "overflow last" "overflow" (pop ());
-  Alcotest.(check bool) "drained" true (Wheel.is_empty w)
-
-let test_wheel_cancel () =
-  let w = Wheel.create ~start:0.0 () in
-  let a = Wheel.schedule w ~time:1.0 "a" in
-  let b = Wheel.schedule w ~time:2.0 "b" in
-  let c = Wheel.schedule w ~time:200.0 "c" in
-  Alcotest.(check bool) "cancel bucket" true (Wheel.cancel w a);
-  Alcotest.(check bool) "cancel twice" false (Wheel.cancel w a);
-  Alcotest.(check bool) "cancel overflow" true (Wheel.cancel w c);
-  Alcotest.(check bool) "b still member" true (Wheel.mem w b);
-  Alcotest.(check int) "one live" 1 (Wheel.length w);
-  (match Wheel.pop w with
-  | Some (t, v) ->
-      Alcotest.(check (float 0.0)) "survivor time" 2.0 t;
-      Alcotest.(check string) "survivor" "b" v
-  | None -> Alcotest.fail "wheel empty");
-  Alcotest.(check bool) "fired handle dead" false (Wheel.cancel w b)
-
-let test_wheel_pop_before_strict () =
-  let w = Wheel.create ~start:0.0 () in
-  ignore (Wheel.schedule w ~time:1.0 ());
-  Alcotest.(check bool) "limit is exclusive" true
-    (Wheel.pop_before w ~limit:1.0 = None);
-  Alcotest.(check bool) "just past the deadline" true
-    (Wheel.pop_before w ~limit:1.0000001 <> None)
-
-let test_schedule_periodic_times () =
+let test_every_firing_times () =
   let e = Engine.create () in
   let times = ref [] in
-  let _p =
-    Engine.schedule_periodic e ~period:1.0 (fun e ->
-        times := Engine.now e :: !times)
+  let _cancel =
+    Engine.every e ~period:1.0 (fun e -> times := Engine.now e :: !times)
   in
   Engine.run ~until:5.5 e;
   Alcotest.(check (list (float 1e-9))) "fires every period"
     [ 1.0; 2.0; 3.0; 4.0; 5.0 ] (List.rev !times)
 
-let test_cancel_periodic () =
+let test_every_cancel () =
   let e = Engine.create () in
   let count = ref 0 in
-  let p = Engine.schedule_periodic e ~period:1.0 (fun _ -> incr count) in
+  let cancel = Engine.every e ~period:1.0 (fun _ -> incr count) in
   Engine.run ~until:2.5 e;
   Alcotest.(check int) "two firings" 2 !count;
-  Alcotest.(check bool) "cancel" true (Engine.cancel_periodic e p);
-  Alcotest.(check bool) "cancel twice" false (Engine.cancel_periodic e p);
+  Alcotest.(check bool) "cancel" true (cancel ());
+  Alcotest.(check bool) "cancel twice" false (cancel ());
   Engine.run ~until:10.0 e;
   Alcotest.(check int) "stopped" 2 !count
 
-let test_periodic_beyond_wheel_span () =
-  (* period far beyond the wheel's 64 s window: rides the overflow
-     heap, still fires at exact multiples *)
+let test_every_long_period () =
   let e = Engine.create () in
   let times = ref [] in
-  let _p =
-    Engine.schedule_periodic e ~period:100.0 (fun e ->
-        times := Engine.now e :: !times)
+  let _cancel =
+    Engine.every e ~period:100.0 (fun e -> times := Engine.now e :: !times)
   in
   Engine.run ~until:250.0 e;
-  Alcotest.(check (list (float 1e-9))) "overflow periods exact"
-    [ 100.0; 200.0 ] (List.rev !times)
+  Alcotest.(check (list (float 1e-9))) "long periods exact" [ 100.0; 200.0 ]
+    (List.rev !times)
 
-let test_heap_event_precedes_wheel_tie () =
-  (* determinism contract: at equal timestamps, one-shot calendar
-     events fire before wheel timers — even when the one-shot was
-     scheduled after the periodic was armed *)
+let test_every_ties_in_scheduling_order () =
+  (* determinism contract: at equal timestamps events fire in
+     scheduling order, whether they are one-shots or occurrences of a
+     recurring timer *)
   let e = Engine.create () in
   let order = ref [] in
-  let _p =
-    Engine.schedule_periodic e ~period:2.0 (fun _ -> order := "wheel" :: !order)
-  in
-  ignore (Engine.schedule e ~after:2.0 (fun _ -> order := "heap" :: !order));
+  let note s _ = order := s :: !order in
+  let _cancel = Engine.every e ~period:2.0 (note "every") in
+  ignore (Engine.schedule e ~after:2.0 (note "one-shot"));
   Engine.run ~until:2.0 e;
-  Alcotest.(check (list string)) "heap wins the tie" [ "heap"; "wheel" ]
-    (List.rev !order)
+  Alcotest.(check (list string)) "armed first fires first"
+    [ "every"; "one-shot" ] (List.rev !order);
+  let e = Engine.create () in
+  order := [];
+  ignore (Engine.schedule e ~after:2.0 (note "one-shot"));
+  let _cancel = Engine.every e ~period:2.0 (note "every") in
+  Engine.run ~until:2.0 e;
+  Alcotest.(check (list string)) "and the other way round"
+    [ "one-shot"; "every" ] (List.rev !order)
 
-let test_pending_counts_both_calendars () =
+let test_pending_counts_periodic () =
   let e = Engine.create () in
   ignore (Engine.schedule e ~after:1.0 (fun _ -> ()));
-  let p = Engine.schedule_periodic e ~period:5.0 (fun _ -> ()) in
+  let cancel = Engine.every e ~period:5.0 (fun _ -> ()) in
   Alcotest.(check int) "one-shot plus periodic" 2 (Engine.pending e);
-  ignore (Engine.cancel_periodic e p);
+  ignore (cancel ());
   Alcotest.(check int) "periodic cancelled" 1 (Engine.pending e)
-
-let test_wheel_heap_equivalence () =
-  (* Equivalence of the two periodic paths: with a degenerate wheel
-     (one nanosecond of span) every periodic timer rides the overflow
-     heap, yet an identical seeded workload of one-shots, periodics,
-     [every] loops and cancellations must fire in exactly the same
-     (time, label) order as on the default wheel. Timestamps are
-     random floats, so cross-calendar ties cannot blur the order. *)
-  let workload e =
-    let fired = ref [] in
-    let g = Softstate_util.Rng.create 99 in
-    for i = 0 to 39 do
-      let after = 0.01 +. (Softstate_util.Rng.float g *. 40.0) in
-      let ev =
-        Engine.schedule e ~after (fun e ->
-            fired := (Engine.now e, Printf.sprintf "one%d" i) :: !fired)
-      in
-      if Softstate_util.Rng.bool g && i mod 4 = 0 then
-        ignore (Engine.cancel e ev)
-    done;
-    for i = 0 to 9 do
-      let period = 0.7 +. (Softstate_util.Rng.float g *. 9.0) in
-      let p =
-        Engine.schedule_periodic e ~period (fun e ->
-            fired := (Engine.now e, Printf.sprintf "per%d" i) :: !fired)
-      in
-      if i mod 3 = 0 then
-        ignore
-          (Engine.schedule e ~after:(period *. 2.5) (fun e ->
-               ignore (Engine.cancel_periodic e p)))
-    done;
-    let stop =
-      Engine.every e ~period:1.3 (fun e ->
-          fired := (Engine.now e, "every") :: !fired)
-    in
-    ignore (Engine.schedule e ~after:6.0 (fun _ -> ignore (stop ())));
-    Engine.run ~until:45.0 e;
-    List.rev !fired
-  in
-  let on_wheel = workload (Engine.create ()) in
-  let on_heap = workload (Engine.create ~wheel_slots:1 ~wheel_granularity:1e-9 ()) in
-  Alcotest.(check bool) "workload non-trivial" true (List.length on_wheel > 100);
-  Alcotest.(check (list (pair (float 1e-9) string)))
-    "same firing order" on_wheel on_heap
-
-(* ------------------------------------------------------------------ *)
-(* Hierarchical expiry wheel *)
-
-module EW = Softstate_sim.Expiry_wheel
-
-let test_expiry_wheel_ordering () =
-  (* slots=4, granularity=1, levels=2: level 0 spans 4 s, level 1
-     16 s, anything later overflows — one entry per region plus a
-     FIFO tie *)
-  let w = EW.create ~slots:4 ~granularity:1.0 ~levels:2 ~start:0.0 () in
-  ignore (EW.schedule w ~time:2.0 "fine");
-  ignore (EW.schedule w ~time:30.0 "overflow");
-  ignore (EW.schedule w ~time:10.0 "coarse");
-  ignore (EW.schedule w ~time:2.0 "fine-b");
-  Alcotest.(check int) "length" 4 (EW.length w);
-  Alcotest.(check (option (float 0.0))) "next due" (Some 2.0) (EW.next_due w);
-  let pop () = match EW.pop w with Some (_, v) -> v | None -> "?" in
-  Alcotest.(check string) "finest first" "fine" (pop ());
-  Alcotest.(check string) "fifo at equal deadline" "fine-b" (pop ());
-  Alcotest.(check string) "coarse level" "coarse" (pop ());
-  Alcotest.(check string) "overflow last" "overflow" (pop ());
-  Alcotest.(check bool) "drained" true (EW.is_empty w)
-
-let test_expiry_wheel_cancel () =
-  let w = EW.create ~slots:4 ~granularity:1.0 ~levels:2 ~start:0.0 () in
-  let a = EW.schedule w ~time:1.0 "a" in
-  let b = EW.schedule w ~time:2.0 "b" in
-  let c = EW.schedule w ~time:40.0 "c" in
-  (* cancelling the wheel's current minimum exercises the min-cache
-     invalidation path *)
-  Alcotest.(check bool) "cancel minimum" true (EW.cancel w a);
-  Alcotest.(check bool) "cancel twice" false (EW.cancel w a);
-  Alcotest.(check bool) "cancel overflow" true (EW.cancel w c);
-  Alcotest.(check bool) "b still member" true (EW.mem w b);
-  Alcotest.(check int) "one live" 1 (EW.length w);
-  (match EW.pop w with
-  | Some (t, v) ->
-      Alcotest.(check (float 0.0)) "survivor time" 2.0 t;
-      Alcotest.(check string) "survivor" "b" v
-  | None -> Alcotest.fail "wheel empty");
-  Alcotest.(check bool) "fired handle dead" false (EW.cancel w b)
-
-let test_expiry_wheel_pop_before_strict () =
-  let w = EW.create ~start:0.0 () in
-  ignore (EW.schedule w ~time:1.0 ());
-  Alcotest.(check bool) "limit is exclusive" true
-    (EW.pop_before w ~limit:1.0 = None);
-  Alcotest.(check bool) "just past the deadline" true
-    (EW.pop_before w ~limit:1.0000001 <> None)
-
-let test_expiry_wheel_cascade () =
-  (* entries sharing one coarse bucket surface in time order: after
-     the first pop advances the wheel, the bucket's survivors cascade
-     into the fine level and still come out sorted *)
-  let w = EW.create ~slots:4 ~granularity:1.0 ~levels:2 ~start:0.0 () in
-  ignore (EW.schedule w ~time:9.5 "third");
-  ignore (EW.schedule w ~time:8.25 "first");
-  ignore (EW.schedule w ~time:8.75 "second");
-  let pop () = match EW.pop w with Some (_, v) -> v | None -> "?" in
-  Alcotest.(check string) "first" "first" (pop ());
-  Alcotest.(check string) "second" "second" (pop ());
-  Alcotest.(check string) "third" "third" (pop ())
-
-let test_expiry_wheel_model_check () =
-  (* random schedule/cancel churn drained through pop_before against a
-     sorted-list reference: the wheel must produce exactly the
-     reference's (time, insertion order) sequence *)
-  let g = Softstate_util.Rng.create 4242 in
-  for _trial = 1 to 20 do
-    let w = EW.create ~slots:8 ~granularity:0.5 ~levels:3 ~start:0.0 () in
-    let reference = ref [] (* (time, id), unsorted *) in
-    let handles = Hashtbl.create 64 in
-    let next_id = ref 0 in
-    for _ = 1 to 200 do
-      let time = Softstate_util.Rng.float g *. 500.0 in
-      let id = !next_id in
-      incr next_id;
-      Hashtbl.replace handles id (EW.schedule w ~time id);
-      reference := (time, id) :: !reference;
-      (* cancel a random earlier entry 25% of the time *)
-      if Softstate_util.Rng.float g < 0.25 then begin
-        let victim = Softstate_util.Rng.int g !next_id in
-        match Hashtbl.find_opt handles victim with
-        | Some h when EW.mem w h ->
-            ignore (EW.cancel w h);
-            reference :=
-              List.filter (fun (_, id) -> id <> victim) !reference
-        | _ -> ()
-      end
-    done;
-    let expect =
-      List.sort
-        (fun (t1, i1) (t2, i2) ->
-          if t1 <> t2 then compare t1 t2 else compare i1 i2)
-        !reference
-    in
-    let got = ref [] in
-    let continue = ref true in
-    while !continue do
-      match EW.pop_before w ~limit:infinity with
-      | Some (t, id) -> got := (t, id) :: !got
-      | None -> continue := false
-    done;
-    Alcotest.(check (list (pair (float 0.0) int)))
-      "same drain sequence" expect (List.rev !got);
-    Alcotest.(check bool) "empty after drain" true (EW.is_empty w)
-  done
 
 let test_many_events_throughput () =
   let e = Engine.create () in
@@ -433,6 +269,7 @@ let () =
           Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
           Alcotest.test_case "schedule during event" `Quick test_schedule_during_event;
           Alcotest.test_case "past rejected" `Quick test_schedule_in_past_rejected;
+          Alcotest.test_case "nan rejected" `Quick test_nan_rejected;
           Alcotest.test_case "zero delay" `Quick test_zero_delay_fires;
           Alcotest.test_case "step" `Quick test_step;
           Alcotest.test_case "every period" `Quick test_every_period;
@@ -440,32 +277,14 @@ let () =
           Alcotest.test_case "loop telemetry" `Quick test_loop_telemetry;
           Alcotest.test_case "on_step composes" `Quick test_on_step_composes;
           Alcotest.test_case "50k events" `Slow test_many_events_throughput;
-          Alcotest.test_case "wheel ordering" `Quick test_wheel_ordering;
-          Alcotest.test_case "wheel cancel" `Quick test_wheel_cancel;
-          Alcotest.test_case "wheel pop_before strict" `Quick
-            test_wheel_pop_before_strict;
           Alcotest.test_case "periodic firing times" `Quick
-            test_schedule_periodic_times;
-          Alcotest.test_case "periodic cancel" `Quick test_cancel_periodic;
-          Alcotest.test_case "periodic beyond wheel span" `Quick
-            test_periodic_beyond_wheel_span;
-          Alcotest.test_case "heap precedes wheel at ties" `Quick
-            test_heap_event_precedes_wheel_tie;
-          Alcotest.test_case "pending counts both calendars" `Quick
-            test_pending_counts_both_calendars;
-          Alcotest.test_case "wheel/heap firing-order equivalence" `Quick
-            test_wheel_heap_equivalence;
-        ] );
-      ( "expiry wheel",
-        [
-          Alcotest.test_case "ordering across levels" `Quick
-            test_expiry_wheel_ordering;
-          Alcotest.test_case "cancel" `Quick test_expiry_wheel_cancel;
-          Alcotest.test_case "pop_before strict" `Quick
-            test_expiry_wheel_pop_before_strict;
-          Alcotest.test_case "cascade keeps order" `Quick
-            test_expiry_wheel_cascade;
-          Alcotest.test_case "model check vs sorted reference" `Slow
-            test_expiry_wheel_model_check;
+            test_every_firing_times;
+          Alcotest.test_case "periodic cancel" `Quick test_every_cancel;
+          Alcotest.test_case "periodic long period" `Quick
+            test_every_long_period;
+          Alcotest.test_case "ties fire in scheduling order" `Quick
+            test_every_ties_in_scheduling_order;
+          Alcotest.test_case "pending counts periodic" `Quick
+            test_pending_counts_periodic;
         ] );
     ]
