@@ -46,7 +46,7 @@ let bench_engine_probed =
 let bench_md5 =
   let payload = String.make 1024 'x' in
   Test.make ~name:"md5 1 KiB"
-    (Staged.stage (fun () -> ignore (Sstp.Md5.digest_string payload)))
+    (Staged.stage (fun () -> ignore (Digest.string payload)))
 
 let bench_stride =
   Test.make ~name:"stride select+charge x1000"

@@ -139,14 +139,7 @@ let create ?obs ?transport ~engine ~rng ~config ~members () =
     Array.init members (fun _ ->
         Receiver.create ?obs ~engine ~config:receiver_config ~send_feedback ())
   in
-  let fetch () =
-    match Sender.fetch sender ~now:(Engine.now engine) with
-    | Some env ->
-        Some
-          (Net.Packet.make ~id:env.Wire.seq ~size_bits:(Wire.size_bits env)
-             env)
-    | None -> None
-  in
+  let fetch () = Sender.fetch sender ~now:(Engine.now engine) in
   let fanout =
     transport.Net.Transport.fanout
       ~rate_bps:(config.mu_hot_bps +. config.mu_cold_bps)
@@ -195,17 +188,11 @@ let remove t ~path =
   kick t
 
 let member_consistency t receiver =
-  let sender_ns = Sender.namespace t.sender in
-  let receiver_ns = Receiver.namespace receiver in
-  let total = ref 0 and matching = ref 0 in
-  Namespace.iter_leaves sender_ns (fun path _ ->
-      incr total;
-      match
-        (Namespace.digest sender_ns path, Namespace.digest receiver_ns path)
-      with
-      | Some a, Some b when String.equal a b -> incr matching
-      | _ -> ());
-  if !total = 0 then 1.0 else float_of_int !matching /. float_of_int !total
+  let total, matching =
+    Namespace.matching_leaves (Sender.namespace t.sender)
+      (Receiver.namespace receiver)
+  in
+  if total = 0 then 1.0 else float_of_int matching /. float_of_int total
 
 let consistency t =
   Array.fold_left (fun acc r -> acc +. member_consistency t r) 0.0 t.members

@@ -5,11 +5,12 @@ type node = {
   mutable payload : string option; (* Some for leaves *)
   mutable version : int;
   mutable meta : string list;
-  mutable cached_digest : Md5.digest option;
+  mutable cached_digest : Digest.t option;
 }
 
 type t = {
   root : node;
+  frame : Buffer.t; (* scratch for the framed parts of one digest *)
   mutable leaf_count : int;
   mutable node_count : int;
   mutable payload_bits : int;
@@ -20,7 +21,8 @@ let fresh_node () =
     cached_digest = None }
 
 let create () =
-  { root = fresh_node (); leaf_count = 0; node_count = 0; payload_bits = 0 }
+  { root = fresh_node (); frame = Buffer.create 256; leaf_count = 0;
+    node_count = 0; payload_bits = 0 }
 
 let rec find_node node = function
   | [] -> Some node
@@ -168,36 +170,50 @@ let meta t path =
   match find_node t.root path with Some n -> n.meta | None -> []
 
 (* netstring-style framing removes concatenation ambiguity between
-   adjacent parts ("ab"+"c" vs "a"+"bc"). *)
-let frame s = string_of_int (String.length s) ^ ":" ^ s
+   adjacent parts ("ab"+"c" vs "a"+"bc"). Parts are written straight
+   into the namespace's scratch buffer, which is hashed once. *)
+let rec add_decimal buf n =
+  if n >= 10 then add_decimal buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
-let rec digest_of node =
+let add_frame buf s =
+  add_decimal buf (String.length s);
+  Buffer.add_char buf ':';
+  Buffer.add_string buf s
+
+let rec digest_of t node =
   match node.cached_digest with
   | Some d -> d
   | None ->
-      let d =
-        match node.payload with
-        | Some payload ->
-            Md5.digest_list (List.map frame ("leaf" :: payload :: node.meta))
-        | None ->
-            let parts =
-              StringMap.fold
-                (fun name child acc ->
-                  frame (digest_of child) :: frame name :: acc)
-                node.children
-                [ frame "node" ]
-            in
-            Md5.digest_list (List.rev parts)
-      in
+      let buf = t.frame in
+      (match node.payload with
+      | Some payload ->
+          Buffer.clear buf;
+          add_frame buf "leaf";
+          add_frame buf payload;
+          List.iter (add_frame buf) node.meta
+      | None ->
+          (* settle dirty children first: their recursion reuses [buf] *)
+          StringMap.iter
+            (fun _ child -> ignore (digest_of t child))
+            node.children;
+          Buffer.clear buf;
+          add_frame buf "node";
+          StringMap.iter
+            (fun name child ->
+              add_frame buf name;
+              add_frame buf (digest_of t child))
+            node.children);
+      let d = Digest.string (Buffer.contents buf) in
       node.cached_digest <- Some d;
       d
 
 let digest t path =
   match find_node t.root path with
-  | Some n -> Some (digest_of n)
+  | Some n -> Some (digest_of t n)
   | None -> None
 
-let root_digest t = digest_of t.root
+let root_digest t = digest_of t t.root
 
 let children t path =
   match find_node t.root path with
@@ -206,7 +222,7 @@ let children t path =
       StringMap.fold
         (fun name child acc ->
           let kind = if child.payload <> None then `Leaf else `Interior in
-          (name, digest_of child, kind) :: acc)
+          (name, digest_of t child, kind) :: acc)
         n.children []
       |> List.rev
 
@@ -223,4 +239,28 @@ let iter_leaves t f =
   in
   walk [] t.root
 
-let equal a b = String.equal (root_digest a) (root_digest b)
+(* One walk down [a], carrying [b]'s node at the same path: a leaf of
+   [a] matches when [b] has a node there with an equal digest. *)
+let matching_leaves a b =
+  let leaves = ref 0 and matching = ref 0 in
+  let rec walk na nb =
+    match na.payload with
+    | Some _ -> (
+        incr leaves;
+        match nb with
+        | Some nb when Digest.equal (digest_of a na) (digest_of b nb) ->
+            incr matching
+        | Some _ | None -> ())
+    | None ->
+        StringMap.iter
+          (fun name child ->
+            walk child
+              (match nb with
+              | Some nb -> StringMap.find_opt name nb.children
+              | None -> None))
+          na.children
+  in
+  walk a.root (Some b.root);
+  (!leaves, !matching)
+
+let equal a b = Digest.equal (root_digest a) (root_digest b)

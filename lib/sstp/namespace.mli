@@ -1,11 +1,17 @@
 (** The SSTP hierarchical namespace: a hash tree over ADUs (§6.2).
 
-    Leaves hold application payloads; every node carries a fixed-size
-    digest computed recursively with MD5 —
-    [h(leaf) = MD5(payload)] and
-    [h(node) = MD5(name₁ · h(c₁) · … · nameₖ · h(cₖ))] over the
-    children in name order. Digest equality of two trees implies (up
-    to hash collisions) equal contents, so a receiver can find every
+    Leaves hold application payloads; every node carries a 16-byte MD5
+    digest ({!Digest.t}) computed recursively over netstring-framed
+    parts, where [⟦s⟧ = len(s) ":" s] with [len] in decimal:
+    - [h(leaf) = MD5(⟦"leaf"⟧ · ⟦payload⟧ · ⟦m₁⟧ · … · ⟦mⱼ⟧)] over the
+      leaf's meta tags in their stored order;
+    - [h(node) = MD5(⟦"node"⟧ · ⟦name₁⟧ · ⟦h(c₁)⟧ · … · ⟦nameₖ⟧ · ⟦h(cₖ)⟧)]
+      over the children in name order. Interior meta tags are not
+      hashed.
+
+    The framing keeps ["ab"]·["c"] apart from ["a"]·["bc"] and a leaf
+    apart from an interior node. Digest equality of two trees implies
+    (up to hash collisions) equal contents, so a receiver can find every
     divergence by descending only into mismatching subtrees — the
     recursive-descent repair of the announcement protocol.
 
@@ -42,12 +48,12 @@ val set_meta : t -> path:Path.t -> string list -> unit
 
 val meta : t -> Path.t -> string list
 
-val digest : t -> Path.t -> Md5.digest option
-val root_digest : t -> Md5.digest
-(** The root summary announced on the cold channel. An empty tree has
-    the digest of the empty string. *)
+val digest : t -> Path.t -> Digest.t option
+val root_digest : t -> Digest.t
+(** The root summary announced on the cold channel. An empty tree is
+    an interior node with no children: [MD5("4:node")]. *)
 
-val children : t -> Path.t -> (string * Md5.digest * [ `Leaf | `Interior ]) list
+val children : t -> Path.t -> (string * Digest.t * [ `Leaf | `Interior ]) list
 (** Name-ordered children with their digests — the "next level
     signatures" a sender returns for a repair query. Empty for leaves
     and absent paths. *)
@@ -58,6 +64,11 @@ val node_count : t -> int
 
 val iter_leaves : t -> (Path.t -> string -> unit) -> unit
 (** In name order. *)
+
+val matching_leaves : t -> t -> int * int
+(** [matching_leaves a b] is [(leaves, matching)]: the leaves of [a],
+    and those of them at whose path [b] has a node (of either kind)
+    with an equal digest. One walk over both trees. *)
 
 val payload_bits : t -> int
 (** Total payload size, bits — used for bandwidth accounting. *)

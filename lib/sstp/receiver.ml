@@ -2,6 +2,8 @@ module Engine = Softstate_sim.Engine
 module Obs = Softstate_obs.Obs
 module Metrics = Softstate_obs.Metrics
 module Trace = Softstate_obs.Trace
+module StringMap = Map.Make (String)
+module StringSet = Set.Make (String)
 
 type config = {
   repair_timeout : float;
@@ -157,18 +159,18 @@ let store_data t ~now path payload meta =
 let on_signatures t ~now ~parent path (children : Wire.child list) =
   let acted = ref false in
   let local = Namespace.children t.namespace path in
-  let local_by_name =
+  let local_digest =
     List.fold_left
-      (fun acc (name, digest, kind) -> (name, (digest, kind)) :: acc)
-      [] local
+      (fun acc (name, digest, _) -> StringMap.add name digest acc)
+      StringMap.empty local
   in
   (* Descend into every remote child we lack or disagree with. *)
   List.iter
     (fun { Wire.name; digest; kind; meta } ->
       let child_path = Path.child path name in
       let matches =
-        match List.assoc_opt name local_by_name with
-        | Some (local_digest, _) -> String.equal local_digest digest
+        match StringMap.find_opt name local_digest with
+        | Some local -> Digest.equal local digest
         | None -> false
       in
       (* interest sees the *sender's* tags for the node (carried in the
@@ -182,10 +184,14 @@ let on_signatures t ~now ~parent path (children : Wire.child list) =
       end)
     children;
   (* Anything we hold that the sender no longer lists is withdrawn. *)
-  let remote_names = List.map (fun c -> c.Wire.name) children in
+  let remote_names =
+    List.fold_left
+      (fun acc c -> StringSet.add c.Wire.name acc)
+      StringSet.empty children
+  in
   List.iter
     (fun (name, _, _) ->
-      if not (List.mem name remote_names) then begin
+      if not (StringSet.mem name remote_names) then begin
         acted := true;
         let child_path = Path.child path name in
         if Namespace.remove t.namespace ~path:child_path then

@@ -1,5 +1,6 @@
 module Engine = Softstate_sim.Engine
 module Hierarchy = Softstate_sched.Hierarchy
+module Net = Softstate_net
 module Obs = Softstate_obs.Obs
 module Metrics = Softstate_obs.Metrics
 module Trace = Softstate_obs.Trace
@@ -290,14 +291,17 @@ let refresh_backlog t ~now =
     t.classes;
   Hierarchy.set_backlogged t.sched t.cold_node (summary_due t ~now)
 
+(* Encode once: the size charged to the scheduler is the packet's. *)
+let charged t leaf env =
+  let size_bits = Wire.size_bits env in
+  Hierarchy.charge t.sched leaf (float_of_int size_bits);
+  Some (Net.Packet.make ~id:env.Wire.seq ~size_bits env)
+
 let rec fetch t ~now =
   refresh_backlog t ~now;
   match Hierarchy.select t.sched with
   | None -> None
-  | Some leaf when leaf = t.cold_node ->
-      let env = make_summary t ~now in
-      Hierarchy.charge t.sched leaf (float_of_int (Wire.size_bits env));
-      Some env
+  | Some leaf when leaf = t.cold_node -> charged t leaf (make_summary t ~now)
   | Some leaf -> (
       match node_to_class t leaf with
       | None -> None (* unreachable: every data leaf is a class *)
@@ -305,9 +309,7 @@ let rec fetch t ~now =
           match materialise t klass ~now with
           | Some env ->
               klass.sent <- klass.sent + 1;
-              Hierarchy.charge t.sched leaf
-                (float_of_int (Wire.size_bits env));
-              Some env
+              charged t leaf env
           | None ->
               (* the class queue drained to nothing concrete (stale
                  work); its backlog flag is now wrong - re-select *)

@@ -70,9 +70,10 @@ val on_rate_constraint : t -> (max_rate_bps:float -> unit) -> unit
 
 (** {1 Transport interface} *)
 
-val fetch : t -> now:float -> Wire.envelope option
-(** Next envelope to transmit, chosen by the hierarchical scheduler;
-    [None] when nothing is due. *)
+val fetch : t -> now:float -> Wire.envelope Softstate_net.Packet.t option
+(** Next envelope to transmit, chosen by the hierarchical scheduler,
+    as a packet with id [seq] whose size is the wire size charged to
+    the scheduler; [None] when nothing is due. *)
 
 val handle_feedback : t -> now:float -> Wire.msg -> unit
 (** Process a receiver-originated message. *)

@@ -63,18 +63,11 @@ let feedback_packets t =
   | None -> 0
 
 let consistency t =
-  let sender_ns = Sender.namespace t.sender in
-  let receiver_ns = Receiver.namespace t.receiver in
-  let total = ref 0 and matching = ref 0 in
-  Namespace.iter_leaves sender_ns (fun path _payload ->
-      incr total;
-      match
-        ( Namespace.digest sender_ns path,
-          Namespace.digest receiver_ns path )
-      with
-      | Some a, Some b when String.equal a b -> incr matching
-      | _ -> ());
-  if !total = 0 then 1.0 else float_of_int !matching /. float_of_int !total
+  let total, matching =
+    Namespace.matching_leaves (Sender.namespace t.sender)
+      (Receiver.namespace t.receiver)
+  in
+  if total = 0 then 1.0 else float_of_int matching /. float_of_int total
 
 let register_session_probes t obs =
   match obs with
@@ -160,14 +153,7 @@ let create ?obs ?transport ~engine ~rng ~config () =
   let receiver =
     Receiver.create ?obs ~engine ~config:receiver_config ~send_feedback ()
   in
-  let fetch () =
-    match Sender.fetch sender ~now:(Engine.now engine) with
-    | Some env ->
-        Some
-          (Net.Packet.make ~id:env.Wire.seq ~size_bits:(Wire.size_bits env)
-             env)
-    | None -> None
-  in
+  let fetch () = Sender.fetch sender ~now:(Engine.now engine) in
   let unicast =
     transport.Net.Transport.unicast
       ~rate_bps:(mu_hot +. mu_cold)
@@ -218,8 +204,8 @@ let converged t =
     (Namespace.root_digest (Receiver.namespace t.receiver))
 
 let root_digests t =
-  ( Md5.to_hex (Namespace.root_digest (Sender.namespace t.sender)),
-    Md5.to_hex (Namespace.root_digest (Receiver.namespace t.receiver)) )
+  ( Digest.to_hex (Namespace.root_digest (Sender.namespace t.sender)),
+    Digest.to_hex (Namespace.root_digest (Receiver.namespace t.receiver)) )
 
 let track_consistency t ~period =
   if not t.tracking then begin

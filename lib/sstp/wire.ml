@@ -4,7 +4,7 @@ type child_kind = Leaf | Interior
 
 type child = {
   name : string;
-  digest : Md5.digest;
+  digest : Digest.t;
   kind : child_kind;
   meta : string list;
 }
@@ -16,7 +16,7 @@ type msg =
       payload : string;
       meta : string list;
     }
-  | Summary of { root_digest : Md5.digest; leaf_count : int }
+  | Summary of { root_digest : Digest.t; leaf_count : int }
   | Signatures of { path : string; children : child list }
   | Remove of { path : string }
   | Sig_request of { path : string }

@@ -10,7 +10,7 @@ type child_kind = Leaf | Interior
 
 type child = {
   name : string;
-  digest : Md5.digest;
+  digest : Digest.t;
   kind : child_kind;
   meta : string list;
       (** the sender's application-level tags for the node, so
@@ -27,7 +27,7 @@ type msg =
            [meta] rides along because it is part of the node digest:
            a receiver that stored the payload without the tags would
            never converge. *)
-  | Summary of { root_digest : Md5.digest; leaf_count : int }
+  | Summary of { root_digest : Digest.t; leaf_count : int }
       (** cold announcement of the root summary *)
   | Signatures of { path : string; children : child list }
       (** next-level signatures answering a {!Sig_request} *)
