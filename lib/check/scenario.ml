@@ -878,19 +878,6 @@ type outcome = {
 
 let trace_capacity = 1 lsl 19
 
-(* Engine_probe exports wall-clock performance ratios and the
-   profiler wall-clock counters; everything else in a snapshot is a
-   pure function of the simulation, which is what makes outcomes
-   comparable across replays. *)
-let sim_metrics metrics ~now =
-  List.filter
-    (fun (name, _) ->
-      not
-        (String.ends_with ~suffix:"wall_s_per_sim_s" name
-        || String.ends_with ~suffix:"events_per_wall_s" name
-        || String.starts_with ~prefix:"profile." name))
-    (Metrics.snapshot metrics ~now)
-
 let run_core scenario config =
   let sink = Trace.memory ~capacity:trace_capacity () in
   let recorder = Trace.recorder () in
@@ -903,7 +890,8 @@ let run_core scenario config =
     events = Trace.events sink;
     events_dropped = Trace.overwritten sink;
     flight = Trace.recent recorder;
-    metrics = sim_metrics (Obs.metrics obs) ~now:config.Experiment.duration }
+    metrics =
+      Metrics.snapshot (Obs.metrics obs) ~now:config.Experiment.duration }
 
 let sstp_path i = Printf.sprintf "grp%d/item%d" (i mod 4) i
 
@@ -995,7 +983,7 @@ let run_sstp scenario s =
     events = Trace.events sink;
     events_dropped = Trace.overwritten sink;
     flight = Trace.recent recorder;
-    metrics = sim_metrics (Obs.metrics obs) ~now:horizon }
+    metrics = Metrics.snapshot (Obs.metrics obs) ~now:horizon }
 
 let run_gossip scenario g =
   let sink = Trace.memory ~capacity:trace_capacity () in
@@ -1013,7 +1001,7 @@ let run_gossip scenario g =
     events = Trace.events sink;
     events_dropped = Trace.overwritten sink;
     flight = Trace.recent recorder;
-    metrics = sim_metrics (Obs.metrics obs) ~now:horizon }
+    metrics = Metrics.snapshot (Obs.metrics obs) ~now:horizon }
 
 let run = function
   | Core config as scenario -> run_core scenario config

@@ -347,7 +347,6 @@ let run config =
 (* Replicated runs across domains                                      *)
 
 module Parallel = Softstate_sim.Parallel
-module Metrics = Softstate_obs.Metrics
 
 type summary = {
   replications : int;
@@ -367,7 +366,6 @@ type summary = {
   reheats : int;
   false_expiries : int;
   stale_purged : int;
-  metrics : (string * Metrics.value) list;
 }
 
 (* Per-replication seeds are drawn sequentially from a chain seeded by
@@ -378,87 +376,7 @@ let replication_seeds config n =
   Array.init n (fun _ ->
       Int64.to_int (Int64.shift_right_logical (Rng.bits64 chain) 1))
 
-(* Counters sum; gauges and probes average; distributions combine by
-   sample-count weighting (quantiles approximately so). *)
-let combine_metric n vs =
-  let fail () = invalid_arg "Experiment.run_many: metric kind mismatch" in
-  match vs with
-  | [] -> fail ()
-  | Metrics.Int _ :: _ ->
-      Metrics.Int
-        (List.fold_left
-           (fun acc v -> match v with Metrics.Int i -> acc + i | _ -> fail ())
-           0 vs)
-  | Metrics.Float _ :: _ ->
-      Metrics.Float
-        (List.fold_left
-           (fun acc v ->
-             match v with Metrics.Float f -> acc +. f | _ -> fail ())
-           0.0 vs
-        /. float_of_int n)
-  | Metrics.Dist _ :: _ ->
-      let dists =
-        List.map
-          (fun v ->
-            match v with
-            | Metrics.Dist
-                { count; mean; p50; p90; p99; epsilon; underflow; overflow }
-              ->
-                (count, mean, p50, p90, p99, epsilon, underflow, overflow)
-            | _ -> fail ())
-          vs
-      in
-      let total =
-        List.fold_left (fun acc (c, _, _, _, _, _, _, _) -> acc + c) 0 dists
-      in
-      let wmean field =
-        if total = 0 then 0.0
-        else
-          List.fold_left
-            (fun acc d ->
-              let (c, _, _, _, _, _, _, _) = d in
-              acc +. (float_of_int c *. field d))
-            0.0 dists
-          /. float_of_int total
-      in
-      let isum field =
-        List.fold_left (fun acc d -> acc + field d) 0 dists
-      in
-      Metrics.Dist
-        { count = total;
-          mean = wmean (fun (_, m, _, _, _, _, _, _) -> m);
-          p50 = wmean (fun (_, _, p, _, _, _, _, _) -> p);
-          p90 = wmean (fun (_, _, _, p, _, _, _, _) -> p);
-          p99 = wmean (fun (_, _, _, _, p, _, _, _) -> p);
-          (* replication quantiles share one bound; keep the loosest *)
-          epsilon =
-            List.fold_left
-              (fun acc (_, _, _, _, _, e, _, _) -> Float.max acc e)
-              0.0 dists;
-          underflow = isum (fun (_, _, _, _, _, _, u, _) -> u);
-          overflow = isum (fun (_, _, _, _, _, _, _, o) -> o) }
-
-let merge_snapshots snaps =
-  match snaps with
-  | [] -> []
-  | first :: _ ->
-      let n = List.length snaps in
-      List.mapi
-        (fun i (name, _) ->
-          let vs =
-            List.map
-              (fun snap ->
-                match List.nth_opt snap i with
-                | Some (name', v) when String.equal name name' -> v
-                | _ ->
-                    invalid_arg
-                      "Experiment.run_many: divergent metric snapshots")
-              snaps
-          in
-          (name, combine_metric n vs))
-        first
-
-let summarise ~metrics results =
+let summarise results =
   let n = Array.length results in
   if n = 0 then invalid_arg "Experiment.summarise: no results";
   let cons = Stats.Welford.create () in
@@ -503,41 +421,22 @@ let summarise ~metrics results =
     nacks_delivered = !nacks_delivered;
     reheats = !reheats;
     false_expiries = !false_expiries;
-    stale_purged = !stale_purged;
-    metrics }
+    stale_purged = !stale_purged }
 
-let run_many ?(jobs = 1) ?(with_metrics = false) ?domain_report ~replications
-    config =
+let run_many ?(jobs = 1) ?domain_report ~replications config =
   if replications < 1 then
     invalid_arg "Experiment.run_many: replications must be positive";
   let seeds = replication_seeds config replications in
-  let outcomes =
-    (* lint: allow R001 Heap.nil is a sentinel handle that no code path mutates after module init, and Profiler.disabled is only written by set_enabled on the profiler a caller explicitly enables — each task builds its own engine and obs context, so both module cells are read-only from helper domains *)
+  let results =
+    (* lint: allow R001 Heap.nil is a sentinel handle that no code path mutates after module init; each task builds its own engine, so the cell is read-only from helper domains *)
     Parallel.map ~jobs ?report:domain_report replications (fun i ->
-        (* each replication is self-contained: own seed, own obs
+        (* each replication is self-contained: own seed, no obs
            context, no shared series buffers *)
-        let obs = if with_metrics then Some (Softstate_obs.Obs.create ()) else None in
-        let r =
-          run
-            { config with
-              seed = seeds.(i); obs; record_series = false }
-        in
-        let snapshot =
-          match obs with
-          | None -> []
-          | Some o ->
-              Metrics.snapshot (Softstate_obs.Obs.metrics o)
-                ~now:config.duration
-        in
-        (r, snapshot))
+        run
+          { config with
+            seed = seeds.(i); obs = None; record_series = false })
   in
-  let results = Array.map fst outcomes in
-  let metrics =
-    if with_metrics then
-      merge_snapshots (Array.to_list (Array.map snd outcomes))
-    else []
-  in
-  (summarise ~metrics results, results)
+  (summarise results, results)
 
 let run_grid ?(jobs = 1) ?domain_report configs =
   let effective =
@@ -548,7 +447,7 @@ let run_grid ?(jobs = 1) ?domain_report configs =
        configs that will run on helper domains *)
     if effective > 1 then { c with obs = None } else c
   in
-  (* lint: allow R001 same read-only sharing as run_many: Heap.nil is a never-mutated sentinel and Profiler.disabled is detached by prepare (obs = None) before a config crosses onto a helper domain *)
+  (* lint: allow R001 same read-only sharing as run_many: Heap.nil is a never-mutated sentinel *)
   Parallel.map_list ~jobs ?report:domain_report configs (fun c ->
       run (prepare c))
 

@@ -154,28 +154,23 @@ type summary = {
   reheats : int;
   false_expiries : int;
   stale_purged : int;
-  metrics : (string * Softstate_obs.Metrics.value) list;
-      (** merged obs snapshots: counters summed, gauges averaged,
-          distributions combined by sample-count weighting; empty
-          unless [with_metrics] was set *)
 }
 
 val run_many :
   ?jobs:int ->
-  ?with_metrics:bool ->
   ?domain_report:(Softstate_sim.Parallel.Stats.t -> unit) ->
   replications:int ->
   config ->
   summary * result array
 (** [run_many ~jobs ~replications config] runs [replications]
     independent copies of [config] (per-replication seeds derived from
-    [config.seed]; [config.obs] and [record_series] are overridden —
-    each replication gets its own fresh obs context when
-    [with_metrics] is set). [jobs <= 0] uses all recommended domains.
-    Returns the deterministic merged summary plus the per-replication
-    results in index order. [domain_report] receives the fan-out's
-    per-domain wall-time/task-count stats (out-of-band wall-clock
-    observations; the summary itself stays deterministic). *)
+    [config.seed]; [config.obs] is dropped and [record_series] is
+    off). [jobs <= 0] uses all recommended domains. Returns the merged
+    summary plus the per-replication results in index order; both are
+    a pure function of [config] and [replications], identical for any
+    [jobs]. [domain_report] receives the fan-out's per-domain
+    wall-time/task-count stats, which are host-clock readings kept out
+    of the summary. *)
 
 val run_grid :
   ?jobs:int ->
@@ -194,8 +189,7 @@ val replication_seeds : config -> int -> int array
     any replication can be reproduced standalone by running [config]
     with the corresponding seed. *)
 
-val summarise : metrics:(string * Softstate_obs.Metrics.value) list ->
-  result array -> summary
+val summarise : result array -> summary
 (** Merge results in array order (exposed for tests). *)
 
 val summary_report : config:config -> summary -> Softstate_obs.Report.t
@@ -246,9 +240,8 @@ val gossip_peers : gossip_config -> Gossip.peers
     random builder draws from a stream split off [g_seed]'s root). *)
 
 val run_gossip : ?obs:Softstate_obs.Obs.t -> gossip_config -> Gossip.result
-(** Deterministic in the config. With [?obs], engine probes (plus
-    profiler allocation counters when enabled) and per-round gossip
-    metrics/trace events are attached. *)
+(** Deterministic in the config. With [?obs], engine probes and
+    per-round gossip metrics/trace events are attached. *)
 
 val fluid_gossip : ?rounds:int -> gossip_config -> (float * float) array
 (** The mean-field trajectory for this config's population on [run]'s

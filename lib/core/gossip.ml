@@ -38,7 +38,6 @@ module Engine = Softstate_sim.Engine
 module Obs = Softstate_obs.Obs
 module Metrics = Softstate_obs.Metrics
 module Trace = Softstate_obs.Trace
-module Profiler = Softstate_obs.Profiler
 
 type mode = Push | Push_pull
 
@@ -220,9 +219,7 @@ let run ?obs ?engine config peers =
       Metrics.probe m "gossip.misses" (fun ~now:_ -> float_of_int !misses);
       Metrics.probe m "gossip.lost" (fun ~now:_ -> float_of_int !lost);
       Metrics.probe m "gossip.blackholed" (fun ~now:_ ->
-          float_of_int !blackholed);
-      Profiler.attach_alloc_probes (Obs.profiler obs) m ~label:"gossip"
-        ~sim0:now0);
+          float_of_int !blackholed));
   let loss = config.loss in
   let lossy = loss > 0.0 in
   (* one contact: u offers the rumour along its k-th incident edge *)

@@ -81,11 +81,9 @@ val run :
   peers ->
   result
 (** With [?obs], live [gossip.*] metrics probes are registered and a
-    [Custom "round"] trace event is emitted per round; an enabled
-    profiler additionally gets [profile.gossip.*] allocation-rate
-    probes. With [?engine] the rounds ride an existing calendar
-    (driven up to [max_rounds] periods); otherwise a private engine
-    is created and drained. *)
+    [Custom "round"] trace event is emitted per round. With [?engine]
+    the rounds ride an existing calendar (driven up to [max_rounds]
+    periods); otherwise a private engine is created and drained. *)
 
 val fluid : ?rounds:int -> config -> nodes:int -> (float * float) array
 (** The mean-field trajectory of the infected fraction on the same

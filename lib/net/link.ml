@@ -3,7 +3,6 @@ module Rng = Softstate_util.Rng
 module Obs = Softstate_obs.Obs
 module Metrics = Softstate_obs.Metrics
 module Trace = Softstate_obs.Trace
-module Profiler = Softstate_obs.Profiler
 
 module Stats = struct
   type t = {
@@ -54,20 +53,6 @@ let create engine ~rate_bps ?(delay = 0.0) ?(loss = Loss.never) ?on_served
   if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
   if delay < 0.0 then invalid_arg "Link.create: negative delay";
   let trace = Obs.trace_of obs in
-  (* With an enabled profiler, the sender's fetch and the receiver's
-     deliver callback are each timed under this link's label; the
-     wrapping happens once here so disabled profilers cost nothing on
-     the per-packet path. *)
-  let profiler = Obs.profiler_of obs in
-  let fetch, deliver =
-    if Profiler.enabled profiler then
-      ( (let scope = label ^ ".fetch" in
-         fun () -> Profiler.time profiler scope fetch),
-        let scope = label ^ ".deliver" in
-        fun ~now payload ->
-          Profiler.time profiler scope (fun () -> deliver ~now payload) )
-    else (fetch, deliver)
-  in
   let t =
     { engine; rate_bps; delay; loss; rng; fetch; deliver; on_served;
       created_at = Engine.now engine; trace;

@@ -1,48 +1,10 @@
 module Engine = Softstate_sim.Engine
 
-let attach ~obs ?(src = "engine") ?(trace_steps = false) engine =
+let attach ~obs engine =
   let m = Obs.metrics obs in
-  Metrics.probe m (src ^ ".events_fired") (fun ~now:_ ->
+  Metrics.probe m "engine.events_fired" (fun ~now:_ ->
       float_of_int (Engine.events_fired engine));
-  Metrics.probe m (src ^ ".pending") (fun ~now:_ ->
+  Metrics.probe m "engine.pending" (fun ~now:_ ->
       float_of_int (Engine.pending engine));
-  Metrics.probe m (src ^ ".calendar_high_water") (fun ~now:_ ->
-      float_of_int (Engine.high_water engine));
-  (* Wall-clock coupling is measured from the moment of attachment so
-     setup cost outside the event loop is excluded. *)
-  (* lint: allow D002 CPU-time anchor for the coupling probes below; read once, never feeds simulation state *)
-  let cpu0 = Sys.time () in
-  let sim0 = Engine.now engine in
-  let fired0 = Engine.events_fired engine in
-  Metrics.probe m (src ^ ".wall_s_per_sim_s") (fun ~now ->
-      let sim = now -. sim0 in
-      (* lint: allow D002 CPU seconds per simulated second is the quantity this probe reports *)
-      if sim <= 0.0 then nan else (Sys.time () -. cpu0) /. sim);
-  Metrics.probe m (src ^ ".events_per_wall_s") (fun ~now:_ ->
-      (* lint: allow D002 event throughput against CPU time is the quantity this probe reports *)
-      let wall = Sys.time () -. cpu0 in
-      if wall <= 0.0 then nan
-      else float_of_int (Engine.events_fired engine - fired0) /. wall);
-  let profiler = Obs.profiler obs in
-  (* allocation rate over the event loop: minor/major words per
-     simulated second, anchored like the wall-clock coupling above *)
-  Profiler.attach_alloc_probes profiler m ~label:src ~sim0;
-  if Profiler.enabled profiler then begin
-    (* Per-event loop accounting: the interval between consecutive
-       post-event hooks covers the pop, the handler, and the hooks
-       themselves — the whole cost of turning the loop once. *)
-    (* lint: allow D002 wall-clock profiling interval; reported out-of-band, never feeds simulation state *)
-    let last = ref (Unix.gettimeofday ()) in
-    Engine.on_step engine (fun _ ->
-        (* lint: allow D002 wall-clock profiling interval; reported out-of-band, never feeds simulation state *)
-        let t1 = Unix.gettimeofday () in
-        Profiler.add profiler (src ^ ".step") (t1 -. !last);
-        last := t1)
-  end;
-  let trace = Obs.trace obs in
-  if trace_steps && Trace.enabled trace then
-    Engine.on_step engine (fun e ->
-        Trace.emit trace
-          (Trace.event ~time:(Engine.now e) ~src
-             ~value:(float_of_int (Engine.pending e))
-             Trace.Timer_fired))
+  Metrics.probe m "engine.calendar_high_water" (fun ~now:_ ->
+      float_of_int (Engine.high_water engine))

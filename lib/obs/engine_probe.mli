@@ -1,16 +1,11 @@
 (** Loop-health probes for the discrete-event engine.
 
-    {!attach} registers derived metrics on the context's registry —
-    [<src>.events_fired], [<src>.pending], [<src>.calendar_high_water],
-    [<src>.wall_s_per_sim_s] and [<src>.events_per_wall_s] — so any
-    simulation gets engine telemetry in its report for free. With
-    [trace_steps:true] every fired event additionally emits a
-    [Timer_fired] trace event carrying the calendar depth (verbose:
-    reserve for debugging). *)
+    {!attach} registers three derived metrics on the context's
+    registry — [engine.events_fired], [engine.pending] and
+    [engine.calendar_high_water] — so any simulation gets engine
+    telemetry in its report for free. All three are functions of the
+    simulation alone, so a registry snapshot is identical across
+    replays of one seed; host-clock timing belongs to the benchmark
+    ledger ([bench/ledger]). *)
 
-val attach :
-  obs:Obs.t ->
-  ?src:string ->
-  ?trace_steps:bool ->
-  Softstate_sim.Engine.t ->
-  unit
+val attach : obs:Obs.t -> Softstate_sim.Engine.t -> unit

@@ -1,14 +1,10 @@
-type t = { metrics : Metrics.t; trace : Trace.t; profiler : Profiler.t }
+type t = { metrics : Metrics.t; trace : Trace.t }
 
-let create ?(trace = Trace.null) ?(profiler = Profiler.disabled) () =
-  { metrics = Metrics.create (); trace; profiler }
+let create ?(trace = Trace.null) () = { metrics = Metrics.create (); trace }
 
 let metrics t = t.metrics
 let trace t = t.trace
-let profiler t = t.profiler
 
 let trace_of = function None -> Trace.null | Some t -> t.trace
 
 let metrics_of = function None -> None | Some t -> Some t.metrics
-
-let profiler_of = function None -> Profiler.disabled | Some t -> t.profiler

@@ -5,20 +5,14 @@
 
 type t
 
-val create : ?trace:Trace.t -> ?profiler:Profiler.t -> unit -> t
-(** Fresh registry; [trace] defaults to {!Trace.null} and [profiler]
-    to {!Profiler.disabled}. *)
+val create : ?trace:Trace.t -> unit -> t
+(** Fresh registry; [trace] defaults to {!Trace.null}. *)
 
 val metrics : t -> Metrics.t
 val trace : t -> Trace.t
-val profiler : t -> Profiler.t
 
 val trace_of : t option -> Trace.t
 (** [Trace.null] for [None] — lets constructors store an
     always-present sink. *)
 
 val metrics_of : t option -> Metrics.t option
-
-val profiler_of : t option -> Profiler.t
-(** {!Profiler.disabled} for [None] — same always-present pattern as
-    {!trace_of}. *)

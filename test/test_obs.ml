@@ -567,67 +567,50 @@ let test_percentile () =
   Alcotest.(check bool) "empty is nan" true
     (Float.is_nan (Lifecycle.percentile [] 0.5))
 
-(* ---- wall-clock profiler ---- *)
+(* ---- registry determinism ---- *)
 
-module Profiler = Softstate_obs.Profiler
-
-let test_profiler_accounting () =
-  let p = Profiler.create () in
-  Alcotest.(check bool) "enabled" true (Profiler.enabled p);
-  (* interval accounting *)
-  Profiler.add p "step" 1.0;
-  Profiler.add p "step" 0.5;
-  (* frame accounting with nesting *)
-  let r =
-    Profiler.time p "outer" (fun () -> Profiler.time p "inner" (fun () -> 42))
+(* Every value an obs registry holds is a function of the simulation:
+   two obs-attached runs of one seed snapshot equal, for a core
+   protocol run and for a gossip run alike. *)
+let test_registry_deterministic () =
+  let module E = Softstate_core.Experiment in
+  let core obs =
+    let config =
+      { E.default with
+        E.duration = 200.0;
+        loss = E.Bernoulli 0.3;
+        protocol =
+          E.Feedback
+            { mu_hot_kbps = 20.0; mu_cold_kbps = 20.0; mu_fb_kbps = 5.0;
+              nack_bits = 64; fb_lossy = true };
+        obs = Some obs }
+    in
+    ignore (E.run config);
+    config.E.duration
   in
-  Alcotest.(check int) "time returns the result" 42 r;
-  let entries = Profiler.snapshot p in
-  let get name =
-    match
-      List.find_opt (fun e -> e.Profiler.name = name) entries
-    with
-    | Some e -> e
-    | None -> Alcotest.fail (name ^ " missing from snapshot")
+  let gossip obs =
+    let r =
+      E.run_gossip ~obs
+        { E.gossip_default with
+          E.g_topology = E.Random_graph { nodes = 2_000; edge_prob = 0.002 };
+          g_mode = Softstate_core.Gossip.Push_pull;
+          g_loss = 0.1 }
+    in
+    fst r.Softstate_core.Gossip.series.(Array.length r.series - 1)
   in
-  let step = get "step" in
-  Alcotest.(check int) "step calls" 2 step.Profiler.calls;
-  Alcotest.(check (float 1e-9)) "step self" 1.5 step.Profiler.self_s;
-  Alcotest.(check (float 1e-9)) "step cum" 1.5 step.Profiler.cum_s;
-  let outer = get "outer" and inner = get "inner" in
-  Alcotest.(check int) "outer calls" 1 outer.Profiler.calls;
-  Alcotest.(check int) "inner calls" 1 inner.Profiler.calls;
-  (* self excludes the child's time; the identity self + child = cum
-     holds up to rounding *)
-  Alcotest.(check bool) "outer cum covers inner" true
-    (outer.Profiler.cum_s >= inner.Profiler.cum_s);
-  Alcotest.(check (float 1e-6)) "self + child = cum" outer.Profiler.cum_s
-    (outer.Profiler.self_s +. inner.Profiler.cum_s);
-  Profiler.reset p;
-  Alcotest.(check int) "reset clears" 0 (List.length (Profiler.snapshot p))
-
-let test_profiler_disabled_is_free () =
-  let ran = ref false in
-  let r = Profiler.time Profiler.disabled "x" (fun () -> ran := true; 7) in
-  Alcotest.(check int) "disabled still runs f" 7 r;
-  Alcotest.(check bool) "side effect happened" true !ran;
-  Alcotest.(check int) "nothing recorded" 0
-    (List.length (Profiler.snapshot Profiler.disabled));
-  Alcotest.(check bool) "stays disabled" false
-    (Profiler.enabled Profiler.disabled)
-
-let test_profiler_exception_safe () =
-  let p = Profiler.create () in
-  (try
-     Profiler.time p "boom" (fun () -> failwith "boom")
-   with Failure _ -> ());
-  match Profiler.snapshot p with
-  | [ e ] ->
-      Alcotest.(check string) "frame closed on raise" "boom" e.Profiler.name;
-      Alcotest.(check int) "call recorded" 1 e.Profiler.calls
-  | es ->
-      Alcotest.fail
-        (Printf.sprintf "expected one entry, got %d" (List.length es))
+  List.iter
+    (fun (name, run) ->
+      let snapshot () =
+        let obs = Obs.create () in
+        let now = run obs in
+        Metrics.snapshot (Obs.metrics obs) ~now
+      in
+      let a = snapshot () in
+      Alcotest.(check bool) (name ^ ": engine probes present") true
+        (List.mem_assoc "engine.events_fired" a);
+      Alcotest.(check bool) (name ^ ": snapshots equal") true
+        (Stdlib.compare a (snapshot ()) = 0))
+    [ ("core", core); ("gossip", gossip) ]
 
 (* ---- reports ---- *)
 
@@ -817,13 +800,10 @@ let () =
             test_lifecycle_jsonl_roundtrip;
           Alcotest.test_case "percentile" `Quick test_percentile;
         ] );
-      ( "profiler",
+      ( "registry",
         [
-          Alcotest.test_case "accounting" `Quick test_profiler_accounting;
-          Alcotest.test_case "disabled is free" `Quick
-            test_profiler_disabled_is_free;
-          Alcotest.test_case "exception safe" `Quick
-            test_profiler_exception_safe;
+          Alcotest.test_case "deterministic per seed" `Quick
+            test_registry_deterministic;
         ] );
       ( "report",
         [
