@@ -286,6 +286,41 @@ let test_pipe_overflow () =
   Alcotest.(check bool) "overflow" false (Pipe.send pipe (Packet.make ~size_bits:1000 4));
   Alcotest.(check int) "overflow count" 1 (Pipe.overflows pipe)
 
+(* Service order across idle and busy phases: one packet into an idle
+   link, two more while it serves, one after the queue drains. Each
+   100-bit packet takes 0.1 s at 1 kb/s, so deliveries are spaced one
+   service time apart from the moment each enters service. *)
+let test_pipe_idle_busy_order () =
+  let e = Engine.create () in
+  let delivered = ref [] in
+  let pipe =
+    Pipe.create e ~rate_bps:1000.0 ~queue_capacity:2 ~rng:(Rng.create 15)
+      ~deliver:(fun ~now x -> delivered := (x, now) :: !delivered)
+      ()
+  in
+  let send x = Pipe.send pipe (Packet.make ~size_bits:100 x) in
+  Alcotest.(check bool) "send to idle" true (send 1);
+  Alcotest.(check int) "idle send not queued" 0 (Pipe.queue_length pipe);
+  Alcotest.(check int) "fetched into service" 1
+    (Pipe.link_stats pipe).Link.Stats.fetched;
+  Alcotest.(check bool) "send while busy" true (send 2);
+  Alcotest.(check bool) "send while busy" true (send 3);
+  Alcotest.(check int) "two queued" 2 (Pipe.queue_length pipe);
+  Engine.run e;
+  Alcotest.(check int) "drained" 0 (Pipe.queue_length pipe);
+  Alcotest.(check bool) "send after drain" true (send 4);
+  Engine.run e;
+  let order = List.rev !delivered in
+  Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4 ] (List.map fst order);
+  Alcotest.(check (list (float 1e-12))) "service-spaced"
+    [ 0.1; 0.2; 0.3; 0.4 ]
+    (List.map snd order);
+  let st = Pipe.link_stats pipe in
+  Alcotest.(check int) "fetched" 4 st.Link.Stats.fetched;
+  Alcotest.(check int) "delivered" 4 st.Link.Stats.delivered;
+  Alcotest.(check int) "queue empty" 0 (Pipe.queue_length pipe);
+  Alcotest.(check int) "no overflows" 0 (Pipe.overflows pipe)
+
 (* ------------------------------------------------------------------ *)
 (* Channel *)
 
@@ -924,6 +959,7 @@ let () =
         [
           Alcotest.test_case "fifo" `Quick test_pipe_fifo_delivery;
           Alcotest.test_case "overflow" `Quick test_pipe_overflow;
+          Alcotest.test_case "idle/busy order" `Quick test_pipe_idle_busy_order;
         ] );
       ( "channel",
         [

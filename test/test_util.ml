@@ -128,6 +128,28 @@ let test_bernoulli_rate () =
   done;
   check_close 0.01 "rate near p" 0.3 (float_of_int !hits /. float_of_int n)
 
+(* Golden SplitMix64 vector for seed 42: the exact draws every seeded
+   experiment in the repository is built on. Any change to the state
+   representation or the finaliser must leave these untouched. *)
+let test_rng_golden_vector () =
+  let g = Rng.create 42 in
+  let bits n g = List.init n (fun _ -> Rng.bits64 g) in
+  Alcotest.(check (list int64)) "bits64"
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+      885919558081284366L; -353919125003956057L; 4337243929683858115L;
+      5152897204343404489L; 2820384354626331986L ]
+    (bits 8 g);
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.8578493c50ec1p-1; 0x1.f34e1428846dcp-3; 0x1.87656a3f8c3d9p-1;
+      0x1.c5be13f199e4dp-1 ]
+    (List.init 4 (fun _ -> Rng.float g));
+  Alcotest.(check (list int)) "int 1000" [ 723; 237; 138; 261 ]
+    (List.init 4 (fun _ -> Rng.int g 1000));
+  Alcotest.(check (list int64)) "split child"
+    [ -7577576928798004994L; -7129335484078761893L; -1347403777677180204L;
+      -1492596573710921250L ]
+    (bits 4 (Rng.split g))
+
 let test_pcg32_reference () =
   (* Reference values from the pcg32-global demo: seed
      0x853c49e6748fea9bULL, stream 0xda3e39cb94b95bdbULL. *)
@@ -976,6 +998,7 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
           Alcotest.test_case "bernoulli rate" `Slow test_bernoulli_rate;
+          Alcotest.test_case "golden vector" `Quick test_rng_golden_vector;
           Alcotest.test_case "pcg32 deterministic" `Quick test_pcg32_reference;
           Alcotest.test_case "pcg32 streams" `Quick test_pcg32_streams_differ;
           Alcotest.test_case "pcg32 int bound" `Quick test_pcg32_int_bound;
