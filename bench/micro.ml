@@ -9,16 +9,18 @@ module Lottery = Softstate_sched.Lottery
 open Bechamel
 open Toolkit
 
+(* Drains through the slot protocol Engine.step uses, not the boxing
+   [pop]. *)
 let bench_heap =
-  Test.make ~name:"heap insert+pop x1000"
+  Test.make ~name:"heap insert+drop_top x1000"
     (Staged.stage (fun () ->
          let g = Rng.create 1 in
          let h = Heap.create () in
          for _ = 1 to 1000 do
-           ignore (Heap.insert h ~key:(Rng.float g) ())
+           Heap.insert h ~key:(Rng.float g) ()
          done;
-         while Heap.pop h <> None do
-           ()
+         while Heap.top h >= 0 do
+           Heap.drop_top h
          done))
 
 let bench_engine =
@@ -27,7 +29,7 @@ let bench_engine =
          let e = Engine.create () in
          let g = Rng.create 2 in
          for _ = 1 to 1000 do
-           ignore (Engine.schedule e ~after:(Rng.float g) (fun _ -> ()))
+           Engine.schedule e ~after:(Rng.float g) (fun _ -> ())
          done;
          Engine.run e))
 
@@ -39,7 +41,7 @@ let bench_engine_probed =
          Softstate_obs.Engine_probe.attach ~obs e;
          let g = Rng.create 2 in
          for _ = 1 to 1000 do
-           ignore (Engine.schedule e ~after:(Rng.float g) (fun _ -> ()))
+           Engine.schedule e ~after:(Rng.float g) (fun _ -> ())
          done;
          Engine.run e))
 

@@ -935,10 +935,9 @@ let run_sstp scenario s =
         let time =
           s.publish_window *. float_of_int i /. float_of_int publishes
         in
-        ignore
-          (Engine.schedule_at engine ~time (fun _ ->
-               Session.publish session ~path:(sstp_path i)
-                 ~payload:(Printf.sprintf "v%d" i)))
+        Engine.schedule_at engine ~time (fun _ ->
+            Session.publish session ~path:(sstp_path i)
+              ~payload:(Printf.sprintf "v%d" i))
       done;
       (* withdrawals of already-published paths, spread over the tail
          of the run, strictly after the publish window *)
@@ -950,9 +949,8 @@ let run_sstp scenario s =
              *. float_of_int (j + 1)
              /. float_of_int (removes + 1)
         in
-        ignore
-          (Engine.schedule_at engine ~time (fun _ ->
-               Session.remove session ~path:(sstp_path j)))
+        Engine.schedule_at engine ~time (fun _ ->
+            Session.remove session ~path:(sstp_path j))
       done);
   Engine.run ~until:s.s_duration engine;
   let measured =

@@ -266,13 +266,12 @@ let remove_record t ~now r =
 
 let schedule_expiry t r =
   let schedule_kill after =
-    ignore
-      (Engine.schedule t.engine ~after (fun engine ->
-           (* The key may have died early (e.g. explicit kill in
-              tests); remove_record is only called on live records. *)
-           match Table.find t.table r.Record.key with
-           | Some live -> remove_record t ~now:(Engine.now engine) live
-           | None -> ()))
+    Engine.schedule t.engine ~after (fun engine ->
+        (* The key may have died early (e.g. explicit kill in
+           tests); remove_record is only called on live records. *)
+        match Table.find t.table r.Record.key with
+        | Some live -> remove_record t ~now:(Engine.now engine) live
+        | None -> ())
   in
   match t.death with
   | Per_service _ -> ()
@@ -370,9 +369,8 @@ let wheel_multiple t =
 (* The timer closure captures only [t], [receiver] and [key]: one is
    live per armed copy, so its size is per-key memory. *)
 let rec arm_expiry t ~deadline receiver key =
-  ignore
-    (Engine.schedule_at t.engine ~time:deadline (fun engine ->
-         fire_expiry t ~now:(Engine.now engine) receiver key))
+  Engine.schedule_at t.engine ~time:deadline (fun engine ->
+      fire_expiry t ~now:(Engine.now engine) receiver key)
 
 and fire_expiry t ~now receiver key =
   match Table.slot_of_key t.table key with
@@ -408,19 +406,17 @@ let start t =
   if not t.hooks_set then failwith "Base.start: hooks not set";
   let rec tick engine =
     arrival t;
-    ignore
-      (Engine.schedule engine
-         ~after:
-           (Workload.next_interarrival_at t.workload ~now:(Engine.now engine)
-              t.arrival_rng)
-         tick)
+    Engine.schedule engine
+      ~after:
+        (Workload.next_interarrival_at t.workload ~now:(Engine.now engine)
+           t.arrival_rng)
+      tick
   in
-  ignore
-    (Engine.schedule t.engine
-       ~after:
-         (Workload.next_interarrival_at t.workload ~now:(Engine.now t.engine)
-            t.arrival_rng)
-       tick);
+  Engine.schedule t.engine
+    ~after:
+      (Workload.next_interarrival_at t.workload ~now:(Engine.now t.engine)
+         t.arrival_rng)
+    tick;
   match t.expiry with
   | No_expiry -> ()
   | Refresh_wheel _ ->

@@ -428,7 +428,6 @@ let run_many ?(jobs = 1) ?domain_report ~replications config =
     invalid_arg "Experiment.run_many: replications must be positive";
   let seeds = replication_seeds config replications in
   let results =
-    (* lint: allow R001 Heap.nil is a sentinel handle that no code path mutates after module init; each task builds its own engine, so the cell is read-only from helper domains *)
     Parallel.map ~jobs ?report:domain_report replications (fun i ->
         (* each replication is self-contained: own seed, no obs
            context, no shared series buffers *)
@@ -447,7 +446,6 @@ let run_grid ?(jobs = 1) ?domain_report configs =
        configs that will run on helper domains *)
     if effective > 1 then { c with obs = None } else c
   in
-  (* lint: allow R001 same read-only sharing as run_many: Heap.nil is a never-mutated sentinel *)
   Parallel.map_list ~jobs ?report:domain_report configs (fun c ->
       run (prepare c))
 

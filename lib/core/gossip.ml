@@ -286,10 +286,9 @@ let run ?obs ?engine config peers =
   in
   let rec schedule_round () =
     if !rounds < config.max_rounds && !count < target then
-      ignore
-        (Engine.schedule engine ~after:config.round_period (fun _ ->
-             round ();
-             schedule_round ()))
+      Engine.schedule engine ~after:config.round_period (fun _ ->
+          round ();
+          schedule_round ())
   in
   schedule_round ();
   if own_engine then Engine.run engine

@@ -91,12 +91,11 @@ let want_repair t receiver ~parent seq =
   else begin
     (* slotting: delay uniformly, re-check damping at fire time *)
     let delay = Dist.uniform t.slot_rng ~lo:0.0 ~hi:t.nack_slot in
-    ignore
-      (Engine.schedule (Base.engine t.base) ~after:delay (fun engine ->
-           let now = Engine.now engine in
-           if heard_recently t ~now seq then
-             t.nacks_suppressed <- t.nacks_suppressed + 1
-           else send_nack t ~now ~parent receiver.index seq))
+    Engine.schedule (Base.engine t.base) ~after:delay (fun engine ->
+        let now = Engine.now engine in
+        if heard_recently t ~now seq then
+          t.nacks_suppressed <- t.nacks_suppressed + 1
+        else send_nack t ~now ~parent receiver.index seq)
   end
 
 let receiver_deliver t state ~now (ann : Base.announcement) =

@@ -60,7 +60,9 @@ let hot_paths =
     ("Heap", "sift_down");
     ("Heap", "top");
     ("Heap", "drop_top");
-    ("Heap", "min_key_or");
+    ("Rng", "bits64");
+    ("Rng", "float");
+    ("Link", "complete");
     ("Flat_topology", "degree");
     ("Flat_topology", "neighbor");
     ("Flat_topology", "neighbor_cable");

@@ -84,9 +84,8 @@ let fan_out t ~pkt payload =
                Trace.Packet_delivered);
         if Float.equal t.delay 0.0 then r.callback ~now payload
         else
-          ignore
-            (Engine.schedule t.engine ~after:t.delay (fun engine ->
-                 r.callback ~now:(Engine.now engine) payload))
+          Engine.schedule t.engine ~after:t.delay (fun engine ->
+              r.callback ~now:(Engine.now engine) payload)
       end)
     t.receivers
 
@@ -96,20 +95,19 @@ let rec serve_next t =
   | Some packet ->
       t.busy <- true;
       let service = float_of_int packet.Packet.size_bits /. t.rate_bps in
-      ignore
-        (Engine.schedule t.engine ~after:service (fun engine ->
-             t.served <- t.served + 1;
-             t.busy_time <- t.busy_time +. service;
-             (match t.on_served with
-             | Some f -> f ~now:(Engine.now engine) packet
-             | None -> ());
-             if t.traced then
-               Trace.emit t.trace
-                 (Trace.event ~time:(Engine.now engine) ~src:t.src
-                    ~value:(float_of_int packet.Packet.size_bits)
-                    ~packet:packet.Packet.id Trace.Packet_sent);
-             fan_out t ~pkt:packet.Packet.id packet.Packet.payload;
-             serve_next t))
+      Engine.schedule t.engine ~after:service (fun engine ->
+          t.served <- t.served + 1;
+          t.busy_time <- t.busy_time +. service;
+          (match t.on_served with
+          | Some f -> f ~now:(Engine.now engine) packet
+          | None -> ());
+          if t.traced then
+            Trace.emit t.trace
+              (Trace.event ~time:(Engine.now engine) ~src:t.src
+                 ~value:(float_of_int packet.Packet.size_bits)
+                 ~packet:packet.Packet.id Trace.Packet_sent);
+          fan_out t ~pkt:packet.Packet.id packet.Packet.payload;
+          serve_next t)
 
 let kick t = if not t.busy then serve_next t
 let subscriber_count t = List.length t.receivers

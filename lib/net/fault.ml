@@ -27,8 +27,7 @@ let install topo events =
   let events = List.stable_sort (fun a b -> compare a.at b.at) events in
   List.iter
     (fun ev ->
-      ignore
-        (Engine.schedule_at engine ~time:ev.at (fun _ -> apply topo ev.action)))
+      Engine.schedule_at engine ~time:ev.at (fun _ -> apply topo ev.action))
     events
 
 (* ------------------------------------------------------------------ *)

@@ -52,6 +52,13 @@ val kick : 'a t -> unit
 (** Wake the link if idle; no-op while busy. Call whenever [fetch]
     may newly return a packet. *)
 
+val offer : 'a t -> 'a Packet.t -> bool
+(** [offer t p] starts serving [p] at once if the link is idle, without
+    going through [fetch]; [false] (and no change) while it is busy.
+    For push-based senders whose queue is empty whenever the link
+    idles: handing the packet over directly then serves it exactly as
+    queueing it and calling {!kick} would. *)
+
 val is_busy : 'a t -> bool
 
 val rate_bps : 'a t -> float

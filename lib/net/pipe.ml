@@ -37,11 +37,11 @@ let create engine ~rate_bps ?delay ?loss ?(queue_capacity = 1024) ?obs
   | None -> ());
   t
 
+(* The link idles only after [fetch] found the queue empty, and every
+   push to an idle link's queue would be popped straight back into
+   service, so a packet for an idle link skips the queue. *)
 let send t packet =
-  if Ring.push t.queue packet then begin
-    Link.kick t.link;
-    true
-  end
+  if Link.offer t.link packet || Ring.push t.queue packet then true
   else begin
     t.overflows <- t.overflows + 1;
     if t.traced then

@@ -298,6 +298,12 @@ let endpoint_delivered t ~now ~label ~detail ~hop id =
       (Trace.event ~time:now ~src:(label ^ ".end") ~detail ~packet:id ~hop
          Trace.Packet_delivered)
 
+(* [p] as the payload of a packet with [p]'s own id and size, which is
+   how a packet enters the next server on its path. A record copy, not
+   [Packet.make]: [p]'s size was checked when [p] was made, and the
+   optional [?id] would cost an option block per hop. *)
+let nest (p : 'a Packet.t) = { p with Packet.payload = p }
+
 (* One forwarding stage per directed edge [eid]: a Pipe at the
    topology's rate / delay / loss. The send-side gate admits a packet
    only while the cable and the sending node are up, and delivery
@@ -329,10 +335,7 @@ let edge_stage t ~qcap ~overlay_rng ~hop eid next =
     t.injected <- t.injected + 1;
     if Flat_topology.is_cable_up t.g cable && Flat_topology.is_node_up t.g src
     then
-      ignore
-        (Pipe.send pipe
-           (Packet.make ~id:inner.Packet.id ~size_bits:inner.Packet.size_bits
-              inner))
+      ignore (Pipe.send pipe (nest inner))
     else
       drop_faulted t ~phase:`Inject ~src_label:elabel ~packet:inner.Packet.id
         ~hop ()
@@ -360,7 +363,7 @@ let unicast_over t ~path_edges ~qcap ~rate_bps ?delay ?loss ?on_served ~label
   let wrap_fetch () =
     match fetch () with
     | None -> None
-    | Some p -> Some (Packet.make ~id:p.Packet.id ~size_bits:p.Packet.size_bits p)
+    | Some p -> Some (nest p)
   in
   let on_served =
     match on_served with
@@ -401,9 +404,7 @@ let outbox_over t ~path_edges ~qcap ~rate_bps ?delay ?loss
   in
   { Transport.o_label = label;
     o_send =
-      (fun p ->
-        Pipe.send head
-          (Packet.make ~id:p.Packet.id ~size_bits:p.Packet.size_bits p));
+      (fun p -> Pipe.send head (nest p));
     o_queue_length = (fun () -> Pipe.queue_length head);
     o_overflows = (fun () -> Pipe.overflows head);
     o_stats = (fun () -> Pipe.link_stats head);
@@ -414,18 +415,27 @@ type 'a subscriber = {
   s_loss : Loss.t;
   s_deliver : 'a Transport.deliver;
   mutable s_lost : int;
+  mutable s_live : bool; (* cleared by unsubscribe *)
 }
 
 module Sub_map = Map.Make (Int)
 
-(* Keep a sid list sorted ascending under insertion. Sids are handed
-   out monotonically so this is an append in practice, but the sort
-   invariant — not the allocation sequence — is what delivery order
-   is allowed to depend on. *)
-let rec insert_sid sid = function
-  | [] -> [ sid ]
-  | x :: _ as l when sid < x -> sid :: l
-  | x :: rest -> x :: insert_sid sid rest
+(* Keep a subscriber list sorted by ascending sid under insertion.
+   Sids are handed out monotonically so this is an append in practice,
+   but the sort invariant — not the allocation sequence — is what
+   delivery order is allowed to depend on. *)
+let rec insert_sub s = function
+  | [] -> [ s ]
+  | x :: _ as l when s.sid < x.sid -> s :: l
+  | x :: rest -> x :: insert_sub s rest
+
+(* The fan-out's root server: busy flag, packets served, and time
+   spent serving. *)
+type server = {
+  mutable busy : bool;
+  mutable served : int;
+  mutable busy_time : float;
+}
 
 let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
     ~label ~rng ~fetch () =
@@ -448,23 +458,32 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
      loss draws — and hence every golden pin — a function of the
      subscription history alone. Snapshot semantics as in {!Channel}:
      the subscriber list for this packet is read once, so callbacks
-     may (un)subscribe freely. *)
-  let forward node ~now (inner : 'a Packet.t) =
-    let local = at_node.(node) in
-    List.iter
-      (fun sid ->
-        match Sub_map.find_opt sid !subs with
-        | None -> ()
-        | Some s ->
-            if Loss.drop s.s_loss overlay_rng then s.s_lost <- s.s_lost + 1
-            else begin
-              endpoint_delivered t ~now ~label
-                ~detail:(string_of_int s.sid) ~hop:depth.(node)
-                inner.Packet.id;
-              s.s_deliver ~now inner.Packet.payload
-            end)
-      local;
-    List.iter (fun stage -> stage ~now inner) stages.(node)
+     may (un)subscribe freely; one unsubscribed mid-walk is skipped.
+     Both walks are named recursions over the lists, so a hop
+     allocates no closure. *)
+  let rec deliver_local node ~now (inner : 'a Packet.t) = function
+    | [] -> ()
+    | s :: rest ->
+        if s.s_live then begin
+          if Loss.drop s.s_loss overlay_rng then s.s_lost <- s.s_lost + 1
+          else begin
+            if t.traced then
+              endpoint_delivered t ~now ~label ~detail:(string_of_int s.sid)
+                ~hop:depth.(node) inner.Packet.id;
+            s.s_deliver ~now inner.Packet.payload
+          end
+        end;
+        deliver_local node ~now inner rest
+  in
+  let rec flood ~now inner = function
+    | [] -> ()
+    | stage :: rest ->
+        stage ~now inner;
+        flood ~now inner rest
+  in
+  let forward node ~now inner =
+    deliver_local node ~now inner at_node.(node);
+    flood ~now inner stages.(node)
   in
   (* Instantiate the tree's edge stages (ascending node, then eid). *)
   Array.iteri
@@ -477,71 +496,60 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
               (fun ~now inner -> forward dst ~now inner))
           eids)
     children;
-  let st = ref (false, 0, 0.0) in
-  (* (busy, served, busy_time) *)
+  let srv = { busy = false; served = 0; busy_time = 0.0 } in
   let created_at = Engine.now t.engine in
+  let emit ~now packet =
+    if Flat_topology.is_node_up t.g root then forward root ~now packet
+    else
+      drop_faulted t ~phase:`Deliver ~src_label:label ~packet:packet.Packet.id
+        ~hop:0 ()
+  in
   let rec serve_next () =
     match fetch () with
-    | None ->
-        let _, served, busy = !st in
-        st := (false, served, busy)
+    | None -> srv.busy <- false
     | Some packet ->
-        let _, served, busy = !st in
-        st := (true, served, busy);
+        srv.busy <- true;
         let service = float_of_int packet.Packet.size_bits /. rate_bps in
-        ignore
-          (Engine.schedule t.engine ~after:service (fun engine ->
-               let _, served, busy = !st in
-               st := (true, served + 1, busy +. service);
-               (match on_served with
-               | Some f -> f ~now:(Engine.now engine) packet
-               | None -> ());
-               let emitdone ~now =
-                 if Flat_topology.is_node_up t.g root then forward root ~now packet
-                 else
-                   drop_faulted t ~phase:`Deliver ~src_label:label
-                     ~packet:packet.Packet.id ~hop:0 ()
-               in
-               if Float.equal delay 0.0 then emitdone ~now:(Engine.now engine)
-               else
-                 ignore
-                   (Engine.schedule engine ~after:delay (fun engine ->
-                        emitdone ~now:(Engine.now engine)));
-               serve_next ()))
+        Engine.schedule t.engine ~after:service (fun engine ->
+            srv.served <- srv.served + 1;
+            srv.busy_time <- srv.busy_time +. service;
+            (match on_served with
+            | Some f -> f ~now:(Engine.now engine) packet
+            | None -> ());
+            if Float.equal delay 0.0 then emit ~now:(Engine.now engine) packet
+            else
+              Engine.schedule engine ~after:delay (fun engine ->
+                  emit ~now:(Engine.now engine) packet);
+            serve_next ())
   in
   ignore rng;
   { Transport.f_label = label;
-    f_kick =
-      (fun () ->
-        let busy, _, _ = !st in
-        if not busy then serve_next ());
+    f_kick = (fun () -> if not srv.busy then serve_next ());
     f_subscribe =
       (fun ~loss deliver ->
         let sid = !next_sid in
         incr next_sid;
         let node = attach sid in
         check_node t node "transport.attach";
-        subs :=
-          Sub_map.add sid
-            { sid; s_loss = loss; s_deliver = deliver; s_lost = 0 }
-            !subs;
-        at_node.(node) <- insert_sid sid at_node.(node);
+        let s =
+          { sid; s_loss = loss; s_deliver = deliver; s_lost = 0; s_live = true }
+        in
+        subs := Sub_map.add sid s !subs;
+        at_node.(node) <- insert_sub s at_node.(node);
         sid);
     f_unsubscribe =
       (fun sid ->
-        if Sub_map.mem sid !subs then begin
-          subs := Sub_map.remove sid !subs;
-          Array.iteri
-            (fun i l ->
-              if List.mem sid l then
-                at_node.(i) <- List.filter (fun s -> s <> sid) l)
-            at_node
-        end);
+        match Sub_map.find_opt sid !subs with
+        | None -> ()
+        | Some s ->
+            s.s_live <- false;
+            subs := Sub_map.remove sid !subs;
+            Array.iteri
+              (fun i l ->
+                if List.memq s l then at_node.(i) <- List.filter (( != ) s) l)
+              at_node);
     f_subscriber_count = (fun () -> Sub_map.cardinal !subs);
-    f_served =
-      (fun () ->
-        let _, served, _ = !st in
-        served);
+    f_served = (fun () -> srv.served);
     f_receiver_losses =
       (fun sid ->
         match Sub_map.find_opt sid !subs with
@@ -549,9 +557,8 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
         | None -> raise Not_found);
     f_utilisation =
       (fun ~now ->
-        let _, _, busy = !st in
         let span = now -. created_at in
-        if span <= 0.0 then 0.0 else busy /. span) }
+        if span <= 0.0 then 0.0 else srv.busy_time /. span) }
 
 let transport ?(src = 0) ?dst ?attach ?(queue_capacity = 256) t =
   check_node t src "transport";

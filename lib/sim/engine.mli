@@ -5,22 +5,21 @@
     advances only when events fire; there is no wall-clock coupling,
     so simulated years run in milliseconds.
 
-    The engine is deliberately minimal: schedule, cancel, run until a
-    horizon or until the calendar drains. Model processes (arrivals,
-    services, timers) are ordinary closures that reschedule
-    themselves.
+    The engine is deliberately minimal: schedule, run until a horizon
+    or until the calendar drains. Model processes (arrivals, services,
+    timers) are ordinary closures that reschedule themselves.
 
     One calendar backs the engine: a binary heap keyed by time. One-shot
     events ({!schedule}), each occurrence of a recurring timer
     ({!every}) and every per-key soft-state timer are entries in it.
-    Determinism contract: events fire in (time, scheduling order) —
-    at equal timestamps, whichever event was scheduled first fires
-    first. *)
+    A scheduled event cannot be cancelled: it always fires, and a
+    callback whose work has become moot checks its own state and
+    returns (the soft-state expiry timers push their deadlines back
+    this way). Determinism contract: events fire in (time, scheduling
+    order) — at equal timestamps, whichever event was scheduled first
+    fires first. *)
 
 type t
-
-type event
-(** Cancellable reference to a scheduled callback. *)
 
 val create : ?start:float -> unit -> t
 (** [create ~start ()] makes an engine whose clock starts at [start]
@@ -29,19 +28,15 @@ val create : ?start:float -> unit -> t
 val now : t -> float
 (** Current simulation time. *)
 
-val schedule : t -> after:float -> (t -> unit) -> event
+val schedule : t -> after:float -> (t -> unit) -> unit
 (** [schedule t ~after f] arranges for [f t] to run at
     [now t +. after]. [after] must be non-negative (NaN is rejected):
     the past is not schedulable. Events at equal times fire in
     scheduling order. *)
 
-val schedule_at : t -> time:float -> (t -> unit) -> event
+val schedule_at : t -> time:float -> (t -> unit) -> unit
 (** Absolute-time variant; [time] must not precede [now t] and must
     not be NaN. *)
-
-val cancel : t -> event -> bool
-(** [cancel t e] prevents [e] from firing; [false] if it already fired
-    or was cancelled. *)
 
 val pending : t -> int
 (** Number of events still scheduled. *)
@@ -74,5 +69,7 @@ val every : t -> period:float -> ?jitter:(unit -> float) -> (t -> unit)
     now + period, then repeatedly each [period] (plus [jitter ()] if
     given). [period] must be positive and finite, and so must each
     jittered delay. Each occurrence is one calendar event, scheduled
-    when the previous one fires. The returned canceller stops the
-    recurrence and reports whether a firing was still pending. *)
+    when the previous one fires. The returned stopper ends the
+    recurrence: the occurrence already in the calendar still fires but
+    runs nothing and arms nothing. It returns [true] if the timer was
+    running, [false] if it had already been stopped. *)

@@ -98,12 +98,11 @@ let offer_feedback t msg =
           t.feedback_suppressed <- t.feedback_suppressed + 1
         else
           let delay = Dist.uniform t.slot_rng ~lo:0.0 ~hi:t.config.nack_slot in
-          ignore
-            (Engine.schedule t.engine ~after:delay (fun engine ->
-                 let now = Engine.now engine in
-                 if heard_recently t ~now tag then
-                   t.feedback_suppressed <- t.feedback_suppressed + 1
-                 else push_feedback t msg))
+          Engine.schedule t.engine ~after:delay (fun engine ->
+              let now = Engine.now engine in
+              if heard_recently t ~now tag then
+                t.feedback_suppressed <- t.feedback_suppressed + 1
+              else push_feedback t msg)
       end
 
 let create ?obs ?transport ~engine ~rng ~config ~members () =

@@ -82,17 +82,16 @@ let on_remove t f = t.remove_callbacks <- f :: t.remove_callbacks
    outstanding request are suppressed, so the repair traffic for one
    divergence is one in-flight request per namespace node. *)
 let rec arm_retry t tag send =
-  ignore
-    (Engine.schedule t.engine ~after:t.config.repair_timeout (fun _ ->
-         match Hashtbl.find_opt t.outstanding tag with
-         | None -> () (* resolved *)
-         | Some retries_left ->
-             if retries_left <= 0 then Hashtbl.remove t.outstanding tag
-             else begin
-               Hashtbl.replace t.outstanding tag (retries_left - 1);
-               send ();
-               arm_retry t tag send
-             end))
+  Engine.schedule t.engine ~after:t.config.repair_timeout (fun _ ->
+      match Hashtbl.find_opt t.outstanding tag with
+      | None -> () (* resolved *)
+      | Some retries_left ->
+          if retries_left <= 0 then Hashtbl.remove t.outstanding tag
+          else begin
+            Hashtbl.replace t.outstanding tag (retries_left - 1);
+            send ();
+            arm_retry t tag send
+          end)
 
 let request_once t ~now:_ tag send =
   if not (Hashtbl.mem t.outstanding tag) then begin

@@ -35,9 +35,8 @@ let replay engine t ~put ~remove =
   check t;
   List.iter
     (fun e ->
-      ignore
-        (Engine.schedule_at engine ~time:e.time (fun _ ->
-             match e.op with
-             | Put { path; payload } -> put ~path ~payload
-             | Remove { path } -> remove ~path)))
+      Engine.schedule_at engine ~time:e.time (fun _ ->
+          match e.op with
+          | Put { path; payload } -> put ~path ~payload
+          | Remove { path } -> remove ~path))
     t

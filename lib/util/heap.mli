@@ -1,53 +1,44 @@
-(** Array-backed binary min-heap with O(1) lazy removal of arbitrary
-    elements via handles.
+(** Array-backed binary min-heap: the simulation event calendar.
 
-    The simulation event calendar needs three operations fast: insert,
-    extract-min, and cancel (remove an event that has not yet fired).
-    A handle is returned at insertion and stays valid until the
-    element leaves the heap.
+    The calendar needs two operations fast: insert and extract-min.
+    Nothing is ever removed except at the root — there are no handles
+    and no cancellation. A caller that wants an entry to have no
+    effect lets it fire and makes the callback check its own state.
 
     Internally the heap stores elements in unboxed parallel arrays
-    (flat float keys, int sequence numbers, values, handles) rather
-    than boxed per-slot records, and cancellation is {e lazy}:
-    [remove] tombstones the slot in O(1); dead slots are skipped at
-    extraction and swept out in O(n) once tombstones outnumber live
-    elements. Soft-state timer workloads cancel most timers before
-    they fire, which makes cancel the operation to optimise for. *)
+    (flat float keys, int sequence numbers, slot ids) with payloads in
+    stable per-slot storage, and sifts by moving a hole, so neither
+    insert nor extraction allocates once the arrays have grown. *)
 
 type 'a t
 (** Heap of elements prioritised by a float key (smallest first); ties
     broken by insertion order, so equal-key elements dequeue FIFO. *)
 
-type handle
-(** Stable reference to an inserted element. *)
-
 val create : ?initial_capacity:int -> unit -> 'a t
 
 val length : 'a t -> int
-(** Number of live (non-tombstoned) elements. *)
+(** Number of elements. *)
 
 val is_empty : 'a t -> bool
 
-val insert : 'a t -> key:float -> 'a -> handle
+val insert : 'a t -> key:float -> 'a -> unit
 (** [insert t ~key v] adds [v] with priority [key]. *)
 
 val min_key : 'a t -> float option
-(** Smallest live key, or [None] when empty. *)
+(** Smallest key, or [None] when empty. *)
 
-(** {2 Zero-allocation extraction}
+(** {2 Allocation-free extraction}
 
-    [min_key]/[peek]/[pop] box their results — two heap blocks per
-    engine step when called per event. The per-event protocol below
-    allocates nothing: call [top]; if it returns a slot id [>= 0],
-    read [top_key]/[slot_value], then [drop_top] to extract. A freed
-    slot keeps its payload until an [insert] reuses it, so reading
-    [slot_value slot] immediately after [drop_top] is sound. *)
-
-val min_key_or : 'a t -> default:float -> float
-(** Smallest live key, or [default] when empty; never allocates. *)
+    [min_key]/[peek]/[pop] wrap their results in options and tuples.
+    The per-event protocol below allocates at most the float box of
+    the key [top_key] returns: call [top]; if it returns a slot id
+    [>= 0], read [top_key]/[slot_value], then [drop_top] to extract.
+    A freed slot keeps its payload until an [insert] reuses it, so
+    reading [slot_value slot] immediately after [drop_top] is
+    sound. *)
 
 val top : 'a t -> int
-(** Slot id of the minimum live element, or [-1] when empty. *)
+(** Slot id of the minimum element, or [-1] when empty. *)
 
 val top_key : 'a t -> float
 (** Key at the root. Only meaningful right after [top] returned
@@ -58,33 +49,18 @@ val slot_value : 'a t -> int -> 'a
     [insert]. *)
 
 val drop_top : 'a t -> unit
-(** Extract the root and invalidate its handle. Only legal right
-    after [top] returned [>= 0]. *)
+(** Extract the root. Only legal right after [top] returned [>= 0]. *)
 
 val peek : 'a t -> (float * 'a) option
-(** Minimum live (key, value) without removing it. *)
+(** Minimum (key, value) without removing it. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum (key, value). *)
 
-val remove : 'a t -> handle -> bool
-(** [remove t h] deletes the element referenced by [h]; [false] if it
-    already left the heap (popped or removed). O(1) amortised: the
-    slot is tombstoned and physically reclaimed later. *)
-
-val mem : 'a t -> handle -> bool
-(** Whether the handle still refers to a live element. *)
-
 val clear : 'a t -> unit
-(** Empty the heap: invalidates all outstanding handles, resets the
-    FIFO sequence counter, drops payload references and shrinks the
-    backing arrays back below a fixed threshold. *)
-
-val iter : 'a t -> (float -> 'a -> unit) -> unit
-(** Iterate over the live elements in unspecified order. *)
+(** Empty the heap: resets the FIFO sequence counter, drops payload
+    references and shrinks the backing arrays back below a fixed
+    threshold. *)
 
 val capacity : 'a t -> int
 (** Current backing-array length (exposed for tests and benchmarks). *)
-
-val tombstones : 'a t -> int
-(** Cancelled-but-unreclaimed slot count (exposed for tests). *)

@@ -682,13 +682,12 @@ let expiry_micro expiry script =
     r
   in
   let deliver_at time key =
-    ignore
-      (Engine.schedule engine ~after:(time -. Engine.now engine) (fun engine ->
-           match Table.find (Base.table base) key with
-           | Some r ->
-               Base.deliver base ~now:(Engine.now engine) ~receiver:0
-                 (Base.announce_of base ~seq:0 r)
-           | None -> ()))
+    Engine.schedule engine ~after:(time -. Engine.now engine) (fun engine ->
+        match Table.find (Base.table base) key with
+        | Some r ->
+            Base.deliver base ~now:(Engine.now engine) ~receiver:0
+              (Base.announce_of base ~seq:0 r)
+        | None -> ())
   in
   script ~insert ~deliver_at ~engine ~base;
   base
@@ -738,9 +737,8 @@ let test_expiry_wheel_stale_purge () =
     let key = r.Record.key in
     deliver_at 0.0 key;
     deliver_at 10.0 key;
-    ignore
-      (Engine.schedule engine ~after:15.0 (fun engine ->
-           Base.kill base ~now:(Engine.now engine) key));
+    Engine.schedule engine ~after:15.0 (fun engine ->
+        Base.kill base ~now:(Engine.now engine) key);
     Engine.run ~until:60.0 engine
   in
   let wheel = expiry_micro (Base.Refresh_wheel { multiple = 2.0 }) script in

@@ -245,7 +245,7 @@ let test_link_set_rate () =
   Link.kick link;
   (* double the rate while the first packet is in service: it keeps
      its old service time, the second uses the new rate *)
-  ignore (Engine.schedule e ~after:0.1 (fun _ -> Link.set_rate link 2000.0));
+  Engine.schedule e ~after:0.1 (fun _ -> Link.set_rate link 2000.0);
   Engine.run e;
   match List.rev !delivered with
   | [ (t1, _); (t2, _) ] ->
@@ -388,9 +388,8 @@ let test_channel_late_join () =
   chan_ref := Some chan;
   let got = ref 0 in
   (* join after 10 packets (1 s) *)
-  ignore
-    (Engine.schedule e ~after:1.05 (fun _ ->
-         ignore (Channel.subscribe chan (fun ~now:_ _ -> incr got))));
+  Engine.schedule e ~after:1.05 (fun _ ->
+      ignore (Channel.subscribe chan (fun ~now:_ _ -> incr got)));
   Channel.kick chan;
   Engine.run e;
   Alcotest.(check bool) "late joiner gets the tail" true (!got > 0 && !got < 20)
@@ -628,6 +627,44 @@ let test_transport_fanout_over_tree () =
         (Printf.sprintf "receiver %d heard every packet" i)
         10 c)
     counts
+
+(* Snapshot semantics of a fan-out hop: a subscriber removed by an
+   earlier callback at the same node misses the packet being walked,
+   and one added by a callback hears only later packets. *)
+let test_transport_fanout_unsubscribe_in_callback () =
+  let e = Engine.create () in
+  let t =
+    Topology.kary_tree ~engine:e ~rng:(Rng.create 72) ~rate_bps:50_000.0
+      ~arity:2 ~depth:1 ()
+  in
+  let tr = Topology.transport t in
+  let source = ref (List.init 3 (fun i -> Packet.make ~size_bits:100 i)) in
+  let f =
+    tr.Transport.fanout ~rate_bps:50_000.0 ~label:"f" ~rng:(Rng.create 73)
+      ~fetch:(drain_fetch source) ()
+  in
+  (* sids alternate between the two leaves: 0 and 2 share a node *)
+  let counts = Array.make 5 0 in
+  let hear i ~now:_ _ = counts.(i) <- counts.(i) + 1 in
+  let first = ref true in
+  let sid0 =
+    f.Transport.f_subscribe ~loss:Loss.never (fun ~now p ->
+        hear 0 ~now p;
+        if !first then begin
+          first := false;
+          f.Transport.f_unsubscribe 2;
+          ignore (f.Transport.f_subscribe ~loss:Loss.never (hear 4))
+        end)
+  in
+  for i = 1 to 3 do
+    Alcotest.(check int) "sids in order" i
+      (f.Transport.f_subscribe ~loss:Loss.never (hear i))
+  done;
+  Alcotest.(check int) "first sid" 0 sid0;
+  f.Transport.f_kick ();
+  Engine.run e;
+  Alcotest.(check (array int)) "deliveries per sid" [| 3; 3; 0; 3; 2 |] counts;
+  Alcotest.(check int) "subscribers left" 4 (f.Transport.f_subscriber_count ())
 
 let make_faulty_chain () =
   let e = Engine.create () in
@@ -981,6 +1018,8 @@ let () =
             test_transport_unicast_over_chain;
           Alcotest.test_case "outbox reverse path" `Quick
             test_transport_outbox_reverse_path;
+          Alcotest.test_case "fanout unsubscribe in callback" `Quick
+            test_transport_fanout_unsubscribe_in_callback;
           Alcotest.test_case "fanout over tree" `Quick
             test_transport_fanout_over_tree;
         ] );

@@ -667,9 +667,8 @@ let run_lossy_session () =
   for i = 0 to 199 do
     next := !next +. (0.05 +. (0.4 *. Softstate_util.Rng.float rng));
     let path = Printf.sprintf "app/item%d" (i mod 50) in
-    ignore
-      (Engine.schedule_at engine ~time:!next (fun _ ->
-           Sstp.Session.publish session ~path ~payload:(string_of_int i)))
+    Engine.schedule_at engine ~time:!next (fun _ ->
+        Sstp.Session.publish session ~path ~payload:(string_of_int i))
   done;
   Engine.run ~until:90.0 engine;
   (engine, obs, trace, session)
@@ -739,11 +738,10 @@ let test_disabled_trace_changes_nothing () =
     in
     for i = 0 to 49 do
       let t = 0.1 +. (0.5 *. float_of_int i) in
-      ignore
-        (Engine.schedule_at engine ~time:t (fun _ ->
-             Sstp.Session.publish session
-               ~path:(Printf.sprintf "k/%d" (i mod 10))
-               ~payload:(string_of_int i)))
+      Engine.schedule_at engine ~time:t (fun _ ->
+          Sstp.Session.publish session
+            ~path:(Printf.sprintf "k/%d" (i mod 10))
+            ~payload:(string_of_int i))
     done;
     Engine.run ~until:60.0 engine;
     ( Sstp.Session.data_packets session,

@@ -141,16 +141,15 @@ let test_mm1_vs_simulation () =
     | None -> busy := false
   and serve arrival_time engine =
     busy := true;
-    ignore
-      (Engine.schedule engine ~after:(Dist.exponential g ~rate:mu)
-         (depart arrival_time))
+    Engine.schedule engine ~after:(Dist.exponential g ~rate:mu)
+      (depart arrival_time)
   in
   let rec arrive engine =
     let now = Engine.now engine in
     if !busy then Queue.add now queue else serve now engine;
-    ignore (Engine.schedule engine ~after:(Dist.exponential g ~rate:lambda) arrive)
+    Engine.schedule engine ~after:(Dist.exponential g ~rate:lambda) arrive
   in
-  ignore (Engine.schedule engine ~after:(Dist.exponential g ~rate:lambda) arrive);
+  Engine.schedule engine ~after:(Dist.exponential g ~rate:lambda) arrive;
   Engine.run ~until:20_000.0 engine;
   let analytic = Mm1.mean_sojourn_time (Mm1.create ~lambda ~mu) in
   check_close 0.02 "simulated sojourn matches M/M/1"

@@ -13,9 +13,9 @@ let test_custom_start () =
 let test_events_fire_in_order () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e ~after:3.0 (fun _ -> log := 3 :: !log));
-  ignore (Engine.schedule e ~after:1.0 (fun _ -> log := 1 :: !log));
-  ignore (Engine.schedule e ~after:2.0 (fun _ -> log := 2 :: !log));
+  Engine.schedule e ~after:3.0 (fun _ -> log := 3 :: !log);
+  Engine.schedule e ~after:1.0 (fun _ -> log := 1 :: !log);
+  Engine.schedule e ~after:2.0 (fun _ -> log := 2 :: !log);
   Engine.run e;
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log)
 
@@ -23,7 +23,7 @@ let test_equal_times_fifo () =
   let e = Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Engine.schedule e ~after:1.0 (fun _ -> log := i :: !log))
+    Engine.schedule e ~after:1.0 (fun _ -> log := i :: !log)
   done;
   Engine.run e;
   Alcotest.(check (list int)) "fifo at same time" [ 1; 2; 3; 4; 5 ]
@@ -32,15 +32,15 @@ let test_equal_times_fifo () =
 let test_clock_advances_to_event_time () =
   let e = Engine.create () in
   let seen = ref 0.0 in
-  ignore (Engine.schedule e ~after:7.5 (fun e -> seen := Engine.now e));
+  Engine.schedule e ~after:7.5 (fun e -> seen := Engine.now e);
   Engine.run e;
   Alcotest.(check (float 1e-12)) "clock at event" 7.5 !seen
 
 let test_run_until_horizon () =
   let e = Engine.create () in
   let fired = ref [] in
-  ignore (Engine.schedule e ~after:1.0 (fun _ -> fired := 1 :: !fired));
-  ignore (Engine.schedule e ~after:5.0 (fun _ -> fired := 5 :: !fired));
+  Engine.schedule e ~after:1.0 (fun _ -> fired := 1 :: !fired);
+  Engine.schedule e ~after:5.0 (fun _ -> fired := 5 :: !fired);
   Engine.run ~until:3.0 e;
   Alcotest.(check (list int)) "only early event" [ 1 ] !fired;
   Alcotest.(check (float 0.0)) "clock at horizon" 3.0 (Engine.now e);
@@ -48,28 +48,12 @@ let test_run_until_horizon () =
   Engine.run e;
   Alcotest.(check (list int)) "late event eventually fires" [ 5; 1 ] !fired
 
-let test_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let ev = Engine.schedule e ~after:1.0 (fun _ -> fired := true) in
-  Alcotest.(check bool) "cancel succeeds" true (Engine.cancel e ev);
-  Alcotest.(check bool) "cancel twice fails" false (Engine.cancel e ev);
-  Engine.run e;
-  Alcotest.(check bool) "never fired" false !fired
-
-let test_cancel_after_fire () =
-  let e = Engine.create () in
-  let ev = Engine.schedule e ~after:1.0 (fun _ -> ()) in
-  Engine.run e;
-  Alcotest.(check bool) "cancel after fire" false (Engine.cancel e ev)
-
 let test_schedule_during_event () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore
-    (Engine.schedule e ~after:1.0 (fun e ->
-         log := "a" :: !log;
-         ignore (Engine.schedule e ~after:1.0 (fun _ -> log := "b" :: !log))));
+  Engine.schedule e ~after:1.0 (fun e ->
+      log := "a" :: !log;
+      Engine.schedule e ~after:1.0 (fun _ -> log := "b" :: !log));
   Engine.run e;
   Alcotest.(check (list string)) "chained" [ "a"; "b" ] (List.rev !log);
   Alcotest.(check (float 0.0)) "final time" 2.0 (Engine.now e)
@@ -78,12 +62,12 @@ let test_schedule_in_past_rejected () =
   let e = Engine.create () in
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Engine.schedule: negative delay") (fun () ->
-      ignore (Engine.schedule e ~after:(-1.0) (fun _ -> ())));
-  ignore (Engine.schedule e ~after:5.0 (fun _ -> ()));
+      Engine.schedule e ~after:(-1.0) (fun _ -> ()));
+  Engine.schedule e ~after:5.0 (fun _ -> ());
   Engine.run e;
   Alcotest.check_raises "absolute past"
     (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
-      ignore (Engine.schedule_at e ~time:1.0 (fun _ -> ())))
+      Engine.schedule_at e ~time:1.0 (fun _ -> ()))
 
 let test_nan_rejected () =
   (* NaN compares false against everything, so a guard written as
@@ -91,15 +75,15 @@ let test_nan_rejected () =
   let e = Engine.create () in
   let log = ref [] in
   let at d _ = log := d :: !log in
-  ignore (Engine.schedule e ~after:1.0 (at 1.0));
+  Engine.schedule e ~after:1.0 (at 1.0);
   Alcotest.check_raises "nan delay"
     (Invalid_argument "Engine.schedule: negative delay") (fun () ->
-      ignore (Engine.schedule e ~after:nan (at nan)));
-  ignore (Engine.schedule e ~after:2.0 (at 2.0));
-  ignore (Engine.schedule e ~after:3.0 (at 3.0));
+      Engine.schedule e ~after:nan (at nan));
+  Engine.schedule e ~after:2.0 (at 2.0);
+  Engine.schedule e ~after:3.0 (at 3.0);
   Alcotest.check_raises "nan time"
     (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
-      ignore (Engine.schedule_at e ~time:nan (at nan)));
+      Engine.schedule_at e ~time:nan (at nan));
   Alcotest.check_raises "nan period"
     (Invalid_argument "Engine.every: period must be positive") (fun () ->
       let (_ : unit -> bool) = Engine.every e ~period:nan ignore in ());
@@ -117,14 +101,14 @@ let test_nan_rejected () =
 let test_zero_delay_fires () =
   let e = Engine.create () in
   let fired = ref false in
-  ignore (Engine.schedule e ~after:0.0 (fun _ -> fired := true));
+  Engine.schedule e ~after:0.0 (fun _ -> fired := true);
   Engine.run e;
   Alcotest.(check bool) "zero delay ok" true !fired
 
 let test_step () =
   let e = Engine.create () in
-  ignore (Engine.schedule e ~after:1.0 (fun _ -> ()));
-  ignore (Engine.schedule e ~after:2.0 (fun _ -> ()));
+  Engine.schedule e ~after:1.0 (fun _ -> ());
+  Engine.schedule e ~after:2.0 (fun _ -> ());
   Alcotest.(check bool) "step 1" true (Engine.step e);
   Alcotest.(check bool) "step 2" true (Engine.step e);
   Alcotest.(check bool) "empty" false (Engine.step e)
@@ -132,10 +116,10 @@ let test_step () =
 let test_every_period () =
   let e = Engine.create () in
   let count = ref 0 in
-  let cancel = Engine.every e ~period:1.0 (fun _ -> incr count) in
+  let stop = Engine.every e ~period:1.0 (fun _ -> incr count) in
   Engine.run ~until:5.5 e;
   Alcotest.(check int) "five firings" 5 !count;
-  Alcotest.(check bool) "cancel stops" true (cancel ());
+  Alcotest.(check bool) "stop stops" true (stop ());
   Engine.run ~until:10.0 e;
   Alcotest.(check int) "no more firings" 5 !count
 
@@ -148,7 +132,7 @@ let test_every_jitter () =
       toggle := not !toggle;
       if !toggle then 0.25 else -0.25
   in
-  let _cancel =
+  let _stop =
     Engine.every e ~period:1.0 ~jitter (fun e -> times := Engine.now e :: !times)
   in
   Engine.run ~until:3.0 e;
@@ -159,7 +143,7 @@ let test_loop_telemetry () =
   Alcotest.(check int) "no events yet" 0 (Engine.events_fired e);
   Alcotest.(check int) "empty high water" 0 (Engine.high_water e);
   for i = 1 to 10 do
-    ignore (Engine.schedule e ~after:(float_of_int i) (fun _ -> ()))
+    Engine.schedule e ~after:(float_of_int i) (fun _ -> ())
   done;
   Alcotest.(check int) "high water tracks peak depth" 10 (Engine.high_water e);
   Engine.run ~until:4.5 e;
@@ -176,7 +160,7 @@ let test_on_step_composes () =
   Engine.on_step e (fun _ -> incr steps);
   Engine.on_step e (fun _ -> incr steps);
   for i = 1 to 3 do
-    ignore (Engine.schedule e ~after:(float_of_int i) (fun _ -> ()))
+    Engine.schedule e ~after:(float_of_int i) (fun _ -> ())
   done;
   Engine.run e;
   Alcotest.(check int) "both hooks ran per step" 6 !steps
@@ -187,28 +171,38 @@ let test_on_step_composes () =
 let test_every_firing_times () =
   let e = Engine.create () in
   let times = ref [] in
-  let _cancel =
+  let _stop =
     Engine.every e ~period:1.0 (fun e -> times := Engine.now e :: !times)
   in
   Engine.run ~until:5.5 e;
   Alcotest.(check (list (float 1e-9))) "fires every period"
     [ 1.0; 2.0; 3.0; 4.0; 5.0 ] (List.rev !times)
 
-let test_every_cancel () =
+let test_every_stop () =
   let e = Engine.create () in
   let count = ref 0 in
-  let cancel = Engine.every e ~period:1.0 (fun _ -> incr count) in
+  let stop = Engine.every e ~period:1.0 (fun _ -> incr count) in
   Engine.run ~until:2.5 e;
   Alcotest.(check int) "two firings" 2 !count;
-  Alcotest.(check bool) "cancel" true (cancel ());
-  Alcotest.(check bool) "cancel twice" false (cancel ());
+  Alcotest.(check bool) "stop" true (stop ());
+  Alcotest.(check bool) "stop twice" false (stop ());
   Engine.run ~until:10.0 e;
-  Alcotest.(check int) "stopped" 2 !count
+  Alcotest.(check int) "stopped" 2 !count;
+  (* a stop from inside the callback ends the recurrence too *)
+  let count = ref 0 in
+  let stop = ref (fun () -> false) in
+  stop :=
+    Engine.every e ~period:1.0 (fun _ ->
+        incr count;
+        if !count = 3 then ignore (!stop ()));
+  Engine.run ~until:20.0 e;
+  Alcotest.(check int) "stopped from inside" 3 !count;
+  Alcotest.(check int) "nothing re-armed" 0 (Engine.pending e)
 
 let test_every_long_period () =
   let e = Engine.create () in
   let times = ref [] in
-  let _cancel =
+  let _stop =
     Engine.every e ~period:100.0 (fun e -> times := Engine.now e :: !times)
   in
   Engine.run ~until:250.0 e;
@@ -222,34 +216,60 @@ let test_every_ties_in_scheduling_order () =
   let e = Engine.create () in
   let order = ref [] in
   let note s _ = order := s :: !order in
-  let _cancel = Engine.every e ~period:2.0 (note "every") in
-  ignore (Engine.schedule e ~after:2.0 (note "one-shot"));
+  let _stop = Engine.every e ~period:2.0 (note "every") in
+  Engine.schedule e ~after:2.0 (note "one-shot");
   Engine.run ~until:2.0 e;
   Alcotest.(check (list string)) "armed first fires first"
     [ "every"; "one-shot" ] (List.rev !order);
   let e = Engine.create () in
   order := [];
-  ignore (Engine.schedule e ~after:2.0 (note "one-shot"));
-  let _cancel = Engine.every e ~period:2.0 (note "every") in
+  Engine.schedule e ~after:2.0 (note "one-shot");
+  let _stop = Engine.every e ~period:2.0 (note "every") in
   Engine.run ~until:2.0 e;
   Alcotest.(check (list string)) "and the other way round"
     [ "one-shot"; "every" ] (List.rev !order)
 
+(* The calendar has no cancellation: a stopped timer's armed occurrence
+   stays pending and fires as a no-op. *)
 let test_pending_counts_periodic () =
   let e = Engine.create () in
-  ignore (Engine.schedule e ~after:1.0 (fun _ -> ()));
-  let cancel = Engine.every e ~period:5.0 (fun _ -> ()) in
+  Engine.schedule e ~after:1.0 (fun _ -> ());
+  let count = ref 0 in
+  let stop = Engine.every e ~period:5.0 (fun _ -> incr count) in
   Alcotest.(check int) "one-shot plus periodic" 2 (Engine.pending e);
-  ignore (cancel ());
-  Alcotest.(check int) "periodic cancelled" 1 (Engine.pending e)
+  ignore (stop ());
+  Alcotest.(check int) "stopped occurrence still pending" 2 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check int) "it fired as a no-op" 0 !count;
+  Alcotest.(check int) "calendar drained" 0 (Engine.pending e);
+  Alcotest.(check int) "both events fired" 2 (Engine.events_fired e)
+
+(* A step whose callback is preallocated and re-arms itself, with 600
+   events pending, allocates two float boxes: the clock it advances and
+   the absolute time [schedule] computes. The calendar's insert and
+   extraction allocate nothing. *)
+let test_step_allocation () =
+  let e = Engine.create () in
+  let rec again e = Engine.schedule e ~after:600.0 again in
+  for i = 1 to 600 do
+    Engine.schedule e ~after:(float_of_int i) again
+  done;
+  let steps = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to steps do
+    ignore (Engine.step e)
+  done;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int steps in
+  Alcotest.(check int) "still 600 pending" 600 (Engine.pending e);
+  if per_event > 4.0 +. 1e-3 then
+    Alcotest.failf "%.3f words per event, expected at most 4" per_event
 
 let test_many_events_throughput () =
   let e = Engine.create () in
   let count = ref 0 in
   let g = Softstate_util.Rng.create 1 in
   for _ = 1 to 50_000 do
-    ignore
-      (Engine.schedule e ~after:(Softstate_util.Rng.float g) (fun _ -> incr count))
+    Engine.schedule e ~after:(Softstate_util.Rng.float g) (fun _ -> incr count)
   done;
   Engine.run e;
   Alcotest.(check int) "all fired" 50_000 !count
@@ -265,8 +285,6 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_equal_times_fifo;
           Alcotest.test_case "clock advance" `Quick test_clock_advances_to_event_time;
           Alcotest.test_case "horizon" `Quick test_run_until_horizon;
-          Alcotest.test_case "cancel" `Quick test_cancel;
-          Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
           Alcotest.test_case "schedule during event" `Quick test_schedule_during_event;
           Alcotest.test_case "past rejected" `Quick test_schedule_in_past_rejected;
           Alcotest.test_case "nan rejected" `Quick test_nan_rejected;
@@ -277,9 +295,10 @@ let () =
           Alcotest.test_case "loop telemetry" `Quick test_loop_telemetry;
           Alcotest.test_case "on_step composes" `Quick test_on_step_composes;
           Alcotest.test_case "50k events" `Slow test_many_events_throughput;
+          Alcotest.test_case "step allocation" `Quick test_step_allocation;
           Alcotest.test_case "periodic firing times" `Quick
             test_every_firing_times;
-          Alcotest.test_case "periodic cancel" `Quick test_every_cancel;
+          Alcotest.test_case "periodic cancel" `Quick test_every_stop;
           Alcotest.test_case "periodic long period" `Quick
             test_every_long_period;
           Alcotest.test_case "ties fire in scheduling order" `Quick

@@ -513,7 +513,7 @@ let test_rate_control_tokens () =
     (Rate_control.try_consume rc ~bits:500.0);
   Alcotest.(check bool) "empty now" false (Rate_control.try_consume rc ~bits:100.0);
   (* advance simulated time 0.25 s -> 250 bits accrue *)
-  ignore (Engine.schedule engine ~after:0.25 (fun _ -> ()));
+  Engine.schedule engine ~after:0.25 (fun _ -> ());
   Engine.run engine;
   Alcotest.(check bool) "refilled" true (Rate_control.try_consume rc ~bits:200.0);
   Alcotest.(check bool) "but not more" false (Rate_control.try_consume rc ~bits:200.0)
@@ -521,7 +521,7 @@ let test_rate_control_tokens () =
 let test_rate_control_burst_cap () =
   let engine = Engine.create () in
   let rc = Rate_control.create engine ~rate_bps:1000.0 ~burst_bits:100.0 () in
-  ignore (Engine.schedule engine ~after:100.0 (fun _ -> ()));
+  Engine.schedule engine ~after:100.0 (fun _ -> ());
   Engine.run engine;
   check_close 1e-9 "capped at burst" 100.0 (Rate_control.available_bits rc)
 

@@ -150,6 +150,31 @@ let test_rng_golden_vector () =
       -1492596573710921250L ]
     (bits 4 (Rng.split g))
 
+(* Minor words per draw over 10^5 draws. The state lives in bytes and
+   is updated through unboxed primitives, so [bernoulli] allocates
+   nothing. [bits64] and [float] return an int64 and a float, which a
+   call from another module boxes (3 and 2 words) unless the compiler
+   inlines it across modules; that box must be their whole cost — the
+   draw itself allocates nothing. *)
+let test_rng_draw_allocation () =
+  let g = Rng.create 1 in
+  let n = 100_000 in
+  let per_draw f =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let at_most name bound words =
+    if words > bound +. 1e-3 then
+      Alcotest.failf "%s: %.3f words per draw, expected at most %.0f" name
+        words bound
+  in
+  at_most "bernoulli" 0.0 (per_draw (fun () -> ignore (Rng.bernoulli g 0.3)));
+  at_most "float" 2.0 (per_draw (fun () -> ignore (Rng.float g)));
+  at_most "bits64" 3.0 (per_draw (fun () -> ignore (Rng.bits64 g)))
+
 let test_pcg32_reference () =
   (* Reference values from the pcg32-global demo: seed
      0x853c49e6748fea9bULL, stream 0xda3e39cb94b95bdbULL. *)
@@ -538,7 +563,7 @@ let test_heap_ordering () =
   let h = Heap.create () in
   let g = Rng.create 50 in
   for _ = 1 to 500 do
-    ignore (Heap.insert h ~key:(Rng.float g) ())
+    Heap.insert h ~key:(Rng.float g) ()
   done;
   let rec drain last n =
     match Heap.pop h with
@@ -551,48 +576,29 @@ let test_heap_ordering () =
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  ignore (Heap.insert h ~key:1.0 "a");
-  ignore (Heap.insert h ~key:1.0 "b");
-  ignore (Heap.insert h ~key:1.0 "c");
+  Heap.insert h ~key:1.0 "a";
+  Heap.insert h ~key:1.0 "b";
+  Heap.insert h ~key:1.0 "c";
   let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
   Alcotest.(check string) "fifo 1" "a" (pop ());
   Alcotest.(check string) "fifo 2" "b" (pop ());
   Alcotest.(check string) "fifo 3" "c" (pop ())
 
-let test_heap_remove () =
-  let h = Heap.create () in
-  let h1 = Heap.insert h ~key:1.0 "a" in
-  let _h2 = Heap.insert h ~key:2.0 "b" in
-  let h3 = Heap.insert h ~key:3.0 "c" in
-  Alcotest.(check bool) "remove live" true (Heap.remove h h1);
-  Alcotest.(check bool) "remove twice" false (Heap.remove h h1);
-  Alcotest.(check bool) "h3 member" true (Heap.mem h h3);
-  Alcotest.(check bool) "remove h3" true (Heap.remove h h3);
-  (match Heap.pop h with
-  | Some (_, v) -> Alcotest.(check string) "b remains" "b" v
-  | None -> Alcotest.fail "heap empty");
-  Alcotest.(check int) "now empty" 0 (Heap.length h)
-
-let test_heap_remove_stale_after_pop () =
-  let h = Heap.create () in
-  let h1 = Heap.insert h ~key:1.0 "a" in
-  ignore (Heap.pop h);
-  Alcotest.(check bool) "popped handle dead" false (Heap.remove h h1)
-
 let test_heap_random_mixed_ops () =
   let h = Heap.create () in
   let g = Rng.create 51 in
-  let handles = ref [] in
+  let last = ref neg_infinity in
   for i = 1 to 2000 do
-    if Rng.float g < 0.6 || !handles = [] then
-      handles := Heap.insert h ~key:(Rng.float g) i :: !handles
-    else begin
-      match !handles with
-      | hd :: tl ->
-          ignore (Heap.remove h hd);
-          handles := tl
-      | [] -> ()
+    if Rng.float g < 0.6 || Heap.is_empty h then begin
+      (* keys never precede the last pop, as in an event calendar *)
+      Heap.insert h ~key:(!last +. Rng.float g) i
     end
+    else
+      match Heap.pop h with
+      | Some (k, _) ->
+          if k < !last then Alcotest.fail "order violated during mixed ops";
+          last := k
+      | None -> Alcotest.fail "heap empty"
   done;
   (* drain and check order *)
   let rec drain last =
@@ -602,29 +608,28 @@ let test_heap_random_mixed_ops () =
         if k < last then Alcotest.fail "order violated after mixed ops";
         drain k
   in
-  drain neg_infinity
+  drain !last
 
 let test_heap_clear () =
   let h = Heap.create () in
-  let h1 = Heap.insert h ~key:1.0 () in
+  Heap.insert h ~key:1.0 ();
   Heap.clear h;
   Alcotest.(check int) "empty" 0 (Heap.length h);
-  Alcotest.(check bool) "handle invalidated" false (Heap.remove h h1)
+  Alcotest.(check bool) "nothing to pop" true (Heap.pop h = None);
+  Alcotest.(check int) "no top" (-1) (Heap.top h)
 
 let test_heap_clear_shrinks_and_resets () =
   let h = Heap.create () in
-  let handles = Array.init 5_000 (fun i -> Heap.insert h ~key:(float_of_int i) i) in
+  for i = 0 to 4_999 do
+    Heap.insert h ~key:(float_of_int i) i
+  done;
   Alcotest.(check bool) "grew past shrink threshold" true (Heap.capacity h > 256);
   Heap.clear h;
   Alcotest.(check int) "empty after clear" 0 (Heap.length h);
-  Alcotest.(check int) "tombstones reset" 0 (Heap.tombstones h);
   Alcotest.(check bool) "capacity shrunk" true (Heap.capacity h <= 256);
-  Array.iter
-    (fun hd -> Alcotest.(check bool) "old handle dead" false (Heap.remove h hd))
-    handles;
   (* the calendar is fully reusable: FIFO tie order restarts cleanly *)
-  ignore (Heap.insert h ~key:1.0 1);
-  ignore (Heap.insert h ~key:1.0 2);
+  Heap.insert h ~key:1.0 1;
+  Heap.insert h ~key:1.0 2;
   (match Heap.peek h with
   | Some (k, v) ->
       Alcotest.(check (float 0.0)) "peek key" 1.0 k;
@@ -633,83 +638,67 @@ let test_heap_clear_shrinks_and_resets () =
   Alcotest.(check int) "reused length" 2 (Heap.length h)
 
 (* Model check: drive the heap through a long random interleaving of
-   insert / pop / remove (live and stale) / peek / clear and compare
-   every observable against a naive sorted-list reference. Keys are
-   drawn from 8 distinct values so FIFO tie-breaking is exercised
-   constantly, and the 75%-cancel mix drives the lazy-cancellation
-   machinery through many compaction cycles. *)
+   insert / pop / peek / clear and compare every observable against a
+   naive sorted-list reference. Keys are drawn from 8 distinct values
+   so FIFO tie-breaking is exercised constantly; half the pops go
+   through the engine's zero-allocation slot protocol. *)
 let test_heap_model_check () =
   let h = Heap.create () in
   let g = Rng.create 99 in
-  (* model: live entries as (key, seq, id) with their heap handles *)
+  (* model: live entries as (key, seq, id) *)
   let model = ref [] in
-  let retired = ref [] in
   let seq = ref 0 in
   let next_id = ref 0 in
   let model_min () =
     List.fold_left
-      (fun best ((k, s, _, _) as e) ->
+      (fun best ((k, s, _) as e) ->
         match best with
         | None -> Some e
-        | Some (bk, bs, _, _) ->
+        | Some (bk, bs, _) ->
             if k < bk || (k = bk && s < bs) then Some e else best)
       None !model
   in
-  let drop_entry (_, s, _, _) =
-    model := List.filter (fun (_, s', _, _) -> s' <> s) !model
+  let drop_entry (_, s, _) =
+    model := List.filter (fun (_, s', _) -> s' <> s) !model
+  in
+  (* pop through the slot protocol: top, top_key, drop_top, then
+     slot_value on the freed slot *)
+  let slot_pop () =
+    let slot = Heap.top h in
+    if slot < 0 then None
+    else begin
+      let k = Heap.top_key h in
+      Heap.drop_top h;
+      Some (k, Heap.slot_value h slot)
+    end
   in
   for _step = 1 to 20_000 do
     let r = Rng.float g in
-    if r < 0.45 then begin
+    if r < 0.55 then begin
       (* insert with a tie-prone key *)
       let key = float_of_int (Rng.int g 8) in
       let id = !next_id in
       incr next_id;
-      let hd = Heap.insert h ~key id in
-      model := (key, !seq, id, hd) :: !model;
+      Heap.insert h ~key id;
+      model := (key, !seq, id) :: !model;
       incr seq
     end
-    else if r < 0.60 then begin
+    else if r < 0.95 then begin
       (* pop must agree with the reference minimum *)
-      match (Heap.pop h, model_min ()) with
+      let popped = if Rng.bool g then Heap.pop h else slot_pop () in
+      match (popped, model_min ()) with
       | None, None -> ()
-      | Some (k, v), Some ((mk, _, mid, _) as e) ->
+      | Some (k, v), Some ((mk, _, mid) as e) ->
           Alcotest.(check (float 0.0)) "pop key" mk k;
           Alcotest.(check int) "pop value" mid v;
-          drop_entry e;
-          retired := e :: !retired
+          drop_entry e
       | Some _, None -> Alcotest.fail "heap popped but model empty"
       | None, Some _ -> Alcotest.fail "heap empty but model not"
-    end
-    else if r < 0.90 then begin
-      (* cancel a random live timer *)
-      match !model with
-      | [] -> ()
-      | entries ->
-          let n = List.length entries in
-          let ((_, _, _, hd) as e) = List.nth entries (Rng.int g n) in
-          Alcotest.(check bool) "remove live" true (Heap.remove h hd);
-          drop_entry e;
-          retired := e :: !retired;
-          (* lazy-cancellation invariant: a cancel leaves tombstones
-             outnumbering the living only below the compaction floor *)
-          let live = Heap.length h and dead = Heap.tombstones h in
-          if live + dead > 64 then
-            Alcotest.(check bool) "compaction keeps dead <= live" true
-              (dead <= live)
-    end
-    else if r < 0.97 then begin
-      (* stale handles (popped or cancelled) must stay dead *)
-      match !retired with
-      | [] -> ()
-      | (_, _, _, hd) :: _ ->
-          Alcotest.(check bool) "stale remove" false (Heap.remove h hd);
-          Alcotest.(check bool) "stale mem" false (Heap.mem h hd)
     end
     else if r < 0.985 then begin
       match (Heap.peek h, model_min ()) with
       | None, None -> ()
-      | Some (k, v), Some (mk, _, mid, _) ->
+      | Some (k, v), Some (mk, _, mid) ->
           Alcotest.(check (float 0.0)) "peek key" mk k;
           Alcotest.(check int) "peek value" mid v;
           Alcotest.(check (option (float 0.0))) "min_key" (Some mk)
@@ -718,11 +707,6 @@ let test_heap_model_check () =
     end
     else begin
       Heap.clear h;
-      List.iter
-        (fun (_, _, _, hd) ->
-          Alcotest.(check bool) "cleared handle dead" false (Heap.mem h hd))
-        !model;
-      retired := !model @ !retired;
       model := []
     end;
     Alcotest.(check int) "length tracks model" (List.length !model)
@@ -732,7 +716,7 @@ let test_heap_model_check () =
   let rec drain last =
     match (Heap.pop h, model_min ()) with
     | None, None -> ()
-    | Some (k, v), Some ((mk, _, mid, _) as e) ->
+    | Some (k, v), Some ((mk, _, mid) as e) ->
         if k < last then Alcotest.fail "final drain out of order";
         Alcotest.(check (float 0.0)) "drain key" mk k;
         Alcotest.(check int) "drain value" mid v;
@@ -869,7 +853,7 @@ let qcheck_heap_sorts =
     QCheck.(list (float_bound_exclusive 1000.0))
     (fun keys ->
       let h = Heap.create () in
-      List.iter (fun k -> ignore (Heap.insert h ~key:k ())) keys;
+      List.iter (fun k -> Heap.insert h ~key:k ()) keys;
       let rec drain acc =
         match Heap.pop h with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
       in
@@ -999,6 +983,7 @@ let () =
           Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
           Alcotest.test_case "bernoulli rate" `Slow test_bernoulli_rate;
           Alcotest.test_case "golden vector" `Quick test_rng_golden_vector;
+          Alcotest.test_case "draw allocation" `Quick test_rng_draw_allocation;
           Alcotest.test_case "pcg32 deterministic" `Quick test_pcg32_reference;
           Alcotest.test_case "pcg32 streams" `Quick test_pcg32_streams_differ;
           Alcotest.test_case "pcg32 int bound" `Quick test_pcg32_int_bound;
@@ -1051,8 +1036,6 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "remove" `Quick test_heap_remove;
-          Alcotest.test_case "stale handle" `Quick test_heap_remove_stale_after_pop;
           Alcotest.test_case "mixed ops" `Quick test_heap_random_mixed_ops;
           Alcotest.test_case "clear" `Quick test_heap_clear;
           Alcotest.test_case "clear shrinks and resets" `Quick
