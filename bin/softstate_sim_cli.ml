@@ -11,6 +11,7 @@ module E = Softstate_core.Experiment
 module Base = Softstate_core.Base
 module Consistency = Softstate_core.Consistency
 module Sched = Softstate_sched.Scheduler
+module Scenario = Softstate_check.Scenario
 
 let protocol_arg =
   let doc =
@@ -25,6 +26,9 @@ let protocol_arg =
                   ("gossip", `Gossip) ])
         `Open_loop
     & info [ "protocol"; "p" ] ~doc)
+
+(* A codec's [Error] as a Cmdliner parse error. *)
+let msg_error r = Result.map_error (fun e -> `Msg e) r
 
 let float_arg names default doc =
   Arg.(value & opt float default & info names ~doc)
@@ -93,41 +97,9 @@ let topology_arg =
      its own instance of the loss process; the protocol itself then runs \
      lossless."
   in
-  let parse s =
-    let num f x = Option.to_result ~none:(`Msg ("bad number " ^ x)) (f x) in
-    match String.split_on_char ':' s with
-    | [ "single-hop" ] -> Ok E.Single_hop
-    | [ "star"; n ] ->
-        Result.map (fun leaves -> E.Star { leaves }) (num int_of_string_opt n)
-    | [ "chain"; n ] ->
-        Result.map (fun hops -> E.Chain { hops }) (num int_of_string_opt n)
-    | [ "tree"; k ] ->
-        Result.map
-          (fun arity -> E.Kary_tree { arity; depth = 3 })
-          (num int_of_string_opt k)
-    | [ "tree"; k; d ] ->
-        Result.bind (num int_of_string_opt k) (fun arity ->
-            Result.map
-              (fun depth -> E.Kary_tree { arity; depth })
-              (num int_of_string_opt d))
-    | [ "random"; n; p ] ->
-        Result.bind (num int_of_string_opt n) (fun nodes ->
-            Result.map
-              (fun edge_prob -> E.Random_graph { nodes; edge_prob })
-              (num float_of_string_opt p))
-    | _ ->
-        Error
-          (`Msg
-             "expected star:LEAVES, chain:HOPS, tree:ARITY[:DEPTH] or \
-              random:NODES:EDGE_PROB")
-  in
-  let print fmt = function
-    | E.Single_hop -> Format.fprintf fmt "single-hop"
-    | E.Star { leaves } -> Format.fprintf fmt "star:%d" leaves
-    | E.Chain { hops } -> Format.fprintf fmt "chain:%d" hops
-    | E.Kary_tree { arity; depth } -> Format.fprintf fmt "tree:%d:%d" arity depth
-    | E.Random_graph { nodes; edge_prob } ->
-        Format.fprintf fmt "random:%d:%g" nodes edge_prob
+  let parse s = msg_error (Scenario.topology_of_string s) in
+  let print fmt t =
+    Format.pp_print_string fmt (Scenario.topology_to_string t)
   in
   Arg.(
     value
@@ -140,11 +112,7 @@ let faults_arg =
      --topology): cable:I@T1-T2, node:I@T1-T2, partition@T1-T2, \
      flap:RATE:MEAN or churn:RATE:MEAN."
   in
-  let parse s =
-    Result.map_error
-      (fun e -> `Msg e)
-      (Softstate_net.Fault.specs_of_string s)
-  in
+  let parse s = msg_error (Softstate_net.Fault.specs_of_string s) in
   let print fmt specs =
     Format.fprintf fmt "%s"
       (String.concat "," (List.map Softstate_net.Fault.spec_to_string specs))
@@ -156,27 +124,8 @@ let death_arg =
     "Death model: service:P (per-service probability), fixed:TTL or \
      exp:MEAN (lifetimes in seconds)."
   in
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ "service"; p ] -> (
-        match float_of_string_opt p with
-        | Some p -> Ok (Base.Per_service p)
-        | None -> Error (`Msg "bad probability"))
-    | [ "fixed"; ttl ] -> (
-        match float_of_string_opt ttl with
-        | Some ttl -> Ok (Base.Lifetime_fixed ttl)
-        | None -> Error (`Msg "bad lifetime"))
-    | [ "exp"; mean ] -> (
-        match float_of_string_opt mean with
-        | Some mean -> Ok (Base.Lifetime_exp mean)
-        | None -> Error (`Msg "bad mean"))
-    | _ -> Error (`Msg "expected service:P, fixed:TTL or exp:MEAN")
-  in
-  let print fmt = function
-    | Base.Per_service p -> Format.fprintf fmt "service:%g" p
-    | Base.Lifetime_fixed ttl -> Format.fprintf fmt "fixed:%g" ttl
-    | Base.Lifetime_exp mean -> Format.fprintf fmt "exp:%g" mean
-  in
+  let parse s = msg_error (Base.death_of_string s) in
+  let print fmt d = Format.pp_print_string fmt (Base.death_to_string d) in
   Arg.(
     value
     & opt (conv (parse, print)) (Base.Lifetime_fixed 30.0)
@@ -188,11 +137,7 @@ let expiry_arg =
      every P seconds, timeout M estimated refresh intervals) or wheel:M \
      (per-key timers on the engine calendar, same timeout rule)."
   in
-  let parse s =
-    match Base.expiry_of_string s with
-    | Ok e -> Ok e
-    | Error msg -> Error (`Msg msg)
-  in
+  let parse s = msg_error (Base.expiry_of_string s) in
   let print fmt e = Format.pp_print_string fmt (Base.expiry_to_string e) in
   Arg.(
     value & opt (conv (parse, print)) Base.No_expiry & info [ "expiry" ] ~doc)

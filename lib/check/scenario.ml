@@ -370,7 +370,8 @@ let topology_to_string = function
 
 (* Total over what the builders accept: a shape that parses but that
    [Experiment.run] would reject (or, for a NaN [edge_prob], silently
-   run as a bare chain) is an [Error] here. *)
+   run as a bare chain) is an [Error] here. [tree:ARITY] is shorthand
+   for depth 3. *)
 let topology_of_string s =
   let pos x =
     match int_of_string_opt x with Some n when n >= 1 -> Some n | _ -> None
@@ -386,6 +387,10 @@ let topology_of_string s =
       match pos n with
       | Some hops -> Ok (Experiment.Chain { hops })
       | None -> bad)
+  | [ "tree"; a ] -> (
+      match pos a with
+      | Some arity -> Ok (Experiment.Kary_tree { arity; depth = 3 })
+      | None -> bad)
   | [ "tree"; a; d ] -> (
       match (pos a, pos d) with
       | Some arity, Some depth -> Ok (Experiment.Kary_tree { arity; depth })
@@ -398,29 +403,10 @@ let topology_of_string s =
       | _ -> bad)
   | _ -> bad
 
-let death_to_string = function
-  | Base.Per_service p -> Printf.sprintf "service:%s" (f17 p)
-  | Base.Lifetime_fixed ttl -> Printf.sprintf "fixed:%s" (f17 ttl)
-  | Base.Lifetime_exp mean -> Printf.sprintf "exp:%s" (f17 mean)
-
-let death_of_string s =
-  match String.split_on_char ':' s with
-  | [ "service"; p ] -> (
-      match float_of_string_opt p with
-      | Some p -> Ok (Base.Per_service p)
-      | None -> Error ("bad death " ^ s))
-  | [ "fixed"; t ] -> (
-      match float_of_string_opt t with
-      | Some t -> Ok (Base.Lifetime_fixed t)
-      | None -> Error ("bad death " ^ s))
-  | [ "exp"; m ] -> (
-      match float_of_string_opt m with
-      | Some m -> Ok (Base.Lifetime_exp m)
-      | None -> Error ("bad death " ^ s))
-  | _ -> Error ("bad death " ^ s)
-
-(* the expiry codec lives with the spec itself; softstate_sim_cli
-   shares it *)
+(* the death and expiry codecs live with their specs; softstate_sim_cli
+   shares them *)
+let death_to_string = Base.death_to_string
+let death_of_string = Base.death_of_string
 let expiry_to_string = Base.expiry_to_string
 let expiry_of_string = Base.expiry_of_string
 

@@ -63,6 +63,17 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 
+val topology_to_string : Experiment.topology_spec -> string
+(** ["single-hop"], ["star:N"], ["chain:N"], ["tree:A:D"] or
+    ["random:N:P"], [P] rendered exactly ([%.17g]). *)
+
+val topology_of_string : string -> (Experiment.topology_spec, string) result
+(** Inverse of {!topology_to_string}; also accepts ["tree:A"] for a
+    depth-3 tree. Total: returns [Error] for malformed text and for
+    any shape the topology builders reject — a count below 1, a
+    random graph of fewer than 2 nodes, or an edge probability
+    outside [0,1] (NaN included). *)
+
 val to_cli : t -> string option
 (** A [softstate_sim_cli] invocation reproducing a [Core] or [Gossip]
     scenario, when every field is expressible as a CLI flag ([None]

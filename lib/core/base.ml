@@ -56,6 +56,39 @@ let expiry_of_string s =
       | None -> Ok e
       | Some problem -> Error (Printf.sprintf "bad expiry %s: %s" s problem))
 
+let death_to_string = function
+  | Per_service p -> Printf.sprintf "service:%s" (f17 p)
+  | Lifetime_fixed ttl -> Printf.sprintf "fixed:%s" (f17 ttl)
+  | Lifetime_exp mean -> Printf.sprintf "exp:%s" (f17 mean)
+
+(* Negated comparisons again, so NaN lifetimes and probabilities are
+   problems too. *)
+let death_problem = function
+  | Per_service p when not (p > 0.0 && p <= 1.0) ->
+      Some "per-service death probability in (0,1]"
+  | (Lifetime_fixed ttl | Lifetime_exp ttl)
+    when not (ttl > 0.0 && Float.is_finite ttl) ->
+      Some "lifetime must be positive and finite"
+  | Per_service _ | Lifetime_fixed _ | Lifetime_exp _ -> None
+
+let death_of_string s =
+  let parsed =
+    match String.split_on_char ':' s with
+    | [ "service"; p ] ->
+        Option.map (fun p -> Per_service p) (float_of_string_opt p)
+    | [ "fixed"; t ] ->
+        Option.map (fun t -> Lifetime_fixed t) (float_of_string_opt t)
+    | [ "exp"; m ] ->
+        Option.map (fun m -> Lifetime_exp m) (float_of_string_opt m)
+    | _ -> None
+  in
+  match parsed with
+  | None -> Error ("bad death " ^ s)
+  | Some d -> (
+      match death_problem d with
+      | None -> Ok d
+      | Some problem -> Error (Printf.sprintf "bad death %s: %s" s problem))
+
 (* Struct-of-arrays receiver state, one per receiver, indexed by the
    record's dense Table slot: one row of parallel arrays instead of
    one boxed entry per (receiver, key). [gap_a] is the scalable-timer
@@ -92,12 +125,10 @@ type t = {
   mutable stale_purged : int;
 }
 
-let validate_death = function
-  | Per_service p ->
-      if p <= 0.0 || p > 1.0 then
-        invalid_arg "Base.create: per-service death probability in (0,1]"
-  | Lifetime_fixed ttl | Lifetime_exp ttl ->
-      if ttl <= 0.0 then invalid_arg "Base.create: lifetime must be positive"
+let validate_death d =
+  match death_problem d with
+  | None -> ()
+  | Some problem -> invalid_arg ("Base.create: " ^ problem)
 
 let validate_expiry e =
   match expiry_problem e with

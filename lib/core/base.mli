@@ -26,6 +26,16 @@ type death_spec =
   | Lifetime_exp of float
       (** exponentially distributed lifetime with the given mean *)
 
+val death_to_string : death_spec -> string
+(** Round-trippable text form: ["service:P"], ["fixed:TTL"] or
+    ["exp:MEAN"], floats rendered exactly ([%.17g]). *)
+
+val death_of_string : string -> (death_spec, string) result
+(** Inverse of {!death_to_string}. Total: returns [Error] for
+    malformed text and for any value {!create} would reject — a
+    probability outside (0,1], a lifetime not above 0, or a
+    non-finite number. *)
+
 (** Receiver-side soft-state expiry: the operational definition of
     soft state from the paper's introduction ("a pending timer ...
     reset upon receipt of each refresh message"). Timeouts follow the

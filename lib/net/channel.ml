@@ -13,111 +13,97 @@ type 'a receiver = {
 
 type subscription = int
 
-type 'a t = {
+(* Everything but the server: the subscribers and what their loss
+   draws, delays and trace events need. *)
+type 'a group = {
   engine : Engine.t;
-  rate_bps : float;
   delay : float;
   rng : Rng.t;
-  fetch : unit -> 'a Packet.t option;
-  on_served : (now:float -> 'a Packet.t -> unit) option;
   trace : Trace.t;
   traced : bool; (* Trace.enabled, hoisted to creation time *)
   src : string;
   mutable receivers : 'a receiver list;
   mutable next_id : int;
-  mutable busy : bool;
-  mutable served : int;
-  created_at : float;
-  mutable busy_time : float;
 }
 
-let create engine ~rate_bps ?(delay = 0.0) ?on_served ?obs
-    ?(label = "channel") ~rng ~fetch () =
-  if rate_bps <= 0.0 then invalid_arg "Channel.create: rate must be positive";
-  if delay < 0.0 then invalid_arg "Channel.create: negative delay";
-  let trace = Obs.trace_of obs in
-  let t =
-    { engine; rate_bps; delay; rng; fetch; on_served;
-      trace; traced = Trace.enabled trace;
-      src = label; receivers = []; next_id = 0;
-      busy = false; served = 0; created_at = Engine.now engine;
-      busy_time = 0.0 }
-  in
-  (match obs with
-  | Some o ->
-      let m = Obs.metrics o in
-      Metrics.probe m (label ^ ".sent") (fun ~now:_ -> float_of_int t.served);
-      Metrics.probe m (label ^ ".utilisation") (fun ~now ->
-          let span = now -. t.created_at in
-          if span <= 0.0 then 0.0 else t.busy_time /. span)
-  | None -> ());
-  t
+type 'a t = { group : 'a group; server : 'a Link.t }
 
 let subscribe t ?(loss = Loss.never) callback =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  t.receivers <- { id; loss; callback; lost = 0 } :: t.receivers;
+  let g = t.group in
+  let id = g.next_id in
+  g.next_id <- id + 1;
+  g.receivers <- { id; loss; callback; lost = 0 } :: g.receivers;
   id
 
 let unsubscribe t sub =
-  t.receivers <- List.filter (fun r -> r.id <> sub) t.receivers
+  t.group.receivers <- List.filter (fun r -> r.id <> sub) t.group.receivers
 
-let fan_out t ~pkt payload =
-  (* Draw each receiver's loss independently at service completion;
-     delivery is delayed by propagation. *)
-  let traced = t.traced in
-  let now = Engine.now t.engine in
+(* What the server's completion hands on, in this order: the channel's
+   own Packet_sent, then each receiver's independent loss draw, then
+   delivery, delayed by propagation. *)
+let fan_out g ~now (packet : 'a Packet.t) =
+  let traced = g.traced in
+  let pkt = packet.Packet.id and payload = packet.Packet.payload in
+  if traced then
+    Trace.emit g.trace
+      (Trace.event ~time:now ~src:g.src
+         ~value:(float_of_int packet.Packet.size_bits) ~packet:pkt
+         Trace.Packet_sent);
   List.iter
     (fun r ->
-      if Loss.drop r.loss t.rng then begin
+      if Loss.drop r.loss g.rng then begin
         r.lost <- r.lost + 1;
         if traced then
-          Trace.emit t.trace
-            (Trace.event ~time:now ~src:t.src
+          Trace.emit g.trace
+            (Trace.event ~time:now ~src:g.src
                ~detail:(string_of_int r.id) ~packet:pkt Trace.Packet_dropped)
       end
       else begin
         if traced then
-          Trace.emit t.trace
-            (Trace.event ~time:now ~src:t.src
+          Trace.emit g.trace
+            (Trace.event ~time:now ~src:g.src
                ~detail:(string_of_int r.id) ~packet:pkt
                Trace.Packet_delivered);
-        if Float.equal t.delay 0.0 then r.callback ~now payload
+        if Float.equal g.delay 0.0 then r.callback ~now payload
         else
-          Engine.schedule t.engine ~after:t.delay (fun engine ->
+          Engine.schedule g.engine ~after:g.delay (fun engine ->
               r.callback ~now:(Engine.now engine) payload)
       end)
-    t.receivers
+    g.receivers
 
-let rec serve_next t =
-  match t.fetch () with
-  | None -> t.busy <- false
-  | Some packet ->
-      t.busy <- true;
-      let service = float_of_int packet.Packet.size_bits /. t.rate_bps in
-      Engine.schedule t.engine ~after:service (fun engine ->
-          t.served <- t.served + 1;
-          t.busy_time <- t.busy_time +. service;
-          (match t.on_served with
-          | Some f -> f ~now:(Engine.now engine) packet
-          | None -> ());
-          if t.traced then
-            Trace.emit t.trace
-              (Trace.event ~time:(Engine.now engine) ~src:t.src
-                 ~value:(float_of_int packet.Packet.size_bits)
-                 ~packet:packet.Packet.id Trace.Packet_sent);
-          fan_out t ~pkt:packet.Packet.id packet.Packet.payload;
-          serve_next t)
+(* The shared server is a lossless, zero-delay Link with no obs: under
+   [Loss.never] it draws nothing from [rng], and it delivers every
+   packet it completes. The channel's delay is per receiver. *)
+let create engine ~rate_bps ?(delay = 0.0) ?on_served ?obs
+    ?(label = "channel") ~rng ~fetch () =
+  if delay < 0.0 then invalid_arg "Channel.create: negative delay";
+  let trace = Obs.trace_of obs in
+  let g =
+    { engine; delay; rng; trace; traced = Trace.enabled trace; src = label;
+      receivers = []; next_id = 0 }
+  in
+  let server =
+    Link.create engine ~rate_bps ?on_served ~rng ~fetch
+      ~deliver:(fun ~now packet -> fan_out g ~now packet)
+      ()
+  in
+  let t = { group = g; server } in
+  (match obs with
+  | Some o ->
+      let m = Obs.metrics o in
+      Metrics.probe m (label ^ ".sent") (fun ~now:_ ->
+          float_of_int (Link.stats server).Link.Stats.delivered);
+      Metrics.probe m (label ^ ".utilisation") (fun ~now ->
+          Link.utilisation server ~now)
+  | None -> ());
+  t
 
-let kick t = if not t.busy then serve_next t
-let subscriber_count t = List.length t.receivers
-let served t = t.served
-
-let utilisation t ~now =
-  let span = now -. t.created_at in
-  if span <= 0.0 then 0.0 else t.busy_time /. span
+let kick t = Link.kick t.server
+let subscriber_count t = List.length t.group.receivers
+let served t = (Link.stats t.server).Link.Stats.delivered
+let utilisation t ~now = Link.utilisation t.server ~now
 
 let receiver_losses t sub =
-  match List.find_opt (fun r -> r.id = sub) t.receivers with
+  match List.find_opt (fun r -> r.id = sub) t.group.receivers with
   | Some r -> r.lost
   | None -> raise Not_found

@@ -1,10 +1,10 @@
 (** Multicast announcement channel.
 
-    One pull-based server (shared capacity, like {!Link}) whose every
-    served packet is offered to each subscriber through that
-    subscriber's own loss process — the announce/listen medium of the
-    paper generalised from one receiver to a group. With a single
-    subscriber this is exactly a {!Link}. *)
+    One pull-based server of shared capacity whose every served packet
+    is offered to each subscriber through that subscriber's own loss
+    process — the announce/listen medium of the paper generalised from
+    one receiver to a group. The server is a lossless, zero-delay
+    {!Link}; loss and propagation delay apply per subscriber. *)
 
 type 'a t
 
@@ -51,7 +51,8 @@ val unsubscribe : 'a t -> subscription -> unit
 val kick : 'a t -> unit
 val subscriber_count : 'a t -> int
 val served : 'a t -> int
-(** Packets pushed through the shared server so far. *)
+(** Packets whose service has completed so far; one still in service
+    is not counted. *)
 
 val utilisation : 'a t -> now:float -> float
 (** Fraction of elapsed time the shared server spent serving. *)

@@ -31,7 +31,7 @@ type 'a t = {
   loss : Loss.t;
   rng : Rng.t;
   fetch : unit -> 'a Packet.t option;
-  deliver : now:float -> 'a -> unit;
+  deliver : now:float -> 'a Packet.t -> unit;
   on_served : (now:float -> 'a Packet.t -> unit) option;
   created_at : float;
   trace : Trace.t;
@@ -75,9 +75,9 @@ let serve_next t =
 
 (* Survivors of the loss draw with a propagation delay arrive later;
    the closure for that arrival is this helper's, not the completion's. *)
-let deliver_later t payload =
+let deliver_later t packet =
   Engine.schedule t.engine ~after:t.delay (fun engine ->
-      t.deliver ~now:(Engine.now engine) payload)
+      t.deliver ~now:(Engine.now engine) packet)
 
 let complete t engine =
   match t.in_service with
@@ -112,8 +112,8 @@ let complete t engine =
           Trace.emit t.trace
             (Trace.event ~time:now ~src:t.src ~value:size ~packet:pkt
                ~hop:t.hop Trace.Packet_delivered);
-        if Float.equal t.delay 0.0 then t.deliver ~now packet.Packet.payload
-        else deliver_later t packet.Packet.payload
+        if Float.equal t.delay 0.0 then t.deliver ~now packet
+        else deliver_later t packet
       end;
       serve_next t
 

@@ -25,13 +25,17 @@ val create :
   ?hop:int ->
   rng:Softstate_util.Rng.t ->
   fetch:(unit -> 'a Packet.t option) ->
-  deliver:(now:float -> 'a -> unit) ->
+  deliver:(now:float -> 'a Packet.t -> unit) ->
   unit ->
   'a t
 (** [create engine ~rate_bps ~delay ~loss ~rng ~fetch ~deliver ()]
     makes an idle link. [rate_bps] must be positive; [delay] defaults
     to 0 and [loss] to {!Loss.never}. The link does not start serving
     until the first {!kick}.
+
+    [deliver] receives each packet that survives the loss draw, whole:
+    its id and size travel with the payload, so a packet can enter the
+    next server on a path as it is.
 
     [on_served] fires at the sender when a packet finishes service,
     {e before} the loss draw — the hook where announce/listen decides

@@ -19,10 +19,12 @@ val create :
   ?label:string ->
   ?hop:int ->
   rng:Softstate_util.Rng.t ->
-  deliver:(now:float -> 'a -> unit) ->
+  deliver:(now:float -> 'a Packet.t -> unit) ->
   unit ->
   'a t
-(** [queue_capacity] defaults to 1024 packets. With [obs], the inner
+(** [deliver] receives each packet that survives the inner link's
+    loss draw, whole, as {!Link.create}'s does. [queue_capacity]
+    defaults to 1024 packets. With [obs], the inner
     link is instrumented under [label] (default ["pipe"]) and the pipe
     additionally registers [<label>.overflows] / [<label>.queue_len]
     probes and emits a [Queue_overflow] trace event per rejected

@@ -298,12 +298,6 @@ let endpoint_delivered t ~now ~label ~detail ~hop id =
       (Trace.event ~time:now ~src:(label ^ ".end") ~detail ~packet:id ~hop
          Trace.Packet_delivered)
 
-(* [p] as the payload of a packet with [p]'s own id and size, which is
-   how a packet enters the next server on its path. A record copy, not
-   [Packet.make]: [p]'s size was checked when [p] was made, and the
-   optional [?id] would cost an option block per hop. *)
-let nest (p : 'a Packet.t) = { p with Packet.payload = p }
-
 (* One forwarding stage per directed edge [eid]: a Pipe at the
    topology's rate / delay / loss. The send-side gate admits a packet
    only while the cable and the sending node are up, and delivery
@@ -321,27 +315,35 @@ let edge_stage t ~qcap ~overlay_rng ~hop eid next =
   let pipe =
     Pipe.create t.engine ~rate_bps:t.rate_bps ~delay:t.delay ~loss:(t.loss ())
       ~queue_capacity:qcap ~label:elabel ~hop ~rng:overlay_rng
-      ~deliver:(fun ~now inner ->
+      ~deliver:(fun ~now packet ->
         if Flat_topology.is_cable_up t.g cable
            && Flat_topology.is_node_up t.g dst
-        then next ~now inner
+        then next ~now packet
         else
           drop_faulted t ~phase:`Deliver ~src_label:elabel
-            ~packet:inner.Packet.id ~hop ())
+            ~packet:packet.Packet.id ~hop ())
       ()
   in
   note_pipe t pipe;
-  fun ~now:_ (inner : 'a Packet.t) ->
+  fun ~now:_ (packet : 'a Packet.t) ->
     t.injected <- t.injected + 1;
     if Flat_topology.is_cable_up t.g cable && Flat_topology.is_node_up t.g src
-    then
-      ignore (Pipe.send pipe (nest inner))
+    then ignore (Pipe.send pipe packet)
     else
-      drop_faulted t ~phase:`Inject ~src_label:elabel ~packet:inner.Packet.id
+      drop_faulted t ~phase:`Inject ~src_label:elabel ~packet:packet.Packet.id
         ~hop ()
 
-let path_entry t ~qcap ~overlay_rng edges final =
+(* The edge stages along [edges], returned as the entry the head
+   server delivers into. The same packet, id and size unchanged,
+   crosses every hop; past the last, its payload goes to [deliver]. *)
+let path_entry t ~qcap ~label ~deliver edges =
+  let overlay_rng = Rng.split t.rng in
   let n = List.length edges in
+  let final ~now (packet : 'a Packet.t) =
+    endpoint_delivered t ~now ~label ~detail:"endpoint" ~hop:n
+      packet.Packet.id;
+    deliver ~now packet.Packet.payload
+  in
   let _, entry =
     List.fold_right
       (fun eid (hop, next) ->
@@ -352,33 +354,12 @@ let path_entry t ~qcap ~overlay_rng edges final =
 
 let unicast_over t ~path_edges ~qcap ~rate_bps ?delay ?loss ?on_served ~label
     ~rng ~fetch ~deliver () =
-  let overlay_rng = Rng.split t.rng in
-  let last_hop = List.length path_edges in
-  let final ~now (inner : 'a Packet.t) =
-    endpoint_delivered t ~now ~label ~detail:"endpoint" ~hop:last_hop
-      inner.Packet.id;
-    deliver ~now inner.Packet.payload
-  in
-  let entry = path_entry t ~qcap ~overlay_rng path_edges final in
-  let wrap_fetch () =
-    match fetch () with
-    | None -> None
-    | Some p -> Some (nest p)
-  in
-  let on_served =
-    match on_served with
-    | None -> None
-    | Some f ->
-        Some (fun ~now (outer : 'a Packet.t Packet.t) ->
-            f ~now outer.Packet.payload)
-  in
+  let entry = path_entry t ~qcap ~label ~deliver path_edges in
   (* The access hop: the sender's own server at the protocol's rate,
      carrying the protocol-level loss/delay, feeding the first edge. *)
   let head =
     Link.create t.engine ~rate_bps ?delay ?loss ?on_served ?obs:t.obs ~label
-      ~hop:0 ~rng ~fetch:wrap_fetch
-      ~deliver:(fun ~now inner -> entry ~now inner)
-      ()
+      ~hop:0 ~rng ~fetch ~deliver:entry ()
   in
   { Transport.u_label = label;
     u_kick = (fun () -> Link.kick head);
@@ -388,23 +369,13 @@ let unicast_over t ~path_edges ~qcap ~rate_bps ?delay ?loss ?on_served ~label
 
 let outbox_over t ~path_edges ~qcap ~rate_bps ?delay ?loss
     ?(queue_capacity = 1024) ~label ~rng ~deliver () =
-  let overlay_rng = Rng.split t.rng in
-  let last_hop = List.length path_edges in
-  let final ~now (inner : 'a Packet.t) =
-    endpoint_delivered t ~now ~label ~detail:"endpoint" ~hop:last_hop
-      inner.Packet.id;
-    deliver ~now inner.Packet.payload
-  in
-  let entry = path_entry t ~qcap ~overlay_rng path_edges final in
+  let entry = path_entry t ~qcap ~label ~deliver path_edges in
   let head =
     Pipe.create t.engine ~rate_bps ?delay ?loss ~queue_capacity ?obs:t.obs
-      ~label ~hop:0 ~rng
-      ~deliver:(fun ~now inner -> entry ~now inner)
-      ()
+      ~label ~hop:0 ~rng ~deliver:entry ()
   in
   { Transport.o_label = label;
-    o_send =
-      (fun p -> Pipe.send head (nest p));
+    o_send = (fun p -> Pipe.send head p);
     o_queue_length = (fun () -> Pipe.queue_length head);
     o_overflows = (fun () -> Pipe.overflows head);
     o_stats = (fun () -> Pipe.link_stats head);
@@ -429,19 +400,8 @@ let rec insert_sub s = function
   | x :: _ as l when s.sid < x.sid -> s :: l
   | x :: rest -> x :: insert_sub s rest
 
-(* The fan-out's root server: busy flag, packets served, and time
-   spent serving. *)
-type server = {
-  mutable busy : bool;
-  mutable served : int;
-  mutable busy_time : float;
-}
-
-let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
-    ~label ~rng ~fetch () =
-  if rate_bps <= 0.0 then
-    invalid_arg "Topology.fanout: rate must be positive";
-  if delay < 0.0 then invalid_arg "Topology.fanout: negative delay";
+let fanout_over t ~root ~attach ~qcap ~rate_bps ?delay ?on_served ~label
+    ~rng ~fetch () =
   let overlay_rng = Rng.split t.rng in
   let children = tree_children t ~root in
   let n = node_count t in
@@ -461,7 +421,7 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
      may (un)subscribe freely; one unsubscribed mid-walk is skipped.
      Both walks are named recursions over the lists, so a hop
      allocates no closure. *)
-  let rec deliver_local node ~now (inner : 'a Packet.t) = function
+  let rec deliver_local node ~now (packet : 'a Packet.t) = function
     | [] -> ()
     | s :: rest ->
         if s.s_live then begin
@@ -469,21 +429,21 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
           else begin
             if t.traced then
               endpoint_delivered t ~now ~label ~detail:(string_of_int s.sid)
-                ~hop:depth.(node) inner.Packet.id;
-            s.s_deliver ~now inner.Packet.payload
+                ~hop:depth.(node) packet.Packet.id;
+            s.s_deliver ~now packet.Packet.payload
           end
         end;
-        deliver_local node ~now inner rest
+        deliver_local node ~now packet rest
   in
-  let rec flood ~now inner = function
+  let rec flood ~now packet = function
     | [] -> ()
     | stage :: rest ->
-        stage ~now inner;
-        flood ~now inner rest
+        stage ~now packet;
+        flood ~now packet rest
   in
-  let forward node ~now inner =
-    deliver_local node ~now inner at_node.(node);
-    flood ~now inner stages.(node)
+  let forward node ~now packet =
+    deliver_local node ~now packet at_node.(node);
+    flood ~now packet stages.(node)
   in
   (* Instantiate the tree's edge stages (ascending node, then eid). *)
   Array.iteri
@@ -493,38 +453,23 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
           (fun eid ->
             let _, dst = edge_ends t eid in
             edge_stage t ~qcap ~overlay_rng ~hop:depth.(dst) eid
-              (fun ~now inner -> forward dst ~now inner))
+              (fun ~now packet -> forward dst ~now packet))
           eids)
     children;
-  let srv = { busy = false; served = 0; busy_time = 0.0 } in
-  let created_at = Engine.now t.engine in
   let emit ~now packet =
     if Flat_topology.is_node_up t.g root then forward root ~now packet
     else
       drop_faulted t ~phase:`Deliver ~src_label:label ~packet:packet.Packet.id
         ~hop:0 ()
   in
-  let rec serve_next () =
-    match fetch () with
-    | None -> srv.busy <- false
-    | Some packet ->
-        srv.busy <- true;
-        let service = float_of_int packet.Packet.size_bits /. rate_bps in
-        Engine.schedule t.engine ~after:service (fun engine ->
-            srv.served <- srv.served + 1;
-            srv.busy_time <- srv.busy_time +. service;
-            (match on_served with
-            | Some f -> f ~now:(Engine.now engine) packet
-            | None -> ());
-            if Float.equal delay 0.0 then emit ~now:(Engine.now engine) packet
-            else
-              Engine.schedule engine ~after:delay (fun engine ->
-                  emit ~now:(Engine.now engine) packet);
-            serve_next ())
+  (* The shared root server: a lossless Link with no obs, so it draws
+     nothing from [rng] and delivers every packet it completes. *)
+  let server =
+    Link.create t.engine ~rate_bps ?delay ?on_served ~rng ~fetch
+      ~deliver:emit ()
   in
-  ignore rng;
   { Transport.f_label = label;
-    f_kick = (fun () -> if not srv.busy then serve_next ());
+    f_kick = (fun () -> Link.kick server);
     f_subscribe =
       (fun ~loss deliver ->
         let sid = !next_sid in
@@ -549,16 +494,13 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?(delay = 0.0) ?on_served
                 if List.memq s l then at_node.(i) <- List.filter (( != ) s) l)
               at_node);
     f_subscriber_count = (fun () -> Sub_map.cardinal !subs);
-    f_served = (fun () -> srv.served);
+    f_served = (fun () -> (Link.stats server).Link.Stats.delivered);
     f_receiver_losses =
       (fun sid ->
         match Sub_map.find_opt sid !subs with
         | Some s -> s.s_lost
         | None -> raise Not_found);
-    f_utilisation =
-      (fun ~now ->
-        let span = now -. created_at in
-        if span <= 0.0 then 0.0 else srv.busy_time /. span) }
+    f_utilisation = (fun ~now -> Link.utilisation server ~now) }
 
 let transport ?(src = 0) ?dst ?attach ?(queue_capacity = 256) t =
   check_node t src "transport";

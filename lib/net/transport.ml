@@ -1,6 +1,4 @@
-module Engine = Softstate_sim.Engine
 module Rng = Softstate_util.Rng
-module Obs = Softstate_obs.Obs
 
 type 'a deliver = now:float -> 'a -> unit
 
@@ -69,115 +67,49 @@ type t = {
     'a fanout;
 }
 
-module type S = sig
-  type ctx
-
-  val name : string
-
-  val unicast :
-    ctx ->
-    rate_bps:float ->
-    ?delay:float ->
-    ?loss:Loss.t ->
-    ?on_served:(now:float -> 'a Packet.t -> unit) ->
-    label:string ->
-    rng:Rng.t ->
-    fetch:(unit -> 'a Packet.t option) ->
-    deliver:'a deliver ->
-    unit ->
-    unicast
-
-  val outbox :
-    ctx ->
-    rate_bps:float ->
-    ?delay:float ->
-    ?loss:Loss.t ->
-    ?queue_capacity:int ->
-    label:string ->
-    rng:Rng.t ->
-    deliver:'a deliver ->
-    unit ->
-    'a outbox
-
-  val fanout :
-    ctx ->
-    rate_bps:float ->
-    ?delay:float ->
-    ?on_served:(now:float -> 'a Packet.t -> unit) ->
-    label:string ->
-    rng:Rng.t ->
-    fetch:(unit -> 'a Packet.t option) ->
-    unit ->
-    'a fanout
-end
-
-let of_link link =
-  { u_label = "link";
-    u_kick = (fun () -> Link.kick link);
-    u_set_rate = (fun rate -> Link.set_rate link rate);
-    u_stats = (fun () -> Link.stats link);
-    u_utilisation = (fun ~now -> Link.utilisation link ~now) }
-
-let of_pipe pipe =
-  { o_label = "pipe";
-    o_send = (fun packet -> Pipe.send pipe packet);
-    o_queue_length = (fun () -> Pipe.queue_length pipe);
-    o_overflows = (fun () -> Pipe.overflows pipe);
-    o_stats = (fun () -> Pipe.link_stats pipe);
-    o_set_rate = (fun rate -> Pipe.set_rate pipe rate) }
-
-let of_channel channel =
-  { f_label = "channel";
-    f_kick = (fun () -> Channel.kick channel);
-    f_subscribe =
-      (fun ~loss deliver -> Channel.subscribe channel ~loss deliver);
-    f_unsubscribe = (fun sub -> Channel.unsubscribe channel sub);
-    f_subscriber_count = (fun () -> Channel.subscriber_count channel);
-    f_served = (fun () -> Channel.served channel);
-    f_receiver_losses = (fun sub -> Channel.receiver_losses channel sub);
-    f_utilisation = (fun ~now -> Channel.utilisation channel ~now) }
-
-module Single_hop = struct
-  type ctx = Engine.t * Obs.t option
-
-  let name = "single-hop"
-
-  let unicast (engine, obs) ~rate_bps ?delay ?loss ?on_served ~label ~rng
-      ~fetch ~deliver () =
-    let link =
-      Link.create engine ~rate_bps ?delay ?loss ?on_served ?obs ~label ~rng
-        ~fetch ~deliver ()
-    in
-    { (of_link link) with u_label = label }
-
-  let outbox (engine, obs) ~rate_bps ?delay ?loss ?queue_capacity ~label ~rng
-      ~deliver () =
-    let pipe =
-      Pipe.create engine ~rate_bps ?delay ?loss ?queue_capacity ?obs ~label
-        ~rng ~deliver ()
-    in
-    { (of_pipe pipe) with o_label = label }
-
-  let fanout (engine, obs) ~rate_bps ?delay ?on_served ~label ~rng ~fetch () =
-    let channel =
-      Channel.create engine ~rate_bps ?delay ?on_served ?obs ~label ~rng
-        ~fetch ()
-    in
-    { (of_channel channel) with f_label = label }
-end
-
-let pack (type c) (module M : S with type ctx = c) (ctx : c) =
-  { name = M.name;
+(* Each single-hop medium's server delivers the whole packet; the
+   protocol's [deliver] takes its payload. *)
+let single_hop ?obs engine =
+  { name = "single-hop";
     unicast =
       (fun ~rate_bps ?delay ?loss ?on_served ~label ~rng ~fetch ~deliver () ->
-        M.unicast ctx ~rate_bps ?delay ?loss ?on_served ~label ~rng ~fetch
-          ~deliver ());
+        let link =
+          Link.create engine ~rate_bps ?delay ?loss ?on_served ?obs ~label
+            ~rng ~fetch
+            ~deliver:(fun ~now p -> deliver ~now p.Packet.payload)
+            ()
+        in
+        { u_label = label;
+          u_kick = (fun () -> Link.kick link);
+          u_set_rate = (fun rate -> Link.set_rate link rate);
+          u_stats = (fun () -> Link.stats link);
+          u_utilisation = (fun ~now -> Link.utilisation link ~now) });
     outbox =
       (fun ~rate_bps ?delay ?loss ?queue_capacity ~label ~rng ~deliver () ->
-        M.outbox ctx ~rate_bps ?delay ?loss ?queue_capacity ~label ~rng
-          ~deliver ());
+        let pipe =
+          Pipe.create engine ~rate_bps ?delay ?loss ?queue_capacity ?obs ~label
+            ~rng
+            ~deliver:(fun ~now p -> deliver ~now p.Packet.payload)
+            ()
+        in
+        { o_label = label;
+          o_send = (fun packet -> Pipe.send pipe packet);
+          o_queue_length = (fun () -> Pipe.queue_length pipe);
+          o_overflows = (fun () -> Pipe.overflows pipe);
+          o_stats = (fun () -> Pipe.link_stats pipe);
+          o_set_rate = (fun rate -> Pipe.set_rate pipe rate) });
     fanout =
       (fun ~rate_bps ?delay ?on_served ~label ~rng ~fetch () ->
-        M.fanout ctx ~rate_bps ?delay ?on_served ~label ~rng ~fetch ()) }
-
-let single_hop ?obs engine = pack (module Single_hop) (engine, obs)
+        let channel =
+          Channel.create engine ~rate_bps ?delay ?on_served ?obs ~label ~rng
+            ~fetch ()
+        in
+        { f_label = label;
+          f_kick = (fun () -> Channel.kick channel);
+          f_subscribe =
+            (fun ~loss deliver -> Channel.subscribe channel ~loss deliver);
+          f_unsubscribe = (fun sub -> Channel.unsubscribe channel sub);
+          f_subscriber_count = (fun () -> Channel.subscriber_count channel);
+          f_served = (fun () -> Channel.served channel);
+          f_receiver_losses = (fun sub -> Channel.receiver_losses channel sub);
+          f_utilisation = (fun ~now -> Channel.utilisation channel ~now) }) }

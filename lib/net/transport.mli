@@ -14,13 +14,12 @@
       offered to a set of subscribers ({!Channel} is the single-hop
       instance).
 
-    Protocols are parameterised over a {!t}: a first-class factory
-    producing those media. {!single_hop} reproduces the historical
-    behaviour exactly (the factory functions are pass-throughs to
-    {!Link.create} / {!Pipe.create} / {!Channel.create}, consuming no
-    randomness of their own), while [Topology.transport] routes the
-    same traffic hop-by-hop through a node graph with per-link loss,
-    delay, queueing and fault state.
+    Protocols are parameterised over a {!t}: a record of factories
+    producing those media. {!single_hop} builds each medium as one
+    {!Link}, {!Pipe} or {!Channel}, consuming no randomness of its
+    own, while [Topology.transport] routes the same traffic
+    hop-by-hop through a node graph with per-link loss, delay,
+    queueing and fault state.
 
     Rate hooks ([set_rate]) retune the sender-side server; loss and
     delay are fixed per medium at creation (multi-hop transports apply
@@ -66,7 +65,8 @@ type 'a fanout = {
           the loss). Returns a subscriber id. *)
   f_unsubscribe : int -> unit;
   f_subscriber_count : unit -> int;
-  f_served : unit -> int;   (** packets pushed through the root server *)
+  f_served : unit -> int;
+      (** packets whose service at the root server has completed *)
   f_receiver_losses : int -> int;
       (** packets the subscriber's own loss process destroyed *)
   f_utilisation : now:float -> float;
@@ -112,66 +112,8 @@ type t = {
     factories so one value serves a protocol's several payload types
     (announcements on the data path, NACKs on the feedback path). *)
 
-(** The same three factories as a module signature — the shape any
-    transport implementation provides, with its own context type
-    (engine for single-hop, a node graph for topologies). *)
-module type S = sig
-  type ctx
-
-  val name : string
-
-  val unicast :
-    ctx ->
-    rate_bps:float ->
-    ?delay:float ->
-    ?loss:Loss.t ->
-    ?on_served:(now:float -> 'a Packet.t -> unit) ->
-    label:string ->
-    rng:Rng.t ->
-    fetch:(unit -> 'a Packet.t option) ->
-    deliver:'a deliver ->
-    unit ->
-    unicast
-
-  val outbox :
-    ctx ->
-    rate_bps:float ->
-    ?delay:float ->
-    ?loss:Loss.t ->
-    ?queue_capacity:int ->
-    label:string ->
-    rng:Rng.t ->
-    deliver:'a deliver ->
-    unit ->
-    'a outbox
-
-  val fanout :
-    ctx ->
-    rate_bps:float ->
-    ?delay:float ->
-    ?on_served:(now:float -> 'a Packet.t -> unit) ->
-    label:string ->
-    rng:Rng.t ->
-    fetch:(unit -> 'a Packet.t option) ->
-    unit ->
-    'a fanout
-end
-
-val pack : (module S with type ctx = 'c) -> 'c -> t
-(** Close a transport implementation over its context. *)
-
-(** Canonical single-hop transport: {!Link}, {!Pipe} and {!Channel}
-    behind the {!S} signature. The context carries the engine and an
-    optional observability context forwarded to every medium. *)
-module Single_hop : S with type ctx = Softstate_sim.Engine.t * Softstate_obs.Obs.t option
-
 val single_hop : ?obs:Softstate_obs.Obs.t -> Softstate_sim.Engine.t -> t
-(** [single_hop ?obs engine] is {!pack}ed {!Single_hop}: media built
-    by it behave exactly like direct [Link.create] / [Pipe.create] /
-    [Channel.create] calls with the same arguments. *)
-
-val of_link : 'a Link.t -> unicast
-val of_pipe : 'a Pipe.t -> 'a outbox
-val of_channel : 'a Channel.t -> 'a fanout
-(** Wrap an already-constructed single-hop medium in the corresponding
-    transport handle. *)
+(** [single_hop ?obs engine] builds each medium as one {!Link},
+    {!Pipe} or {!Channel} with the same arguments, forwarding [obs]
+    to every medium, so it behaves exactly like the direct
+    [Link.create] / [Pipe.create] / [Channel.create] call. *)

@@ -203,8 +203,8 @@ let test_topology_grammar_rejects () =
       match Scenario.of_string (with_topo bad) with
       | Ok _ -> Alcotest.failf "accepted topo=%s" bad
       | Error _ -> ())
-    [ "random:10:nan"; "star:0"; "chain:-1"; "tree:0:2"; "random:1:0.5";
-      "random:10:2" ]
+    [ "random:10:nan"; "star:0"; "chain:-1"; "tree:0:2"; "tree:0";
+      "random:1:0.5"; "random:10:2" ]
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties over the generator *)

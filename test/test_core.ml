@@ -662,6 +662,23 @@ let test_expiry_codec_roundtrip () =
       "wheel:1"; "wheel:inf"; "refresh:3:nan"; "refresh:3:inf";
       "refresh:0.5:1"; "refresh:nan:1"; "refresh:3:0" ]
 
+let test_death_codec_roundtrip () =
+  List.iter
+    (fun d ->
+      match Base.death_of_string (Base.death_to_string d) with
+      | Ok d' -> Alcotest.(check bool) (Base.death_to_string d) true (d = d')
+      | Error m -> Alcotest.fail m)
+    [ Base.Per_service 0.1; Base.Per_service 1.0; Base.Lifetime_fixed 30.0;
+      Base.Lifetime_exp 12.5 ];
+  List.iter
+    (fun s ->
+      match Base.death_of_string s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (s ^ " should not parse"))
+    [ "service:nan"; "service:0"; "service:2"; "fixed:0"; "fixed:-1";
+      "exp:nan"; "fixed:inf"; "exp:inf"; "service:inf"; "bogus"; "exp:";
+      "fixed:1:2" ]
+
 (* Deterministic micro-harness: a Base with a negligible arrival rate
    and effectively immortal records, fed hand-scripted deliveries, so
    wheel and sweep firing semantics can be pinned exactly. *)
@@ -1453,6 +1470,8 @@ let () =
             test_expiry_disabled_counts_nothing;
           Alcotest.test_case "codec roundtrip" `Quick
             test_expiry_codec_roundtrip;
+          Alcotest.test_case "death codec roundtrip" `Quick
+            test_death_codec_roundtrip;
           Alcotest.test_case "wheel fires at deadline" `Quick
             test_expiry_wheel_fires_at_deadline;
           Alcotest.test_case "wheel stale purge" `Quick
