@@ -13,9 +13,6 @@ type t = {
 let create () =
   { features = SMap.empty; events = SMap.empty; branches = SMap.empty }
 
-let copy t =
-  { features = t.features; events = t.events; branches = t.branches }
-
 let bump m k = SMap.update k (function None -> Some 1 | Some n -> Some (n + 1)) m
 
 let note_feature t k = t.features <- bump t.features k
@@ -59,20 +56,11 @@ let fraction ~seen ~catalogue =
 let feature_fraction t =
   fraction ~seen:(seen_features t) ~catalogue:Scenario.feature_catalogue
 
-let event_fraction t =
-  fraction ~seen:(seen_events t) ~catalogue:event_catalogue
-
 let unseen ~seen ~catalogue =
   List.filter (fun k -> not (List.mem k seen)) catalogue
 
 let unseen_features t =
   unseen ~seen:(seen_features t) ~catalogue:Scenario.feature_catalogue
-
-let merge a b =
-  let union x y = SMap.union (fun _ m n -> Some (m + n)) x y in
-  { features = union a.features b.features;
-    events = union a.events b.events;
-    branches = union a.branches b.branches }
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: one "dim<TAB>name<TAB>count" line per entry, sorted

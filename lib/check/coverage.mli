@@ -19,12 +19,9 @@ type t
 val create : unit -> t
 (** Empty map. *)
 
-val copy : t -> t
-(** Independent snapshot; later notes on either side don't alias. *)
-
 (** {1 Recording} *)
 
-val note_feature : t -> string -> unit
+(* lint: allow U001 (a) used by test "coverage serialization roundtrip" *)
 val note_event : t -> string -> unit
 val note_branch : t -> string -> unit
 
@@ -34,9 +31,6 @@ val note_scenario : t -> Scenario.t -> unit
 val note_outcome : t -> Scenario.outcome -> unit
 (** Record the {!Softstate_obs.Trace.kind} of every memory-trace
     event in the outcome. *)
-
-val merge : t -> t -> t
-(** Pointwise sum of hit counts. *)
 
 (** {1 Inspection} *)
 
@@ -59,15 +53,13 @@ val event_catalogue : string list
 val feature_fraction : t -> float
 (** Fraction of {!Scenario.feature_catalogue} hit, in [\[0, 1\]]. *)
 
-val event_fraction : t -> float
-(** Fraction of {!event_catalogue} hit. *)
-
 (** {1 Persistence} *)
 
 val to_string : t -> string
 (** One ["dim\tbucket\tcount"] line per entry, sorted by dimension
     then bucket — equal maps serialize byte-identically. *)
 
+(* lint: allow U001 (a) used by test "coverage serialization roundtrip" *)
 val of_string : string -> (t, string) result
 (** Exact inverse of {!to_string}; blank lines are ignored. *)
 

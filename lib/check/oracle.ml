@@ -1,6 +1,5 @@
 module Experiment = Softstate_core.Experiment
 module Trace = Softstate_obs.Trace
-module Metrics = Softstate_obs.Metrics
 module Lifecycle = Softstate_obs.Lifecycle
 
 type violation = { oracle : string; message : string }
@@ -37,16 +36,10 @@ let server_bound = function
           2 + (2 * (!nodes - 1))
       | Experiment.Random_graph { nodes; _ } -> 2 + (nodes * (nodes - 1)))
 
-let metric_num outcome name =
-  match List.assoc_opt name outcome.Scenario.metrics with
-  | Some (Metrics.Float x) -> Some x
-  | Some (Metrics.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 let substrate_checks note outcome =
   (* the 8 substrate probes a topology registers under its label
      (Experiment uses the default, "topo") *)
-  let get n = metric_num outcome ("topo." ^ n) in
+  let get n = List.assoc_opt ("topo." ^ n) outcome.Scenario.metrics in
   match
     ( get "injected", get "blackholed_inject", get "blackholed_deliver",
       get "overflowed", get "queued", get "edge_sent", get "edge_delivered",

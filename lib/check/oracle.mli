@@ -53,14 +53,6 @@ val branches : string list
     catalogue the fuzzer's coverage map scores branch coverage
     against. *)
 
-val all :
-  ?note:(string -> unit) ->
-  ?rerun:(Scenario.t -> Scenario.outcome) ->
-  unit ->
-  t list
-(** [note] is called with a {!branches} bucket every time a checking
-    path is exercised; defaults to a no-op. *)
-
 val select :
   ?note:(string -> unit) ->
   ?rerun:(Scenario.t -> Scenario.outcome) ->

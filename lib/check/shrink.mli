@@ -9,10 +9,12 @@
     failing scenario: no single simplification in the ladder makes it
     pass. *)
 
+(* lint: allow U001 (a) used by test "shrink candidates differ from parent" *)
 val candidates : Scenario.t -> Scenario.t list
 (** Strictly simpler variants, most aggressive first. Every candidate
     has a strictly smaller {!measure} than its parent. *)
 
+(* lint: allow U001 (a) used by test "shrink candidates strictly decrease measure" *)
 val measure : Scenario.t -> float
 (** A scalar complexity every ladder rung strictly decreases —
     shrinking's termination argument, checked by a property test

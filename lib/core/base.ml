@@ -227,8 +227,6 @@ let set_hooks t ~on_arrival ~on_death =
 
 let engine t = t.engine
 let table t = t.table
-let tracker t = t.tracker
-let workload t = t.workload
 
 let receiver_count t = Array.length t.rows
 

@@ -105,18 +105,15 @@ val start : t -> unit
 
 val engine : t -> Softstate_sim.Engine.t
 val table : t -> Table.t
-val tracker : t -> Consistency.t
-val workload : t -> Workload.t
 val receiver_count : t -> int
 
+(* lint: allow U001 (a) used by test "sweep reclaims at death" *)
 val receiver_version : t -> receiver:int -> Record.key -> Record.version option
 (** The subscriber's stored version for the key, if any. *)
 
+(* lint: allow U001 (a) used by test "deliver" *)
 val is_matching : t -> receiver:int -> Record.t -> bool
 (** Whether that subscriber currently holds the record's version. *)
-
-val matching_count : t -> Record.t -> int
-(** Number of receivers holding the record's current version. *)
 
 val announce_of : t -> seq:int -> Record.t -> announcement
 (** Build the wire announcement for a record's current version and
@@ -137,6 +134,7 @@ val death_draw : t -> now:float -> Record.t -> bool
     lifetime specs it never kills (expiry timers do) and returns
     [false]. *)
 
+(* lint: allow U001 (a) used by test "kill" *)
 val kill : t -> now:float -> Record.key -> unit
 (** Explicitly expire a key (used by lifetime-based workloads and
     tests). No-op if not live. *)

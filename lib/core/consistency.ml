@@ -89,7 +89,6 @@ let receivers t = t.receivers
 let average t ~now = Stats.Timeweighted.average t.tw ~now
 let latency t = t.latency
 let transmissions t = t.transmissions
-let redundant_transmissions t = t.redundant
 
 let redundancy t =
   if t.transmissions = 0 then nan

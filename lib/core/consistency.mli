@@ -66,7 +66,9 @@ val on_transmission : t -> redundant:bool -> unit
 
 (** Read-out. *)
 
+(* lint: allow U001 (a) used by test "counts" *)
 val live : t -> int
+(* lint: allow U001 (a) used by test "deliver" *)
 val matching : t -> int
 (** Matching (record, receiver) pairs. *)
 
@@ -82,7 +84,6 @@ val latency : t -> Softstate_util.Stats.Welford.t
 (** Receive-latency accumulator (seconds). *)
 
 val transmissions : t -> int
-val redundant_transmissions : t -> int
 
 val redundancy : t -> float
 (** Fraction of data transmissions that were redundant; [nan] before

@@ -96,6 +96,7 @@ val fluid : ?rounds:int -> config -> nodes:int -> (float * float) array
     discrete-event c(t) converges to this as N grows; the tolerance
     at N = 10^4 is pinned in the test suite. *)
 
+(* lint: allow U001 (a) used by test "fluid convergence" *)
 val fluid_step : config -> float -> float
 (** One application of the mean-field map (exposed for the one-step
     convergence assertions). *)

@@ -84,8 +84,4 @@ let create ~base ~mu_data_bps ?obs ?transport ~loss ~link_rng () =
     ~on_death:(fun r -> Hashtbl.remove t.status r.Record.key);
   t
 
-let queue_length t = Queue.length t.queue
-
 let unicast t = match t.unicast with Some u -> u | None -> assert false
-
-let sent t = t.seq

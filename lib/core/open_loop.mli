@@ -26,11 +26,5 @@ val create :
     the link is instrumented as ["open_loop.data"] and every
     announcement emits an [Announce] trace event. *)
 
-val queue_length : t -> int
-(** Records awaiting (re)announcement. *)
-
 val unicast : t -> Softstate_net.Transport.unicast
 (** The data channel's handle (stats, utilisation, kick). *)
-
-val sent : t -> int
-(** Announcements put on the channel so far. *)

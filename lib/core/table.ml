@@ -69,8 +69,6 @@ let record t key =
   | Some r -> r
   | None -> assert false
 
-let iter t f = Array.iter (fun key -> f (record t key)) (sorted_keys t)
-
 let fold t ~init ~f =
   Array.fold_left (fun acc key -> f acc (record t key)) init (sorted_keys t)
 

@@ -204,15 +204,6 @@ let create ~base ~mu_hot_bps ~mu_cold_bps ?sched ?obs ?transport ~loss
   attach_unicast t unicast;
   t
 
-let hot_length t =
-  purge t Hot t.hot;
-  Queue.length t.hot
-
-let cold_length t =
-  purge t Cold t.cold;
-  Queue.length t.cold
-
 let sent_hot t = t.sent_hot
 let sent_cold t = t.sent_cold
-let sent t = t.seq
 let unicast t = match t.unicast with Some u -> u | None -> assert false

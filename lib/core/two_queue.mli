@@ -32,11 +32,8 @@ val create :
     (which doubles as the packet correlation id); [Repair] events link
     back to the lost sequence via their causal parent. *)
 
-val hot_length : t -> int
-val cold_length : t -> int
 val sent_hot : t -> int
 val sent_cold : t -> int
-val sent : t -> int
 val unicast : t -> Softstate_net.Transport.unicast
 
 (**/**)
@@ -72,4 +69,3 @@ val reheat :
 
 val serve_completion : t -> now:float -> Record.key -> unit
 val fetch_packet : t -> Base.announcement Softstate_net.Packet.t option
-val wake : t -> unit

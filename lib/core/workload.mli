@@ -60,11 +60,13 @@ val of_kbps :
     record of [size_bits] bits arriving with mean rate
     [lambda_kbps * 1000 / size_bits] per second. *)
 
+(* lint: allow U001 (a) used by test "of_kbps" *)
 val lambda_bps : t -> float
 (** Offered update load in bits/second, λ. *)
 
 val shape : t -> shape
 
+(* lint: allow U001 (a) used by test "interarrival mean" *)
 val next_interarrival : t -> Softstate_util.Rng.t -> float
 (** Draw the exponential gap to the next arrival at the long-run mean
     rate, ignoring any burst shape. Kept for callers that model the

@@ -29,25 +29,19 @@ let resolve t ~current path =
     | [] -> []
     | [ c ] -> [ (current, c) ]
     | _ ->
-        (* deepest component naming a known unit wins: in
+        (* every component naming a known unit splits the path: in
            Softstate_sim.Parallel.map the library wrapper is not a
-           unit but Parallel is *)
-        let rec split_at_last_unit after best =
-          match after with
-          | [] -> best
-          | c :: rest ->
-              let best =
-                if is_unit t c && rest <> [] then
-                  Some (c, String.concat "." rest)
-                else best
-              in
-              split_at_last_unit rest best
+           unit but Parallel is, and in Softstate_sim.Parallel.Stats.x
+           both Parallel (nested module Stats) and the unrelated unit
+           Stats are candidates; the existence filter below keeps the
+           real one *)
+        let rec splits = function
+          | c :: (_ :: _ as rest) ->
+              let tail = splits rest in
+              if is_unit t c then (c, String.concat "." rest) :: tail else tail
+          | _ -> []
         in
-        let cross =
-          match split_at_last_unit components None with
-          | Some (name, member) -> [ (name, member) ]
-          | None -> []
-        in
+        let cross = splits components in
         (* a dotted path may also name a nested module of the current
            unit (module Config = struct ... end) *)
         (current, path) :: cross

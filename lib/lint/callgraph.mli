@@ -19,8 +19,6 @@ val find_def : t -> node -> (Summary.unit_summary * Summary.def) list
 val find_mutable :
   t -> node -> (Summary.unit_summary * Summary.mutable_global) list
 
-val is_unit : t -> string -> bool
-
 val reachable :
   t -> from_unit:string -> string list -> (node * string list) list
 (** Every node reachable from the given references, each with the

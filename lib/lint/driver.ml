@@ -97,15 +97,31 @@ let analyze_sources ?rules ?(with_m001 = true) sources =
               supp,
               supp_findings,
               Scan.structure ~file str,
-              Some (Summary.scan_structure ~file str) )
+              Some (Either.Left (Summary.scan_structure ~file str)) )
         | Ok (Intf sg) ->
-            (file, supp, supp_findings, Scan.signature ~file sg, None))
+            ( file,
+              supp,
+              supp_findings,
+              Scan.signature ~file sg,
+              Some (Either.Right (Summary.exports_of_signature sg)) ))
       sources
   in
-  let summaries = List.filter_map (fun (_, _, _, _, s) -> s) per_file in
+  let summaries =
+    List.filter_map
+      (function _, _, _, _, Some (Either.Left s) -> Some s | _ -> None)
+      per_file
+  in
+  let interfaces =
+    List.filter_map
+      (function
+        | file, _, _, _, Some (Either.Right es) -> Some (file, es) | _ -> None)
+      per_file
+  in
   let phase2 =
     if summaries = [] then []
-    else Race_rules.check summaries @ Alloc_rules.check summaries
+    else
+      Race_rules.check summaries @ Alloc_rules.check summaries
+      @ Export_rules.check summaries interfaces
   in
   let supp_of =
     let tbl = Hashtbl.create 64 in

@@ -12,18 +12,9 @@ val collect : string list -> string list
 
 type analysis = { findings : Finding.t list; summaries : Summary.program }
 
-val analyze_sources :
-  ?rules:string list ->
-  ?with_m001:bool ->
-  (string * string) list ->
-  analysis
-(** Full two-phase pipeline over in-memory [(file, content)] pairs.
-    [rules] selects exact ids ("R001") or families ("R"); S001/E001
-    are always on. [with_m001] (default true) checks the pair listing
-    for missing interfaces. *)
-
 val analyze_paths : ?rules:string list -> string list -> analysis
 
+(* lint: allow U001 (a) used by test "R001 cross unit" *)
 val scan_sources :
   ?rules:string list ->
   ?with_m001:bool ->
@@ -37,6 +28,7 @@ val scan_source : file:string -> string -> Finding.t list
     listing. Phase 2 runs over this single unit's summary, so
     same-file races and hot-path allocations are reported. *)
 
+(* lint: allow U001 (a) used by test "M001 missing mli" *)
 val missing_mli : string list -> Finding.t list
 (** M001 over a file listing: every path for which
     {!Config.mli_required} holds must have its [.mli] in the list. *)
@@ -44,10 +36,6 @@ val missing_mli : string list -> Finding.t list
 val scan_paths : ?rules:string list -> string list -> Finding.t list
 (** [collect], lint every file, add M001 — the full battery, sorted
     and deduplicated. *)
-
-val baseline_key : Finding.t -> string
-(** Line-insensitive identity — (file, rule, message) — so pure code
-    motion does not churn a recorded baseline. *)
 
 val apply_baseline :
   baseline:Finding.t list -> Finding.t list -> Finding.t list * int

@@ -152,6 +152,20 @@ let all =
          or move the list surgery to an amortized slow path (bucket \
          compaction) behind an unannotated helper — and suppress there \
          with the amortization argument." };
+    { id = "U001";
+      title = "no export without a caller";
+      hint =
+        "delete the val from the .mli (and from the .ml if its own unit \
+         does not use it), or keep it with an inline reason";
+      explain =
+        "A val in a lib/ interface that no reference from another unit \
+         resolves to, through the whole-program summaries with module \
+         aliases expanded. References from test/ do not count: an export \
+         only a test calls is surface no program needs. Delete it, or keep \
+         it with a suppression naming either the test that uses it to \
+         check production behaviour or the documented mechanism it \
+         implements. lib/queueing is out of scope: its model APIs are \
+         reserved for the model-agreement gates." };
     { id = "S001";
       title = "malformed suppression";
       hint = "write (* lint: allow RULE reason... *) with a non-empty reason";

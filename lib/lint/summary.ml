@@ -489,6 +489,27 @@ let scan_structure ~file str =
     u_defs = List.rev st.defs;
     u_spawns = List.rev st.spawns }
 
+(* ---- interface exports (the U001 subjects) ---- *)
+
+type export = { e_name : string; e_line : int; e_col : int }
+
+let exports_of_signature sg =
+  let rec walk prefix items =
+    List.concat_map
+      (fun item ->
+        match item.psig_desc with
+        | Psig_value { pval_name = { txt; loc }; _ } ->
+            let line, col = line_col loc in
+            [ { e_name = prefix ^ txt; e_line = line; e_col = col } ]
+        | Psig_module
+            { pmd_name = { txt = Some n; _ };
+              pmd_type = { pmty_desc = Pmty_signature sub; _ }; _ } ->
+            walk (prefix ^ n ^ ".") sub
+        | _ -> [])
+      items
+  in
+  walk "" sg
+
 (* ---- serialization: one record per line, tab-separated ----
 
    Field values never contain tabs or newlines (OCaml identifiers and

@@ -80,13 +80,23 @@ val unit_name_of_file : string -> string
 
 val scan_structure : file:string -> Parsetree.structure -> unit_summary
 
+type export = { e_name : string; e_line : int; e_col : int }
+(** A [val] (or [external]) of an interface; members of nested
+    [module M : sig ... end] blocks are dotted (["Counter.make"]). *)
+
+val exports_of_signature : Parsetree.signature -> export list
+(** Every exported value in source order. Module types and
+    [include]s are skipped: they name no value of this unit. *)
+
 val to_string : program -> string
 (** Line-oriented, tab-separated serialization for [--summary-out];
     [of_string (to_string p) = p]. *)
 
 exception Bad_line of int * string
 
+(* lint: allow U001 (a) used by test "summary serialization round-trips" *)
 val of_string : string -> program
 (** Inverse of {!to_string}; raises {!Bad_line} on malformed input. *)
 
+(* lint: allow U001 (a) used by test "of_string rejects garbage" *)
 val of_string_opt : string -> program option

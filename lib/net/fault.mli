@@ -36,10 +36,6 @@ type action =
 
 type event = { at : float; action : action }
 
-val apply : Topology.t -> action -> unit
-(** Apply one transition now (idempotent, like the {!Topology}
-    primitives underneath). *)
-
 val install : Topology.t -> event list -> unit
 (** Schedule every event on the topology's engine. Events may be
     given in any order; equal-time events fire in list order. Raises
@@ -51,6 +47,7 @@ val install : Topology.t -> event list -> unit
     Both draw every timestamp and target up front from [rng] in a
     fixed order and return the schedule as data. *)
 
+(* lint: allow U001 (a) used by test "seeded schedule deterministic" *)
 val flaps :
   rng:Softstate_util.Rng.t ->
   rate_per_s:float ->
@@ -62,6 +59,7 @@ val flaps :
     chosen cable goes down, coming back after an exponential
     downtime (possibly beyond [until]). *)
 
+(* lint: allow U001 (a) used by test "seeded schedule deterministic" *)
 val churn :
   rng:Softstate_util.Rng.t ->
   rate_per_s:float ->
@@ -72,32 +70,6 @@ val churn :
 (** The same process over the topology's leaf nodes (crash then
     restart) — models receivers joining and leaving. The hub /
     source node 0 is never churned. *)
-
-val storm :
-  rng:Softstate_util.Rng.t ->
-  count:int ->
-  mean_downtime:float ->
-  from_:float ->
-  till:float ->
-  Topology.t ->
-  event list
-(** A correlated burst of [count] cable outages landing uniformly in
-    [\[from_, till)], each with an independent exponential downtime.
-    Cables are picked with replacement; overlapping windows are
-    tolerated. Empty on a cable-less topology. *)
-
-val churn_waves :
-  rng:Softstate_util.Rng.t ->
-  period:float ->
-  fraction:float ->
-  downtime:float ->
-  until:float ->
-  Topology.t ->
-  event list
-(** Sustained churn schedule: at [period], [2*period], ... (< until),
-    crash [ceil (fraction * leaves)] distinct leaf nodes (never node
-    0) and restart each [downtime] seconds later. Victims are re-drawn
-    independently each wave. *)
 
 (** {1 Textual specs} *)
 
@@ -110,6 +82,7 @@ type spec =
   | Storm of { count : int; mean_downtime : float; from_ : float; till : float }
   | Churn_wave of { period : float; fraction : float; downtime : float }
 
+(* lint: allow U001 (a) used by test "spec roundtrip" *)
 val spec_of_string : string -> (spec, string) result
 (** Parse one item of the grammar above. *)
 

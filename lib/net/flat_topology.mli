@@ -44,6 +44,7 @@ val random : rng:Softstate_util.Rng.t -> nodes:int -> edge_prob:float -> unit ->
     [random:1000000:p] builds without an O(N^2) pair loop. The cable
     set is deterministic in [rng]. *)
 
+(* lint: allow U001 (a) used by test "flat vs object equivalence" *)
 val of_cables : nodes:int -> (int * int) array -> t
 (** Exact cable list (e.g. extracted from a {!Topology.t} via
     [cable_endpoints]). Cable [i] keeps index [i]. Raises

@@ -143,7 +143,6 @@ let offer t packet =
   end
 
 let is_busy t = Option.is_some t.in_service
-let rate_bps t = t.rate_bps
 
 let set_rate t rate =
   if rate <= 0.0 then invalid_arg "Link.set_rate: rate must be positive";

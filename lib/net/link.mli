@@ -63,9 +63,8 @@ val offer : 'a t -> 'a Packet.t -> bool
     idles: handing the packet over directly then serves it exactly as
     queueing it and calling {!kick} would. *)
 
+(* lint: allow U001 (a) used by test "idle/kick" *)
 val is_busy : 'a t -> bool
-
-val rate_bps : 'a t -> float
 
 val set_rate : 'a t -> float -> unit
 (** Change the service rate; takes effect from the next service

@@ -26,6 +26,7 @@ val gilbert_elliott :
     packet the state flips with the given transition probabilities.
     All parameters in [0, 1]. *)
 
+(* lint: allow U001 (a) used by test "deterministic" *)
 val deterministic : period:int -> t
 (** [deterministic ~period] drops exactly every [period]-th packet
     (period ≥ 1); handy for reproducible unit tests. [period = 1]
@@ -48,7 +49,3 @@ val mean_rate : t -> float
 (** Long-run fraction of packets lost: the parameter for Bernoulli,
     the stationary average for Gilbert–Elliott, [1/period] for the
     deterministic process. *)
-
-val reset : t -> unit
-(** Return the process to its initial state (deterministic phase,
-    Gilbert–Elliott Good state). *)

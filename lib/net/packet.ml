@@ -5,5 +5,3 @@ let no_id = -1
 let make ?(id = no_id) ~size_bits payload =
   if size_bits <= 0 then invalid_arg "Packet.make: size must be positive";
   { id; size_bits; payload }
-
-let map f p = { p with payload = f p.payload }

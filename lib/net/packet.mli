@@ -21,6 +21,3 @@ val make : ?id:int -> size_bits:int -> 'a -> 'a t
     break FIFO accounting). [id] defaults to {!no_id}; senders stamp
     their own deterministic sequence number (never a global counter,
     which would break cross-domain reproducibility). *)
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-(** Rewraps the payload, preserving [id] and [size_bits]. *)

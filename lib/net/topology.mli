@@ -119,22 +119,27 @@ val random_graph :
 val engine : t -> Softstate_sim.Engine.t
 val node_count : t -> int
 val cable_count : t -> int
+(* lint: allow U001 (a) used by test "star structure" *)
 val edge_count : t -> int
 (** Directed edges: [2 * cable_count]. *)
 
+(* lint: allow U001 (a) used by test "flat vs object equivalence" *)
 val cable_endpoints : t -> int -> int * int
 val leaves : t -> int list
 (** Degree-1 nodes, ascending — churn targets. *)
 
+(* lint: allow U001 (a) used by test "star structure" *)
 val path : t -> src:int -> dst:int -> int list
 (** Edge ids of the shortest path by hop count, ties broken by
     ascending neighbour id; [[]] when [src = dst]. Raises
     [Invalid_argument] if unreachable. *)
 
+(* lint: allow U001 (a) used by test "star structure" *)
 val farthest : t -> src:int -> int
 (** The node at maximum hop distance from [src] (lowest id among
     ties) — the default receiver endpoint and worst-case path. *)
 
+(* lint: allow U001 (a) used by test "chain routing" *)
 val tree_children : t -> root:int -> int list array
 (** The source-rooted multicast (BFS) tree as edge ids leaving each
     node toward its children. *)
@@ -157,7 +162,9 @@ val heal : t -> int
 (** Restore every down cable; returns the number restored. Emits one
     [Heal] event plus a [Link_up] per restored cable. *)
 
+(* lint: allow U001 (a) used by test "partition/heal" *)
 val is_cable_up : t -> int -> bool
+(* lint: allow U001 (a) used by test "node crash/restart" *)
 val is_node_up : t -> int -> bool
 val fault_transitions : t -> int
 (** Effective transitions so far (idempotent repeats excluded). *)

@@ -3,9 +3,6 @@
     parser for the flat objects those encoders produce so JSONL trace
     files can be read back by tests and tools. *)
 
-val escape : string -> string
-(** Backslash-escape a string body (no surrounding quotes). *)
-
 val string : string -> string
 (** Quoted, escaped string literal. *)
 

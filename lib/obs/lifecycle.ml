@@ -348,7 +348,6 @@ let analyse events =
   { events; keys = stats; horizon; nack_spans }
 
 let of_event_list evs = analyse (of_events evs)
-let of_sink sink = of_event_list (Trace.recent sink)
 
 let of_jsonl path =
   match load_jsonl path with

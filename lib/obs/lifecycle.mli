@@ -57,20 +57,14 @@ type t
 val of_event_list : Trace.event list -> t
 (** Analyse an event list (sorted into time order first, stably). *)
 
-val of_sink : Trace.t -> t
-(** Analyse the contents of a {!Trace.memory} or {!Trace.recorder}
-    sink. Raises [Invalid_argument] on other sinks. *)
-
 val of_jsonl : string -> (t, string) result
 (** Load and analyse a JSONL trace file (one {!Trace.to_json} line per
     event; blank lines ignored). *)
 
-val load_jsonl : string -> (Trace.event list, string) result
-(** Just the parsing step of {!of_jsonl}. *)
-
 val keys : t -> key_stats list
 (** Per-key lifecycles, sorted by key name. *)
 
+(* lint: allow U001 (a) used by test "reconstruction" *)
 val find : t -> string -> key_stats option
 val events : t -> Trace.event array
 val horizon : t -> float
@@ -91,6 +85,7 @@ val stalest : t -> key_stats list
 val ttc_values : t -> float list
 val repair_latency_values : t -> float list
 
+(* lint: allow U001 (a) used by test "percentile" *)
 val percentile : float list -> float -> float
 (** Exact linear-interpolation percentile ([q] in [0,1]); [nan] on an
     empty list. O(n log n) and retains the full list — fine for tests

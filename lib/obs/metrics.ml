@@ -1,203 +1,24 @@
-module Stats = Softstate_util.Stats
-
-module Counter = struct
-  type t = { name : string; mutable v : int }
-
-  let make name = { name; v = 0 }
-  let incr t = t.v <- t.v + 1
-  let add t n = t.v <- t.v + n
-  let value t = t.v
-  let name t = t.name
-end
-
-module Gauge = struct
-  type t = { name : string; mutable v : float }
-
-  let make name = { name; v = 0.0 }
-  let set t x = t.v <- x
-  let add t x = t.v <- t.v +. x
-  let value t = t.v
-  let name t = t.name
-end
-
-module Tw_gauge = struct
-  type t = { name : string; tw : Stats.Timeweighted.t; mutable last : float }
-
-  let make name =
-    { name; tw = Stats.Timeweighted.create (); last = 0.0 }
-
-  let set t ~now x =
-    Stats.Timeweighted.update t.tw ~now ~value:x;
-    t.last <- x
-
-  let last t = t.last
-  let average t ~now = Stats.Timeweighted.average t.tw ~now
-  let name t = t.name
-end
-
-module Hist = struct
-  (* The binned histogram keeps shape/mean/under-overflow accounting;
-     quantiles are answered by a GK sketch fed the same samples, so
-     they cover the full stream (out-of-range samples included) with a
-     guaranteed rank-error bound instead of being clipped to the bin
-     range. Provenance: until PR 8 quantiles interpolated within the
-     bin range only and were nan whenever every sample fell outside
-     it. *)
-  type t = {
-    name : string;
-    h : Stats.Histogram.t;
-    sketch : Softstate_util.Sketch.t;
-  }
-
-  let make name ~lo ~hi ~bins =
-    { name;
-      h = Stats.Histogram.create ~lo ~hi ~bins;
-      sketch = Softstate_util.Sketch.create () }
-
-  let add t x =
-    Stats.Histogram.add t.h x;
-    Softstate_util.Sketch.add t.sketch x
-
-  let count t = Stats.Histogram.count t.h
-  let mean t = Stats.Histogram.mean t.h
-
-  let quantile t q =
-    if Softstate_util.Sketch.count t.sketch = 0 then nan
-    else Softstate_util.Sketch.quantile t.sketch q
-
-  let epsilon t = Softstate_util.Sketch.epsilon t.sketch
-  let underflow t = Stats.Histogram.underflow t.h
-  let overflow t = Stats.Histogram.overflow t.h
-  let name t = t.name
-end
-
-type entry =
-  | Counter_e of Counter.t
-  | Gauge_e of Gauge.t
-  | Tw_e of Tw_gauge.t
-  | Hist_e of Hist.t
-  | Probe_e of { name : string; read : now:float -> float }
-
-let entry_name = function
-  | Counter_e c -> Counter.name c
-  | Gauge_e g -> Gauge.name g
-  | Tw_e t -> Tw_gauge.name t
-  | Hist_e h -> Hist.name h
-  | Probe_e p -> p.name
+type probe = { name : string; mutable read : now:float -> float }
 
 type t = {
-  by_name : (string, entry) Hashtbl.t;
-  mutable order : entry list; (* newest first *)
+  by_name : (string, probe) Hashtbl.t;
+  mutable order : probe list; (* newest first *)
 }
 
 let create () = { by_name = Hashtbl.create 32; order = [] }
 
-let register t entry =
-  Hashtbl.replace t.by_name (entry_name entry) entry;
-  t.order <- entry :: t.order
-
-(* Handle creation hashes the name once; the returned handle is a
-   direct pointer to the mutable cell, so hot-path increments touch no
-   hash table. Re-registering a name returns the existing handle. *)
-
-let counter t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some (Counter_e c) -> c
-  | Some _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter")
-  | None ->
-      let c = Counter.make name in
-      register t (Counter_e c);
-      c
-
-let gauge t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some (Gauge_e g) -> g
-  | Some _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " is not a gauge")
-  | None ->
-      let g = Gauge.make name in
-      register t (Gauge_e g);
-      g
-
-let tw_gauge t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some (Tw_e g) -> g
-  | Some _ ->
-      invalid_arg ("Metrics.tw_gauge: " ^ name ^ " is not a time-weighted gauge")
-  | None ->
-      let g = Tw_gauge.make name in
-      register t (Tw_e g);
-      g
-
-let hist t name ~lo ~hi ~bins =
-  match Hashtbl.find_opt t.by_name name with
-  | Some (Hist_e h) -> h
-  | Some _ -> invalid_arg ("Metrics.hist: " ^ name ^ " is not a histogram")
-  | None ->
-      let h = Hist.make name ~lo ~hi ~bins in
-      register t (Hist_e h);
-      h
-
 let probe t name read =
   match Hashtbl.find_opt t.by_name name with
-  | Some (Probe_e _) ->
-      (* re-attach: replace the closure but keep registration order *)
-      Hashtbl.replace t.by_name name (Probe_e { name; read });
-      t.order <-
-        List.map
-          (fun e -> if entry_name e = name then Probe_e { name; read } else e)
-          t.order
-  | Some _ -> invalid_arg ("Metrics.probe: " ^ name ^ " is not a probe")
-  | None -> register t (Probe_e { name; read })
+  | Some p -> p.read <- read (* re-attach keeps registration order *)
+  | None ->
+      let p = { name; read } in
+      Hashtbl.replace t.by_name name p;
+      t.order <- p :: t.order
 
-type value =
-  | Int of int
-  | Float of float
-  | Dist of {
-      count : int;
-      mean : float;
-      p50 : float;
-      p90 : float;
-      p99 : float;
-      epsilon : float;  (* sketch rank-error bound behind the quantiles *)
-      underflow : int;
-      overflow : int;
-    }
-
-let read_entry entry ~now =
-  match entry with
-  | Counter_e c -> Int (Counter.value c)
-  | Gauge_e g -> Float (Gauge.value g)
-  | Tw_e g -> Float (Tw_gauge.average g ~now)
-  | Hist_e h ->
-      Dist
-        { count = Hist.count h;
-          mean = Hist.mean h;
-          p50 = Hist.quantile h 0.5;
-          p90 = Hist.quantile h 0.9;
-          p99 = Hist.quantile h 0.99;
-          epsilon = Hist.epsilon h;
-          underflow = Hist.underflow h;
-          overflow = Hist.overflow h }
-  | Probe_e p -> Float (p.read ~now)
-
-let snapshot t ~now =
-  List.rev_map (fun e -> (entry_name e, read_entry e ~now)) t.order
+let snapshot t ~now = List.rev_map (fun p -> (p.name, p.read ~now)) t.order
 
 let get t name ~now =
-  Option.map (read_entry ~now) (Hashtbl.find_opt t.by_name name)
-
-let names t = List.rev_map entry_name t.order
-
-let value_to_json = function
-  | Int n -> Json.int n
-  | Float x -> Json.float x
-  | Dist { count; mean; p50; p90; p99; epsilon; underflow; overflow } ->
-      Json.obj
-        [ ("count", Json.int count); ("mean", Json.float mean);
-          ("p50", Json.float p50); ("p90", Json.float p90);
-          ("p99", Json.float p99); ("epsilon", Json.float epsilon);
-          ("underflow", Json.int underflow);
-          ("overflow", Json.int overflow) ]
+  Option.map (fun p -> p.read ~now) (Hashtbl.find_opt t.by_name name)
 
 let to_json t ~now =
-  Json.obj (List.map (fun (k, v) -> (k, value_to_json v)) (snapshot t ~now))
+  Json.obj (List.map (fun (k, v) -> (k, Json.float v)) (snapshot t ~now))

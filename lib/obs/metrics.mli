@@ -1,121 +1,25 @@
-(** Metrics registry: named counters, gauges, time-weighted gauges and
-    fixed-bucket histograms, cheap enough for simulation hot paths.
+(** Metrics registry: named probes, read at report time.
 
-    Creating (or re-fetching) an instrument hashes its name once and
-    returns a {e handle} — a direct pointer to the mutable cell — so
-    per-increment cost is a single store, never a hash lookup. The
-    registry exists to enumerate everything at report time
-    ({!snapshot}), in registration order. *)
-
-module Counter : sig
-  type t
-
-  val make : string -> t
-  (** Standalone (unregistered) counter; see {!val-counter} for the
-      registered variant. *)
-
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-  val name : t -> string
-end
-
-module Gauge : sig
-  type t
-
-  val make : string -> t
-  val set : t -> float -> unit
-  val add : t -> float -> unit
-  val value : t -> float
-  val name : t -> string
-end
-
-(** A gauge integrated against simulation time: {!average} is the
-    time-weighted mean of the values {!set} over the observation
-    window (which opens at the first [set]). *)
-module Tw_gauge : sig
-  type t
-
-  val make : string -> t
-  val set : t -> now:float -> float -> unit
-  val last : t -> float
-  val average : t -> now:float -> float
-  val name : t -> string
-end
-
-module Hist : sig
-  type t
-
-  val make : string -> lo:float -> hi:float -> bins:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-
-  val quantile : t -> float -> float
-  (** Answered by a streaming GK sketch fed the same samples: the
-      returned value's rank is within [epsilon * count] of the exact
-      rank, over the {e full} stream (out-of-range samples included).
-      [nan] when no sample has been recorded. Provenance: until PR 8
-      this interpolated within the bin range only, ignoring
-      under/overflow samples. *)
-
-  val epsilon : t -> float
-  (** Rank-error bound of the quantile sketch (relative; the absolute
-      bound is [epsilon t *. float_of_int (count t)]). *)
-
-  val underflow : t -> int
-  (** Samples below [lo]: excluded from the binned shape but counted
-      and included in {!mean} and {!quantile}. *)
-
-  val overflow : t -> int
-  (** Samples at or above [hi], symmetrically. *)
-
-  val name : t -> string
-end
+    A component that already keeps its own counters exposes them by
+    registering a probe per quantity; the registry only enumerates
+    them ({!snapshot}), in registration order. Nothing is counted
+    twice and the hot path never touches the registry. *)
 
 type t
 (** The registry. *)
 
 val create : unit -> t
 
-val counter : t -> string -> Counter.t
-(** [counter t name] registers (or re-fetches) the counter [name].
-    Raises [Invalid_argument] if [name] is registered as another
-    instrument kind. *)
-
-val gauge : t -> string -> Gauge.t
-val tw_gauge : t -> string -> Tw_gauge.t
-val hist : t -> string -> lo:float -> hi:float -> bins:int -> Hist.t
-
 val probe : t -> string -> (now:float -> float) -> unit
-(** A derived metric: [read ~now] is called at snapshot time. Useful
-    for exposing counters a component already maintains without double
-    counting. Re-registering a probe name replaces its closure. *)
+(** [probe t name read] registers the metric [name]: [read ~now] is
+    called at snapshot time. Re-registering a name replaces its
+    closure and keeps its place in the registration order. *)
 
-type value =
-  | Int of int
-  | Float of float
-  | Dist of {
-      count : int;  (** every sample offered, in range or not *)
-      mean : float;
-      p50 : float;
-      p90 : float;
-      p99 : float;
-      epsilon : float;
-          (** rank-error bound of the sketch behind the quantiles *)
-      underflow : int;  (** samples below the histogram's [lo] *)
-      overflow : int;   (** samples at or above [hi] *)
-    }
+val snapshot : t -> now:float -> (string * float) list
+(** Every metric, in registration order, read at [now]. *)
 
-val snapshot : t -> now:float -> (string * value) list
-(** All instruments, in registration order. [now] closes out
-    time-weighted gauges and drives probes. *)
-
-val get : t -> string -> now:float -> value option
-
-val names : t -> string list
-
-val value_to_json : value -> string
+(* lint: allow U001 (a) used by test "snapshot order" *)
+val get : t -> string -> now:float -> float option
 
 val to_json : t -> now:float -> string
 (** One JSON object mapping metric names to values. *)

@@ -1,6 +1,7 @@
 (** Observability context: one metrics registry plus one trace sink,
     threaded through component constructors as an optional argument.
-    Components given no context keep their plain counters and emit
+    A component given a context registers probes over the counters it
+    keeps anyway and emits trace events; given none, it emits
     nothing. *)
 
 type t
@@ -9,10 +10,7 @@ val create : ?trace:Trace.t -> unit -> t
 (** Fresh registry; [trace] defaults to {!Trace.null}. *)
 
 val metrics : t -> Metrics.t
-val trace : t -> Trace.t
 
 val trace_of : t option -> Trace.t
 (** [Trace.null] for [None] — lets constructors store an
     always-present sink. *)
-
-val metrics_of : t option -> Metrics.t option

@@ -18,20 +18,7 @@ let bool b = Bool b
 
 let of_metrics ?(title = "metrics") metrics ~now =
   let rows =
-    List.concat_map
-      (fun (name, v) ->
-        match v with
-        | Metrics.Int n -> [ (name, Int n) ]
-        | Metrics.Float x -> [ (name, Float x) ]
-        | Metrics.Dist { count; mean; p50; p90; p99; epsilon; underflow;
-                         overflow } ->
-            [ (name ^ ".count", Int count); (name ^ ".mean", Float mean);
-              (name ^ ".p50", Float p50); (name ^ ".p90", Float p90);
-              (name ^ ".p99", Float p99);
-              (name ^ ".epsilon", Float epsilon);
-              (name ^ ".underflow", Int underflow);
-              (name ^ ".overflow", Int overflow) ])
-      (Metrics.snapshot metrics ~now)
+    List.map (fun (name, x) -> (name, Float x)) (Metrics.snapshot metrics ~now)
   in
   { title; rows }
 

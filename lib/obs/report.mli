@@ -20,10 +20,6 @@ val string : string -> value
 val bool : bool -> value
 
 val of_metrics : ?title:string -> Metrics.t -> now:float -> section
-(** One row per scalar metric; histograms expand to
-    [.count]/[.mean]/[.p50]/[.p90]/[.p99] rows. *)
-
-val to_table : t -> string
-val to_json : t -> string
+(** One [Float] row per metric, in registration order. *)
 
 val render : [ `Table | `Json ] -> t -> string

@@ -148,21 +148,11 @@ let events = function
   | Memory m -> List.of_seq (Queue.to_seq m.q)
   | _ -> invalid_arg "Trace.events: not a memory sink"
 
-let fold t ~init ~f =
-  match t with
-  | Memory m -> Queue.fold f init m.q
-  | _ -> invalid_arg "Trace.fold: not a memory sink"
-
 let overwritten = function
   | Memory m -> m.overwritten
   | _ -> invalid_arg "Trace.overwritten: not a memory sink"
 
 let filter keep next = Filter { keep; next }
-
-let with_src prefix next =
-  filter (fun ev -> String.starts_with ~prefix ev.src) next
-
-let with_kinds kinds next = filter (fun ev -> List.mem ev.kind kinds) next
 
 let tee sinks = Tee sinks
 

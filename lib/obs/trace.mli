@@ -2,11 +2,10 @@
     into a pluggable sink.
 
     Sinks compose: a {!memory} ring for tests, streaming {!jsonl_writer}
-    / {!csv_writer} for the CLIs, {!filter} / {!with_src} /
-    {!with_kinds} to narrow by component or event kind, {!tee} to fan
-    out. {!null} swallows everything; instrumented hot paths guard
-    event construction with {!enabled} so a disabled trace costs one
-    branch per site. *)
+    / {!csv_writer} for the CLIs, {!filter} to narrow by component or
+    event kind, {!tee} to fan out. {!null} swallows everything;
+    instrumented hot paths guard event construction with {!enabled}
+    so a disabled trace costs one branch per site. *)
 
 type kind =
   | Packet_sent      (** a packet finished service at a link *)
@@ -33,6 +32,7 @@ type kind =
 
 val kind_to_string : kind -> string
 
+(* lint: allow U001 (a) used by test "kind round-trip exhaustive" *)
 val kind_of_string : string -> kind
 (** Unknown strings map to [Custom]. *)
 
@@ -81,6 +81,7 @@ val recent : t -> event list
 (** Contents of a {!recorder} (or {!memory}) sink, oldest first.
     Raises [Invalid_argument] on other sinks. *)
 
+(* lint: allow U001 (a) used by test "recorder ring" *)
 val seen : t -> int
 (** Total events ever offered to a {!recorder}, including those the
     ring has since overwritten. *)
@@ -89,23 +90,14 @@ val events : t -> event list
 (** Contents of a {!memory} sink, oldest first. Raises
     [Invalid_argument] on other sinks. *)
 
-val fold : t -> init:'a -> f:('a -> event -> 'a) -> 'a
-(** Fold over a {!memory} sink's events, oldest first, without
-    materialising the list — invariant oracles scan long traces this
-    way. Raises [Invalid_argument] on other sinks. *)
-
 val overwritten : t -> int
 (** Events lost to the {!memory} ring's capacity. *)
 
+(* lint: allow U001 (a) used by test "link down/up" *)
 val count : t -> kind -> int
 (** Occurrences of [kind] in a {!memory} sink. *)
 
 val filter : (event -> bool) -> t -> t
-
-val with_src : string -> t -> t
-(** Keep events whose [src] starts with the given prefix. *)
-
-val with_kinds : kind list -> t -> t
 
 val tee : t list -> t
 
@@ -124,8 +116,10 @@ val to_json : event -> string
 val of_json : string -> (event, string) result
 (** Inverse of {!to_json}. *)
 
+(* lint: allow U001 (a) used by test "csv writer" *)
 val csv_header : string
 
+(* lint: allow U001 (a) used by test "correlation fields" *)
 val to_csv : event -> string
 (** Fixed five-column summary row; correlation fields are JSONL-only
     (the CSV shape is pinned by downstream spreadsheets). *)

@@ -38,8 +38,6 @@ let set_weight t f w =
   if w <= 0.0 then invalid_arg "Drr.set_weight: weight must be positive";
   (entry t f).weight <- w
 
-let weight t f = (entry t f).weight
-
 let set_backlogged t f b =
   let e = entry t f in
   if b && not e.backlogged then
@@ -109,4 +107,3 @@ let charge t f size =
 
 let served t f = (entry t f).served
 let deficit t f = (entry t f).deficit
-let flow_count t = t.count

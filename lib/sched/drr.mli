@@ -19,7 +19,6 @@ val create : ?quantum:float -> unit -> t
 
 val add_flow : t -> weight:float -> flow
 val set_weight : t -> flow -> float -> unit
-val weight : t -> flow -> float
 val set_backlogged : t -> flow -> bool -> unit
 
 val select : t -> flow option
@@ -28,5 +27,5 @@ val select : t -> flow option
 
 val charge : t -> flow -> float -> unit
 val served : t -> flow -> float
+(* lint: allow U001 (b) DESIGN.md §1 row 6: proportional-share schedulers *)
 val deficit : t -> flow -> float
-val flow_count : t -> int

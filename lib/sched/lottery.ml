@@ -36,7 +36,6 @@ let set_weight t f w =
   if w <= 0.0 then invalid_arg "Lottery.set_weight: weight must be positive";
   (entry t f).weight <- w
 
-let weight t f = (entry t f).weight
 let set_backlogged t f b = (entry t f).backlogged <- b
 
 let select t =
@@ -71,4 +70,3 @@ let select t =
 
 let charge t f size = (entry t f).served <- (entry t f).served +. size
 let served t f = (entry t f).served
-let flow_count t = t.count

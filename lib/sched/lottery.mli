@@ -24,7 +24,6 @@ val add_flow : t -> weight:float -> flow
     weight. New flows start idle (not backlogged). *)
 
 val set_weight : t -> flow -> float -> unit
-val weight : t -> flow -> float
 
 val set_backlogged : t -> flow -> bool -> unit
 (** Mark whether the flow currently has work. Only backlogged flows
@@ -40,5 +39,3 @@ val charge : t -> flow -> float -> unit
 
 val served : t -> flow -> float
 (** Total work charged to the flow so far. *)
-
-val flow_count : t -> int

@@ -70,5 +70,3 @@ let set_weight t f w = t.set_weight f w
 let set_backlogged t f b = t.set_backlogged f b
 let select t = t.select ()
 let charge t f size = t.charge f size
-let served t f = t.served f
-let name t = t.name

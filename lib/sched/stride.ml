@@ -35,8 +35,6 @@ let set_weight t f w =
   if w <= 0.0 then invalid_arg "Stride.set_weight: weight must be positive";
   (entry t f).weight <- w
 
-let weight t f = (entry t f).weight
-
 let set_backlogged t f b =
   let e = entry t f in
   if b && not e.backlogged then
@@ -64,5 +62,3 @@ let charge t f size =
   t.global_pass <- Float.max t.global_pass e.pass
 
 let served t f = (entry t f).served
-let pass t f = (entry t f).pass
-let flow_count t = t.count

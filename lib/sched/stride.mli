@@ -16,7 +16,6 @@ val create : unit -> t
 
 val add_flow : t -> weight:float -> flow
 val set_weight : t -> flow -> float -> unit
-val weight : t -> flow -> float
 val set_backlogged : t -> flow -> bool -> unit
 
 val select : t -> flow option
@@ -28,7 +27,3 @@ val charge : t -> flow -> float -> unit
     packet's size. *)
 
 val served : t -> flow -> float
-val pass : t -> flow -> float
-(** Current pass value (exposed for tests of the fairness bound). *)
-
-val flow_count : t -> int

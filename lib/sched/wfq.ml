@@ -35,8 +35,6 @@ let set_weight t f w =
   if w <= 0.0 then invalid_arg "Wfq.set_weight: weight must be positive";
   (entry t f).weight <- w
 
-let weight t f = (entry t f).weight
-
 let set_backlogged t f b =
   let e = entry t f in
   if b && not e.backlogged then e.start_tag <- Float.max e.start_tag t.vtime;
@@ -64,4 +62,3 @@ let charge t f size =
 
 let served t f = (entry t f).served
 let virtual_time t = t.vtime
-let flow_count t = t.count

@@ -15,7 +15,6 @@ val create : unit -> t
 
 val add_flow : t -> weight:float -> flow
 val set_weight : t -> flow -> float -> unit
-val weight : t -> flow -> float
 val set_backlogged : t -> flow -> bool -> unit
 
 val select : t -> flow option
@@ -26,5 +25,5 @@ val charge : t -> flow -> float -> unit
 (** Advance the flow's start tag by [size /. weight]. *)
 
 val served : t -> flow -> float
+(* lint: allow U001 (b) DESIGN.md §1 row 6: proportional-share schedulers *)
 val virtual_time : t -> float
-val flow_count : t -> int

@@ -53,6 +53,7 @@ val on_step : t -> (t -> unit) -> unit
     any hook already installed). The observability layer uses this to
     sample loop health; keep [f] cheap. *)
 
+(* lint: allow U001 (a) used by test "step" *)
 val step : t -> bool
 (** Fire the single earliest event; [false] when the calendar is
     empty. *)

@@ -22,9 +22,6 @@ module Stats = struct
   type domain = { index : int; tasks : int; wall_s : float }
   type t = { jobs : int; mode : mode; domains : domain array }
 
-  let total_tasks t =
-    Array.fold_left (fun acc d -> acc + d.tasks) 0 t.domains
-
   let max_wall_s t =
     Array.fold_left (fun acc d -> Float.max acc d.wall_s) 0.0 t.domains
 

@@ -36,11 +36,6 @@ module Stats : sig
     domains : domain array (** in index order *)
   }
 
-  val total_tasks : t -> int
-
-  val max_wall_s : t -> float
-  (** The slowest domain — the fan-out's critical path. *)
-
   val balance : t -> float
   (** Sum of per-domain wall over the slowest domain: [jobs] when
       perfectly balanced, approaching 1.0 when one domain serialises

@@ -21,8 +21,6 @@ let create ~profile ~target_consistency ?(hot_headroom = 1.2) () =
     invalid_arg "Allocator.create: headroom must be >= 1";
   { profile; target_consistency; hot_headroom }
 
-let target t = t.target_consistency
-
 let decide t ~mu_total_bps ~loss ~lambda_bps =
   if mu_total_bps <= 0.0 then
     invalid_arg "Allocator.decide: total bandwidth must be positive";

@@ -39,5 +39,3 @@ val decide :
 (** Pure; call on every report or rate change. Raises
     [Invalid_argument] on non-positive [mu_total_bps] or [loss]
     outside [0, 1). *)
-
-val target : t -> float

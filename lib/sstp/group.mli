@@ -53,12 +53,12 @@ val create :
     the default single-hop transport, so group runs emit the same
     Announce/Query/Nack/Remove trace stream a {!Session} does. *)
 
-val sender : t -> Sender.t
+(* lint: allow U001 (a) used by test "member bounds" *)
 val member : t -> int -> Receiver.t
+(* lint: allow U001 (a) used by test "member bounds" *)
 val member_count : t -> int
 
 val publish : t -> path:string -> payload:string -> unit
-val remove : t -> path:string -> unit
 
 val consistency : t -> float
 (** Mean over members of the per-member leaf consistency. *)
@@ -68,11 +68,6 @@ val min_consistency : t -> float
 
 val converged : t -> bool
 (** Every member's root digest equals the sender's. *)
-
-val kick : t -> unit
-
-val feedback_offered : t -> int
-(** Repair requests members produced (before slotting/damping). *)
 
 val feedback_sent : t -> int
 val feedback_suppressed : t -> int

@@ -59,6 +59,7 @@ val children : t -> Path.t -> (string * Digest.t * [ `Leaf | `Interior ]) list
     and absent paths. *)
 
 val leaf_count : t -> int
+(* lint: allow U001 (a) used by test "put/find" *)
 val node_count : t -> int
 (** Nodes including interior ones, excluding the root. *)
 
@@ -70,8 +71,10 @@ val matching_leaves : t -> t -> int * int
     and those of them at whose path [b] has a node (of either kind)
     with an equal digest. One walk over both trees. *)
 
+(* lint: allow U001 (a) used by test "remove" *)
 val payload_bits : t -> int
 (** Total payload size, bits — used for bandwidth accounting. *)
 
+(* lint: allow U001 (a) used by test "order independence" *)
 val equal : t -> t -> bool
 (** Digest-based comparison of two trees. *)

@@ -29,7 +29,3 @@ let rec is_prefix ~prefix t =
   | [], _ -> true
   | _, [] -> false
   | p :: ps, x :: xs -> String.equal p x && is_prefix ~prefix:ps xs
-
-let compare = List.compare String.compare
-let equal a b = compare a b = 0
-let pp fmt t = Format.pp_print_string fmt (to_string t)

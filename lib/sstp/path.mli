@@ -19,14 +19,14 @@ val is_root : t -> bool
 val child : t -> string -> t
 (** Append a segment (validated). *)
 
+(* lint: allow U001 (a) used by test "relations" *)
 val parent : t -> t option
 (** [None] for the root. *)
 
+(* lint: allow U001 (a) used by test "relations" *)
 val basename : t -> string option
+(* lint: allow U001 (a) used by test "relations" *)
 val depth : t -> int
+(* lint: allow U001 (a) used by test "relations" *)
 val is_prefix : prefix:t -> t -> bool
 (** Whether [prefix] is an ancestor-or-self of the path. *)
-
-val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -31,9 +31,6 @@ let create ~losses ~shares ~grid =
   { losses = Array.copy losses; shares = Array.copy shares;
     grid = Array.map Array.copy grid }
 
-let losses t = Array.copy t.losses
-let shares t = Array.copy t.shares
-
 (* index of the cell containing x, and the interpolation weight *)
 let locate axis x =
   let n = Array.length axis in

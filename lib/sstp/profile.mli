@@ -10,14 +10,12 @@
 
 type t
 
+(* lint: allow U001 (b) DESIGN.md §1 row 11: profile store *)
 val create : losses:float array -> shares:float array -> grid:float array array
   -> t
 (** [grid.(i).(j)] is the consistency at [losses.(i)], [shares.(j)].
     Axes must be strictly increasing, the grid rectangular, and all
     consistencies in [0, 1]. *)
-
-val losses : t -> float array
-val shares : t -> float array
 
 val consistency_at : t -> loss:float -> share:float -> float
 (** Bilinear interpolation; arguments are clamped to the grid's
@@ -48,11 +46,13 @@ val of_measurements : (float * float * float) list -> t
 val pp : Format.formatter -> t -> unit
 (** Render the grid as an aligned table. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 11: profile store *)
 val to_string : t -> string
 (** Serialise as line-oriented text: a header line, then one
     [loss share consistency] triple per line. Stable across
     versions; round-trips through {!of_string}. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 11: profile store *)
 val of_string : string -> t
 (** Parse {!to_string} output (comments and blank lines ignored).
     Raises [Invalid_argument] on malformed input or an incomplete
@@ -61,6 +61,7 @@ val of_string : string -> t
 val save : t -> path:string -> unit
 (** Write {!to_string} to a file. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 11: profile store *)
 val load : path:string -> t
 (** Read a profile from a file written by {!save} (or by
     [sstp_profile_cli]). *)

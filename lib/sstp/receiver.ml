@@ -242,4 +242,3 @@ let nacks_sent t = t.nacks_sent
 let queries_sent t = t.queries_sent
 let reports_sent t = t.reports_sent
 let packets_received t = t.packets_received
-let interval_loss t = Reports.Receiver_side.interval_loss t.reports

@@ -22,6 +22,7 @@ type config = {
           summary mismatch will eventually re-trigger repair) *)
 }
 
+(* lint: allow U001 (a) used by test "reconcile order" *)
 val default_config : config
 (** 2 s repair timer, 5 s report period, 32 retries. *)
 
@@ -52,10 +53,10 @@ val namespace : t -> Namespace.t
 val on_update : t -> (Path.t -> string -> unit) -> unit
 (** Application callback on every stored insert/update. *)
 
+(* lint: allow U001 (a) used by test "reconcile order" *)
 val on_remove : t -> (Path.t -> unit) -> unit
 
 val nacks_sent : t -> int
 val queries_sent : t -> int
 val reports_sent : t -> int
 val packets_received : t -> int
-val interval_loss : t -> float

@@ -14,6 +14,7 @@ module Receiver_side : sig
   val on_packet : t -> seq:int -> unit
   (** Record receipt of data-channel sequence number [seq]. *)
 
+  (* lint: allow U001 (b) DESIGN.md §1 row 11: RTCP-style receiver reports *)
   val interval_loss : t -> float
   (** Loss fraction since the last {!flush}: 1 − received/expected,
       where expected is the advance of the highest sequence number.
@@ -22,10 +23,6 @@ module Receiver_side : sig
   val flush : t -> Wire.msg
   (** Produce a {!Wire.Receiver_report} for the elapsed interval and
       reset the interval counters. *)
-
-  val total_received : t -> int
-  val highest_seq : t -> int
-  (** −1 before any packet. *)
 end
 
 module Sender_side : sig
@@ -42,5 +39,6 @@ module Sender_side : sig
   val loss_estimate : t -> float
   (** Smoothed loss; 0 before the first report (optimistic start). *)
 
+  (* lint: allow U001 (b) DESIGN.md §1 row 11: RTCP-style receiver reports *)
   val reports_seen : t -> int
 end

@@ -27,6 +27,7 @@ type config = {
   mu_total_bps : float;     (** session bandwidth for the allocator *)
 }
 
+(* lint: allow U001 (a) used by test "validation" *)
 val default_config : mu_total_bps:float -> config
 (** 70/30 data/cold split of 90% of the session bandwidth, 1 s summary
     period, no allocator. *)
@@ -63,6 +64,7 @@ val remove : t -> path:Path.t -> unit
 
 val namespace : t -> Namespace.t
 
+(* lint: allow U001 (b) DESIGN.md §1 row 11: the CM rate-constraint notification *)
 val on_rate_constraint : t -> (max_rate_bps:float -> unit) -> unit
 (** Called when the allocator detects the application publishing
     faster than the hot bandwidth can absorb (§6.1's notification).
@@ -78,24 +80,11 @@ val fetch : t -> now:float -> Wire.envelope Softstate_net.Packet.t option
 val handle_feedback : t -> now:float -> Wire.msg -> unit
 (** Process a receiver-originated message. *)
 
-val wants_kick_at : t -> float option
-(** Next time cold work becomes due (summary timer), so the transport
-    can re-poll after idling. *)
-
 (** {1 Introspection} *)
-
-val hot_backlog : t -> int
-(** Queued foreground work across all classes. *)
 
 val class_sent : t -> name:string -> int
 (** Envelopes transmitted from the named class so far. *)
 
-val class_backlog : t -> name:string -> int
-(** Work items queued in the named class. *)
-
 val sent_data : t -> int
 val sent_summaries : t -> int
 val sent_signatures : t -> int
-val loss_estimate : t -> float
-val current_split : t -> float * float
-(** (data, cold) weights in force. *)

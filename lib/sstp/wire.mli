@@ -55,8 +55,10 @@ val size_bits : envelope -> int
     UDP/IP-header allowance so bandwidth accounting reflects real
     packets rather than bare payloads. *)
 
+(* lint: allow U001 (a) used by test "feedback classification" *)
 val is_feedback : msg -> bool
 (** Whether the message belongs on the receiver→sender channel. *)
 
+(* lint: allow U001 (a) used by test "roundtrip all variants" *)
 val describe : msg -> string
 (** Short human-readable tag for logs and tests. *)

@@ -14,13 +14,16 @@ type event = { time : float; op : op }
 type t = event list
 (** Non-decreasing in [time]. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 9: workload generators *)
 val check : t -> unit
 (** Raises [Invalid_argument] if times decrease. *)
 
 val length : t -> int
+(* lint: allow U001 (b) DESIGN.md §1 row 9: workload generators *)
 val duration : t -> float
 (** Time of the last event; 0 for the empty trace. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 9: workload generators *)
 val merge : t -> t -> t
 (** Time-ordered merge of two traces. *)
 

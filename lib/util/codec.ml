@@ -4,7 +4,6 @@ module Writer = struct
   type t = Buffer.t
 
   let create ?(initial_capacity = 64) () = Buffer.create initial_capacity
-  let length = Buffer.length
 
   let u8 t v =
     if v < 0 || v > 0xFF then invalid_arg "Codec.Writer.u8: out of range";

@@ -75,8 +75,6 @@ module Zipf_table = struct
     search 0 (Array.length t.cdf - 1)
 end
 
-let zipf g ~n ~s = Zipf_table.draw (Zipf_table.create ~n ~s) g
-
 (* Continuous power-law approximation of a Zipf draw: inverse CDF of
    the density proportional to x^-s on [1, n+1), floored to a rank.
    One uniform draw, no table, so the support size can change between

@@ -19,10 +19,6 @@ let add t x =
 let value t = if t.initialised then t.avg else nan
 let is_initialised t = t.initialised
 
-let reset t =
-  t.avg <- 0.0;
-  t.initialised <- false
-
 module Timed = struct
   type t = {
     half_life : float;

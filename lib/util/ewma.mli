@@ -17,17 +17,19 @@ val value : t -> float
 (** Current average; [nan] before the first sample. *)
 
 val is_initialised : t -> bool
-val reset : t -> unit
 
 module Timed : sig
   type t
 
+  (* lint: allow U001 (b) DESIGN.md §1 row 2: EWMA *)
   val create : half_life:float -> t
   (** [create ~half_life] makes a time-decayed average whose weight on
       history halves every [half_life] time units. *)
 
+  (* lint: allow U001 (b) DESIGN.md §1 row 2: EWMA *)
   val add : t -> now:float -> float -> unit
   (** Observations must arrive with non-decreasing [now]. *)
 
+  (* lint: allow U001 (b) DESIGN.md §1 row 2: EWMA *)
   val value : t -> float
 end

@@ -19,11 +19,13 @@ val create : ?initial_capacity:int -> unit -> 'a t
 val length : 'a t -> int
 (** Number of elements. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
 val is_empty : 'a t -> bool
 
 val insert : 'a t -> key:float -> 'a -> unit
 (** [insert t ~key v] adds [v] with priority [key]. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
 val min_key : 'a t -> float option
 (** Smallest key, or [None] when empty. *)
 
@@ -51,16 +53,20 @@ val slot_value : 'a t -> int -> 'a
 val drop_top : 'a t -> unit
 (** Extract the root. Only legal right after [top] returned [>= 0]. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
 val peek : 'a t -> (float * 'a) option
 (** Minimum (key, value) without removing it. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum (key, value). *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
 val clear : 'a t -> unit
 (** Empty the heap: resets the FIFO sequence counter, drops payload
     references and shrinks the backing arrays back below a fixed
     threshold. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
 val capacity : 'a t -> int
 (** Current backing-array length (exposed for tests and benchmarks). *)

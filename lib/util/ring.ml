@@ -9,7 +9,6 @@ let create ~capacity =
   { data = Array.make capacity None; head = 0; len = 0 }
 
 let length t = t.len
-let capacity t = Array.length t.data
 let is_empty t = t.len = 0
 let is_full t = t.len = Array.length t.data
 

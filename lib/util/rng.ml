@@ -85,10 +85,6 @@ module Pcg32 = struct
              (shift_right_logical xorshifted rot)
              (shift_left xorshifted ((-rot) land 31)))
 
-  let float g =
-    let u = Int32.to_int (next g) land 0xFFFFFFFF in
-    float_of_int u *. (1.0 /. 4294967296.0)
-
   let int g n =
     if n <= 0 then invalid_arg "Rng.Pcg32.int: bound must be positive";
     let bound = n land 0xFFFFFFFF in

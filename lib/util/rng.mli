@@ -19,6 +19,7 @@ val create : int -> t
 (** [create seed] makes a generator from an integer seed. Equal seeds
     yield equal streams. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 1: deterministic PRNG *)
 val copy : t -> t
 (** [copy g] is an independent generator with the same current state. *)
 
@@ -46,21 +47,17 @@ val bernoulli : t -> float -> bool
 module Pcg32 : sig
   type t
 
+  (* lint: allow U001 (b) DESIGN.md §1 row 1: PCG32 generator *)
   val create : seed:int64 -> stream:int64 -> t
   (** [create ~seed ~stream] makes a PCG32 generator; distinct
       [stream] values give statistically independent sequences even
       under equal seeds. *)
 
-  val of_rng : (* parent *) int64 -> int64 -> t
-  (** [of_rng state stream] builds directly from raw state; exposed
-      for tests of reference vectors. *)
-
+  (* lint: allow U001 (b) DESIGN.md §1 row 1: PCG32 generator *)
   val next : t -> int32
   (** [next g] draws 32 random bits. *)
 
-  val float : t -> float
-  (** [float g] draws uniformly in [\[0,1)] using 32 bits. *)
-
+  (* lint: allow U001 (b) DESIGN.md §1 row 1: PCG32 generator *)
   val int : t -> int -> int
   (** [int g n] draws uniformly in [\[0,n)], [n > 0], without modulo
       bias. *)

@@ -41,7 +41,6 @@ let create ?(epsilon = 0.01) () =
 
 let count t = t.n + t.buf_len
 let dropped t = t.dropped
-let epsilon t = t.epsilon
 let size t = t.len
 
 (* floor(2 eps n): the capacity every interior tuple's g + delta must

@@ -36,16 +36,15 @@ val quantile : t -> float -> float
 val count : t -> int
 (** Number of finite samples added. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 2: quantiles *)
 val dropped : t -> int
 (** Number of non-finite samples ignored. *)
-
-val epsilon : t -> float
-(** The rank-error parameter the sketch was created with. *)
 
 val rank_error : t -> float
 (** [rank_error t = epsilon t *. float_of_int (count t)]: the absolute
     rank-error bound currently guaranteed by {!quantile}. *)
 
+(* lint: allow U001 (b) DESIGN.md §1 row 2: quantiles *)
 val size : t -> int
 (** Number of summary tuples currently retained (excludes the insert
     buffer); useful for space-bound checks. *)

@@ -71,70 +71,12 @@ module Timeweighted = struct
     t.last_time <- now;
     t.last_value <- value
 
-  let elapsed t ~now = now -. t.start
-
   let average t ~now =
     if not t.started then nan
     else
       let span = now -. t.start in
       if span <= 0.0 then t.last_value
       else (t.integral +. (t.last_value *. (now -. t.last_time))) /. span
-end
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    counts : int array;
-    mutable underflow : int;
-    mutable overflow : int;
-    mutable total : int;
-    sum : Welford.t;
-  }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
-    if hi <= lo then invalid_arg "Histogram.create: hi must exceed lo";
-    { lo; hi; width = (hi -. lo) /. float_of_int bins;
-      counts = Array.make bins 0; underflow = 0; overflow = 0; total = 0;
-      sum = Welford.create () }
-
-  let add t x =
-    t.total <- t.total + 1;
-    Welford.add t.sum x;
-    if x < t.lo then t.underflow <- t.underflow + 1
-    else if x >= t.hi then t.overflow <- t.overflow + 1
-    else begin
-      let i = int_of_float ((x -. t.lo) /. t.width) in
-      let i = Stdlib.min i (Array.length t.counts - 1) in
-      t.counts.(i) <- t.counts.(i) + 1
-    end
-
-  let count t = t.total
-  let bin_count t i = t.counts.(i)
-  let underflow t = t.underflow
-  let overflow t = t.overflow
-  let mean t = Welford.mean t.sum
-
-  let quantile t q =
-    if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile: q in [0,1]";
-    let in_range = t.total - t.underflow - t.overflow in
-    if in_range <= 0 then invalid_arg "Histogram.quantile: no in-range sample";
-    let target = q *. float_of_int in_range in
-    let rec walk i acc =
-      if i >= Array.length t.counts then t.hi
-      else
-        let acc' = acc +. float_of_int t.counts.(i) in
-        if acc' >= target && t.counts.(i) > 0 then
-          let frac =
-            if t.counts.(i) = 0 then 0.0
-            else (target -. acc) /. float_of_int t.counts.(i)
-          in
-          t.lo +. ((float_of_int i +. Float.max 0.0 frac) *. t.width)
-        else walk (i + 1) acc'
-    in
-    walk 0 0.0
 end
 
 module Series = struct
@@ -172,5 +114,4 @@ module Series = struct
     t.seen <- t.seen + 1
 
   let to_list t = List.rev t.points
-  let length t = t.length
 end

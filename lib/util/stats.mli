@@ -15,17 +15,22 @@ module Welford : sig
   val mean : t -> float
   (** Mean of the samples so far; [nan] if no sample was added. *)
 
+  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
   val variance : t -> float
   (** Unbiased sample variance; [0.] with fewer than two samples. *)
 
+  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
   val std : t -> float
+  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
   val min : t -> float
+  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
   val max : t -> float
 
   val confidence95 : t -> float
   (** Half-width of the normal-approximation 95% confidence interval
       of the mean ([1.96 σ/√n]); [0.] with fewer than two samples. *)
 
+  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
   val merge : t -> t -> t
   (** Combine two accumulators as if all samples were seen by one. *)
 end
@@ -45,31 +50,6 @@ module Timeweighted : sig
   val average : t -> now:float -> float
   (** Time average over [\[start, now\]], integrating the current
       value up to [now]. [nan] before the first update. *)
-
-  val elapsed : t -> now:float -> float
-end
-
-module Histogram : sig
-  (** Fixed-width binned histogram with under/overflow bins. *)
-
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val bin_count : t -> int -> int
-  (** Count in bin [i] of [bins]; raises [Invalid_argument] out of
-      range. Underflow and overflow are reported separately. *)
-
-  val underflow : t -> int
-  val overflow : t -> int
-
-  val quantile : t -> float -> float
-  (** [quantile t q] approximates the [q]-quantile ([0 ≤ q ≤ 1]) by
-      linear interpolation within the containing bin. Requires at
-      least one in-range sample. *)
-
-  val mean : t -> float
 end
 
 module Series : sig
@@ -89,6 +69,4 @@ module Series : sig
 
   val to_list : t -> (float * float) list
   (** Oldest first. *)
-
-  val length : t -> int
 end

@@ -498,6 +498,43 @@ let test_text_format () =
   | other ->
       Alcotest.failf "expected one text line, got %d" (List.length other)
 
+(* ---- U001: exports no other unit references ---- *)
+
+let u001 sources =
+  at "U001" (Driver.scan_sources ~rules:[ "U001" ] ~with_m001:false sources)
+
+let exporter =
+  [ ("lib/core/exporter.mli", "val used : int -> int\nval own : int\n");
+    ("lib/core/exporter.ml", "let used x = x + 1\nlet own = used 1\n") ]
+
+let test_u001_cross_unit_reference () =
+  Alcotest.check loc "a reference from another unit keeps the export" [ (2, 4) ]
+    (u001
+       (exporter
+       @ [ ("lib/core/caller.ml", "let go () = Exporter.used 2\n") ]))
+
+let test_u001_own_unit_only () =
+  Alcotest.check loc "references from the defining unit do not count"
+    [ (1, 4); (2, 4) ] (u001 exporter)
+
+let test_u001_test_reference () =
+  Alcotest.check loc "references from test/ do not count" [ (1, 4); (2, 4) ]
+    (u001
+       (exporter
+       @ [ ( "test/test_exporter.ml",
+             "let () = ignore (Exporter.used 2, Exporter.own)\n" ) ]))
+
+let test_u001_module_alias () =
+  Alcotest.check loc "a reference through a module alias counts" [ (2, 4) ]
+    (u001
+       (exporter
+       @ [ ( "lib/core/caller.ml",
+             "module E = Softstate_core.Exporter\nlet go () = E.used 2\n" );
+           ( "bin/cli.ml",
+             "let go () =\n\
+             \  let module X = Softstate_core.Exporter in\n\
+             \  X.used 3\n" ) ]))
+
 let test_catalogue () =
   List.iter
     (fun r ->
@@ -547,6 +584,15 @@ let () =
           Alcotest.test_case "nested hot region" `Quick
             test_a_rules_nested_hot_region;
           Alcotest.test_case "rule selection" `Quick test_rule_selection ] );
+      ( "exports",
+        [ Alcotest.test_case "U001 cross-unit reference" `Quick
+            test_u001_cross_unit_reference;
+          Alcotest.test_case "U001 own unit only" `Quick
+            test_u001_own_unit_only;
+          Alcotest.test_case "U001 test reference" `Quick
+            test_u001_test_reference;
+          Alcotest.test_case "U001 module alias" `Quick test_u001_module_alias
+        ] );
       ( "suppressions",
         [ Alcotest.test_case "valid directive silences" `Quick
             test_suppression_silences;

@@ -442,24 +442,6 @@ let test_timeweighted_reversal_rejected () =
     (Invalid_argument "Timeweighted.update: time reversed") (fun () ->
       Stats.Timeweighted.update tw ~now:4.0 ~value:0.0)
 
-let test_histogram_basic () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -1.0; 10.0; 25.0 ];
-  Alcotest.(check int) "count" 7 (Stats.Histogram.count h);
-  Alcotest.(check int) "bin0" 1 (Stats.Histogram.bin_count h 0);
-  Alcotest.(check int) "bin1" 2 (Stats.Histogram.bin_count h 1);
-  Alcotest.(check int) "bin9" 1 (Stats.Histogram.bin_count h 9);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Stats.Histogram.overflow h)
-
-let test_histogram_quantile () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:100.0 ~bins:100 in
-  for i = 1 to 1000 do
-    Stats.Histogram.add h (float_of_int (i mod 100))
-  done;
-  let median = Stats.Histogram.quantile h 0.5 in
-  Alcotest.(check bool) "median near 50" true (median > 45.0 && median < 55.0)
-
 let test_series_thinning () =
   let s = Stats.Series.create ~capacity:16 () in
   for i = 0 to 9999 do
@@ -1020,8 +1002,6 @@ let () =
             test_timeweighted_starts_at_first_update;
           Alcotest.test_case "timeweighted reversal" `Quick
             test_timeweighted_reversal_rejected;
-          Alcotest.test_case "histogram basic" `Quick test_histogram_basic;
-          Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
           Alcotest.test_case "series thinning" `Quick test_series_thinning;
         ] );
       ( "sketch",
