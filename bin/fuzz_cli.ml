@@ -517,9 +517,7 @@ let run seed count max_shrink oracle log replay inject_bug inject_mode
             f.Fuzz.violations;
           Printf.printf "  shrunk (%d runs): %s\n" f.Fuzz.shrink_runs
             (Scenario.to_string f.Fuzz.shrunk);
-          Printf.printf "  reproduce with:\n";
-          String.split_on_char '\n' (Fuzz.reproducer f)
-          |> List.iter (Printf.printf "    %s\n"))
+          Printf.printf "  reproduce with:\n    %s\n" (Fuzz.reproducer f))
         stats.Fuzz.failures;
       if stats.Fuzz.failures = [] && coverage_ok then 0 else 1
 

@@ -46,31 +46,8 @@ let loss_arg =
      ge:PGB:PBG:LG:LB for a Gilbert-Elliott chain with good-to-bad / \
      bad-to-good transition probabilities and per-state loss rates."
   in
-  let parse s =
-    match float_of_string_opt s with
-    | Some p -> Ok (E.Bernoulli p)
-    | None -> (
-        match String.split_on_char ':' s with
-        | [ "ge"; a; b; c; d ] -> (
-            match
-              ( float_of_string_opt a, float_of_string_opt b,
-                float_of_string_opt c, float_of_string_opt d )
-            with
-            | Some p_good_to_bad, Some p_bad_to_good, Some loss_good,
-              Some loss_bad ->
-                Ok
-                  (E.Gilbert_elliott
-                     { p_good_to_bad; p_bad_to_good; loss_good; loss_bad })
-            | _ -> Error (`Msg ("bad gilbert-elliott numbers in " ^ s)))
-        | _ -> Error (`Msg "expected a probability or ge:PGB:PBG:LG:LB"))
-  in
-  let print fmt = function
-    | E.Bernoulli p -> Format.fprintf fmt "%g" p
-    | E.Gilbert_elliott { p_good_to_bad; p_bad_to_good; loss_good; loss_bad }
-      ->
-        Format.fprintf fmt "ge:%g:%g:%g:%g" p_good_to_bad p_bad_to_good
-          loss_good loss_bad
-  in
+  let parse s = msg_error (E.loss_of_string s) in
+  let print fmt l = Format.pp_print_string fmt (E.loss_to_string l) in
   Arg.(
     value
     & opt (conv (parse, print)) (E.Bernoulli 0.1)

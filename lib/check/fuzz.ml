@@ -64,13 +64,8 @@ let check_scenario ?corrupt ?(oracles = []) scenario =
   Oracle.check battery (rerun scenario)
 
 let reproducer f =
-  let replay =
-    Printf.sprintf "softstate_fuzz --replay '%s'"
-      (Scenario.to_string f.shrunk)
-  in
-  match Scenario.to_cli f.shrunk with
-  | Some cli -> replay ^ "\n" ^ cli
-  | None -> replay
+  Printf.sprintf "dune exec bin/fuzz_cli.exe -- --replay '%s'"
+    (Scenario.to_string f.shrunk)
 
 let violations_json vs =
   Json.list

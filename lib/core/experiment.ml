@@ -21,6 +21,37 @@ let make_loss = function
 
 let loss_mean spec = Net.Loss.mean_rate (make_loss spec)
 
+let f17 = Printf.sprintf "%.17g"
+
+let loss_to_string = function
+  | Bernoulli p -> "b:" ^ f17 p
+  | Gilbert_elliott { p_good_to_bad; p_bad_to_good; loss_good; loss_bad } ->
+      Printf.sprintf "ge:%s:%s:%s:%s" (f17 p_good_to_bad) (f17 p_bad_to_good)
+        (f17 loss_good) (f17 loss_bad)
+
+let loss_of_string s =
+  let bernoulli p = Option.map (fun p -> Bernoulli p) (float_of_string_opt p) in
+  let spec =
+    match String.split_on_char ':' s with
+    | [ p ] | [ "b"; p ] -> bernoulli p
+    | [ "ge"; a; b; c; d ] -> (
+        match List.map float_of_string_opt [ a; b; c; d ] with
+        | [ Some p_good_to_bad; Some p_bad_to_good; Some loss_good;
+            Some loss_bad ] ->
+            Some
+              (Gilbert_elliott
+                 { p_good_to_bad; p_bad_to_good; loss_good; loss_bad })
+        | _ -> None)
+    | _ -> None
+  in
+  match spec with
+  | None -> Error ("bad loss spec " ^ s ^ " (want P, b:P or ge:PGB:PBG:LG:LB)")
+  | Some spec -> (
+      match make_loss spec with
+      | _ -> Ok spec
+      | exception Invalid_argument _ ->
+          Error ("loss spec " ^ s ^ " has a probability outside [0,1]"))
+
 type protocol_spec =
   | Open_loop of { mu_data_kbps : float }
   | Two_queue of { mu_hot_kbps : float; mu_cold_kbps : float }
