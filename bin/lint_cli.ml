@@ -1,6 +1,6 @@
 (* Determinism + domain-safety lint front end.
 
-     dune exec bin/lint_cli.exe -- lib bin bench test
+     dune exec bin/lint_cli.exe -- lib bin bench examples test
      dune exec bin/lint_cli.exe -- --format json lib
      dune exec bin/lint_cli.exe -- --rules R,A lib bin
      dune exec bin/lint_cli.exe -- --summary-out lint_summary.tsv lib
@@ -16,11 +16,12 @@ module Lint = Softstate_lint
 let paths_arg =
   Arg.(
     value
-    & pos_all string [ "lib"; "bin"; "bench"; "test" ]
+    & pos_all string [ "lib"; "bin"; "bench"; "examples"; "test" ]
     & info [] ~docv:"PATH"
         ~doc:
-          "Files or directories to lint (default: lib bin bench test, \
-           relative to the repository root).")
+          "Files or directories to lint (default: lib bin bench examples \
+           test, relative to the repository root). U001 needs every \
+           caller of lib/ in the scanned set.")
 
 let format_arg =
   Arg.(

@@ -216,10 +216,10 @@ let test_weight_update () =
 let test_hierarchy_two_level_shares () =
   let h = Sched.Hierarchy.create () in
   let root = Sched.Hierarchy.root h in
-  let data = Sched.Hierarchy.add_child h ~parent:root ~weight:3.0 ~label:"data" () in
-  let fb = Sched.Hierarchy.add_child h ~parent:root ~weight:1.0 ~label:"fb" () in
-  let hot = Sched.Hierarchy.add_child h ~parent:data ~weight:2.0 ~label:"hot" () in
-  let cold = Sched.Hierarchy.add_child h ~parent:data ~weight:1.0 ~label:"cold" () in
+  let data = Sched.Hierarchy.add_child h ~parent:root ~weight:3.0 in
+  let fb = Sched.Hierarchy.add_child h ~parent:root ~weight:1.0 in
+  let hot = Sched.Hierarchy.add_child h ~parent:data ~weight:2.0 in
+  let cold = Sched.Hierarchy.add_child h ~parent:data ~weight:1.0 in
   List.iter (fun n -> Sched.Hierarchy.set_backlogged h n true) [ fb; hot; cold ];
   let counts = Hashtbl.create 4 in
   for _ = 1 to 12_000 do
@@ -242,10 +242,10 @@ let test_hierarchy_two_level_shares () =
 let test_hierarchy_excess_flows_within_class () =
   let h = Sched.Hierarchy.create () in
   let root = Sched.Hierarchy.root h in
-  let data = Sched.Hierarchy.add_child h ~parent:root ~weight:3.0 () in
-  let fb = Sched.Hierarchy.add_child h ~parent:root ~weight:1.0 () in
-  let hot = Sched.Hierarchy.add_child h ~parent:data ~weight:2.0 () in
-  let cold = Sched.Hierarchy.add_child h ~parent:data ~weight:1.0 () in
+  let data = Sched.Hierarchy.add_child h ~parent:root ~weight:3.0 in
+  let fb = Sched.Hierarchy.add_child h ~parent:root ~weight:1.0 in
+  let hot = Sched.Hierarchy.add_child h ~parent:data ~weight:2.0 in
+  let cold = Sched.Hierarchy.add_child h ~parent:data ~weight:1.0 in
   (* hot idle: cold should absorb all of data's 3/4, fb keeps 1/4 *)
   Sched.Hierarchy.set_backlogged h fb true;
   Sched.Hierarchy.set_backlogged h cold true;
@@ -264,8 +264,8 @@ let test_hierarchy_excess_flows_within_class () =
 let test_hierarchy_interior_backlog_rejected () =
   let h = Sched.Hierarchy.create () in
   let root = Sched.Hierarchy.root h in
-  let data = Sched.Hierarchy.add_child h ~parent:root ~weight:1.0 () in
-  let _leaf = Sched.Hierarchy.add_child h ~parent:data ~weight:1.0 () in
+  let data = Sched.Hierarchy.add_child h ~parent:root ~weight:1.0 in
+  let _leaf = Sched.Hierarchy.add_child h ~parent:data ~weight:1.0 in
   Alcotest.check_raises "interior rejected"
     (Invalid_argument "Hierarchy.set_backlogged: interior node") (fun () ->
       Sched.Hierarchy.set_backlogged h data true)
@@ -282,10 +282,10 @@ let test_hierarchy_wake_after_heavy_charges () =
      nor catch up on its idle time. *)
   let h = Sched.Hierarchy.create () in
   let root = Sched.Hierarchy.root h in
-  let data = Sched.Hierarchy.add_child h ~parent:root ~weight:5040.0 () in
-  let cold = Sched.Hierarchy.add_child h ~parent:root ~weight:2160.0 () in
-  let a = Sched.Hierarchy.add_child h ~parent:data ~weight:4.0 () in
-  let b = Sched.Hierarchy.add_child h ~parent:data ~weight:1.0 () in
+  let data = Sched.Hierarchy.add_child h ~parent:root ~weight:5040.0 in
+  let cold = Sched.Hierarchy.add_child h ~parent:root ~weight:2160.0 in
+  let a = Sched.Hierarchy.add_child h ~parent:data ~weight:4.0 in
+  let b = Sched.Hierarchy.add_child h ~parent:data ~weight:1.0 in
   Sched.Hierarchy.set_backlogged h b true;
   Sched.Hierarchy.set_backlogged h cold true;
   for _ = 1 to 5000 do
@@ -318,8 +318,8 @@ let test_hierarchy_intermittent_leaf_keeps_share () =
      served at its demand when that demand is below its share. *)
   let h = Sched.Hierarchy.create () in
   let root = Sched.Hierarchy.root h in
-  let a = Sched.Hierarchy.add_child h ~parent:root ~weight:4.0 () in
-  let b = Sched.Hierarchy.add_child h ~parent:root ~weight:1.0 () in
+  let a = Sched.Hierarchy.add_child h ~parent:root ~weight:4.0 in
+  let b = Sched.Hierarchy.add_child h ~parent:root ~weight:1.0 in
   Sched.Hierarchy.set_backlogged h b true;
   let pending_a = ref 0 in
   let served_a = ref 0 in
