@@ -37,6 +37,7 @@ type t = {
   members : Receiver.t array;
   fanout : Wire.envelope Net.Transport.fanout;
   fb_outbox : Wire.msg Net.Transport.outbox;
+  fb_size_bits : Wire.envelope -> int;
   slot_rng : Rng.t;
   (* repair-request tag -> time it was last heard on the (multicast)
      feedback channel; members use it for damping *)
@@ -80,7 +81,7 @@ let push_feedback t msg =
   ignore
     (t.fb_outbox.Net.Transport.o_send
        (Net.Packet.make
-          ~size_bits:(Wire.size_bits { Wire.seq = 0; sent_at = 0.0; msg })
+          ~size_bits:(t.fb_size_bits { Wire.seq = 0; sent_at = 0.0; msg })
           msg))
 
 (* The slotting-and-damping stage between a member's Receiver and the
@@ -156,7 +157,7 @@ let create ?obs ?transport ~engine ~rng ~config ~members () =
   in
   let t =
     { engine; config; sender; members = member_receivers; fanout; fb_outbox;
-      slot_rng; heard = Hashtbl.create 256;
+      fb_size_bits = Wire.sizer (); slot_rng; heard = Hashtbl.create 256;
       feedback_sent = 0; feedback_suppressed = 0 }
   in
   t_cell := Some t;

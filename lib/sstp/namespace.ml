@@ -5,12 +5,26 @@ type node = {
   mutable payload : string option; (* Some for leaves *)
   mutable version : int;
   mutable meta : string list;
-  mutable cached_digest : Digest.t option;
+  mutable digest : Digest.t; (* valid when not [stale] *)
+  mutable stale : bool;
+  mutable leaves : int; (* subtree leaf count, set with [digest] *)
+  mutable frame : frame; (* interior nodes; [unframed] until hashed *)
+  mutable stamp : int; (* last [diff] call that matched this node *)
 }
+
+(* An interior node's digest input: ⟦"node"⟧ then ⟦name⟧ · ⟦digest⟧
+   per child in name order, where [slots.(i)]'s 16 digest bytes sit at
+   [offsets.(i)] of [bytes]. It is laid out again only when the set of
+   children changes; a digest recompute re-blits every child's current
+   digest into it and hashes it once. *)
+and frame = { bytes : Bytes.t; slots : node array; offsets : int array }
+
+let unframed = { bytes = Bytes.empty; slots = [||]; offsets = [||] }
 
 type t = {
   root : node;
-  frame : Buffer.t; (* scratch for the framed parts of one digest *)
+  scratch : Buffer.t; (* a leaf's framed parts, or a frame being laid out *)
+  mutable diffs : int; (* [diff] calls so far: the current stamp *)
   mutable leaf_count : int;
   mutable node_count : int;
   mutable payload_bits : int;
@@ -18,11 +32,11 @@ type t = {
 
 let fresh_node () =
   { children = StringMap.empty; payload = None; version = 0; meta = [];
-    cached_digest = None }
+    digest = ""; stale = true; leaves = 0; frame = unframed; stamp = 0 }
 
 let create () =
-  { root = fresh_node (); frame = Buffer.create 256; leaf_count = 0;
-    node_count = 0; payload_bits = 0 }
+  { root = fresh_node (); scratch = Buffer.create 256; diffs = 0;
+    leaf_count = 0; node_count = 0; payload_bits = 0 }
 
 let rec find_node node = function
   | [] -> Some node
@@ -31,19 +45,25 @@ let rec find_node node = function
       | None -> None
       | Some child -> find_node child rest)
 
+(* A child was added or removed under [node]. *)
+let reshape node =
+  node.stale <- true;
+  node.frame <- unframed
+
 (* Walk to [path], invalidating digest caches along the spine (the
    caller is about to mutate the endpoint), creating interior nodes as
    needed. *)
 let rec reach_dirty t node = function
   | [] -> node
   | seg :: rest ->
-      node.cached_digest <- None;
+      node.stale <- true;
       let child =
         match StringMap.find_opt seg node.children with
         | Some c -> c
         | None ->
             let c = fresh_node () in
             node.children <- StringMap.add seg c node.children;
+            node.frame <- unframed;
             t.node_count <- t.node_count + 1;
             c
       in
@@ -53,7 +73,7 @@ let rec reach_dirty t node = function
 let rec dirty_spine node = function
   | [] -> ()
   | seg :: rest -> (
-      node.cached_digest <- None;
+      node.stale <- true;
       match StringMap.find_opt seg node.children with
       | None -> ()
       | Some child -> dirty_spine child rest)
@@ -72,7 +92,7 @@ let put t ~path ~payload =
   if path = [] then invalid_arg "Namespace.put: cannot put at the root";
   check_no_leaf_on_spine t.root path;
   let node = reach_dirty t t.root path in
-  node.cached_digest <- None;
+  node.stale <- true;
   match node.payload with
   | Some old ->
       node.payload <- Some payload;
@@ -100,7 +120,7 @@ let remove t ~path =
   | [] ->
       let existed = not (StringMap.is_empty t.root.children) in
       t.root.children <- StringMap.empty;
-      t.root.cached_digest <- None;
+      reshape t.root;
       t.leaf_count <- 0;
       t.node_count <- 0;
       t.payload_bits <- 0;
@@ -114,7 +134,7 @@ let remove t ~path =
             | Some victim ->
                 let leaves, nodes, bits = subtree_stats victim (0, 0, 0) in
                 node.children <- StringMap.remove last node.children;
-                node.cached_digest <- None;
+                reshape node;
                 t.leaf_count <- t.leaf_count - leaves;
                 t.node_count <- t.node_count - nodes;
                 t.payload_bits <- t.payload_bits - bits;
@@ -125,21 +145,20 @@ let remove t ~path =
             | Some child ->
                 let removed = go child rest in
                 if removed then begin
-                  node.cached_digest <- None;
+                  node.stale <- true;
                   (* prune now-empty interior nodes *)
                   if
                     child.payload = None
                     && StringMap.is_empty child.children
                   then begin
                     node.children <- StringMap.remove seg node.children;
+                    reshape node;
                     t.node_count <- t.node_count - 1
                   end
                 end;
                 removed)
       in
-      let removed = go t.root path in
-      if removed then t.root.cached_digest <- None;
-      removed
+      go t.root path
 
 let find t path =
   match find_node t.root path with
@@ -164,14 +183,14 @@ let set_meta t ~path meta =
   | Some n ->
       n.meta <- meta;
       dirty_spine t.root path;
-      n.cached_digest <- None
+      n.stale <- true
 
 let meta t path =
   match find_node t.root path with Some n -> n.meta | None -> []
 
 (* netstring-style framing removes concatenation ambiguity between
-   adjacent parts ("ab"+"c" vs "a"+"bc"). Parts are written straight
-   into the namespace's scratch buffer, which is hashed once. *)
+   adjacent parts ("ab"+"c" vs "a"+"bc"). Parts are written into the
+   namespace's scratch buffer. *)
 let rec add_decimal buf n =
   if n >= 10 then add_decimal buf (n / 10);
   Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
@@ -181,32 +200,58 @@ let add_frame buf s =
   Buffer.add_char buf ':';
   Buffer.add_string buf s
 
+let no_digest = String.make 16 '\000'
+
+(* Lay out a frame for [node]'s current children with placeholder
+   digests: the recompute that follows blits every one of them. *)
+let reframe t node =
+  let buf = t.scratch in
+  Buffer.clear buf;
+  add_frame buf "node";
+  let named = Array.of_seq (StringMap.to_seq node.children) in
+  let offsets = Array.make (Array.length named) 0 in
+  Array.iteri
+    (fun i (name, _) ->
+      add_frame buf name;
+      add_frame buf no_digest;
+      offsets.(i) <- Buffer.length buf - 16)
+    named;
+  let frame =
+    { bytes = Buffer.to_bytes buf; slots = Array.map snd named; offsets }
+  in
+  node.frame <- frame;
+  frame
+
 let rec digest_of t node =
-  match node.cached_digest with
-  | Some d -> d
-  | None ->
-      let buf = t.frame in
-      (match node.payload with
-      | Some payload ->
-          Buffer.clear buf;
-          add_frame buf "leaf";
-          add_frame buf payload;
-          List.iter (add_frame buf) node.meta
-      | None ->
-          (* settle dirty children first: their recursion reuses [buf] *)
-          StringMap.iter
-            (fun _ child -> ignore (digest_of t child))
-            node.children;
-          Buffer.clear buf;
-          add_frame buf "node";
-          StringMap.iter
-            (fun name child ->
-              add_frame buf name;
-              add_frame buf (digest_of t child))
-            node.children);
-      let d = Digest.string (Buffer.contents buf) in
-      node.cached_digest <- Some d;
-      d
+  if node.stale then begin
+    (match node.payload with
+    | Some payload ->
+        let buf = t.scratch in
+        Buffer.clear buf;
+        add_frame buf "leaf";
+        add_frame buf payload;
+        List.iter (add_frame buf) node.meta;
+        node.digest <- Digest.string (Buffer.contents buf);
+        node.leaves <- 1
+    | None ->
+        let f =
+          if node.frame == unframed then reframe t node else node.frame
+        in
+        (* Every child is re-blitted, not only stale ones: a child read
+           through [digest] or [diff] since this frame was last hashed
+           is already fresh, yet its bytes here are not. *)
+        let leaves = ref 0 in
+        for i = 0 to Array.length f.slots - 1 do
+          let child = Array.unsafe_get f.slots i in
+          Bytes.blit_string (digest_of t child) 0 f.bytes
+            (Array.unsafe_get f.offsets i) 16;
+          leaves := !leaves + child.leaves
+        done;
+        node.digest <- Digest.bytes f.bytes;
+        node.leaves <- !leaves);
+    node.stale <- false
+  end;
+  node.digest
 
 let digest t path =
   match find_node t.root path with
@@ -221,10 +266,35 @@ let children t path =
   | Some n ->
       StringMap.fold
         (fun name child acc ->
-          let kind = if child.payload <> None then `Leaf else `Interior in
-          (name, digest_of t child, kind) :: acc)
+          { Wire.name; digest = digest_of t child;
+            kind = (if child.payload <> None then Wire.Leaf else Wire.Interior);
+            meta = child.meta }
+          :: acc)
         n.children []
       |> List.rev
+
+let diff t path (remote : Wire.child list) =
+  match find_node t.root path with
+  | None -> (remote, [])
+  | Some n ->
+      t.diffs <- t.diffs + 1;
+      let stamp = t.diffs in
+      let diverged =
+        List.filter
+          (fun (c : Wire.child) ->
+            match StringMap.find_opt c.Wire.name n.children with
+            | Some local ->
+                local.stamp <- stamp;
+                not (Digest.equal (digest_of t local) c.Wire.digest)
+            | None -> true)
+          remote
+      in
+      let withdrawn =
+        StringMap.fold
+          (fun name child acc -> if child.stamp = stamp then acc else name :: acc)
+          n.children []
+      in
+      (diverged, List.rev withdrawn)
 
 let leaf_count t = t.leaf_count
 let node_count t = t.node_count
@@ -239,26 +309,26 @@ let iter_leaves t f =
   in
   walk [] t.root
 
-(* One walk down [a], carrying [b]'s node at the same path: a leaf of
-   [a] matches when [b] has a node there with an equal digest. *)
+(* One walk down [a], carrying [b]'s node at the same path. Equal
+   digests mean equal subtrees, so every leaf below matches and the
+   walk stops there; only mismatching interior nodes are descended. *)
 let matching_leaves a b =
   let leaves = ref 0 and matching = ref 0 in
   let rec walk na nb =
-    match na.payload with
-    | Some _ -> (
-        incr leaves;
-        match nb with
-        | Some nb when Digest.equal (digest_of a na) (digest_of b nb) ->
-            incr matching
-        | Some _ | None -> ())
-    | None ->
-        StringMap.iter
-          (fun name child ->
-            walk child
-              (match nb with
-              | Some nb -> StringMap.find_opt name nb.children
-              | None -> None))
-          na.children
+    let da = digest_of a na in
+    match nb with
+    | None -> leaves := !leaves + na.leaves
+    | Some nb when Digest.equal da (digest_of b nb) ->
+        leaves := !leaves + na.leaves;
+        matching := !matching + na.leaves
+    | Some nb -> (
+        match na.payload with
+        | Some _ -> incr leaves
+        | None ->
+            StringMap.iter
+              (fun name child ->
+                walk child (StringMap.find_opt name nb.children))
+              na.children)
   in
   walk a.root (Some b.root);
   (!leaves, !matching)

@@ -15,9 +15,16 @@
     divergence by descending only into mismatching subtrees — the
     recursive-descent repair of the announcement protocol.
 
-    Digests are cached and recomputed lazily along the dirty spine, so
-    an update costs O(depth) invalidations and a digest read costs
-    O(changed subtree). *)
+    Cost model. Digests are cached and recomputed lazily along the
+    dirty spine: an update costs O(depth) invalidations, and the next
+    digest read rehashes only the stale nodes on that spine. An
+    interior node keeps its framed parts in one byte buffer with each
+    child's digest at a fixed offset; rehashing it blits the children's
+    16-byte digests into place and runs one MD5 over the buffer, with
+    no allocation beyond the new digest. The buffer is laid out again
+    only when a child is added, removed or pruned. The same pass counts
+    each node's subtree leaves, so {!matching_leaves} stops at the
+    first equal digest on each branch. *)
 
 type t
 
@@ -53,10 +60,18 @@ val root_digest : t -> Digest.t
 (** The root summary announced on the cold channel. An empty tree is
     an interior node with no children: [MD5("4:node")]. *)
 
-val children : t -> Path.t -> (string * Digest.t * [ `Leaf | `Interior ]) list
-(** Name-ordered children with their digests — the "next level
-    signatures" a sender returns for a repair query. Empty for leaves
-    and absent paths. *)
+val children : t -> Path.t -> Wire.child list
+(** Name-ordered children with their digests, kinds and meta tags —
+    the "next level signatures" a sender returns for a repair query.
+    Empty for leaves and absent paths. *)
+
+val diff : t -> Path.t -> Wire.child list -> Wire.child list * string list
+(** [diff t path remote] compares a sender's signatures for [path]
+    with the local children there. The first list holds the remote
+    children that are missing locally or whose digest differs, in
+    [remote]'s order; the second, the names of local children that
+    [remote] does not list, in name order. One lookup per remote
+    child; no map is built. *)
 
 val leaf_count : t -> int
 (* lint: allow U001 (a) used by test "put/find" *)
@@ -69,7 +84,9 @@ val iter_leaves : t -> (Path.t -> string -> unit) -> unit
 val matching_leaves : t -> t -> int * int
 (** [matching_leaves a b] is [(leaves, matching)]: the leaves of [a],
     and those of them at whose path [b] has a node (of either kind)
-    with an equal digest. One walk over both trees. *)
+    with an equal digest. One walk down both trees that counts a
+    whole subtree at the first equal digest and descends only into
+    mismatches. *)
 
 (* lint: allow U001 (a) used by test "remove" *)
 val payload_bits : t -> int

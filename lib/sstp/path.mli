@@ -27,6 +27,5 @@ val parent : t -> t option
 val basename : t -> string option
 (* lint: allow U001 (a) used by test "relations" *)
 val depth : t -> int
-(* lint: allow U001 (a) used by test "relations" *)
 val is_prefix : prefix:t -> t -> bool
 (** Whether [prefix] is an ancestor-or-self of the path. *)

@@ -2,8 +2,6 @@ module Engine = Softstate_sim.Engine
 module Obs = Softstate_obs.Obs
 module Metrics = Softstate_obs.Metrics
 module Trace = Softstate_obs.Trace
-module StringMap = Map.Make (String)
-module StringSet = Set.Make (String)
 
 type config = {
   repair_timeout : float;
@@ -119,19 +117,17 @@ let send_nack t ~now ?(parent = Trace.no_id) path =
       t.send_feedback (Wire.Nack { path = Path.to_string path }))
 
 (* Stop repairing below a withdrawn subtree, or retries would fight
-   the removal forever. *)
+   the removal forever. A tag covers the withdrawn path and every path
+   below it, segment by segment: withdrawing "db/g1" leaves
+   "db/g10"'s repair running. *)
 let purge_outstanding_under t path =
-  let prefix_q = "q:" ^ Path.to_string path in
-  let prefix_n = "n:" ^ Path.to_string path in
   let doomed =
     (* lint: allow D003 commutative: collects an unordered purge set; order never escapes *)
     Hashtbl.fold
       (fun tag _ acc ->
-        let covers prefix =
-          String.length tag >= String.length prefix
-          && String.sub tag 0 (String.length prefix) = prefix
-        in
-        if covers prefix_q || covers prefix_n then tag :: acc else acc)
+        (* tags are "q:" or "n:" followed by the path *)
+        let tagged = Path.of_string (String.sub tag 2 (String.length tag - 2)) in
+        if Path.is_prefix ~prefix:path tagged then tag :: acc else acc)
       t.outstanding []
   in
   List.iter (Hashtbl.remove t.outstanding) doomed
@@ -156,47 +152,30 @@ let store_data t ~now path payload meta =
   if before <> after then notify_update t path payload
 
 let on_signatures t ~now ~parent path (children : Wire.child list) =
+  let diverged, withdrawn = Namespace.diff t.namespace path children in
   let acted = ref false in
-  let local = Namespace.children t.namespace path in
-  let local_digest =
-    List.fold_left
-      (fun acc (name, digest, _) -> StringMap.add name digest acc)
-      StringMap.empty local
-  in
   (* Descend into every remote child we lack or disagree with. *)
   List.iter
-    (fun { Wire.name; digest; kind; meta } ->
+    (fun { Wire.name; digest = _; kind; meta } ->
       let child_path = Path.child path name in
-      let matches =
-        match StringMap.find_opt name local_digest with
-        | Some local -> Digest.equal local digest
-        | None -> false
-      in
       (* interest sees the *sender's* tags for the node (carried in the
          signatures), which is how a PDA can decline image branches it
          has never fetched *)
-      if (not matches) && t.interest child_path ~meta then begin
+      if t.interest child_path ~meta then begin
         acted := true;
         match kind with
         | Wire.Leaf -> send_nack t ~now ~parent child_path
         | Wire.Interior -> send_query t ~now ~parent child_path
       end)
-    children;
+    diverged;
   (* Anything we hold that the sender no longer lists is withdrawn. *)
-  let remote_names =
-    List.fold_left
-      (fun acc c -> StringSet.add c.Wire.name acc)
-      StringSet.empty children
-  in
   List.iter
-    (fun (name, _, _) ->
-      if not (StringSet.mem name remote_names) then begin
-        acted := true;
-        let child_path = Path.child path name in
-        if Namespace.remove t.namespace ~path:child_path then
-          notify_remove t child_path
-      end)
-    local;
+    (fun name ->
+      acted := true;
+      let child_path = Path.child path name in
+      if Namespace.remove t.namespace ~path:child_path then
+        notify_remove t child_path)
+    withdrawn;
   if Path.is_root path && not !acted then
     (* Every divergence under this sender state is uninteresting:
        remember it so matching summaries stop triggering queries. *)

@@ -43,6 +43,7 @@ type t = {
   data_node : Hierarchy.node;
   cold_node : Hierarchy.node;
   reports : Reports.Sender_side.t;
+  size_bits : Wire.envelope -> int;
   trace : Trace.t;
   traced : bool; (* Trace.enabled, hoisted to creation time *)
   mutable seq : int;
@@ -79,6 +80,7 @@ let create ?obs ~engine ~config () =
     { engine; config; namespace = Namespace.create (); classes;
       class_of_path = Hashtbl.create 64; pending = Hashtbl.create 64; sched;
       data_node; cold_node; reports = Reports.Sender_side.create ();
+      size_bits = Wire.sizer ();
       trace = Obs.trace_of obs; traced = Trace.enabled (Obs.trace_of obs);
       seq = 0;
       next_summary_due = Engine.now engine; sent_data = 0; sent_summaries = 0;
@@ -242,18 +244,6 @@ let rec materialise t klass ~now =
                   (next_envelope t ~now
                      (Wire.Remove { path = Path.to_string path }))
           | children ->
-              let children =
-                List.map
-                  (fun (name, digest, kind) ->
-                    { Wire.name; digest;
-                      kind =
-                        (match kind with
-                        | `Leaf -> Wire.Leaf
-                        | `Interior -> Wire.Interior);
-                      meta =
-                        Namespace.meta t.namespace (Path.child path name) })
-                  children
-              in
               t.sent_signatures <- t.sent_signatures + 1;
               Some
                 (next_envelope t ~now
@@ -287,7 +277,7 @@ let refresh_backlog t ~now =
 
 (* Encode once: the size charged to the scheduler is the packet's. *)
 let charged t leaf env =
-  let size_bits = Wire.size_bits env in
+  let size_bits = t.size_bits env in
   Hierarchy.charge t.sched leaf (float_of_int size_bits);
   Some (Net.Packet.make ~id:env.Wire.seq ~size_bits env)
 

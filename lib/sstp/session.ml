@@ -134,14 +134,14 @@ let create ?obs ?transport ~engine ~rng ~config () =
      the sender, the data channel's fetch targets the sender and its
      deliver the receiver. *)
   let outbox_cell = ref None in
+  let size_bits = Wire.sizer () in
   let send_feedback msg =
     match !outbox_cell with
     | Some ob ->
         ignore
           (ob.Net.Transport.o_send
              (Net.Packet.make
-                ~size_bits:
-                  (Wire.size_bits { Wire.seq = 0; sent_at = 0.0; msg })
+                ~size_bits:(size_bits { Wire.seq = 0; sent_at = 0.0; msg })
                 msg))
     | None -> ()
   in

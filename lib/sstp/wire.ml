@@ -42,16 +42,30 @@ let encode_digest w d =
   if String.length d <> 16 then invalid_arg "Wire: digest must be 16 bytes";
   Codec.Writer.bytes w d
 
+let rec encode_strings w = function
+  | [] -> ()
+  | s :: rest ->
+      Codec.Writer.string16 w s;
+      encode_strings w rest
+
 let encode_meta w meta =
   Codec.Writer.u8 w (List.length meta);
-  List.iter (Codec.Writer.string16 w) meta
+  encode_strings w meta
+
+let rec encode_children w = function
+  | [] -> ()
+  | c :: rest ->
+      Codec.Writer.string16 w c.name;
+      encode_digest w c.digest;
+      Codec.Writer.u8 w (match c.kind with Leaf -> 0 | Interior -> 1);
+      encode_meta w c.meta;
+      encode_children w rest
 
 let decode_meta r =
   let n = Codec.Reader.u8 r in
   List.init n (fun _ -> Codec.Reader.string16 r)
 
-let encode env =
-  let w = Codec.Writer.create () in
+let write w env =
   Codec.Writer.u32 w env.seq;
   Codec.Writer.f64 w env.sent_at;
   Codec.Writer.u8 w (tag_of env.msg);
@@ -67,19 +81,17 @@ let encode env =
   | Signatures { path; children } ->
       Codec.Writer.string16 w path;
       Codec.Writer.u16 w (List.length children);
-      List.iter
-        (fun c ->
-          Codec.Writer.string16 w c.name;
-          encode_digest w c.digest;
-          Codec.Writer.u8 w (match c.kind with Leaf -> 0 | Interior -> 1);
-          encode_meta w c.meta)
-        children
+      encode_children w children
   | Remove { path } | Sig_request { path } | Nack { path } ->
       Codec.Writer.string16 w path
   | Receiver_report { highest_seq; received; loss_estimate } ->
       Codec.Writer.u32 w highest_seq;
       Codec.Writer.u32 w received;
-      Codec.Writer.f64 w loss_estimate);
+      Codec.Writer.f64 w loss_estimate)
+
+let encode env =
+  let w = Codec.Writer.create () in
+  write w env;
   Codec.Writer.contents w
 
 let decode s =
@@ -131,7 +143,12 @@ let decode s =
 (* 28 bytes of UDP/IPv4 header per packet. *)
 let header_bits = 224
 
-let size_bits env = (8 * String.length (encode env)) + header_bits
+let sizer () =
+  let w = Codec.Writer.create ~initial_capacity:256 () in
+  fun env ->
+    Codec.Writer.clear w;
+    write w env;
+    (8 * Codec.Writer.length w) + header_bits
 
 let is_feedback = function
   | Sig_request _ | Nack _ | Receiver_report _ -> true

@@ -50,10 +50,13 @@ val decode : string -> envelope
 (** Raises [Codec.Truncated] on short input and [Failure] on an
     unknown message tag. *)
 
-val size_bits : envelope -> int
-(** Wire size of the encoding, in bits, plus a fixed 224-bit
-    UDP/IP-header allowance so bandwidth accounting reflects real
-    packets rather than bare payloads. *)
+val sizer : unit -> envelope -> int
+(** [sizer ()] is a function giving an envelope's wire size: the
+    length of its encoding, in bits, plus a fixed 224-bit UDP/IP-header
+    allowance so bandwidth accounting reflects real packets rather
+    than bare payloads. It encodes into one writer of its own, cleared
+    and reused on every call, so sizing allocates nothing once the
+    writer has grown to the largest envelope seen. *)
 
 (* lint: allow U001 (a) used by test "feedback classification" *)
 val is_feedback : msg -> bool

@@ -29,6 +29,8 @@ module Writer = struct
     Buffer.add_string t s
 
   let contents = Buffer.contents
+  let clear = Buffer.clear
+  let length = Buffer.length
 end
 
 module Reader = struct

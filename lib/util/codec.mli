@@ -33,6 +33,12 @@ module Writer : sig
       must be shorter than 65536 bytes. *)
 
   val contents : t -> string
+
+  val clear : t -> unit
+  (** Empty the writer, keeping its capacity for reuse. *)
+
+  val length : t -> int
+  (** Bytes written since creation or the last [clear]. *)
 end
 
 module Reader : sig
