@@ -280,15 +280,21 @@ let run protocol seed duration lambda size_bits loss update_fraction arrival
             mu_fb_kbps = mu_fb; nack_bits; suppression = true;
             nack_slot = 0.5 }
   in
-  let obs = Obs_cli.setup ~trace_file ~metrics_file ~report in
   let config =
     { E.seed; duration; lambda_kbps = lambda; size_bits; death;
       expiry;
       update_fraction; arrival; loss; protocol;
       topology; faults; sched;
       empty_policy = Consistency.Empty_is_consistent; record_series = false;
-      obs = obs.Obs_cli.obs }
+      obs = None }
   in
+  (match E.check_faults config with
+  | Ok () -> ()
+  | Error e ->
+      Printf.eprintf "softstate-sim: option '--faults': %s\n" e;
+      exit Cmd.Exit.cli_error);
+  let obs = Obs_cli.setup ~trace_file ~metrics_file ~report in
+  let config = { config with E.obs = obs.Obs_cli.obs } in
   if replications > 1 then begin
     let s, _ = E.run_many ~jobs ~replications config in
     match obs.Obs_cli.report with

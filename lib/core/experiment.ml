@@ -147,6 +147,32 @@ let data_rate_kbps = function
   | Multicast { mu_hot_kbps; mu_cold_kbps; _ } ->
       mu_hot_kbps +. mu_cold_kbps
 
+(* The flat graph of a topology spec; [rng] feeds only the random
+   builder. *)
+let flat_graph ~rng = function
+  | Single_hop -> invalid_arg "Experiment: a single hop has no graph"
+  | Star { leaves } -> Net.Flat_topology.star ~leaves ()
+  | Chain { hops } -> Net.Flat_topology.chain ~hops ()
+  | Kary_tree { arity; depth } -> Net.Flat_topology.kary_tree ~arity ~depth ()
+  | Random_graph { nodes; edge_prob } ->
+      Net.Flat_topology.random ~rng ~nodes ~edge_prob ()
+
+let check_faults config =
+  match (config.faults, config.topology) with
+  | [], _ -> Ok ()
+  | _, Single_hop -> Error "faults need a topology"
+  | faults, spec ->
+      (* [run] builds the topology on the seed's third split, after
+         the base's and the links' *)
+      let rng = Rng.create config.seed in
+      ignore (Rng.split rng);
+      ignore (Rng.split rng);
+      let g = flat_graph ~rng:(Rng.split rng) spec in
+      Net.Fault.check
+        ~nodes:(Net.Flat_topology.node_count g)
+        ~cables:(Net.Flat_topology.cable_count g)
+        faults
+
 let run config =
   if config.duration <= 0.0 then
     invalid_arg "Experiment.run: duration must be positive";
@@ -185,6 +211,7 @@ let run config =
           invalid_arg "Experiment.run: faults need a topology";
         None
     | spec ->
+        (* the third split: [check_faults] replays the first three *)
         let topo_rng = Rng.split rng in
         let edge_loss () = make_loss config.loss in
         let rate_bps = kbps (data_rate_kbps config.protocol) in
@@ -638,17 +665,10 @@ let gossip_protocol_config cfg =
 let gossip_peers cfg =
   match cfg.g_topology with
   | Single_hop -> Gossip.Uniform cfg.g_nodes
-  | Star { leaves } -> Gossip.Mesh (Net.Flat_topology.star ~leaves ())
-  | Chain { hops } -> Gossip.Mesh (Net.Flat_topology.chain ~hops ())
-  | Kary_tree { arity; depth } ->
-      Gossip.Mesh (Net.Flat_topology.kary_tree ~arity ~depth ())
-  | Random_graph { nodes; edge_prob } ->
+  | spec ->
       (* structure stream split off the seed's root, so the builder's
          draws stay clear of the protocol stream *)
-      Gossip.Mesh
-        (Net.Flat_topology.random
-           ~rng:(Rng.split (Rng.create cfg.g_seed))
-           ~nodes ~edge_prob ())
+      Gossip.Mesh (flat_graph ~rng:(Rng.split (Rng.create cfg.g_seed)) spec)
 
 let run_gossip ?obs cfg =
   let engine = Engine.create () in

@@ -137,6 +137,14 @@ type result = {
 }
 
 val run : config -> result
+(** Raises [Invalid_argument] on a bad config, among others a fault
+    spec naming a cable or node the topology does not have. *)
+
+val check_faults : config -> (unit, string) Stdlib.result
+(** [Ok] iff {!run} accepts the config's faults: none, or a topology
+    that has every cable and node a [cable:]/[node:] window names
+    (for a random graph, the one [run] builds from the seed). Builds
+    only the flat graph, and nothing when there are no faults. *)
 
 (** {1 Replicated runs}
 

@@ -10,10 +10,23 @@
    discrete-event trajectory, as lib/queueing is for Figures 3/4.
 
    Engine integration is round-batched: ONE calendar event per round
-   sweeps every transmission with plain array reads/writes — no
-   closure, packet record or queue cell per contact — which is what
-   lets 10^6-node populations run within memory. The per-node state
-   is two int arrays:
+   sweeps every transmission, which is what lets 10^6-node
+   populations run within memory. A contact allocates nothing and
+   calls no closure:
+
+   - [Mesh] neighbours come straight from the graph's CSR arrays
+     ({!Flat.adjacency}): [off.(u)], the degree
+     [off.(u+1) - off.(u)], one [Rng.int], then [node.(off.(u) + k)].
+     [Uniform n] computes the k-th neighbour arithmetically.
+   - Fault tests cost nothing on an unfaulted mesh: each round reads
+     {!Flat.all_up} once as it opens, and only when something is down
+     does a contact test its cable and target node, and a node its
+     own bit. Rounds are single calendar events, so a fault another
+     event flips between rounds is seen by the next round.
+   - The delivery digest is an 8-byte buffer folded through inlined
+     unboxed 64-bit steps, so an infection boxes no [int64].
+
+   The per-node state is two int arrays:
 
    - [order]: nodes in infection order (a preallocated pool — slot
      [i] is the i-th infection, written once);
@@ -30,7 +43,7 @@
    the full infection sequence (node ids in infection order plus
    round boundaries) through a 64-bit mix, so two runs agree on the
    digest iff they agree on the entire delivery trace — the golden
-   pins and the Mesh-vs-View equivalence test both hang off it. *)
+   pins and the reference-loop test in the core suite hang off it. *)
 
 module Rng = Softstate_util.Rng
 module Flat = Softstate_net.Flat_topology
@@ -43,14 +56,7 @@ type mode = Push | Push_pull
 
 let mode_name = function Push -> "push" | Push_pull -> "push-pull"
 
-type peers =
-  | Uniform of int
-  | Mesh of Flat.t
-  | View of {
-      view_nodes : int;
-      view_degree : int -> int;
-      view_neighbor : int -> int -> int;
-    }
+type peers = Uniform of int | Mesh of Flat.t
 
 type config = {
   seed : int;
@@ -89,62 +95,24 @@ type result = {
 
 (* ------------------------------------------------------------------ *)
 (* Delivery-trace digest: SplitMix64 finaliser folded over the
-   infection sequence. *)
+   infection sequence. The state lives in 8 bytes read and written
+   through the unboxed 64-bit primitives, and the steps are inlined,
+   so a fold boxes no [int64] (the same pattern as {!Rng}). *)
 
-let mix64 z =
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let digest_step h x =
-  mix64 (Int64.logxor (Int64.mul h 6364136223846793005L) (Int64.of_int x))
+let[@inline] mix64 z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
 
-(* ------------------------------------------------------------------ *)
-
-(* Internal adjacency view: every peer source reduces to this. *)
-type view = {
-  vn : int;
-  vdeg : int -> int;
-  vnbr : int -> int -> int;
-  vup : int -> bool;           (* node may gossip / be infected *)
-  vok : int -> int -> bool;    (* src -> k -> transmission not blackholed *)
-}
-
-let always_up _ = true
-let always_ok _ _ = true
-
-let view_of = function
-  | Uniform n ->
-      if n < 1 then invalid_arg "Gossip: uniform population must be >= 1";
-      (* complete-graph mixing without materialising O(N^2) edges *)
-      { vn = n;
-        vdeg = (fun _ -> n - 1);
-        vnbr = (fun u k -> if k >= u then k + 1 else k);
-        vup = always_up;
-        vok = always_ok }
-  | Mesh f ->
-      { vn = Flat.node_count f;
-        vdeg = Flat.degree f;
-        vnbr = Flat.neighbor f;
-        vup = Flat.is_node_up f;
-        vok =
-          (fun u k ->
-            Flat.is_cable_up f (Flat.neighbor_cable f u k)
-            && Flat.is_node_up f (Flat.neighbor f u k)) }
-  | View { view_nodes; view_degree; view_neighbor } ->
-      { vn = view_nodes;
-        vdeg = view_degree;
-        vnbr = view_neighbor;
-        vup = always_up;
-        vok = always_ok }
+let[@inline] digest_step h x =
+  set64u h 0
+    (mix64
+       (Int64.logxor (Int64.mul (get64u h 0) 6364136223846793005L)
+          (Int64.of_int x)))
 
 let validate config =
   if config.fanout < 1 then invalid_arg "Gossip: fanout must be >= 1";
@@ -162,8 +130,26 @@ let validate config =
 
 let run ?obs ?engine config peers =
   validate config;
-  let v = view_of peers in
-  let n = v.vn in
+  (* [Uniform] is complete-graph mixing without materialising O(N^2)
+     edges: u's k-th neighbour is k, skipping u itself. *)
+  let n, uniform, { Flat.off; node; cable } =
+    match peers with
+    | Uniform n ->
+        if n < 1 then invalid_arg "Gossip: uniform population must be >= 1";
+        (n, true, { Flat.off = [||]; node = [||]; cable = [||] })
+    | Mesh f -> (Flat.node_count f, false, Flat.adjacency f)
+  in
+  let all_up () =
+    match peers with Uniform _ -> true | Mesh f -> Flat.all_up f
+  in
+  let node_up u =
+    match peers with Uniform _ -> true | Mesh f -> Flat.is_node_up f u
+  in
+  let edge_up e =
+    match peers with
+    | Uniform _ -> true
+    | Mesh f -> Flat.is_cable_up f cable.(e) && Flat.is_node_up f node.(e)
+  in
   let own_engine, engine =
     match engine with
     | Some e -> (false, e)
@@ -173,16 +159,17 @@ let run ?obs ?engine config peers =
   let order = Array.make n 0 in
   let rank = Array.make n max_int in
   let count = ref 0 in
+  let digest = Bytes.create 8 in
+  set64u digest 0 (Int64.of_int config.seed);
   let infect u =
     order.(!count) <- u;
     rank.(u) <- !count;
-    incr count
+    incr count;
+    digest_step digest u
   in
-  let digest = ref (Int64.of_int config.seed) in
   let initial = min config.initial n in
   for u = 0 to initial - 1 do
-    infect u;
-    digest := digest_step !digest u
+    infect u
   done;
   let target =
     max initial
@@ -222,24 +209,27 @@ let run ?obs ?engine config peers =
           float_of_int !blackholed));
   let loss = config.loss in
   let lossy = loss > 0.0 in
-  (* one contact: u offers the rumour along its k-th incident edge *)
-  let contact u infected_cutoff =
+  (* one contact: u offers the rumour along its k-th incident edge;
+     [faulted] is false only while no node or cable is down *)
+  let contact u infected_cutoff faulted =
     incr transmissions;
-    let d = v.vdeg u in
+    let o = if uniform then 0 else off.(u) in
+    let d = if uniform then n - 1 else off.(u + 1) - o in
     if d <= 0 then incr misses
     else begin
       let k = Rng.int rng d in
-      if not (v.vok u k) then incr blackholed
+      if faulted && not (edge_up (o + k)) then incr blackholed
       else if lossy && Rng.bernoulli rng loss then incr lost
       else begin
-        let w = v.vnbr u k in
+        let w =
+          if not uniform then node.(o + k) else if k >= u then k + 1 else k
+        in
         if infected_cutoff < 0 then
           (* push: u is infected; w either learns or already knew *)
           if rank.(w) < max_int then incr redundant
           else begin
             infect w;
-            incr deliveries;
-            digest := digest_step !digest w
+            incr deliveries
           end
         else if
           (* pull: u was susceptible at round start; w can answer only
@@ -249,8 +239,7 @@ let run ?obs ?engine config peers =
           if rank.(u) < max_int then incr redundant
           else begin
             infect u;
-            incr deliveries;
-            digest := digest_step !digest u
+            incr deliveries
           end
         else incr misses
       end
@@ -258,12 +247,15 @@ let run ?obs ?engine config peers =
   in
   let round () =
     let active = !count in
+    (* faults flip only in other calendar events, so one read per
+       round sees every fault a caller scheduled between rounds *)
+    let faulted = not (all_up ()) in
     (* push phase: infected nodes in infection order *)
     for idx = 0 to active - 1 do
       let u = order.(idx) in
-      if v.vup u then
+      if (not faulted) || node_up u then
         for _ = 1 to config.fanout do
-          contact u (-1)
+          contact u (-1) faulted
         done
     done;
     (match config.mode with
@@ -271,13 +263,13 @@ let run ?obs ?engine config peers =
     | Push_pull ->
         (* pull phase: nodes susceptible at round start, ascending *)
         for u = 0 to n - 1 do
-          if rank.(u) >= active && v.vup u then
+          if rank.(u) >= active && ((not faulted) || node_up u) then
             for _ = 1 to config.fanout do
-              contact u active
+              contact u active faulted
             done
         done);
     incr rounds;
-    digest := digest_step !digest (-(!rounds));
+    digest_step digest (-(!rounds));
     series.(!rounds) <- (Engine.now engine, frac ());
     if Trace.enabled trace then
       Trace.emit trace
@@ -308,7 +300,7 @@ let run ?obs ?engine config peers =
     misses = !misses;
     lost = !lost;
     blackholed = !blackholed;
-    digest = Printf.sprintf "%016Lx" !digest;
+    digest = Printf.sprintf "%016Lx" (get64u digest 0);
     series = Array.sub series 0 (!rounds + 1) }
 
 (* ------------------------------------------------------------------ *)

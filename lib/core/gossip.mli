@@ -27,16 +27,9 @@ type peers =
           mean-field {!fluid} limit describes exactly. *)
   | Mesh of Softstate_net.Flat_topology.t
       (** Contacts restricted to graph neighbours; transmissions over
-          down cables or into down nodes are blackholed. *)
-  | View of {
-      view_nodes : int;
-      view_degree : int -> int;
-      view_neighbor : int -> int -> int;
-    }
-      (** An arbitrary adjacency view (no fault state). Supplying the
-          same graph through [Mesh] and through a [View] built from
-          another engine must yield identical runs — the equivalence
-          tests exercise exactly that. *)
+          down cables or into down nodes are blackholed. Faults may
+          flip between rounds (e.g. from a caller's event on a shared
+          engine); each round sees the fault state as it opens. *)
 
 type config = {
   seed : int;            (** protocol RNG stream *)

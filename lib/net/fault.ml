@@ -305,18 +305,29 @@ let specs_of_string s =
     (Ok []) items
   |> Result.map List.rev
 
+let check ~nodes ~cables specs =
+  let out_of_range = function
+    | Cable_window { cable; _ } when cable < 0 || cable >= cables ->
+        Some (Printf.sprintf "no cable %d of %d" cable cables)
+    | Node_window { node; _ } when node < 0 || node >= nodes ->
+        Some (Printf.sprintf "no node %d of %d" node nodes)
+    | _ -> None
+  in
+  match List.find_map out_of_range specs with
+  | None -> Ok ()
+  | Some e -> Error e
+
 let compile ~rng ~until topo specs =
   let n = Topology.node_count topo in
+  (match check ~nodes:n ~cables:(Topology.cable_count topo) specs with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Fault.compile: " ^ e));
   List.concat_map
     (function
       | Cable_window { cable; from_; till } ->
-          if cable < 0 || cable >= Topology.cable_count topo then
-            invalid_arg (Printf.sprintf "Fault.compile: no cable %d" cable);
           [ { at = from_; action = Cable_down cable };
             { at = till; action = Cable_up cable } ]
       | Node_window { node; from_; till } ->
-          if node < 0 || node >= n then
-            invalid_arg (Printf.sprintf "Fault.compile: no node %d" node);
           [ { at = from_; action = Node_crash node };
             { at = till; action = Node_restart node } ]
       | Partition_window { from_; till } ->

@@ -92,6 +92,11 @@ val specs_of_string : string -> (spec list, string) result
 val spec_to_string : spec -> string
 (** Round-trips with {!spec_of_string}. *)
 
+val check : nodes:int -> cables:int -> spec list -> (unit, string) result
+(** Every [cable:]/[node:] window names a cable below [cables] and a
+    node below [nodes]; the first that does not is the [Error]. The
+    other specs draw their targets from the topology and always fit. *)
+
 val compile :
   rng:Softstate_util.Rng.t ->
   until:float ->
@@ -101,4 +106,4 @@ val compile :
 (** Turn specs into a concrete schedule for this topology: windows
     become down/up (or crash/restart, or partition/heal) pairs,
     processes are expanded via {!flaps} / {!churn}. Raises
-    [Invalid_argument] for out-of-range cable or node ids. *)
+    [Invalid_argument] where {!check} gives an [Error]. *)

@@ -9,9 +9,11 @@
      neighbour) and [adj_cable] (the undirected cable it rides),
      sorted ascending by neighbour id (ties by cable id). That order
      is a contract: protocols that pick "the k-th neighbour of u"
-     observe the same peer whether they read a Mesh or a View of it.
+     observe the same peer whether they go through [neighbor] or read
+     the arrays {!adjacency} exposes.
    - One int pair per undirected cable ([cable_a]/[cable_b]).
-   - Fault state as bitsets (one bit per node / cable).
+   - Fault state as bitsets (one bit per node / cable), plus an exact
+     count of what is down, so "is anything down?" is one compare.
    - Routing is lazy and compressed: a single dist/parent/queue
      scratch (3 ints per node) allocated on first use and reused
      across sources, instead of per-source cached arrays. Routing is
@@ -40,6 +42,7 @@ type t = {
   node_up : Bytes.t;
   cable_up : Bytes.t;
   mutable transitions : int;
+  mutable down : int;  (* nodes plus cables whose bit is clear *)
   (* lazy single-source routing scratch, reused across sources *)
   mutable route_src : int;
   mutable route_dist : int array;
@@ -126,6 +129,7 @@ let build ~kind ~nodes cable_a cable_b =
     node_up = bits_make nodes;
     cable_up = bits_make (max cables 1);
     transitions = 0;
+    down = 0;
     route_src = -1;
     route_dist = [||];
     route_parent = [||];
@@ -274,6 +278,11 @@ let neighbor_cable t u k =
     invalid_arg "Flat_topology.neighbor_cable: index out of degree";
   t.adj_cable.(off + k)
 
+type adjacency = { off : int array; node : int array; cable : int array }
+
+let adjacency t =
+  { off = t.adj_off; node = t.adj_node; cable = t.adj_cable }
+
 let cable_endpoints t c =
   check_cable t c "cable_endpoints";
   (t.cable_a.(c), t.cable_b.(c))
@@ -301,6 +310,7 @@ let flip bits i up t =
   else begin
     bit_set bits i up;
     t.transitions <- t.transitions + 1;
+    t.down <- (if up then t.down - 1 else t.down + 1);
     true
   end
 
@@ -316,6 +326,7 @@ let restart_node t u =
   check_node t u "restart_node";
   flip t.node_up u true t
 
+let all_up t = t.down = 0
 let fault_transitions t = t.transitions
 
 (* ------------------------------------------------------------------ *)

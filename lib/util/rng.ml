@@ -56,42 +56,3 @@ let bernoulli g p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float g < p
-
-module Pcg32 = struct
-  type t = { mutable state : int64; inc : int64 }
-
-  let multiplier = 6364136223846793005L
-
-  let step g = g.state <- Int64.(add (mul g.state multiplier) g.inc)
-
-  let of_rng state stream =
-    let g = { state = 0L; inc = Int64.(logor (shift_left stream 1) 1L) } in
-    step g;
-    g.state <- Int64.add g.state state;
-    step g;
-    g
-
-  let create ~seed ~stream = of_rng seed stream
-
-  let next g =
-    let old = g.state in
-    step g;
-    let xorshifted =
-      Int64.to_int32
-        Int64.(shift_right_logical (logxor (shift_right_logical old 18) old) 27)
-    in
-    let rot = Int64.to_int (Int64.shift_right_logical old 59) land 31 in
-    Int32.(logor
-             (shift_right_logical xorshifted rot)
-             (shift_left xorshifted ((-rot) land 31)))
-
-  let int g n =
-    if n <= 0 then invalid_arg "Rng.Pcg32.int: bound must be positive";
-    let bound = n land 0xFFFFFFFF in
-    let threshold = (0x100000000 - bound) mod bound in
-    let rec draw () =
-      let r = Int32.to_int (next g) land 0xFFFFFFFF in
-      if r >= threshold then r mod bound else draw ()
-    in
-    draw ()
-end

@@ -6,11 +6,8 @@
     model components (arrivals, losses, deaths, scheduling lotteries)
     without cross-contamination.
 
-    Two algorithms are provided:
-    - {!t} is SplitMix64 (Steele, Lea & Flood, OOPSLA'14), used as the
-      default stream generator and to seed others.
-    - {!Pcg32} is PCG-XSH-RR 64/32 (O'Neill, 2014), used where many
-      small bounded draws are needed (e.g. lottery scheduling). *)
+    The one algorithm is SplitMix64 (Steele, Lea & Flood, OOPSLA'14):
+    every stream of every simulation, and every {!split} off one. *)
 
 type t
 (** A SplitMix64 generator. Mutable: every draw advances the state. *)
@@ -43,22 +40,3 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p]. [p] outside
     [\[0,1\]] is clamped. *)
-
-module Pcg32 : sig
-  type t
-
-  (* lint: allow U001 (b) DESIGN.md §1 row 1: PCG32 generator *)
-  val create : seed:int64 -> stream:int64 -> t
-  (** [create ~seed ~stream] makes a PCG32 generator; distinct
-      [stream] values give statistically independent sequences even
-      under equal seeds. *)
-
-  (* lint: allow U001 (b) DESIGN.md §1 row 1: PCG32 generator *)
-  val next : t -> int32
-  (** [next g] draws 32 random bits. *)
-
-  (* lint: allow U001 (b) DESIGN.md §1 row 1: PCG32 generator *)
-  val int : t -> int -> int
-  (** [int g n] draws uniformly in [\[0,n)], [n > 0], without modulo
-      bias. *)
-end

@@ -938,6 +938,21 @@ let test_fault_spec_roundtrip () =
       | Error _ -> ())
     [ "cable:x@1-2"; "node:1@5-2"; "partition@-1-2"; "flap:0:1"; "nonsense" ]
 
+(* A spec's cable and node ids are checked against the topology's
+   counts, totally: star:3 has cables 0-2 and nodes 0-3. *)
+let test_fault_spec_check () =
+  let check s =
+    match Fault.specs_of_string s with
+    | Error e -> Alcotest.fail e
+    | Ok specs -> Fault.check ~nodes:4 ~cables:3 specs
+  in
+  Alcotest.(check (result unit string)) "bad cable"
+    (Error "no cable 99 of 3") (check "node:1@1-2,cable:99@10-20");
+  Alcotest.(check (result unit string)) "bad node"
+    (Error "no node 4 of 4") (check "cable:2@1-2,node:4@10-20");
+  Alcotest.(check (result unit string)) "valid"
+    (Ok ()) (check "cable:2@10-20,node:3@1-2,flap:0.1:5,partition@3-4")
+
 (* ------------------------------------------------------------------ *)
 (* Flat struct-of-arrays topology *)
 
@@ -962,9 +977,15 @@ let test_flat_csr_adjacency () =
     degsum := !degsum + Flat.degree flat u
   done;
   Alcotest.(check int) "sum of degrees" (2 * Flat.cable_count flat) !degsum;
+  let adj = Flat.adjacency flat in
   for u = 0 to n - 1 do
+    Alcotest.(check int) "view degree" (Flat.degree flat u)
+      (adj.Flat.off.(u + 1) - adj.Flat.off.(u));
     for k = 0 to Flat.degree flat u - 1 do
       let v = Flat.neighbor flat u k in
+      Alcotest.(check int) "view neighbour" v adj.Flat.node.(adj.Flat.off.(u) + k);
+      Alcotest.(check int) "view cable" (Flat.neighbor_cable flat u k)
+        adj.Flat.cable.(adj.Flat.off.(u) + k);
       (* neighbour lists ascend (ties by cable keep it non-strict) *)
       if k > 0 then
         Alcotest.(check bool) "neighbours ascend" true
@@ -1024,6 +1045,7 @@ let test_flat_fault_bits () =
   let flat = Flat.chain ~hops:4 () in
   Alcotest.(check bool) "cables start up" true (Flat.is_cable_up flat 2);
   Alcotest.(check bool) "nodes start up" true (Flat.is_node_up flat 3);
+  Alcotest.(check bool) "all up at build" true (Flat.all_up flat);
   Alcotest.(check int) "no transitions yet" 0 (Flat.fault_transitions flat);
   Alcotest.(check bool) "cable down transitions" true
     (Flat.set_cable flat 2 ~up:false);
@@ -1035,7 +1057,10 @@ let test_flat_fault_bits () =
   Alcotest.(check bool) "restart transitions" true (Flat.restart_node flat 3);
   Alcotest.(check bool) "re-restart is idempotent" false
     (Flat.restart_node flat 3);
+  (* idempotent repeats must not move the down count *)
+  Alcotest.(check bool) "a cable still down" false (Flat.all_up flat);
   Alcotest.(check bool) "cable back up" true (Flat.set_cable flat 2 ~up:true);
+  Alcotest.(check bool) "all up again" true (Flat.all_up flat);
   Alcotest.(check int) "four transitions counted" 4
     (Flat.fault_transitions flat);
   (* fault state is invisible to routing (static routes, as documented) *)
@@ -1120,6 +1145,8 @@ let () =
           Alcotest.test_case "golden trace digest" `Quick
             test_fault_trace_golden;
           Alcotest.test_case "spec roundtrip" `Quick test_fault_spec_roundtrip;
+          Alcotest.test_case "spec checked against topology" `Quick
+            test_fault_spec_check;
           Alcotest.test_case "channel golden trace" `Quick
             test_channel_trace_golden;
           Alcotest.test_case "fanout served counts completions" `Quick

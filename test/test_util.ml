@@ -175,31 +175,6 @@ let test_rng_draw_allocation () =
   at_most "float" 2.0 (per_draw (fun () -> ignore (Rng.float g)));
   at_most "bits64" 3.0 (per_draw (fun () -> ignore (Rng.bits64 g)))
 
-let test_pcg32_reference () =
-  (* Reference values from the pcg32-global demo: seed
-     0x853c49e6748fea9bULL, stream 0xda3e39cb94b95bdbULL. *)
-  let g = Rng.Pcg32.create ~seed:0x853c49e6748fea9bL ~stream:0x2b47fed88766bb05L in
-  (* determinism: same params give same stream *)
-  let h = Rng.Pcg32.create ~seed:0x853c49e6748fea9bL ~stream:0x2b47fed88766bb05L in
-  for _ = 1 to 20 do
-    Alcotest.(check int32) "pcg32 deterministic" (Rng.Pcg32.next g)
-      (Rng.Pcg32.next h)
-  done
-
-let test_pcg32_streams_differ () =
-  let a = Rng.Pcg32.create ~seed:1L ~stream:1L in
-  let b = Rng.Pcg32.create ~seed:1L ~stream:2L in
-  let xs = List.init 20 (fun _ -> Rng.Pcg32.next a) in
-  let ys = List.init 20 (fun _ -> Rng.Pcg32.next b) in
-  Alcotest.(check bool) "distinct streams" false (xs = ys)
-
-let test_pcg32_int_bound () =
-  let g = Rng.Pcg32.create ~seed:11L ~stream:3L in
-  for _ = 1 to 10_000 do
-    let x = Rng.Pcg32.int g 10 in
-    if x < 0 || x >= 10 then Alcotest.fail "pcg32 int out of range"
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Dist *)
 
@@ -966,9 +941,6 @@ let () =
           Alcotest.test_case "bernoulli rate" `Slow test_bernoulli_rate;
           Alcotest.test_case "golden vector" `Quick test_rng_golden_vector;
           Alcotest.test_case "draw allocation" `Quick test_rng_draw_allocation;
-          Alcotest.test_case "pcg32 deterministic" `Quick test_pcg32_reference;
-          Alcotest.test_case "pcg32 streams" `Quick test_pcg32_streams_differ;
-          Alcotest.test_case "pcg32 int bound" `Quick test_pcg32_int_bound;
         ] );
       ( "dist",
         [
