@@ -86,7 +86,7 @@ let topology_arg =
 let faults_arg =
   let doc =
     "Comma-separated fault schedule over the topology (requires \
-     --topology): cable:I@T1-T2, node:I@T1-T2, partition@T1-T2, \
+     --topology; the gossip protocol takes none): cable:I@T1-T2, node:I@T1-T2, partition@T1-T2, \
      flap:RATE:MEAN or churn:RATE:MEAN."
   in
   let parse s = msg_error (Softstate_net.Fault.specs_of_string s) in
@@ -263,6 +263,12 @@ let run protocol seed duration lambda size_bits loss update_fraction arrival
     fluid replications jobs trace_file metrics_file report =
   match protocol with
   | `Gossip ->
+      if faults <> [] then begin
+        Printf.eprintf
+          "softstate-sim: option '--faults': the gossip protocol takes no \
+           fault schedule\n";
+        exit Cmd.Exit.cli_error
+      end;
       run_gossip seed topology loss gossip_mode fanout rounds round_period
         initial target nodes fluid trace_file metrics_file report
   | (`Open_loop | `Two_queue | `Feedback | `Multicast) as protocol ->

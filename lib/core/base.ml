@@ -249,16 +249,18 @@ let is_matching t ~receiver r =
   | Some v -> v = r.Record.version
   | None -> false
 
+(* Receivers holding the record's current version; 0 once it has left
+   the table. *)
 let matching_count t r =
-  match Table.slot_of_key t.table r.Record.key with
-  | None -> 0
-  | Some slot ->
-      Array.fold_left
-        (fun acc soa ->
-          if soa_present soa slot && soa.version_a.(slot) = r.Record.version
-          then acc + 1
-          else acc)
-        0 t.rows
+  let slot = r.Record.slot in
+  let n = ref 0 in
+  if slot >= 0 then
+    for i = 0 to Array.length t.rows - 1 do
+      let soa = t.rows.(i) in
+      if soa_present soa slot && soa.version_a.(slot) = r.Record.version then
+        incr n
+    done;
+  !n
 
 let remove_record t ~now r =
   (* matching_count only reads receiver state, so it commutes with the
@@ -272,11 +274,8 @@ let remove_record t ~now r =
      as a stale purge now; under the wheel, an armed timer for the
      dead key stays on the engine calendar and is counted when it
      fires. *)
-  let slot =
-    match Table.slot_of_key t.table key with
-    | Some s -> s
-    | None -> assert false
-  in
+  let slot = r.Record.slot in
+  assert (slot >= 0);
   let last_slot = Table.live_count t.table - 1 in
   ignore (Table.remove t.table key);
   let count_purges =
@@ -311,31 +310,24 @@ let schedule_expiry t r =
 
 let arrival t =
   let now = Engine.now t.engine in
+  let live = Table.live_count t.table in
   let update_target =
-    if Workload.is_update t.workload t.update_rng then
-      match Workload.shape t.workload with
-      | Workload.Flash_crowd { zipf_s; _ } when zipf_s > 0.0 ->
-          (* popularity-skewed target: Zipf rank over the dense slot
-             order, so rank 1 is whichever key currently sits in slot
-             0 — the "hot" identity churns with swap-removal, which is
-             exactly the flash-crowd shape we want to stress *)
-          let live = Table.live_count t.table in
-          if live = 0 then None
-          else
-            Table.key_at t.table
-              (Softstate_util.Dist.zipf_approx t.update_rng ~n:live ~s:zipf_s
-              - 1)
-      | Workload.Flash_crowd _ | Workload.Poisson ->
-          Table.random_key t.table t.update_rng
+    if Workload.is_update t.workload t.update_rng && live > 0 then
+      let slot =
+        match Workload.shape t.workload with
+        | Workload.Flash_crowd { zipf_s; _ } when zipf_s > 0.0 ->
+            (* popularity-skewed target: Zipf rank over the dense slot
+               order, so rank 1 is whichever key currently sits in slot
+               0 — the "hot" identity churns with swap-removal, which is
+               exactly the flash-crowd shape we want to stress *)
+            Softstate_util.Dist.zipf_approx t.update_rng ~n:live ~s:zipf_s - 1
+        | Workload.Flash_crowd _ | Workload.Poisson -> Rng.int t.update_rng live
+      in
+      Some (Table.record_at t.table slot)
     else None
   in
   match update_target with
-  | Some key ->
-      let r =
-        match Table.find t.table key with
-        | Some r -> r
-        | None -> assert false
-      in
+  | Some r ->
       let matching = matching_count t r in
       Record.touch r ~now;
       Consistency.on_update t.tracker ~now ~matching;
@@ -362,11 +354,7 @@ let sweep_receiver t ~now ~multiple soa =
       && now -. soa.last_heard_a.(slot) > multiple *. soa.gap_a.(slot)
     then begin
       t.false_expiries <- t.false_expiries + 1;
-      let r =
-        match Option.bind (Table.key_at t.table slot) (Table.find t.table) with
-        | Some r -> r
-        | None -> assert false
-      in
+      let r = Table.record_at t.table slot in
       let was_matching = soa.version_a.(slot) = r.Record.version in
       soa_set_flags soa slot ~present:false ~armed:false;
       if was_matching then Consistency.on_unmatch t.tracker ~now
@@ -416,11 +404,7 @@ and fire_expiry t ~now receiver key =
         in
         if deadline <= now then begin
           t.false_expiries <- t.false_expiries + 1;
-          let r =
-            match Table.find t.table key with
-            | Some r -> r
-            | None -> assert false
-          in
+          let r = Table.record_at t.table slot in
           let was_matching = soa.version_a.(slot) = r.Record.version in
           soa_set_flags soa slot ~present:false ~armed:false;
           if was_matching then Consistency.on_unmatch t.tracker ~now
@@ -464,6 +448,14 @@ let announce_of t ~seq r =
     ~redundant:(matching_count t r = receiver_count t);
   { key = r.Record.key; version = r.Record.version; seq }
 
+(* A receiver has just stored the record's current version. *)
+let note_match t ~now r =
+  Consistency.on_match t.tracker ~now;
+  (* latency is sampled once per version, at its first arrival
+     anywhere in the group *)
+  if matching_count t r = 1 then
+    Consistency.on_first_delivery t.tracker ~now ~born:r.Record.born
+
 let deliver t ~now ~receiver ann =
   check_receiver t receiver;
   (* Announcements of dead keys are absorbed without storing: a real
@@ -473,20 +465,8 @@ let deliver t ~now ~receiver ann =
   match Table.find t.table ann.key with
   | None -> ()
   | Some r ->
-      let note_match () =
-        if r.Record.version = ann.version then begin
-          Consistency.on_match t.tracker ~now;
-          (* latency is sampled once per version, at its first arrival
-             anywhere in the group *)
-          if matching_count t r = 1 then
-            Consistency.on_first_delivery t.tracker ~now ~born:r.Record.born
-        end
-      in
-      let slot =
-        match Table.slot_of_key t.table ann.key with
-        | Some s -> s
-        | None -> assert false
-      in
+      let current = r.Record.version = ann.version in
+      let slot = r.Record.slot in
       let soa = t.rows.(receiver) in
       soa_ensure soa slot;
       if not (soa_present soa slot) then begin
@@ -494,7 +474,7 @@ let deliver t ~now ~receiver ann =
         soa.last_heard_a.(slot) <- now;
         soa.gap_a.(slot) <- nan;
         soa_set_flags soa slot ~present:true ~armed:false;
-        note_match ()
+        if current then note_match t ~now r
       end
       else begin
         (* scalable-timers gap estimation: EWMA of observed
@@ -517,7 +497,7 @@ let deliver t ~now ~receiver ann =
         | No_expiry | Refresh_timeout _ -> ());
         if ann.version > soa.version_a.(slot) then begin
           soa.version_a.(slot) <- ann.version;
-          note_match ()
+          if current then note_match t ~now r
         end
       end
 

@@ -2,6 +2,10 @@ module Stats = Softstate_util.Stats
 
 type empty_policy = Empty_is_consistent | Empty_is_zero | Empty_holds_last
 
+(* An all-float record, so the per-event write stores the float flat
+   instead of boxing it. *)
+type held = { mutable last_defined : float }
+
 type t = {
   empty_policy : empty_policy;
   receivers : int;
@@ -10,7 +14,7 @@ type t = {
   series : Stats.Series.t option;
   mutable live : int;
   mutable matching : int; (* matching (record, receiver) pairs *)
-  mutable last_defined : float;
+  held : held;
   mutable transmissions : int;
   mutable redundant : int;
 }
@@ -20,12 +24,12 @@ let create ?(empty_policy = Empty_is_consistent) ?(series_capacity = 4096)
   if receivers < 1 then invalid_arg "Consistency.create: receivers >= 1";
   let t =
     { empty_policy; receivers;
-      tw = Stats.Timeweighted.create ~start:now ();
+      tw = Stats.Timeweighted.create ();
       latency = Stats.Welford.create ();
       series =
         (if record_series then Some (Stats.Series.create ~capacity:series_capacity ())
          else None);
-      live = 0; matching = 0; last_defined = 1.0; transmissions = 0;
+      live = 0; matching = 0; held = { last_defined = 1.0 }; transmissions = 0;
       redundant = 0 }
   in
   Stats.Timeweighted.update t.tw ~now
@@ -39,11 +43,11 @@ let instantaneous t =
     match t.empty_policy with
     | Empty_is_consistent -> 1.0
     | Empty_is_zero -> 0.0
-    | Empty_holds_last -> t.last_defined
+    | Empty_holds_last -> t.held.last_defined
 
 let note t ~now =
-  if t.live > 0 then t.last_defined <- instantaneous t;
   let c = instantaneous t in
+  if t.live > 0 then t.held.last_defined <- c;
   Stats.Timeweighted.update t.tw ~now ~value:c;
   match t.series with
   | Some s -> Stats.Series.add s ~time:now ~value:c

@@ -146,10 +146,10 @@ let create ~base ~mu_hot_bps ~mu_cold_bps ~mu_fb_bps ?sched ?obs ?transport
   let fetch () =
     match Two_queue.fetch_packet sender with
     | None -> None
-    | Some packet ->
+    | Some packet as fetched ->
         let ann = packet.Net.Packet.payload in
         Seq_ring.store t.seq_to_key ~seq:ann.Base.seq ~key:ann.Base.key;
-        Some packet
+        fetched
   in
   let fanout =
     transport.Net.Transport.fanout

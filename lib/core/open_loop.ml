@@ -3,16 +3,14 @@ module Net = Softstate_net
 module Obs = Softstate_obs.Obs
 module Trace = Softstate_obs.Trace
 
-(* Circulation status of a live record. A record is always exactly one
-   of: queued, in service, or dead — so updates never need to enqueue
-   (the next announcement of the circulating record carries the bumped
-   version), matching the single-queue analytic model. *)
-type status = Queued | In_service
-
+(* Every live record is exactly one of: queued ([Cold]), in service,
+   or dead — so updates never need to enqueue (the next announcement of
+   the circulating record carries the bumped version), matching the
+   single-queue analytic model. The state lives on the record, so the
+   queue holds records and a fetch needs no lookup. *)
 type t = {
   base : Base.t;
-  queue : Record.key Queue.t;
-  status : (Record.key, status) Hashtbl.t;
+  queue : Record.t Queue.t;
   trace : Trace.t;
   traced : bool; (* Trace.enabled, hoisted to creation time *)
   mutable seq : int;
@@ -22,34 +20,28 @@ type t = {
 let rec fetch t () =
   match Queue.take_opt t.queue with
   | None -> None
-  | Some key -> (
-      match Table.find (Base.table t.base) key with
-      | None ->
-          Hashtbl.remove t.status key;
-          fetch t () (* killed while queued; skip *)
-      | Some r ->
-          Hashtbl.replace t.status key In_service;
-          let seq = t.seq in
-          t.seq <- seq + 1;
-          if t.traced then
-            Trace.emit t.trace
-              (Trace.event
-                 ~time:(Engine.now (Base.engine t.base))
-                 ~src:"open_loop" ~detail:(string_of_int key)
-                 ~key ~packet:seq Trace.Announce);
-          let ann = Base.announce_of t.base ~seq r in
-          Some (Net.Packet.make ~id:seq ~size_bits:r.Record.size_bits ann))
+  | Some { Record.state = Dead; _ } -> fetch t () (* killed while queued; skip *)
+  | Some r ->
+      r.Record.state <- In_service;
+      let seq = t.seq in
+      t.seq <- seq + 1;
+      if t.traced then
+        Trace.emit t.trace
+          (Trace.event
+             ~time:(Engine.now (Base.engine t.base))
+             ~src:"open_loop" ~detail:(string_of_int r.Record.key)
+             ~key:r.Record.key ~packet:seq Trace.Announce);
+      let ann = Base.announce_of t.base ~seq r in
+      Some (Net.Packet.make ~id:seq ~size_bits:r.Record.size_bits ann)
 
 let on_served t ~now (packet : Base.announcement Net.Packet.t) =
-  let key = packet.Net.Packet.payload.Base.key in
-  match Table.find (Base.table t.base) key with
-  | None -> Hashtbl.remove t.status key
+  match Table.find (Base.table t.base) packet.Net.Packet.payload.Base.key with
+  | None -> ()
   | Some r ->
-      if Base.death_draw t.base ~now r then Hashtbl.remove t.status key
-      else begin
+      if not (Base.death_draw t.base ~now r) then begin
         (* Survived: circulate for the next periodic announcement. *)
-        Hashtbl.replace t.status key Queued;
-        Queue.add key t.queue;
+        r.Record.state <- Cold;
+        Queue.add r t.queue;
         match t.unicast with Some u -> u.Net.Transport.u_kick () | None -> ()
       end
 
@@ -60,7 +52,7 @@ let create ~base ~mu_data_bps ?obs ?transport ~loss ~link_rng () =
     | None -> Net.Transport.single_hop ?obs (Base.engine base)
   in
   let t =
-    { base; queue = Queue.create (); status = Hashtbl.create 256;
+    { base; queue = Queue.create ();
       trace = Obs.trace_of obs; traced = Trace.enabled (Obs.trace_of obs); seq = 0; unicast = None }
   in
   let unicast =
@@ -75,13 +67,12 @@ let create ~base ~mu_data_bps ?obs ?transport ~loss ~link_rng () =
   t.unicast <- Some unicast;
   Base.set_hooks base
     ~on_arrival:(fun r ->
-      let key = r.Record.key in
-      if not (Hashtbl.mem t.status key) then begin
-        Hashtbl.replace t.status key Queued;
-        Queue.add key t.queue
+      if r.Record.state = Idle then begin
+        r.Record.state <- Cold;
+        Queue.add r t.queue
       end;
       unicast.Net.Transport.u_kick ())
-    ~on_death:(fun r -> Hashtbl.remove t.status r.Record.key);
+    ~on_death:(fun r -> r.Record.state <- Dead);
   t
 
 let unicast t = match t.unicast with Some u -> u | None -> assert false

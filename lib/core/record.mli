@@ -9,6 +9,11 @@
 type key = int
 type version = int
 
+(** A record's place in its sender's circulation: never queued, queued
+    hot (foreground) or cold (background), announcement in flight, or
+    killed (queue entries naming it are stale). *)
+type state = Idle | Hot | Cold | In_service | Dead
+
 type t = {
   key : key;
   mutable version : version;
@@ -16,10 +21,15 @@ type t = {
     (** creation time of the {e current} version, for receive-latency *)
   size_bits : int;  (** announcement wire size for this record *)
   created : float;  (** insertion time of the key *)
+  mutable slot : int;  (** dense {!Table} slot, [-1] outside; {!Table}'s *)
+  mutable state : state;
+    (** owned by the circulation protocol queueing the record *)
+  mutable gen : int;
+    (** queue-entry generation, advanced by {!Two_queue} per enqueue *)
 }
 
 val make : key:key -> now:float -> size_bits:int -> t
-(** A fresh record at version 0. *)
+(** A fresh record at version 0, [Idle], outside any table. *)
 
 val touch : t -> now:float -> unit
 (** Publish a new value: bump the version and restart the latency

@@ -1,8 +1,9 @@
 (** Bounded seq -> key memory for NACK-based repair.
 
     A direct-mapped ring over the last [window] channel sequence
-    numbers: {!store} and {!find} are O(1) and memory is fixed at
-    creation. Sequences older than the window are forgotten by slot
+    numbers: {!store} and {!find} are O(1). Memory starts at 256 slots
+    and reaches its fixed size, [window] slots, at the first store
+    into a slot past them. Sequences older than the window are forgotten by slot
     reuse — by construction a FIFO data link can only produce NACKs
     for recent gaps, so a miss means the repair is obsolete. *)
 

@@ -1,79 +1,80 @@
 module Rng = Softstate_util.Rng
 
-(* Alongside the record map, a dense array of live keys with a
-   key->slot index. Sampling indexes the array directly, and removal
-   swaps the last key into the vacated slot, so the array order — and
-   therefore every random update target drawn from it — is a function
-   of the insert/remove history alone, never of hash-bucket layout.
-   (The determinism lint's D003 exists for exactly this: the previous
-   implementation walked Hashtbl.iter to the target index, so the
-   chosen key depended on hash order.) *)
+(* A Fibonacci multiply, high half folded into the low bits the bucket
+   index uses. Nothing iterates the index (D003). *)
+module Index = Hashtbl.Make (struct
+  type t = Record.key
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 32)
+end)
+
+(* Live records sit densely in [records.(0 .. live-1)], each knowing
+   its slot. Sampling indexes the array, and removal swaps the last
+   record into the vacated slot, so the slot order — and every random
+   update target drawn from it — depends on the insert/remove history
+   alone, never on hash layout. Free slots hold [vacant]. *)
 type t = {
-  records : (Record.key, Record.t) Hashtbl.t;
-  slots : (Record.key, int) Hashtbl.t;
-  mutable keys : Record.key array;
+  index : Record.t Index.t;
+  mutable records : Record.t array;
   mutable live : int;
+  vacant : Record.t;
 }
 
 let create () =
-  { records = Hashtbl.create 256;
-    slots = Hashtbl.create 256;
-    keys = Array.make 256 0;
-    live = 0 }
+  let vacant = Record.make ~key:(-1) ~now:0.0 ~size_bits:1 in
+  { index = Index.create 256; records = Array.make 256 vacant; live = 0;
+    vacant }
 
 let live_count t = t.live
-let find t key = Hashtbl.find_opt t.records key
-let mem t key = Hashtbl.mem t.records key
-let slot_of_key t key = Hashtbl.find_opt t.slots key
+let find t key = Index.find_opt t.index key
+let mem t key = Index.mem t.index key
+
+let slot_of_key t key =
+  match Index.find t.index key with
+  | r -> Some r.Record.slot
+  | exception Not_found -> None
+
+let record_at t slot =
+  if slot < 0 || slot >= t.live then invalid_arg "Table.record_at: no such slot";
+  t.records.(slot)
 
 let insert t r =
   let key = r.Record.key in
-  if Hashtbl.mem t.records key then
-    invalid_arg "Table.insert: key already live";
-  Hashtbl.add t.records key r;
-  if t.live = Array.length t.keys then begin
-    let grown = Array.make (2 * t.live) 0 in
-    Array.blit t.keys 0 grown 0 t.live;
-    t.keys <- grown
+  if Index.mem t.index key then invalid_arg "Table.insert: key already live";
+  if t.live = Array.length t.records then begin
+    let grown = Array.make (2 * t.live) t.vacant in
+    Array.blit t.records 0 grown 0 t.live;
+    t.records <- grown
   end;
-  t.keys.(t.live) <- key;
-  Hashtbl.replace t.slots key t.live;
+  Index.add t.index key r;
+  t.records.(t.live) <- r;
+  r.Record.slot <- t.live;
   t.live <- t.live + 1
 
 let remove t key =
-  match Hashtbl.find_opt t.records key with
-  | None -> None
-  | Some r ->
-      Hashtbl.remove t.records key;
-      let slot =
-        match Hashtbl.find_opt t.slots key with
-        | Some s -> s
-        | None -> assert false
-      in
-      Hashtbl.remove t.slots key;
-      let last = t.keys.(t.live - 1) in
-      if last <> key then begin
-        t.keys.(slot) <- last;
-        Hashtbl.replace t.slots last slot
+  match Index.find t.index key with
+  | exception Not_found -> None
+  | r ->
+      Index.remove t.index key;
+      let slot = r.Record.slot and last = t.live - 1 in
+      if slot <> last then begin
+        let moved = t.records.(last) in
+        t.records.(slot) <- moved;
+        moved.Record.slot <- slot
       end;
-      t.live <- t.live - 1;
+      t.records.(last) <- t.vacant;
+      r.Record.slot <- -1;
+      t.live <- last;
       Some r
 
-let sorted_keys t =
-  let live = Array.sub t.keys 0 t.live in
-  Array.sort Int.compare live;
-  live
-
-let record t key =
-  match Hashtbl.find_opt t.records key with
-  | Some r -> r
-  | None -> assert false
-
 let fold t ~init ~f =
-  Array.fold_left (fun acc key -> f acc (record t key)) init (sorted_keys t)
+  let live = Array.sub t.records 0 t.live in
+  Array.sort (fun a b -> Int.compare a.Record.key b.Record.key) live;
+  Array.fold_left f init live
 
 let random_key t rng =
-  if t.live = 0 then None else Some t.keys.(Rng.int rng t.live)
-
-let key_at t slot =
-  if slot < 0 || slot >= t.live then None else Some t.keys.(slot)
+  if t.live = 0 then None else Some t.records.(Rng.int rng t.live).Record.key

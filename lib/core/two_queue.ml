@@ -4,24 +4,60 @@ module Sched = Softstate_sched
 module Obs = Softstate_obs.Obs
 module Trace = Softstate_obs.Trace
 
-(* Queue entries are (key, generation): a record's generation counter
-   advances every time it is (re)enqueued, so an entry is valid only if
-   it carries the record's current generation. This gives O(1) lazy
-   removal when records die, are updated out of the cold queue, or are
-   reheated by a NACK — no record is ever queued twice validly. *)
+(* Queue entries are (record, generation): a record's generation
+   counter advances every time it is (re)enqueued, so an entry is valid
+   only while it carries the record's current generation and the
+   record still waits in that queue. This gives O(1) lazy removal when
+   records die (their state becomes [Dead]), are updated out of the
+   cold queue, or are reheated by a NACK — no record is ever queued
+   twice validly, and resolving an entry needs no lookup.
 
-type temp = Hot | Cold | In_service
-
-type info = {
-  mutable temp : temp;
-  mutable gen : int;
+   Each queue is a growable ring of entries in two parallel arrays, so
+   an enqueue allocates nothing once the ring has grown: cold entries
+   live long enough to be promoted, so a boxed entry per enqueue would
+   drive the major GC. A popped slot is reset to [filler], so the ring
+   keeps no dead record reachable; capacity stays a power of two. *)
+type ring = {
+  mutable recs : Record.t array;
+  mutable gens : int array;
+  mutable head : int;
+  mutable len : int;
+  filler : Record.t;
 }
+
+let ring () =
+  let filler = Record.make ~key:(-1) ~now:0.0 ~size_bits:1 in
+  { recs = Array.make 16 filler; gens = Array.make 16 0; head = 0; len = 0;
+    filler }
+
+let push q r gen =
+  let cap = Array.length q.gens in
+  if q.len = cap then begin
+    let grow a fill =
+      Array.init (2 * cap) (fun i ->
+          if i < cap then a.((q.head + i) land (cap - 1)) else fill)
+    in
+    q.recs <- grow q.recs q.filler;
+    q.gens <- grow q.gens 0;
+    q.head <- 0
+  end;
+  let tail = (q.head + q.len) land (Array.length q.gens - 1) in
+  q.recs.(tail) <- r;
+  q.gens.(tail) <- gen;
+  q.len <- q.len + 1
+
+let pop q =
+  assert (q.len > 0);
+  let r = q.recs.(q.head) in
+  q.recs.(q.head) <- q.filler;
+  q.head <- (q.head + 1) land (Array.length q.gens - 1);
+  q.len <- q.len - 1;
+  r
 
 type t = {
   base : Base.t;
-  hot : (Record.key * int) Queue.t;
-  cold : (Record.key * int) Queue.t;
-  info : (Record.key, info) Hashtbl.t;
+  hot : ring;
+  cold : ring;
   sched : Sched.Scheduler.t;
   hot_flow : Sched.Scheduler.flow;
   cold_flow : Sched.Scheduler.flow;
@@ -35,46 +71,30 @@ type t = {
   mutable kick_attached : bool;
 }
 
-let valid_entry t kind (key, gen) =
-  match Hashtbl.find_opt t.info key with
-  | None -> false
-  | Some info -> info.gen = gen && info.temp = kind
-
 (* Discard stale heads so backlog status reflects real work. *)
-let purge t kind queue =
-  let rec loop () =
-    match Queue.peek_opt queue with
-    | Some entry when not (valid_entry t kind entry) ->
-        ignore (Queue.pop queue);
-        loop ()
-    | Some _ | None -> ()
-  in
-  loop ()
+let rec purge state q =
+  if q.len > 0 then begin
+    let r = q.recs.(q.head) in
+    if not (r.Record.gen = q.gens.(q.head) && r.Record.state = state) then begin
+      ignore (pop q);
+      purge state q
+    end
+  end
 
-let enqueue t r temp =
-  let key = r.Record.key in
-  let info =
-    match Hashtbl.find_opt t.info key with
-    | Some info -> info
-    | None ->
-        let info = { temp; gen = 0 } in
-        Hashtbl.replace t.info key info;
-        info
-  in
-  info.gen <- info.gen + 1;
-  info.temp <- temp;
-  let entry = (key, info.gen) in
-  match temp with
-  | Hot -> Queue.add entry t.hot
-  | Cold -> Queue.add entry t.cold
-  | In_service -> invalid_arg "Two_queue.enqueue: In_service"
+let enqueue t r (state : Record.state) =
+  r.Record.gen <- r.Record.gen + 1;
+  r.Record.state <- state;
+  match state with
+  | Hot -> push t.hot r r.Record.gen
+  | Cold -> push t.cold r r.Record.gen
+  | Idle | In_service | Dead -> invalid_arg "Two_queue.enqueue: not a queue"
 
 let refresh_backlog t =
-  purge t Hot t.hot;
-  purge t Cold t.cold;
-  Sched.Scheduler.set_backlogged t.sched t.hot_flow (not (Queue.is_empty t.hot));
+  purge Hot t.hot;
+  purge Cold t.cold;
+  Sched.Scheduler.set_backlogged t.sched t.hot_flow (t.hot.len > 0);
   Sched.Scheduler.set_backlogged t.sched t.cold_flow
-    (not (Queue.is_empty t.cold))
+    (t.cold.len > 0)
 
 let fetch_packet t =
   refresh_backlog t;
@@ -82,18 +102,13 @@ let fetch_packet t =
   | None -> None
   | Some flow ->
       let queue = if flow = t.hot_flow then t.hot else t.cold in
-      let key, _gen =
-        (* purge guaranteed a valid head for the selected queue *)
-        Queue.pop queue
-      in
       let r =
-        match Table.find (Base.table t.base) key with
-        | Some r -> r
-        | None -> assert false (* valid entries refer to live records *)
+        (* purge guaranteed a valid head for the selected queue, and
+           valid entries refer to live records *)
+        pop queue
       in
-      (match Hashtbl.find_opt t.info key with
-      | Some info -> info.temp <- In_service
-      | None -> assert false);
+      assert (r.Record.state <> Dead);
+      r.Record.state <- In_service;
       Sched.Scheduler.charge t.sched flow (float_of_int r.Record.size_bits);
       let hot = flow = t.hot_flow in
       if hot then t.sent_hot <- t.sent_hot + 1
@@ -104,8 +119,8 @@ let fetch_packet t =
         Trace.emit t.trace
           (Trace.event
              ~time:(Engine.now (Base.engine t.base))
-             ~src:"two_queue" ~detail:(string_of_int key)
-             ~key ~packet:seq
+             ~src:"two_queue" ~detail:(string_of_int r.Record.key)
+             ~key:r.Record.key ~packet:seq
              (if hot then Trace.Announce else Trace.Refresh));
       let ann = Base.announce_of t.base ~seq r in
       Some (Net.Packet.make ~id:seq ~size_bits:r.Record.size_bits ann)
@@ -114,23 +129,21 @@ let wake t = t.kick_fn ()
 
 let serve_completion t ~now key =
   match Table.find (Base.table t.base) key with
-  | None -> Hashtbl.remove t.info key
+  | None -> ()
   | Some r ->
       if Base.death_draw t.base ~now r then ()
-        (* on_death hook already dropped the info entry *)
+        (* the on_death hook already marked the record dead *)
       else begin
         (* After a transmission the record settles in the cold queue
            for background refreshes — unless an update or a NACK
            re-queued it hot while it was in service. *)
-        (match Hashtbl.find_opt t.info key with
-        | Some info when info.temp = In_service -> enqueue t r Cold
-        | Some _ | None -> ());
+        if r.Record.state = In_service then enqueue t r Cold;
         wake t
       end
 
 let reheat t ~now ?(cause = Trace.no_id) key =
-  match Table.find (Base.table t.base) key, Hashtbl.find_opt t.info key with
-  | Some r, Some info when info.temp = Cold ->
+  match Table.find (Base.table t.base) key with
+  | Some ({ Record.state = Cold; _ } as r) ->
       enqueue t r Hot;
       if t.traced then
         Trace.emit t.trace
@@ -138,7 +151,7 @@ let reheat t ~now ?(cause = Trace.no_id) key =
              ~detail:(string_of_int key) ~key ~parent:cause Trace.Repair);
       wake t;
       true
-  | _ -> false
+  | Some _ | None -> false
 
 let create_queues ~base ~mu_hot_bps ~mu_cold_bps
     ?(sched = Sched.Scheduler.Stride) ?obs ~sched_rng () =
@@ -148,8 +161,8 @@ let create_queues ~base ~mu_hot_bps ~mu_cold_bps
   let hot_flow = Sched.Scheduler.add_flow scheduler ~weight:mu_hot_bps in
   let cold_flow = Sched.Scheduler.add_flow scheduler ~weight:mu_cold_bps in
   let t =
-    { base; hot = Queue.create (); cold = Queue.create ();
-      info = Hashtbl.create 256; sched = scheduler; hot_flow; cold_flow;
+    { base; hot = ring (); cold = ring ();
+      sched = scheduler; hot_flow; cold_flow;
       trace = Obs.trace_of obs; traced = Trace.enabled (Obs.trace_of obs);
       seq = 0; sent_hot = 0; sent_cold = 0; unicast = None; kick_fn = ignore;
       kick_attached = false }
@@ -159,11 +172,9 @@ let create_queues ~base ~mu_hot_bps ~mu_cold_bps
       (* Inserts and updates are both "new data": they go hot. An
          already-hot record just keeps its place (the announcement
          will carry the latest version anyway). *)
-      (match Hashtbl.find_opt t.info r.Record.key with
-      | Some info when info.temp = Hot -> ()
-      | Some _ | None -> enqueue t r Hot);
+      if r.Record.state <> Hot then enqueue t r Hot;
       wake t)
-    ~on_death:(fun r -> Hashtbl.remove t.info r.Record.key);
+    ~on_death:(fun r -> r.Record.state <- Dead);
   t
 
 let attach_kick t kick =

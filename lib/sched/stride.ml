@@ -1,64 +1,62 @@
 type flow = int
 
-type entry = {
-  mutable weight : float;
-  mutable backlogged : bool;
-  mutable pass : float;
-  mutable served : float;
-}
+(* Per-flow state in parallel arrays indexed by flow, so the float
+   columns are flat and their writes allocate nothing; the global pass
+   sits in an all-float record for the same reason. Flows are added
+   at set-up, one array append each. *)
+type global = { mutable pass : float }
 
 type t = {
-  mutable entries : entry array;
-  mutable count : int;
-  mutable global_pass : float;
+  mutable weight : float array;
+  mutable backlogged : bool array;
+  mutable pass : float array;
+  mutable served : float array;
+  global : global;
 }
 
-let create () = { entries = [||]; count = 0; global_pass = 0.0 }
+let create () =
+  { weight = [||]; backlogged = [||]; pass = [||]; served = [||];
+    global = { pass = 0.0 } }
 
 let add_flow t ~weight =
   if weight <= 0.0 then invalid_arg "Stride.add_flow: weight must be positive";
-  let entry = { weight; backlogged = false; pass = t.global_pass; served = 0.0 } in
-  if t.count = Array.length t.entries then begin
-    let entries = Array.make (max 4 (2 * t.count)) entry in
-    Array.blit t.entries 0 entries 0 t.count;
-    t.entries <- entries
-  end;
-  t.entries.(t.count) <- entry;
-  t.count <- t.count + 1;
-  t.count - 1
+  t.weight <- Array.append t.weight [| weight |];
+  t.backlogged <- Array.append t.backlogged [| false |];
+  t.pass <- Array.append t.pass [| t.global.pass |];
+  t.served <- Array.append t.served [| 0.0 |];
+  Array.length t.weight - 1
 
-let entry t f =
-  if f < 0 || f >= t.count then invalid_arg "Stride: unknown flow";
-  t.entries.(f)
+let check t f =
+  if f < 0 || f >= Array.length t.weight then invalid_arg "Stride: unknown flow"
 
 let set_weight t f w =
   if w <= 0.0 then invalid_arg "Stride.set_weight: weight must be positive";
-  (entry t f).weight <- w
+  check t f;
+  t.weight.(f) <- w
 
 let set_backlogged t f b =
-  let e = entry t f in
-  if b && not e.backlogged then
+  check t f;
+  if b && not t.backlogged.(f) then
     (* A flow waking from idleness joins at the current global pass so
        idleness does not accumulate credit. *)
-    e.pass <- Float.max e.pass t.global_pass;
-  e.backlogged <- b
+    t.pass.(f) <- Float.max t.pass.(f) t.global.pass;
+  t.backlogged.(f) <- b
 
 let select t =
-  let best = ref None in
-  for i = 0 to t.count - 1 do
-    let e = t.entries.(i) in
-    if e.backlogged then
-      match !best with
-      | None -> best := Some i
-      | Some j -> if e.pass < t.entries.(j).pass then best := Some i
+  let best = ref (-1) in
+  for i = 0 to Array.length t.pass - 1 do
+    if t.backlogged.(i) && (!best < 0 || t.pass.(i) < t.pass.(!best)) then
+      best := i
   done;
-  !best
+  if !best < 0 then None else Some !best
 
 let charge t f size =
   if size < 0.0 then invalid_arg "Stride.charge: negative size";
-  let e = entry t f in
-  e.pass <- e.pass +. (size /. e.weight);
-  e.served <- e.served +. size;
-  t.global_pass <- Float.max t.global_pass e.pass
+  check t f;
+  t.pass.(f) <- t.pass.(f) +. (size /. t.weight.(f));
+  t.served.(f) <- t.served.(f) +. size;
+  t.global.pass <- Float.max t.global.pass t.pass.(f)
 
-let served t f = (entry t f).served
+let served t f =
+  check t f;
+  t.served.(f)

@@ -179,7 +179,7 @@ let create ?obs ?transport ~engine ~rng ~config () =
   in
   let t =
     { engine; sender; receiver; unicast; fb_outbox;
-      tracker = Stats.Timeweighted.create ~start:(Engine.now engine) ();
+      tracker = Stats.Timeweighted.create ();
       tracking = false }
   in
   register_session_probes t obs;

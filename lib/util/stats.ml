@@ -45,34 +45,36 @@ module Welford = struct
 end
 
 module Timeweighted = struct
+  (* All-float, so every field is stored flat and written without
+     boxing. [start] is [nan] until the first update opens the
+     observation window. *)
   type t = {
     mutable start : float;
     mutable last_time : float;
     mutable last_value : float;
     mutable integral : float;
-    mutable started : bool;
   }
 
-  let create ?(start = 0.0) () =
-    { start; last_time = start; last_value = 0.0; integral = 0.0;
-      started = false }
+  let create () =
+    { start = nan; last_time = nan; last_value = 0.0; integral = 0.0 }
+
+  let started t = not (Float.is_nan t.start)
 
   let update t ~now ~value =
-    if t.started && now < t.last_time then
-      invalid_arg "Timeweighted.update: time reversed";
-    if t.started then
+    if started t then begin
+      if now < t.last_time then
+        invalid_arg "Timeweighted.update: time reversed";
       t.integral <- t.integral +. (t.last_value *. (now -. t.last_time))
-    else begin
+    end
+    else
       (* The observation window opens at the first update; integrating
          an assumed zero before it would bias short runs. *)
-      t.started <- true;
-      t.start <- now
-    end;
+      t.start <- now;
     t.last_time <- now;
     t.last_value <- value
 
   let average t ~now =
-    if not t.started then nan
+    if not (started t) then nan
     else
       let span = now -. t.start in
       if span <= 0.0 then t.last_value

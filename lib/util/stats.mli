@@ -41,15 +41,17 @@ module Timeweighted : sig
 
   type t
 
-  val create : ?start:float -> unit -> t
+  val create : unit -> t
+  (** The window opens at the first {!update}. *)
+
   val update : t -> now:float -> value:float -> unit
   (** [update t ~now ~value] records that the signal holds [value]
       from [now] onwards; the previous value is integrated over
       [now - last_update]. Calls must have non-decreasing [now]. *)
 
   val average : t -> now:float -> float
-  (** Time average over [\[start, now\]], integrating the current
-      value up to [now]. [nan] before the first update. *)
+  (** Time average from the first update to [now], integrating the
+      current value up to [now]. [nan] before the first update. *)
 end
 
 module Series : sig

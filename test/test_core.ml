@@ -56,6 +56,82 @@ let test_table_random_key () =
   done;
   Alcotest.(check int) "all keys reachable" 10 (Hashtbl.length seen)
 
+(* Model test: random insert/remove sequences against a reference
+   dense key array with swap-remove — the slot order the table has
+   always had, so every slot-addressed draw stays what it was. *)
+let qcheck_table_model =
+  QCheck.Test.make ~name:"table matches reference model" ~count:200
+    QCheck.(
+      pair small_nat (list_of_size Gen.(int_range 0 300) (pair bool (int_bound 40))))
+    (fun (seed, ops) ->
+      let t = Table.create () in
+      let model = ref [||] in
+      let model_slot k =
+        let rec go i =
+          if i = Array.length !model then None
+          else if !model.(i) = k then Some i
+          else go (i + 1)
+        in
+        go 0
+      in
+      let agree () =
+        let live = Array.length !model in
+        if Table.live_count t <> live then QCheck.Test.fail_report "live_count";
+        for k = 0 to 40 do
+          let slot = model_slot k in
+          if Table.slot_of_key t k <> slot then
+            QCheck.Test.fail_reportf "slot_of_key %d" k;
+          if Table.mem t k <> (slot <> None) then QCheck.Test.fail_reportf "mem %d" k;
+          match Table.find t k with
+          | Some r when r.Record.key <> k || Some r.Record.slot <> slot ->
+              QCheck.Test.fail_reportf "find %d" k
+          | None when slot <> None -> QCheck.Test.fail_reportf "find %d" k
+          | Some _ | None -> ()
+        done;
+        for i = -1 to live do
+          let want = if i >= 0 && i < live then Some !model.(i) else None in
+          match Table.record_at t i with
+          | r -> if Some r.Record.key <> want then QCheck.Test.fail_reportf "record_at %d" i
+          | exception Invalid_argument _ ->
+              if want <> None then QCheck.Test.fail_reportf "record_at %d" i
+        done;
+        (* the same seeded generator draws the same keys *)
+        let g_table = Rng.create seed and g_model = Rng.create seed in
+        for _ = 1 to 5 do
+          let want =
+            if live = 0 then None else Some !model.(Rng.int g_model live)
+          in
+          if Table.random_key t g_table <> want then
+            QCheck.Test.fail_report "random_key"
+        done
+      in
+      List.iter
+        (fun (insert, k) ->
+          (if insert then
+             match model_slot k with
+             | None ->
+                 Table.insert t (Record.make ~key:k ~now:0.0 ~size_bits:1);
+                 model := Array.append !model [| k |]
+             | Some _ -> (
+                 match Table.insert t (Record.make ~key:k ~now:0.0 ~size_bits:1) with
+                 | () -> QCheck.Test.fail_report "duplicate insert accepted"
+                 | exception Invalid_argument _ -> ())
+           else
+             let removed = Table.remove t k in
+             match model_slot k with
+             | None ->
+                 if removed <> None then QCheck.Test.fail_report "removed absent"
+             | Some slot ->
+                 (match removed with
+                 | Some r when r.Record.key = k && r.Record.slot = -1 -> ()
+                 | Some _ | None -> QCheck.Test.fail_reportf "remove %d" k);
+                 let last = Array.length !model - 1 in
+                 !model.(slot) <- !model.(last);
+                 model := Array.sub !model 0 last);
+          agree ())
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Consistency tracker *)
 
@@ -358,6 +434,101 @@ let two_queue_config ~mu_hot ~mu_cold ~p_loss =
     death = Base.Lifetime_fixed 30.0;
     loss = Experiment.Bernoulli p_loss;
     protocol = Experiment.Two_queue { mu_hot_kbps = mu_hot; mu_cold_kbps = mu_cold } }
+
+(* Queue entries carry the record's generation: a record queued cold,
+   reheated hot, served and re-queued cold is fetched once per valid
+   enqueue while its stale cold entry still sits in the queue, and a
+   record killed while queued is never fetched. [drain] fetches until
+   the queues run dry without serving, so fetched records stay in
+   service. *)
+let test_two_queue_generations () =
+  let engine = Engine.create () in
+  let base, _ = make_base ~death:(Base.Lifetime_fixed 1e9) engine in
+  (* a heavy hot weight makes stride pick the hot queue on pass ties *)
+  let q =
+    Core.Two_queue.create_queues ~base ~mu_hot_bps:1000.0 ~mu_cold_bps:1.0
+      ~sched_rng:(Rng.create 5) ()
+  in
+  Base.start base;
+  let table = Base.table base in
+  while Table.live_count table < 2 do
+    ignore (Engine.step engine)
+  done;
+  Alcotest.(check int) "two records" 2 (Table.live_count table);
+  let ra = Table.record_at table 0 in
+  let a = ra.Record.key and b = (Table.record_at table 1).Record.key in
+  let now = Engine.now engine in
+  let fetch () =
+    Option.map
+      (fun p -> p.Softstate_net.Packet.payload.Base.key)
+      (Core.Two_queue.fetch_packet q)
+  in
+  let drain () =
+    let rec go acc = match fetch () with Some k -> go (k :: acc) | None -> acc in
+    List.sort Int.compare (go [])
+  in
+  let keys = Alcotest.(list int) in
+  let serve k = Core.Two_queue.serve_completion q ~now k in
+  let reheat k = Core.Two_queue.reheat q ~now k in
+  Alcotest.check keys "arrivals fetched once each" [ a; b ] (drain ());
+  Alcotest.(check bool) "no reheat in service" false (reheat b);
+  serve a;
+  serve b;
+  Alcotest.(check bool) "reheat cold" true (reheat b);
+  Alcotest.(check bool) "already hot" false (reheat b);
+  Alcotest.(check (option int)) "hot first" (Some b) (fetch ());
+  (* b's stale cold entry is still queued behind a's; serving each
+     fetch at once, the cold queue still visits each record once per
+     round *)
+  serve b;
+  let rec circulate n =
+    if n = 0 then []
+    else
+      match fetch () with
+      | Some k ->
+          serve k;
+          k :: circulate (n - 1)
+      | None -> []
+  in
+  Alcotest.check keys "stale entry skipped" [ a; b; a; b ] (circulate 4);
+  Alcotest.(check bool) "reheat again" true (reheat a);
+  Base.kill base ~now a;
+  Alcotest.(check bool) "killed" true (ra.Record.state = Record.Dead);
+  Alcotest.check keys "killed while queued" [ b ] (drain ());
+  Alcotest.(check bool) "dead not reheated" false (reheat a);
+  serve a;
+  Alcotest.check keys "dead stays out" [] (drain ())
+
+(* A fetch resolves its record with no lookup and allocates only the
+   scheduler's pick, the boxed size it is charged, the announcement,
+   the packet (with its optional id) and the returned option:
+   16 words. *)
+let test_two_queue_fetch_allocation () =
+  let engine = Engine.create () in
+  let base, _ = make_base ~death:(Base.Lifetime_fixed 1e9) engine in
+  let q =
+    Core.Two_queue.create_queues ~base ~mu_hot_bps:28_800.0
+      ~mu_cold_bps:7_200.0 ~sched_rng:(Rng.create 5) ()
+  in
+  Base.start base;
+  while Table.live_count (Base.table base) < 100 do
+    ignore (Engine.step engine)
+  done;
+  let now = Engine.now engine in
+  let fetches = 10_000 and words = ref 0.0 in
+  for _ = 1 to fetches do
+    let before = Gc.minor_words () in
+    let p = Core.Two_queue.fetch_packet q in
+    words := !words +. (Gc.minor_words () -. before);
+    match p with
+    | Some p ->
+        Core.Two_queue.serve_completion q ~now
+          p.Softstate_net.Packet.payload.Base.key
+    | None -> Alcotest.fail "queues ran dry"
+  done;
+  let per_fetch = !words /. float_of_int fetches in
+  if per_fetch > 16.0 then
+    Alcotest.failf "%.2f minor words per fetch (at most 16)" per_fetch
 
 let test_two_queue_beats_open_loop () =
   (* Figure 5's claim: two-level scheduling with adequate hot
@@ -1628,6 +1799,7 @@ let () =
           Alcotest.test_case "record touch" `Quick test_record_touch;
           Alcotest.test_case "table insert/remove" `Quick test_table_insert_remove;
           Alcotest.test_case "table random key" `Quick test_table_random_key;
+          QCheck_alcotest.to_alcotest qcheck_table_model;
         ] );
       ( "tracker",
         [
@@ -1669,6 +1841,10 @@ let () =
         ] );
       ( "two-queue",
         [
+          Alcotest.test_case "entry generations" `Quick
+            test_two_queue_generations;
+          Alcotest.test_case "fetch allocation" `Quick
+            test_two_queue_fetch_allocation;
           Alcotest.test_case "beats open loop" `Slow test_two_queue_beats_open_loop;
           Alcotest.test_case "knee at lambda" `Slow
             test_two_queue_starves_below_lambda;

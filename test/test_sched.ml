@@ -381,6 +381,72 @@ let qcheck_stride_proportional =
           abs_float (got -. want) < 0.02)
         flows)
 
+(* Property: stride agrees, decision for decision, with a reference
+   loop over one record per flow. Small integer weights and charges
+   make exact pass ties common, so the first-minimum tie rule is
+   exercised; flows are added midway to cross the column growth. *)
+type ref_flow = {
+  w : float;
+  mutable on : bool;
+  mutable pass : float;
+  mutable served : float;
+}
+
+let qcheck_stride_reference =
+  QCheck.Test.make ~name:"stride matches reference loop" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 200)
+        (triple (int_bound 3) (int_bound 9) (int_bound 4)))
+    (fun ops ->
+      let s = Sched.Stride.create () in
+      let flows = ref [||] and global = ref 0.0 in
+      let add w =
+        let f = Sched.Stride.add_flow s ~weight:w in
+        assert (f = Array.length !flows);
+        flows :=
+          Array.append !flows [| { w; on = false; pass = !global; served = 0.0 } |]
+      in
+      add 1.0;
+      let ref_select () =
+        let best = ref None in
+        Array.iteri
+          (fun i e ->
+            if e.on then
+              match !best with
+              | None -> best := Some i
+              | Some j -> if e.pass < !flows.(j).pass then best := Some i)
+          !flows;
+        !best
+      in
+      List.for_all
+        (fun (op, a, b) ->
+          let n = Array.length !flows in
+          let f = a mod n in
+          (match op with
+          | 0 -> add (float_of_int (1 + (a mod 4)))
+          | 1 | 2 ->
+              let on = op = 1 in
+              let e = !flows.(f) in
+              if on && not e.on then e.pass <- Float.max e.pass !global;
+              e.on <- on;
+              Sched.Stride.set_backlogged s f on
+          | _ -> (
+              let size = float_of_int b in
+              match ref_select () with
+              | None -> ()
+              | Some g ->
+                  let e = !flows.(g) in
+                  e.pass <- e.pass +. (size /. e.w);
+                  e.served <- e.served +. size;
+                  global := Float.max !global e.pass;
+                  Sched.Stride.charge s g size));
+          Sched.Stride.select s = ref_select ()
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun i e -> Sched.Stride.served s i = e.served)
+                  !flows))
+        ops)
+
 let algo_cases name algorithm tolerance =
   ( name,
     [
@@ -396,7 +462,8 @@ let () =
   Alcotest.run "softstate_sched"
     [
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_stride_proportional ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_stride_proportional; qcheck_stride_reference ] );
       algo_cases "lottery" Scheduler.Lottery 0.02;
       algo_cases "stride" Scheduler.Stride 0.01;
       algo_cases "wfq" Scheduler.Wfq 0.01;

@@ -405,7 +405,7 @@ let test_timeweighted_piecewise () =
   check_close 1e-9 "time average" 0.4 (Stats.Timeweighted.average tw ~now:10.0)
 
 let test_timeweighted_starts_at_first_update () =
-  let tw = Stats.Timeweighted.create ~start:0.0 () in
+  let tw = Stats.Timeweighted.create () in
   Stats.Timeweighted.update tw ~now:5.0 ~value:1.0;
   check_close 1e-9 "window opens at first update" 1.0
     (Stats.Timeweighted.average tw ~now:10.0)
