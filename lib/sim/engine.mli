@@ -17,7 +17,20 @@
     returns (the soft-state expiry timers push their deadlines back
     this way). Determinism contract: events fire in (time, scheduling
     order) — at equal timestamps, whichever event was scheduled first
-    fires first. *)
+    fires first.
+
+    Coalesced runs: an event scheduled at the same time as the event
+    scheduled just before it, while that one is still pending, joins
+    its calendar entry instead of making a new one. An entry thus
+    holds a run of callbacks that fire back to back in scheduling
+    order, which is the order they would have fired in as separate
+    entries, so the contract above holds exactly. A tree's per-hop
+    wave, whose hops are scheduled one after another at one instant,
+    costs one heap insert and one sift instead of one per hop. The
+    calendar entry keeps a cursor to its next callback: {!step} fires
+    exactly one callback and leaves the rest of the run pending, and
+    {!pending}, {!events_fired}, {!high_water} and {!on_step} count
+    callbacks, not entries. *)
 
 type t
 

@@ -264,6 +264,155 @@ let test_step_allocation () =
   if per_event > 4.0 +. 1e-3 then
     Alcotest.failf "%.3f words per event, expected at most 4" per_event
 
+(* The same bound with every event in a run: 600 events in 100 runs of
+   six at distinct times, each re-arming itself 100 s later. The six
+   members of a run re-arm back to back at one time, so the first
+   opens a new calendar entry and the other five join its run. *)
+let test_step_allocation_runs () =
+  let e = Engine.create () in
+  let rec again e = Engine.schedule e ~after:100.0 again in
+  for i = 1 to 600 do
+    Engine.schedule_at e ~time:(float_of_int (1 + (i / 6))) again
+  done;
+  let steps = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to steps do
+    ignore (Engine.step e)
+  done;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int steps in
+  Alcotest.(check int) "still 600 pending" 600 (Engine.pending e);
+  if per_event > 4.0 +. 1e-3 then
+    Alcotest.failf "%.3f words per event, expected at most 4" per_event
+
+(* Three callbacks scheduled back to back at one time share a calendar
+   entry; [step] still fires them one at a time, in order. *)
+let test_step_through_run () =
+  let e = Engine.create () in
+  let log = ref [] in
+  List.iter
+    (fun name -> Engine.schedule e ~after:1.0 (fun _ -> log := name :: !log))
+    [ "a"; "b"; "c" ];
+  Alcotest.(check int) "three pending" 3 (Engine.pending e);
+  List.iter
+    (fun (fired, left) ->
+      Alcotest.(check bool) "stepped" true (Engine.step e);
+      Alcotest.(check (list string)) "one callback per step" fired
+        (List.rev !log);
+      Alcotest.(check int) "pending" left (Engine.pending e))
+    [ ([ "a" ], 2); ([ "a"; "b" ], 1); ([ "a"; "b"; "c" ], 0) ];
+  Alcotest.(check bool) "drained" false (Engine.step e);
+  Alcotest.(check int) "fired" 3 (Engine.events_fired e)
+
+(* [high_water], [events_fired] and [on_step] count callbacks, not
+   calendar entries: five callbacks in one run read as five. *)
+let test_counters_count_callbacks () =
+  let e = Engine.create () in
+  let steps = ref 0 in
+  Engine.on_step e (fun _ -> incr steps);
+  for _ = 1 to 5 do
+    Engine.schedule e ~after:2.0 (fun _ -> ())
+  done;
+  Engine.schedule e ~after:1.0 (fun e ->
+      Engine.schedule e ~after:0.0 (fun _ -> ());
+      Engine.schedule e ~after:0.0 (fun _ -> ()));
+  Alcotest.(check int) "pending" 6 (Engine.pending e);
+  Alcotest.(check int) "high water" 6 (Engine.high_water e);
+  Engine.run e;
+  Alcotest.(check int) "high water counts zero-delay callbacks" 7
+    (Engine.high_water e);
+  Alcotest.(check int) "events fired" 8 (Engine.events_fired e);
+  Alcotest.(check int) "on_step per callback" 8 !steps;
+  Alcotest.(check int) "drained" 0 (Engine.pending e)
+
+(* Model check of the determinism contract. A script schedules bursts
+   of events at equal times (bursts broken by single events at other
+   times); each event, when it fires, schedules the children its
+   template lists, which are mostly zero-delay bursts. The engine's
+   firing order, times and counters must match a reference that keeps
+   the pending events in a list and always fires the least (time,
+   scheduling order). Delays are dyadic so every time sum is exact. *)
+let delay_gen = QCheck.Gen.oneofl [ 0.0; 0.0; 0.0; 0.25; 0.5; 1.0; 3.0 ]
+
+let bursts_gen =
+  QCheck.Gen.(
+    map
+      (List.concat_map (fun (d, n) -> List.init n (fun _ -> d)))
+      (list_size (int_range 0 5) (pair delay_gen (int_range 1 4))))
+
+type script = {
+  roots : float list;          (* delays scheduled before the run *)
+  templates : float list array; (* event [i]'s children: template [i mod n] *)
+  cap : int;                    (* events scheduled in all *)
+  stepped : bool;               (* drive with [step] rather than [run] *)
+}
+
+let script_gen =
+  QCheck.Gen.(
+    map
+      (fun (((roots, templates), cap), stepped) ->
+        { roots = 1.0 :: roots; templates = Array.of_list templates; cap;
+          stepped })
+      (pair
+         (pair
+            (pair bursts_gen (list_size (int_range 1 6) bursts_gen))
+            (int_range 1 300))
+         bool))
+
+let print_script s =
+  let delays l = String.concat ";" (List.map string_of_float l) in
+  Printf.sprintf "roots=[%s] templates=[%s] cap=%d stepped=%b"
+    (delays s.roots)
+    (String.concat " | " (Array.to_list (Array.map delays s.templates)))
+    s.cap s.stepped
+
+(* Firing log (event id, time), high water and events fired. *)
+let engine_trace s =
+  let e = Engine.create () in
+  let log = ref [] and next = ref 0 in
+  let rec spawn e delay =
+    if !next < s.cap then begin
+      let id = !next in
+      incr next;
+      Engine.schedule e ~after:delay (fun e ->
+          log := (id, Engine.now e) :: !log;
+          List.iter (spawn e) s.templates.(id mod Array.length s.templates))
+    end
+  in
+  List.iter (spawn e) s.roots;
+  if s.stepped then while Engine.step e do () done else Engine.run e;
+  (List.rev !log, Engine.high_water e, Engine.events_fired e)
+
+let reference_trace s =
+  (* pending events as (time, id); ids are minted in scheduling order *)
+  let pending = ref [] and log = ref [] and next = ref 0 and now = ref 0.0 in
+  let high = ref 0 in
+  let spawn delay =
+    if !next < s.cap then begin
+      pending := (!now +. delay, !next) :: !pending;
+      incr next;
+      high := max !high (List.length !pending)
+    end
+  in
+  List.iter spawn s.roots;
+  let rec loop () =
+    match List.sort compare !pending with
+    | [] -> ()
+    | ((time, id) as first) :: _ ->
+        pending := List.filter (fun ev -> ev <> first) !pending;
+        now := time;
+        log := (id, time) :: !log;
+        List.iter spawn s.templates.(id mod Array.length s.templates);
+        loop ()
+  in
+  loop ();
+  (List.rev !log, !high, List.length !log)
+
+let qcheck_engine_matches_reference =
+  QCheck.Test.make ~name:"engine fires in (time, scheduling order)"
+    ~count:300
+    (QCheck.make ~print:print_script script_gen)
+    (fun s -> engine_trace s = reference_trace s)
+
 let test_many_events_throughput () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -296,6 +445,11 @@ let () =
           Alcotest.test_case "on_step composes" `Quick test_on_step_composes;
           Alcotest.test_case "50k events" `Slow test_many_events_throughput;
           Alcotest.test_case "step allocation" `Quick test_step_allocation;
+          Alcotest.test_case "step allocation in runs" `Quick
+            test_step_allocation_runs;
+          Alcotest.test_case "step through a run" `Quick test_step_through_run;
+          Alcotest.test_case "counters count callbacks" `Quick
+            test_counters_count_callbacks;
           Alcotest.test_case "periodic firing times" `Quick
             test_every_firing_times;
           Alcotest.test_case "periodic cancel" `Quick test_every_stop;
@@ -306,4 +460,6 @@ let () =
           Alcotest.test_case "pending counts periodic" `Quick
             test_pending_counts_periodic;
         ] );
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest qcheck_engine_matches_reference ] );
     ]
