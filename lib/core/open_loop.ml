@@ -32,7 +32,7 @@ let rec fetch t () =
              ~src:"open_loop" ~detail:(string_of_int r.Record.key)
              ~key:r.Record.key ~packet:seq Trace.Announce);
       let ann = Base.announce_of t.base ~seq r in
-      Some (Net.Packet.make ~id:seq ~size_bits:r.Record.size_bits ann)
+      Some (Net.Packet.stamped ~id:seq ~size_bits:r.Record.size_bits ann)
 
 let on_served t ~now (packet : Base.announcement Net.Packet.t) =
   match Table.find (Base.table t.base) packet.Net.Packet.payload.Base.key with

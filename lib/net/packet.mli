@@ -15,9 +15,14 @@ type 'a t = {
 val no_id : int
 (** [-1]: the id of packets with no correlation identity. *)
 
-val make : ?id:int -> size_bits:int -> 'a -> 'a t
-(** [make ~size_bits payload] wraps a payload; [size_bits] must be
-    positive (zero-size packets would make service instantaneous and
-    break FIFO accounting). [id] defaults to {!no_id}; senders stamp
-    their own deterministic sequence number (never a global counter,
-    which would break cross-domain reproducibility). *)
+val make : size_bits:int -> 'a -> 'a t
+(** [make ~size_bits payload] wraps a payload with id {!no_id};
+    [size_bits] must be positive (zero-size packets would make service
+    instantaneous and break FIFO accounting). *)
+
+val stamped : id:int -> size_bits:int -> 'a -> 'a t
+(** [stamped ~id ~size_bits payload] is {!make} with a correlation
+    id: senders stamp their own deterministic sequence number (never a
+    global counter, which would break cross-domain reproducibility).
+    A separate constructor rather than an optional argument, whose
+    [Some] cell would cost an allocation per packet. *)

@@ -279,7 +279,7 @@ let refresh_backlog t ~now =
 let charged t leaf env =
   let size_bits = t.size_bits env in
   Hierarchy.charge t.sched leaf (float_of_int size_bits);
-  Some (Net.Packet.make ~id:env.Wire.seq ~size_bits env)
+  Some (Net.Packet.stamped ~id:env.Wire.seq ~size_bits env)
 
 let rec fetch t ~now =
   refresh_backlog t ~now;

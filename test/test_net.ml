@@ -847,7 +847,7 @@ let test_channel_trace_golden () =
         if !sent >= 40 then None
         else begin
           incr sent;
-          Some (Packet.make ~id:!sent ~size_bits:(100 + (37 * !sent mod 250))
+          Some (Packet.stamped ~id:!sent ~size_bits:(100 + (37 * !sent mod 250))
                   !sent)
         end)
       ()
