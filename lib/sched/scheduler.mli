@@ -34,5 +34,8 @@ val set_backlogged : t -> flow -> bool -> unit
 val select : t -> flow option
 (** Pick the next backlogged flow to serve. *)
 
-val charge : t -> flow -> float -> unit
-(** Account the size of the packet just served from the flow. *)
+val charge : t -> flow -> int -> unit
+(** [charge t f size_bits] accounts the size of the packet just served
+    from the flow. The size is an int so that it crosses the packed
+    scheduler's closure without a float box: charging stride allocates
+    nothing. *)

@@ -50,12 +50,18 @@ let select t =
   done;
   if !best < 0 then None else Some !best
 
-let charge t f size =
+(* Inlined into both entry points, so [size] stays unboxed: a caller
+   across a closure or module boundary passes an int to [charge_bits]
+   and allocates nothing. *)
+let[@inline] advance t f size =
   if size < 0.0 then invalid_arg "Stride.charge: negative size";
   check t f;
   t.pass.(f) <- t.pass.(f) +. (size /. t.weight.(f));
   t.served.(f) <- t.served.(f) +. size;
   t.global.pass <- Float.max t.global.pass t.pass.(f)
+
+let charge t f size = advance t f size
+let charge_bits t f size_bits = advance t f (float_of_int size_bits)
 
 let served t f =
   check t f;

@@ -26,4 +26,8 @@ val charge : t -> flow -> float -> unit
     global pass bookkeeping. Call once per service with the served
     packet's size. *)
 
+val charge_bits : t -> flow -> int -> unit
+(** [charge_bits t f n] is [charge t f (float_of_int n)] without the
+    float box a call with a computed float argument costs. *)
+
 val served : t -> flow -> float

@@ -19,7 +19,7 @@ let drive sched flows rounds =
     | None -> Alcotest.fail "no flow selected while backlogged"
     | Some f ->
         counts.(f) <- counts.(f) + 1;
-        Scheduler.charge sched f 1.0
+        Scheduler.charge sched f 1
   done;
   counts
 
@@ -47,7 +47,7 @@ let work_conserving_test algorithm () =
   Scheduler.set_backlogged sched f2 false;
   for _ = 1 to 100 do
     match Scheduler.select sched with
-    | Some f when f = f1 -> Scheduler.charge sched f 1.0
+    | Some f when f = f1 -> Scheduler.charge sched f 1
     | Some _ -> Alcotest.fail "idle flow selected"
     | None -> Alcotest.fail "nothing selected"
   done
@@ -71,7 +71,7 @@ let no_back_service_test algorithm () =
   Scheduler.set_backlogged sched f2 false;
   for _ = 1 to 1000 do
     match Scheduler.select sched with
-    | Some f -> Scheduler.charge sched f 1.0
+    | Some f -> Scheduler.charge sched f 1
     | None -> ()
   done;
   (* f2 wakes; over the next 1000 services it should get roughly half,
@@ -82,7 +82,7 @@ let no_back_service_test algorithm () =
     match Scheduler.select sched with
     | Some f ->
         if f = f2 then incr f2_count;
-        Scheduler.charge sched f 1.0
+        Scheduler.charge sched f 1
     | None -> ()
   done;
   Alcotest.(check bool)
@@ -107,8 +107,8 @@ let variable_size_test algorithm () =
   for _ = 1 to 30_000 do
     match Scheduler.select sched with
     | Some f ->
-        let size = if f = f1 then 10.0 else 1.0 in
-        bits.(f) <- bits.(f) +. size;
+        let size = if f = f1 then 10 else 1 in
+        bits.(f) <- bits.(f) +. float_of_int size;
         picks.(f) <- picks.(f) + 1;
         Scheduler.charge sched f size
     | None -> Alcotest.fail "nothing selected"
@@ -447,6 +447,21 @@ let qcheck_stride_reference =
                   !flows))
         ops)
 
+(* The packed scheduler takes the charged size as an int, so charging
+   stride through it boxes nothing. *)
+let test_stride_charge_allocation () =
+  let sched = Scheduler.create Scheduler.Stride in
+  let f = Scheduler.add_flow sched ~weight:28_800.0 in
+  let g = Scheduler.add_flow sched ~weight:7_200.0 in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    Scheduler.charge sched (if i land 1 = 0 then f else g) (500 + i)
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  if per_call > 0.0 then
+    Alcotest.failf "%.2f minor words per charge (expected 0)" per_call
+
 let algo_cases name algorithm tolerance =
   ( name,
     [
@@ -464,6 +479,9 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_stride_proportional; qcheck_stride_reference ] );
+      ( "allocation",
+        [ Alcotest.test_case "stride charge" `Quick
+            test_stride_charge_allocation ] );
       algo_cases "lottery" Scheduler.Lottery 0.02;
       algo_cases "stride" Scheduler.Stride 0.01;
       algo_cases "wfq" Scheduler.Wfq 0.01;
