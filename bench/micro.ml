@@ -20,7 +20,7 @@ let bench_heap =
            Heap.insert h ~key:(Rng.float g) ()
          done;
          while Heap.top h >= 0 do
-           Heap.drop_top h
+           ignore (Heap.drop_top h)
          done))
 
 let bench_engine =
