@@ -1330,11 +1330,12 @@ let test_golden_topo_chain () =
    damping, a 4-ary tree of depth 3 at 5% edge loss) at a short
    duration. A tree wave schedules many hops at one instant, so this
    pin catches any change to the order of same-time events. *)
-let render_multicast_tree seed =
+let render_multicast_tree ?(faults = []) seed =
   let r =
     Experiment.run
       { Experiment.default with
         Experiment.seed;
+        faults;
         duration = 120.0;
         loss = Experiment.Bernoulli 0.05;
         protocol =
@@ -1361,6 +1362,25 @@ let test_golden_multicast_tree () =
        lat=0x1.0e41a80b9fc4cp+3 ft=0 fd=0 sent=327092 deliv=311010 \
        drop=15997 nw=5448 ns=2268 nsup=3168 nd=1966 ovf=0" ]
     (List.map render_multicast_tree [ 1; 2; 3 ])
+
+(* The same tree under a mid-run partition and flapping cables: the
+   only pin that drives the tree fan-out's inject and deliver gates
+   with something down, so [ft] and [fd] are non-zero here. *)
+let test_golden_multicast_tree_faults () =
+  Alcotest.(check (list string)) "faulted multicast tree bitwise stable"
+    [ "avg=0x1.555039a53294bp-1 final=0x1.5358049a2cdf3p-1 \
+       lat=0x1.126a5fade58dep+3 ft=88 fd=26230 sent=301004 deliv=286393 \
+       drop=14525 nw=5401 ns=2258 nsup=3136 nd=1950 ovf=0";
+      "avg=0x1.5041aa4251331p-1 final=0x1.4964fda6c0965p-1 \
+       lat=0x1.17fadde8a4d32p+3 ft=86 fd=26351 sent=299897 deliv=285266 \
+       drop=14569 nw=5625 ns=2282 nsup=3327 nd=1977 ovf=0";
+      "avg=0x1.56ca7987ef9cdp-1 final=0x1.36be1ad319134p-1 \
+       lat=0x1.0c8eb669f92cdp+3 ft=88 fd=26550 sent=300377 deliv=285640 \
+       drop=14655 nw=5465 ns=2265 nsup=3186 nd=1960 ovf=0" ]
+    (List.map
+       (render_multicast_tree
+          ~faults:(topo_faults "partition@40-60,flap:0.01:10"))
+       [ 1; 2; 3 ])
 
 let random_topo = Experiment.Random_graph { nodes = 30; edge_prob = 0.1 }
 
@@ -1976,6 +1996,8 @@ let () =
           Alcotest.test_case "golden chain" `Quick test_golden_topo_chain;
           Alcotest.test_case "golden multicast tree" `Quick
             test_golden_multicast_tree;
+          Alcotest.test_case "golden multicast tree under faults" `Quick
+            test_golden_multicast_tree_faults;
           Alcotest.test_case "golden random graph" `Quick
             test_golden_topo_random;
           Alcotest.test_case "random graph agreement" `Quick
