@@ -249,23 +249,21 @@ let is_matching t ~receiver r =
   | Some v -> v = r.Record.version
   | None -> false
 
-(* Receivers holding the record's current version; 0 once it has left
-   the table. *)
-let matching_count t r =
-  let slot = r.Record.slot in
-  let n = ref 0 in
-  if slot >= 0 then
-    for i = 0 to Array.length t.rows - 1 do
-      let soa = t.rows.(i) in
-      if soa_present soa slot && soa.version_a.(slot) = r.Record.version then
-        incr n
-    done;
-  !n
+(* Receivers holding the record's current version, in O(1): the
+   record's own count, which [note_match] raises, [unmatch] lowers on
+   a false expiry of a matching copy, and [Record.touch] zeroes. A
+   dead record's count is not kept, so it reads 0 once the slot is
+   gone. *)
+let matching_count r = if r.Record.slot >= 0 then r.Record.matching else 0
+
+(* A matching copy at some receiver was expired. *)
+let unmatch t ~now r =
+  r.Record.matching <- r.Record.matching - 1;
+  Consistency.on_unmatch t.tracker ~now
 
 let remove_record t ~now r =
-  (* matching_count only reads receiver state, so it commutes with the
-     table removal; it must run while the key still has a slot. *)
-  let matching = matching_count t r in
+  (* read while the key still has a slot *)
+  let matching = matching_count r in
   let key = r.Record.key in
   (* Slot-indexed rows cannot outlive the slot: the dying record's row
      is reclaimed here, in lockstep with Table's swap-remove. That
@@ -328,7 +326,7 @@ let arrival t =
   in
   match update_target with
   | Some r ->
-      let matching = matching_count t r in
+      let matching = matching_count r in
       Record.touch r ~now;
       Consistency.on_update t.tracker ~now ~matching;
       t.on_arrival r
@@ -357,7 +355,7 @@ let sweep_receiver t ~now ~multiple soa =
       let r = Table.record_at t.table slot in
       let was_matching = soa.version_a.(slot) = r.Record.version in
       soa_set_flags soa slot ~present:false ~armed:false;
-      if was_matching then Consistency.on_unmatch t.tracker ~now
+      if was_matching then unmatch t ~now r
     end
   done
 
@@ -407,7 +405,7 @@ and fire_expiry t ~now receiver key =
           let r = Table.record_at t.table slot in
           let was_matching = soa.version_a.(slot) = r.Record.version in
           soa_set_flags soa slot ~present:false ~armed:false;
-          if was_matching then Consistency.on_unmatch t.tracker ~now
+          if was_matching then unmatch t ~now r
         end
         else
           (* heard from since the timer was set: push back to the
@@ -445,15 +443,16 @@ let start t =
 
 let announce_of t ~seq r =
   Consistency.on_transmission t.tracker
-    ~redundant:(matching_count t r = receiver_count t);
+    ~redundant:(matching_count r = receiver_count t);
   { key = r.Record.key; version = r.Record.version; seq }
 
 (* A receiver has just stored the record's current version. *)
 let note_match t ~now r =
+  r.Record.matching <- r.Record.matching + 1;
   Consistency.on_match t.tracker ~now;
   (* latency is sampled once per version, at its first arrival
      anywhere in the group *)
-  if matching_count t r = 1 then
+  if r.Record.matching = 1 then
     Consistency.on_first_delivery t.tracker ~now ~born:r.Record.born
 
 let deliver t ~now ~receiver ann =

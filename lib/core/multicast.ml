@@ -7,6 +7,15 @@ module Trace = Softstate_obs.Trace
 
 type nack = { missing_seq : int; origin : int }
 
+(* Sequence numbers are consecutive ints, so the identity spreads them
+   evenly over the buckets; no generic hash or compare per lookup. *)
+module Seq_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash seq = seq
+end)
+
 type receiver_state = {
   index : int;
   mutable expected_seq : int;
@@ -22,7 +31,7 @@ type t = {
   slot_rng : Rng.t;
   (* seq -> time a NACK for it was last heard on the feedback channel;
      receivers use it for damping, and it doubles as the prune clock *)
-  heard : (int, float) Hashtbl.t;
+  heard : float Seq_tbl.t;
   trace : Trace.t;
   traced : bool; (* Trace.enabled, hoisted to creation time *)
   mutable fb_outbox : nack Net.Transport.outbox option;
@@ -37,21 +46,21 @@ type t = {
 let seq_window = 1 lsl 16
 
 let prune_heard t now =
-  if Hashtbl.length t.heard > 8192 then begin
+  if Seq_tbl.length t.heard > 8192 then begin
     let cutoff = now -. (4.0 *. t.nack_slot) in
     let stale =
       (* lint: allow D003 commutative: collects a stale set for removal; order never escapes *)
-      Hashtbl.fold
+      Seq_tbl.fold
         (fun seq time acc -> if time < cutoff then seq :: acc else acc)
         t.heard []
     in
-    List.iter (Hashtbl.remove t.heard) stale
+    List.iter (Seq_tbl.remove t.heard) stale
   end
 
 let heard_recently t ~now seq =
-  match Hashtbl.find_opt t.heard seq with
-  | Some time -> now -. time <= 2.0 *. t.nack_slot
-  | None -> false
+  match Seq_tbl.find t.heard seq with
+  | time -> now -. time <= 2.0 *. t.nack_slot
+  | exception Not_found -> false
 
 let send_nack t ~now ?(parent = Trace.no_id) receiver seq =
   match t.fb_outbox with
@@ -74,7 +83,7 @@ let send_nack t ~now ?(parent = Trace.no_id) receiver seq =
          mark it heard at send time, which models receivers on a
          shared medium hearing the request directly *)
       if t.suppression then begin
-        Hashtbl.replace t.heard seq now;
+        Seq_tbl.replace t.heard seq now;
         prune_heard t now
       end;
       ignore
@@ -137,7 +146,7 @@ let create ~base ~mu_hot_bps ~mu_cold_bps ~mu_fb_bps ?sched ?obs ?transport
   let t =
     { base; sender; seq_to_key = Seq_ring.create ~window:seq_window;
       nack_bits; suppression;
-      nack_slot; slot_rng; heard = Hashtbl.create 1024;
+      nack_slot; slot_rng; heard = Seq_tbl.create 1024;
       trace = Obs.trace_of obs; traced = Trace.enabled (Obs.trace_of obs);
       fb_outbox = None;
       fanout = None; nacks_wanted = 0; nacks_sent = 0; nacks_suppressed = 0;

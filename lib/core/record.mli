@@ -20,17 +20,21 @@ type t = {
   mutable born : float;
     (** creation time of the {e current} version, for receive-latency *)
   size_bits : int;  (** announcement wire size for this record *)
-  created : float;  (** insertion time of the key *)
   mutable slot : int;  (** dense {!Table} slot, [-1] outside; {!Table}'s *)
   mutable state : state;
     (** owned by the circulation protocol queueing the record *)
   mutable gen : int;
     (** queue-entry generation, advanced by {!Two_queue} per enqueue *)
+  mutable matching : int;
+    (** receivers holding [version]: {!touch} resets it, {!Base}
+        counts each delivery of the current version and each false
+        expiry of a matching copy; not kept after death *)
 }
 
 val make : key:key -> now:float -> size_bits:int -> t
 (** A fresh record at version 0, [Idle], outside any table. *)
 
 val touch : t -> now:float -> unit
-(** Publish a new value: bump the version and restart the latency
-    clock for the new version. *)
+(** Publish a new value: bump the version, restart the latency clock
+    for the new version and zero [matching], since every receiver's
+    copy is now stale. *)

@@ -71,6 +71,7 @@ let hot_paths =
     ("Flat_topology", "neighbor_cable");
     ("Flat_topology", "is_cable_up");
     ("Flat_topology", "is_node_up");
+    ("Flat_topology", "all_up");
     ("Seq_ring", "store");
     ("Seq_ring", "find") ]
 

@@ -302,9 +302,11 @@ let endpoint_delivered t ~now ~label ~detail ~hop id =
    topology's rate / delay / loss. The send-side gate admits a packet
    only while the cable and the sending node are up, and delivery
    re-checks the cable and the receiving node (packets in flight when
-   either goes down are destroyed). Overlay pipes carry no obs context
-   of their own — per-edge probes would collide across overlays; the
-   topology's fault counters and trace events cover the substrate.
+   either goes down are destroyed). Both gates test [all_up] first, an
+   exact O(1) count, and read the fault bits only while something is
+   down. Overlay pipes carry no obs context of their own — per-edge
+   probes would collide across overlays; the topology's fault
+   counters and trace events cover the substrate.
    [hop] is the stage's position along the overlay path (the head
    server is hop 0), stamped on every edge trace event so a packet's
    causal chain reads in path order. *)
@@ -316,8 +318,10 @@ let edge_stage t ~qcap ~overlay_rng ~hop eid next =
     Pipe.create t.engine ~rate_bps:t.rate_bps ~delay:t.delay ~loss:(t.loss ())
       ~queue_capacity:qcap ~label:elabel ~hop ~rng:overlay_rng
       ~deliver:(fun ~now packet ->
-        if Flat_topology.is_cable_up t.g cable
-           && Flat_topology.is_node_up t.g dst
+        if
+          Flat_topology.all_up t.g
+          || Flat_topology.is_cable_up t.g cable
+             && Flat_topology.is_node_up t.g dst
         then next ~now packet
         else
           drop_faulted t ~phase:`Deliver ~src_label:elabel
@@ -327,7 +331,10 @@ let edge_stage t ~qcap ~overlay_rng ~hop eid next =
   note_pipe t pipe;
   fun ~now:_ (packet : 'a Packet.t) ->
     t.injected <- t.injected + 1;
-    if Flat_topology.is_cable_up t.g cable && Flat_topology.is_node_up t.g src
+    if
+      Flat_topology.all_up t.g
+      || Flat_topology.is_cable_up t.g cable
+         && Flat_topology.is_node_up t.g src
     then ignore (Pipe.send pipe packet)
     else
       drop_faulted t ~phase:`Inject ~src_label:elabel ~packet:packet.Packet.id

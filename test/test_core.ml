@@ -24,7 +24,9 @@ let test_record_touch () =
   Record.touch r ~now:20.0;
   Alcotest.(check int) "version 1" 1 r.Record.version;
   Alcotest.(check (float 0.0)) "born moves" 20.0 r.Record.born;
-  Alcotest.(check (float 0.0)) "created stays" 10.0 r.Record.created
+  r.Record.matching <- 3;
+  Record.touch r ~now:30.0;
+  Alcotest.(check int) "touch resets matching" 0 r.Record.matching
 
 let test_table_insert_remove () =
   let t = Table.create () in
@@ -358,6 +360,114 @@ let test_base_kill () =
   Alcotest.(check int) "live decremented" (live_before - 1)
     (Consistency.live tracker);
   Base.kill base ~now:1.6 key (* idempotent *)
+
+(* Model test for the per-record matching count: random arrivals,
+   updates, current and stale deliveries, expiring advances and kills
+   over R receivers, under both expiry disciplines and both kinds of
+   death. After every operation each live record's count must equal
+   the receivers that match it, and the counts of the live records
+   must sum to the tracker's matched pairs. *)
+type count_op =
+  | Step  (* fire one event: an arrival, an update, an expiry or a death *)
+  | Advance of float
+  | Deliver of { receiver : int; pick : int; behind : int }
+  | Serve of int  (* Base.death_draw, the per-service death *)
+  | Kill of int
+
+let count_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, return Step);
+        (2, map (fun dt -> Advance dt) (float_bound_inclusive 2.0));
+        ( 6,
+          map3
+            (fun receiver pick behind -> Deliver { receiver; pick; behind })
+            (int_bound 7) nat (int_bound 2) );
+        (1, map (fun pick -> Serve pick) nat);
+        (1, map (fun pick -> Kill pick) nat) ])
+
+let qcheck_matching_count =
+  QCheck.Test.make ~name:"matching count model" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad small_nat (int_range 1 8) (pair bool bool)
+            (list_size (int_range 0 200) count_op_gen)))
+    (fun (seed, receivers, (wheel, per_service), ops) ->
+      let engine = Engine.create () in
+      let workload =
+        Workload.create ~update_fraction:0.5 ~arrival_rate:4.0 ~size_bits:100 ()
+      in
+      let tracker = Consistency.create ~receivers ~now:0.0 () in
+      let expiry =
+        if wheel then Base.Refresh_wheel { multiple = 1.5 }
+        else Base.Refresh_timeout { multiple = 1.5; sweep_period = 0.5 }
+      in
+      let death =
+        if per_service then Base.Per_service 0.3 else Base.Lifetime_fixed 3.0
+      in
+      let base =
+        Base.create ~engine ~rng:(Rng.create seed) ~workload ~death ~receivers
+          ~expiry ~tracker ()
+      in
+      let last_dead = ref None in
+      Base.set_hooks base ~on_arrival:ignore ~on_death:(fun r ->
+          last_dead := Some r);
+      Base.start base;
+      let table = Base.table base in
+      let live_record pick =
+        let live = Table.live_count table in
+        if live = 0 then None else Some (Table.record_at table (pick mod live))
+      in
+      let check () =
+        let sum = ref 0 in
+        for slot = 0 to Table.live_count table - 1 do
+          let r = Table.record_at table slot in
+          let want = ref 0 in
+          for receiver = 0 to receivers - 1 do
+            if Base.is_matching base ~receiver r then incr want
+          done;
+          if r.Record.matching <> !want then
+            QCheck.Test.fail_reportf "key %d: count %d, %d receivers match"
+              r.Record.key r.Record.matching !want;
+          sum := !sum + r.Record.matching
+        done;
+        if !sum <> Consistency.matching tracker then
+          QCheck.Test.fail_reportf "counts sum to %d, tracker holds %d" !sum
+            (Consistency.matching tracker)
+      in
+      List.iter
+        (fun op ->
+          let now = Engine.now engine in
+          (match op with
+          | Step -> ignore (Engine.step engine)
+          | Advance dt -> Engine.run ~until:(now +. dt) engine
+          | Deliver { receiver; pick; behind } -> (
+              let receiver = receiver mod receivers in
+              match live_record pick with
+              | Some r ->
+                  let version = max 0 (r.Record.version - behind) in
+                  Base.deliver base ~now ~receiver
+                    { Base.key = r.Record.key; version; seq = 0 }
+              | None -> (
+                  (* a dead key's announcement is absorbed *)
+                  match !last_dead with
+                  | Some r ->
+                      Base.deliver base ~now ~receiver
+                        { Base.key = r.Record.key; version = r.Record.version;
+                          seq = 0 }
+                  | None -> ()))
+          | Serve pick -> (
+              match live_record pick with
+              | Some r -> ignore (Base.death_draw base ~now r)
+              | None -> ())
+          | Kill pick -> (
+              match live_record pick with
+              | Some r -> Base.kill base ~now r.Record.key
+              | None -> ()));
+          check ())
+        ops;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Experiment: protocol end-to-end behaviour *)
@@ -1882,6 +1992,7 @@ let () =
           Alcotest.test_case "lifetime expiry" `Quick test_base_lifetime_expiry;
           Alcotest.test_case "updates" `Quick test_base_updates;
           Alcotest.test_case "kill" `Quick test_base_kill;
+          QCheck_alcotest.to_alcotest qcheck_matching_count;
         ] );
       ( "open-loop",
         [
