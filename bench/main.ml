@@ -33,10 +33,8 @@ let experiments =
     ("sstp-continuum", "SSTP: the reliability continuum", Sstp_bench.continuum);
     ("sstp-group", "SSTP: multicast group scaling", Sstp_bench.group);
     ("obs-smoke", "Observability: traced-run throughput", Obs_smoke.run);
-    ("fuzz-smoke", "Scenario fuzzer: pinned-seed oracle pass", Fuzz_smoke.run);
     ("perf", "Performance suite: flat footprint + parallel sweep", Perf.run);
     ("soak", "Bounded-memory soak: 10^6 keys, heap-flatness gate", Soak.run);
-    ("micro", "Bechamel micro-benchmarks", Micro.run);
   ]
 
 let list_experiments () =

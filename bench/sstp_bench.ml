@@ -134,7 +134,7 @@ let continuum () =
       build_store session ~leaves:100;
       (* continuous updates: one leaf every 100 ms *)
       let g = Rng.create 54 in
-      let cancel =
+      let (_ : unit -> bool) =
         Engine.every engine ~period:0.1 (fun _ ->
             let i = Rng.int g 100 in
             Session.publish session
@@ -142,7 +142,6 @@ let continuum () =
               ~payload:(Printf.sprintf "tick-%d" (Rng.int g 1000)))
       in
       Engine.run ~until:120.0 engine;
-      ignore (cancel ());
       Printf.printf "%10s | %12.4f %12d %10d\n" (Tables.pct fb_share)
         (Session.average_consistency session)
         (Session.data_packets session)

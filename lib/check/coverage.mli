@@ -40,6 +40,7 @@ val seen_features : t -> string list
 val seen_events : t -> string list
 val seen_branches : t -> string list
 
+(* lint: allow U001 (a) used by test "guided beats uniform" *)
 val feature_count : t -> int
 (** [List.length (seen_features t)], without building the list. *)
 

@@ -61,6 +61,7 @@ val run :
     scenario, so [guided:false] (default) remains byte-identical to
     the historical stream. *)
 
+(* lint: allow U001 (a) used by test "guided beats uniform" *)
 val feature_coverage :
   ?guided:bool ->
   ?candidates:int ->

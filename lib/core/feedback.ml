@@ -1,4 +1,3 @@
-module Engine = Softstate_sim.Engine
 module Net = Softstate_net
 module Rng = Softstate_util.Rng
 module Obs = Softstate_obs.Obs

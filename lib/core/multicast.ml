@@ -5,7 +5,7 @@ module Dist = Softstate_util.Dist
 module Obs = Softstate_obs.Obs
 module Trace = Softstate_obs.Trace
 
-type nack = { missing_seq : int; origin : int }
+type nack = { missing_seq : int }
 
 (* Sequence numbers are consecutive ints, so the identity spreads them
    evenly over the buckets; no generic hash or compare per lookup. *)
@@ -89,7 +89,7 @@ let send_nack t ~now ?(parent = Trace.no_id) receiver seq =
       ignore
         (ob.Net.Transport.o_send
            (Net.Packet.make ~size_bits:t.nack_bits
-              { missing_seq = seq; origin = receiver }))
+              { missing_seq = seq }))
 
 let want_repair t receiver ~parent seq =
   t.nacks_wanted <- t.nacks_wanted + 1;

@@ -102,9 +102,10 @@ let build (program : Summary.program) =
     program;
   (* propagate: a zero-arity definition whose initializer fully
      applies a constructor of mutable state is itself a mutable
-     global (bench/micro.ml's [bench_heap] counts: its initializer
-     applies [Heap.create] under the staged [fun] — calls under a
-     [fun] count too, which errs on the safe side) *)
+     global (a top-level [let calendar = Heap.create ()] counts; so
+     would an initializer that applies [Heap.create] only under a
+     staged [fun] — calls under a [fun] count too, which errs on the
+     safe side) *)
   let builds = app_builds t in
   List.iter
     (fun (u : Summary.unit_summary) ->

@@ -86,6 +86,7 @@ type analysis = { findings : Finding.t list; summaries : Summary.program }
    about the directives themselves. *)
 let analyze_sources ?rules ?(with_m001 = true) sources =
   let files = List.map fst sources in
+  let tests = Hashtbl.create 512 in
   let per_file =
     List.map
       (fun (file, source) ->
@@ -93,6 +94,10 @@ let analyze_sources ?rules ?(with_m001 = true) sources =
         match parse ~file source with
         | Error f -> (file, supp, supp_findings, [ f ], None)
         | Ok (Impl str) ->
+            if not (Config.counts_as_caller file) then
+              List.iter
+                (fun name -> Hashtbl.replace tests name ())
+                (Suppress.test_names str);
             ( file,
               supp,
               supp_findings,
@@ -122,6 +127,19 @@ let analyze_sources ?rules ?(with_m001 = true) sources =
     else
       Race_rules.check summaries @ Alloc_rules.check summaries
       @ Export_rules.check summaries interfaces
+  in
+  (* U001 suppressions must name a test some scanned test/ file
+     defines; with no test/ file scanned there is nothing to judge. *)
+  let per_file =
+    if List.for_all Config.counts_as_caller files then per_file
+    else
+      List.map
+        (fun (file, supp, sf, fs, s) ->
+          let supp, stale =
+            Suppress.stale ~file supp ~known:(Hashtbl.mem tests)
+          in
+          (file, supp, sf @ stale, fs, s))
+        per_file
   in
   let supp_of =
     let tbl = Hashtbl.create 64 in

@@ -156,25 +156,32 @@ let all =
       title = "no export without a caller";
       hint =
         "delete the val from the .mli (and from the .ml if its own unit \
-         does not use it), or keep it with an inline reason";
+         does not use it), or keep it with (* lint: allow U001 (a) used \
+         by test \"NAME\" *)";
       explain =
         "A val in a lib/ interface that no reference from another unit \
          resolves to, through the whole-program summaries with module \
          aliases expanded. References from test/ do not count: an export \
          only a test calls is surface no program needs. Delete it, or keep \
-         it with a suppression naming either the test that uses it to \
-         check production behaviour or the documented mechanism it \
-         implements. lib/queueing is out of scope: its model APIs are \
-         reserved for the model-agreement gates." };
+         it with a suppression naming the test that uses it to check \
+         production behaviour: the reason must read (a) used by test \
+         \"NAME\", with NAME a test a scanned test/ file defines. \
+         lib/queueing is out of scope: its model APIs are reserved for the \
+         model-agreement gates." };
     { id = "S001";
       title = "malformed suppression";
-      hint = "write (* lint: allow RULE reason... *) with a non-empty reason";
+      hint =
+        "write (* lint: allow RULE reason... *) with a non-empty reason; a \
+         U001 reason reads (a) used by test \"NAME\"";
       explain =
         "Inline suppressions are audit records, not escape hatches: the \
          grammar is (* lint: allow RULE reason... *) where RULE is a known \
-         rule id and the reason is mandatory. A suppression without a \
-         reason, naming an unknown rule, or otherwise unparseable is itself \
-         a finding — and it suppresses nothing." };
+         rule id and the reason is mandatory. A U001 reason must read (a) \
+         used by test \"NAME\", naming a test a scanned test/ file defines \
+         with test_case or ~name. A suppression without a reason, naming an \
+         unknown rule, with a U001 reason in another form or naming no \
+         defined test, or otherwise unparseable is itself a finding — and \
+         it suppresses nothing." };
     { id = "E001";
       title = "unparseable source";
       hint = "fix the syntax error; the pass only analyses valid OCaml";

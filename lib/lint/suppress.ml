@@ -1,4 +1,6 @@
-type directive = { d_line : int; d_rule : string }
+(* [d_test] is the test a U001 suppression names, [""] for other
+   rules. *)
+type directive = { d_line : int; d_col : int; d_rule : string; d_test : string }
 type t = directive list
 
 let empty = []
@@ -14,21 +16,42 @@ let words s =
   |> List.concat_map (String.split_on_char '\n')
   |> List.filter (fun w -> w <> "")
 
+(* The test a U001 reason names: the reason must read exactly
+   (a) used by test "NAME". *)
+let u001_test reason =
+  try Some (Scanf.sscanf reason "(a) used by test %S%!" Fun.id)
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
 (* The comment text after the "lint:" marker. One directive may name
    several rules, comma-separated: (* lint: allow R001,A002 reason *).
    Every named rule must be known, or the whole directive is an S001
-   finding and suppresses nothing. *)
+   finding and suppresses nothing. A directive naming U001 must give
+   its reason as (a) used by test "NAME": an export is kept only for
+   a named test. *)
 let parse_directive ~file ~line ~col body =
   let bad msg = Error (Finding.v ~file ~line ~col ~rule:"S001" msg) in
   let split_rules token =
     String.split_on_char ',' token |> List.filter (fun r -> r <> "")
   in
   match words body with
-  | "allow" :: rules :: _ :: _ -> (
+  | "allow" :: rules :: (_ :: _ as reason) -> (
       let ids = split_rules rules in
+      let directives test =
+        Ok
+          (List.map
+             (fun r ->
+               { d_line = line; d_col = col; d_rule = r;
+                 d_test = (if r = "U001" then test else "") })
+             ids)
+      in
       match List.filter (fun r -> not (Rules.is_known r)) ids with
-      | [] when ids <> [] ->
-          Ok (List.map (fun r -> { d_line = line; d_rule = r }) ids)
+      | [] when ids <> [] && List.mem "U001" ids -> (
+          match u001_test (String.concat " " reason) with
+          | Some test -> directives test
+          | None ->
+              bad
+                "U001 suppression reason must read (a) used by test \"NAME\"")
+      | [] when ids <> [] -> directives ""
       | unknown :: _ ->
           bad (Printf.sprintf "suppression names unknown rule %s" unknown)
       | [] -> bad "suppression names no rule")
@@ -91,3 +114,50 @@ let scan ~file source =
      loop ()
    with _ -> ());
   (!dirs, List.rev !finds)
+
+(* Test names a test file defines: the first positional string of a
+   [test_case] application and every [~name:"..."] string argument
+   (qcheck properties). *)
+let test_names str =
+  let names = ref [] in
+  let string_const (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_constant (Pconst_string (s, _, _)) -> Some s
+    | _ -> None
+  in
+  let expr it (e : Parsetree.expression) =
+    (match e.pexp_desc with
+    | Pexp_apply (f, args) ->
+        (match (f.pexp_desc, List.assoc_opt Asttypes.Nolabel args) with
+        | Pexp_ident { txt; _ }, Some a when Longident.last txt = "test_case"
+          -> (
+            match string_const a with
+            | Some s -> names := s :: !names
+            | None -> ())
+        | _ -> ());
+        List.iter
+          (fun (label, a) ->
+            match (label, string_const a) with
+            | Asttypes.Labelled "name", Some s -> names := s :: !names
+            | _ -> ())
+          args
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.structure it str;
+  !names
+
+let stale ~file t ~known =
+  let stale, live =
+    List.partition (fun d -> d.d_rule = "U001" && not (known d.d_test)) t
+  in
+  ( live,
+    List.map
+      (fun d ->
+        Finding.v ~file ~line:d.d_line ~col:d.d_col ~rule:"S001"
+          (Printf.sprintf
+             "U001 suppression names test %S, which no scanned test/ file \
+              defines"
+             d.d_test))
+      stale )

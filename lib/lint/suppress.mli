@@ -6,12 +6,15 @@
     {v (* lint: allow RULE,RULE reason... *) v}
 
     Every named rule id must be known and the reason is mandatory — a
-    suppression is an audit record. A valid directive silences
+    suppression is an audit record. A directive naming U001 keeps an
+    export no program calls, so its reason must read
+    {v (a) used by test "NAME" v}
+    with NAME a test that a scanned [test/] file defines ({!stale}). A valid directive silences
     findings for the named rules on the directive's own line and on the line
     immediately after it (so it can sit at the end of the offending
     line or on its own line just above). A malformed directive (no
-    reason, unknown rule, wrong verb) is itself an S001 finding and
-    suppresses nothing.
+    reason, unknown rule, wrong verb, a U001 reason in another form)
+    is itself an S001 finding and suppresses nothing.
 
     Directives are recognised by lexing the source with the compiler's
     lexer, so directive-shaped text inside string literals is
@@ -28,3 +31,12 @@ val scan : file:string -> string -> t * Finding.t list
     error (the parse pass reports the error itself). *)
 
 val allows : t -> line:int -> rule:string -> bool
+
+val test_names : Parsetree.structure -> string list
+(** The test names a test file defines: the first positional string
+    literal of every [test_case] application, and every [~name:]
+    string literal argument (qcheck properties). *)
+
+val stale : file:string -> t -> known:(string -> bool) -> t * Finding.t list
+(** [stale ~file t ~known] drops the U001 directives whose named test
+    is not [known], with an S001 finding for each. *)

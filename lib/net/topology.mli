@@ -123,7 +123,7 @@ val cable_count : t -> int
 val edge_count : t -> int
 (** Directed edges: [2 * cable_count]. *)
 
-(* lint: allow U001 (a) used by test "flat vs object equivalence" *)
+(* lint: allow U001 (a) used by test "faulted mesh matches reference" *)
 val cable_endpoints : t -> int -> int * int
 val leaves : t -> int list
 (** Degree-1 nodes, ascending — churn targets. *)

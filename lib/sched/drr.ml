@@ -1,10 +1,9 @@
 type flow = int
 
 type entry = {
-  mutable weight : float;
+  weight : float;
   mutable backlogged : bool;
   mutable deficit : float;
-  mutable served : float;
 }
 
 type t = {
@@ -20,7 +19,7 @@ let create ?(quantum = 1.0) () =
 
 let add_flow t ~weight =
   if weight <= 0.0 then invalid_arg "Drr.add_flow: weight must be positive";
-  let entry = { weight; backlogged = false; deficit = 0.0; served = 0.0 } in
+  let entry = { weight; backlogged = false; deficit = 0.0 } in
   if t.count = Array.length t.entries then begin
     let entries = Array.make (max 4 (2 * t.count)) entry in
     Array.blit t.entries 0 entries 0 t.count;
@@ -33,10 +32,6 @@ let add_flow t ~weight =
 let entry t f =
   if f < 0 || f >= t.count then invalid_arg "Drr: unknown flow";
   t.entries.(f)
-
-let set_weight t f w =
-  if w <= 0.0 then invalid_arg "Drr.set_weight: weight must be positive";
-  (entry t f).weight <- w
 
 let set_backlogged t f b =
   let e = entry t f in
@@ -100,10 +95,6 @@ let charge t f size =
   if size < 0.0 then invalid_arg "Drr.charge: negative size";
   let e = entry t f in
   e.deficit <- e.deficit -. size;
-  e.served <- e.served +. size;
   (* Move on when this flow exhausted its visit. *)
   if e.deficit <= 0.0 && t.count > 0 then
     t.cursor <- (t.cursor + 1) mod t.count
-
-let served t f = (entry t f).served
-let deficit t f = (entry t f).deficit

@@ -18,7 +18,6 @@ val create : ?quantum:float -> unit -> t
     same units as [charge] sizes (default 1.0). *)
 
 val add_flow : t -> weight:float -> flow
-val set_weight : t -> flow -> float -> unit
 val set_backlogged : t -> flow -> bool -> unit
 
 val select : t -> flow option
@@ -26,6 +25,5 @@ val select : t -> flow option
     positive; replenishes deficits round by round as needed. *)
 
 val charge : t -> flow -> float -> unit
-val served : t -> flow -> float
-(* lint: allow U001 (b) DESIGN.md §1 row 6: proportional-share schedulers *)
-val deficit : t -> flow -> float
+(** Take [size] from the flow's deficit; the flow keeps the turn
+    while its deficit stays positive. *)

@@ -2,11 +2,7 @@ module Rng = Softstate_util.Rng
 
 type flow = int
 
-type entry = {
-  mutable weight : float;
-  mutable backlogged : bool;
-  mutable served : float;
-}
+type entry = { weight : float; mutable backlogged : bool }
 
 type t = {
   rng : Rng.t;
@@ -18,7 +14,7 @@ let create ~rng = { rng; entries = [||]; count = 0 }
 
 let add_flow t ~weight =
   if weight <= 0.0 then invalid_arg "Lottery.add_flow: weight must be positive";
-  let entry = { weight; backlogged = false; served = 0.0 } in
+  let entry = { weight; backlogged = false } in
   if t.count = Array.length t.entries then begin
     let entries = Array.make (max 4 (2 * t.count)) entry in
     Array.blit t.entries 0 entries 0 t.count;
@@ -31,10 +27,6 @@ let add_flow t ~weight =
 let entry t f =
   if f < 0 || f >= t.count then invalid_arg "Lottery: unknown flow";
   t.entries.(f)
-
-let set_weight t f w =
-  if w <= 0.0 then invalid_arg "Lottery.set_weight: weight must be positive";
-  (entry t f).weight <- w
 
 let set_backlogged t f b = (entry t f).backlogged <- b
 
@@ -67,6 +59,3 @@ let select t =
         done;
         !last
   end
-
-let charge t f size = (entry t f).served <- (entry t f).served +. size
-let served t f = (entry t f).served

@@ -11,7 +11,8 @@
     equal-size packets (the paper's announcements) that is also
     proportional per bit. For variable packet sizes use stride, WFQ
     or DRR, which charge by size (compensation tickets are not
-    implemented). *)
+    implemented): a lottery keeps no service history, so it has no
+    [charge]. *)
 
 type t
 type flow = int
@@ -23,19 +24,9 @@ val add_flow : t -> weight:float -> flow
 (** [add_flow t ~weight] registers a flow with a positive ticket
     weight. New flows start idle (not backlogged). *)
 
-val set_weight : t -> flow -> float -> unit
-
 val set_backlogged : t -> flow -> bool -> unit
 (** Mark whether the flow currently has work. Only backlogged flows
     participate in draws. *)
 
 val select : t -> flow option
 (** Draw the next flow to serve; [None] if no flow is backlogged. *)
-
-val charge : t -> flow -> float -> unit
-(** Account [size] units of service. Lottery scheduling is
-    memoryless, so this only updates the served-work counter used by
-    {!served}. *)
-
-val served : t -> flow -> float
-(** Total work charged to the flow so far. *)

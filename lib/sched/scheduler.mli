@@ -27,8 +27,6 @@ val add_flow : t -> weight:float -> flow
 (** Flows are numbered 0, 1, ... in registration order across all
     algorithms, so callers can keep their own flow tables. *)
 
-(* lint: allow U001 (b) DESIGN.md §1 row 6: proportional-share schedulers *)
-val set_weight : t -> flow -> float -> unit
 val set_backlogged : t -> flow -> bool -> unit
 
 val select : t -> flow option

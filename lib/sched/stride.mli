@@ -15,19 +15,13 @@ type flow = int
 val create : unit -> t
 
 val add_flow : t -> weight:float -> flow
-val set_weight : t -> flow -> float -> unit
 val set_backlogged : t -> flow -> bool -> unit
 
 val select : t -> flow option
 (** Backlogged flow with minimum pass; FIFO on ties. *)
 
-val charge : t -> flow -> float -> unit
-(** [charge t f size] advances [f]'s pass by [size /. weight] and the
-    global pass bookkeeping. Call once per service with the served
-    packet's size. *)
-
 val charge_bits : t -> flow -> int -> unit
-(** [charge_bits t f n] is [charge t f (float_of_int n)] without the
-    float box a call with a computed float argument costs. *)
-
-val served : t -> flow -> float
+(** [charge_bits t f n] advances [f]'s pass by [n /. weight] and the
+    global pass bookkeeping. Call once per service with the served
+    packet's size. The size is an int, so a caller across a closure
+    or module boundary passes it without a float box. *)

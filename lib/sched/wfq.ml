@@ -1,10 +1,9 @@
 type flow = int
 
 type entry = {
-  mutable weight : float;
+  weight : float;
   mutable backlogged : bool;
   mutable start_tag : float;
-  mutable served : float;
 }
 
 type t = {
@@ -17,7 +16,7 @@ let create () = { entries = [||]; count = 0; vtime = 0.0 }
 
 let add_flow t ~weight =
   if weight <= 0.0 then invalid_arg "Wfq.add_flow: weight must be positive";
-  let entry = { weight; backlogged = false; start_tag = t.vtime; served = 0.0 } in
+  let entry = { weight; backlogged = false; start_tag = t.vtime } in
   if t.count = Array.length t.entries then begin
     let entries = Array.make (max 4 (2 * t.count)) entry in
     Array.blit t.entries 0 entries 0 t.count;
@@ -30,10 +29,6 @@ let add_flow t ~weight =
 let entry t f =
   if f < 0 || f >= t.count then invalid_arg "Wfq: unknown flow";
   t.entries.(f)
-
-let set_weight t f w =
-  if w <= 0.0 then invalid_arg "Wfq.set_weight: weight must be positive";
-  (entry t f).weight <- w
 
 let set_backlogged t f b =
   let e = entry t f in
@@ -57,8 +52,4 @@ let select t =
 let charge t f size =
   if size < 0.0 then invalid_arg "Wfq.charge: negative size";
   let e = entry t f in
-  e.start_tag <- e.start_tag +. (size /. e.weight);
-  e.served <- e.served +. size
-
-let served t f = (entry t f).served
-let virtual_time t = t.vtime
+  e.start_tag <- e.start_tag +. (size /. e.weight)

@@ -14,7 +14,6 @@ type flow = int
 val create : unit -> t
 
 val add_flow : t -> weight:float -> flow
-val set_weight : t -> flow -> float -> unit
 val set_backlogged : t -> flow -> bool -> unit
 
 val select : t -> flow option
@@ -23,7 +22,3 @@ val select : t -> flow option
 
 val charge : t -> flow -> float -> unit
 (** Advance the flow's start tag by [size /. weight]. *)
-
-val served : t -> flow -> float
-(* lint: allow U001 (b) DESIGN.md §1 row 6: proportional-share schedulers *)
-val virtual_time : t -> float

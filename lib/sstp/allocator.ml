@@ -4,8 +4,6 @@ type decision = {
   mu_hot_bps : float;
   mu_cold_bps : float;
   predicted_consistency : float;
-  rate_constrained : bool;
-  max_app_rate_bps : float;
 }
 
 type t = {
@@ -50,11 +48,6 @@ let decide t ~mu_total_bps ~loss ~lambda_bps =
       (Float.min wanted_hot (mu_data_bps -. min_cold))
   in
   let mu_cold_bps = mu_data_bps -. mu_hot_bps in
-  let max_app_rate_bps =
-    (mu_data_bps -. min_cold) *. (1.0 -. loss) /. t.hot_headroom
-  in
   { mu_data_bps; mu_fb_bps; mu_hot_bps; mu_cold_bps;
     predicted_consistency =
-      Profile.consistency_at t.profile ~loss ~share:fb_share;
-    rate_constrained = lambda_bps > max_app_rate_bps;
-    max_app_rate_bps }
+      Profile.consistency_at t.profile ~loss ~share:fb_share }

@@ -1,12 +1,12 @@
 (** Profile-driven bandwidth allocation (§6.1, Figure 12).
 
-    Inputs: the session bandwidth granted by the congestion manager,
-    the smoothed loss estimate from receiver reports, the
-    application's consistency target and its current send rate.
-    Output: the data/feedback split and the hot/cold split within
-    data, plus a rate-constraint flag telling the application to slow
-    down if its arrival rate exceeds the hot bandwidth that the
-    chosen allocation can give it (the paper's λ ≤ μ_hot rule). *)
+    Inputs: the session bandwidth (a fixed [mu_total_bps]; there is
+    no congestion manager), the smoothed loss estimate from receiver
+    reports, the application's consistency target and its current
+    send rate. Output: the data/feedback split and the hot/cold split
+    within data. Hot is sized to the loss-corrected send rate but
+    capped so that cold keeps a tenth of data; an application sending
+    faster than that cap (the paper's λ ≤ μ_hot rule) gets the cap. *)
 
 type decision = {
   mu_data_bps : float;
@@ -14,10 +14,6 @@ type decision = {
   mu_hot_bps : float;  (** part of [mu_data_bps] *)
   mu_cold_bps : float; (** the rest of [mu_data_bps] *)
   predicted_consistency : float;
-  rate_constrained : bool;
-    (** the application's λ exceeds the sustainable hot bandwidth *)
-  max_app_rate_bps : float;
-    (** largest λ the allocation can absorb at the measured loss *)
 }
 
 type t

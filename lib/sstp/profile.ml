@@ -4,32 +4,15 @@ type t = {
   grid : float array array; (* grid.(i).(j) at losses.(i), shares.(j) *)
 }
 
-let strictly_increasing a =
-  let ok = ref (Array.length a > 0) in
-  for i = 0 to Array.length a - 2 do
-    if a.(i) >= a.(i + 1) then ok := false
-  done;
-  !ok
-
+(* Both callers build fresh, sorted, rectangular axes and grids; only
+   the consistency range is left to check. *)
 let create ~losses ~shares ~grid =
-  if not (strictly_increasing losses) then
-    invalid_arg "Profile.create: losses must be strictly increasing";
-  if not (strictly_increasing shares) then
-    invalid_arg "Profile.create: shares must be strictly increasing";
-  if Array.length grid <> Array.length losses then
-    invalid_arg "Profile.create: grid row count mismatch";
   Array.iter
-    (fun row ->
-      if Array.length row <> Array.length shares then
-        invalid_arg "Profile.create: grid column count mismatch";
-      Array.iter
-        (fun c ->
-          if c < 0.0 || c > 1.0 +. 1e-9 then
-            invalid_arg "Profile.create: consistency out of [0,1]")
-        row)
+    (Array.iter (fun c ->
+         if c < 0.0 || c > 1.0 +. 1e-9 then
+           invalid_arg "Profile: consistency out of [0,1]"))
     grid;
-  { losses = Array.copy losses; shares = Array.copy shares;
-    grid = Array.map Array.copy grid }
+  { losses; shares; grid }
 
 (* index of the cell containing x, and the interpolation weight *)
 let locate axis x =
@@ -121,9 +104,8 @@ let analytic_open_loop ~lambda_kbps ~mu_total_kbps ~p_death =
   create ~losses ~shares ~grid
 
 let of_measurements triples =
-  let uniq xs =
-    List.sort_uniq compare xs
-  in
+  if triples = [] then invalid_arg "Profile.of_measurements: no triples";
+  let uniq xs = List.sort_uniq compare xs in
   let losses = uniq (List.map (fun (l, _, _) -> l) triples) in
   let shares = uniq (List.map (fun (_, s, _) -> s) triples) in
   let li = List.mapi (fun i l -> (l, i)) losses in
@@ -157,7 +139,7 @@ let pp fmt t =
       Format.pp_print_newline fmt ())
     t.losses
 
-let to_string t =
+let save t ~path =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "# softstate consistency profile v1\n";
   Buffer.add_string buf "# loss share consistency\n";
@@ -169,42 +151,9 @@ let to_string t =
             (Printf.sprintf "%.17g %.17g %.17g\n" loss share t.grid.(i).(j)))
         t.shares)
     t.losses;
-  Buffer.contents buf
-
-let of_string s =
-  let triples =
-    String.split_on_char '\n' s
-    |> List.filter_map (fun line ->
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then None
-           else
-             match
-               String.split_on_char ' ' line
-               |> List.filter (fun w -> w <> "")
-               |> List.map float_of_string_opt
-             with
-             | [ Some l; Some sh; Some c ] -> Some (l, sh, c)
-             | _ -> invalid_arg "Profile.of_string: malformed line")
-  in
-  if triples = [] then invalid_arg "Profile.of_string: empty profile";
-  of_measurements triples
-
-let save t ~path =
   let oc = open_out path in
-  (try output_string oc (to_string t)
+  (try Buffer.output_buffer oc buf
    with e ->
      close_out_noerr oc;
      raise e);
   close_out oc
-
-let load ~path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let contents =
-    try really_input_string ic n
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  of_string contents

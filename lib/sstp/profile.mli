@@ -10,13 +10,6 @@
 
 type t
 
-(* lint: allow U001 (b) DESIGN.md §1 row 11: profile store *)
-val create : losses:float array -> shares:float array -> grid:float array array
-  -> t
-(** [grid.(i).(j)] is the consistency at [losses.(i)], [shares.(j)].
-    Axes must be strictly increasing, the grid rectangular, and all
-    consistencies in [0, 1]. *)
-
 val consistency_at : t -> loss:float -> share:float -> float
 (** Bilinear interpolation; arguments are clamped to the grid's
     range. *)
@@ -40,28 +33,13 @@ val analytic_open_loop :
 
 val of_measurements : (float * float * float) list -> t
 (** [(loss, share, consistency)] triples on a complete rectangular
-    grid, in any order; raises [Invalid_argument] on holes. The way
-    bench-measured profiles are ingested. *)
+    grid, in any order; raises [Invalid_argument] on holes or on a
+    consistency outside [0, 1]. The way bench-measured profiles are
+    ingested. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the grid as an aligned table. *)
 
-(* lint: allow U001 (b) DESIGN.md §1 row 11: profile store *)
-val to_string : t -> string
-(** Serialise as line-oriented text: a header line, then one
-    [loss share consistency] triple per line. Stable across
-    versions; round-trips through {!of_string}. *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 11: profile store *)
-val of_string : string -> t
-(** Parse {!to_string} output (comments and blank lines ignored).
-    Raises [Invalid_argument] on malformed input or an incomplete
-    grid. *)
-
 val save : t -> path:string -> unit
-(** Write {!to_string} to a file. *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 11: profile store *)
-val load : path:string -> t
-(** Read a profile from a file written by {!save} (or by
-    [sstp_profile_cli]). *)
+(** Write the profile as line-oriented text: a header line, then one
+    [loss share consistency] triple per line. *)

@@ -38,18 +38,14 @@ module Receiver_side = struct
 end
 
 module Sender_side = struct
-  type t = { ewma : Ewma.t; mutable reports : int }
+  type t = Ewma.t
 
-  let create ?(alpha = 0.25) () = { ewma = Ewma.create ~alpha; reports = 0 }
+  let create ?(alpha = 0.25) () = Ewma.create ~alpha
 
   let on_report t = function
-    | Wire.Receiver_report { loss_estimate; _ } ->
-        t.reports <- t.reports + 1;
-        Ewma.add t.ewma loss_estimate
+    | Wire.Receiver_report { loss_estimate; _ } -> Ewma.add t loss_estimate
     | _ -> invalid_arg "Reports.Sender_side.on_report: not a receiver report"
 
   let loss_estimate t =
-    if Ewma.is_initialised t.ewma then Ewma.value t.ewma else 0.0
-
-  let reports_seen t = t.reports
+    if Ewma.is_initialised t then Ewma.value t else 0.0
 end

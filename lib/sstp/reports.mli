@@ -14,15 +14,12 @@ module Receiver_side : sig
   val on_packet : t -> seq:int -> unit
   (** Record receipt of data-channel sequence number [seq]. *)
 
-  (* lint: allow U001 (b) DESIGN.md §1 row 11: RTCP-style receiver reports *)
-  val interval_loss : t -> float
-  (** Loss fraction since the last {!flush}: 1 − received/expected,
-      where expected is the advance of the highest sequence number.
-      0 when nothing was expected. *)
-
   val flush : t -> Wire.msg
   (** Produce a {!Wire.Receiver_report} for the elapsed interval and
-      reset the interval counters. *)
+      reset the interval counters. Its loss estimate is the fraction
+      lost since the last flush: 1 − received/expected, where expected
+      is the advance of the highest sequence number; 0 when nothing
+      was expected. *)
 end
 
 module Sender_side : sig
@@ -38,7 +35,4 @@ module Sender_side : sig
 
   val loss_estimate : t -> float
   (** Smoothed loss; 0 before the first report (optimistic start). *)
-
-  (* lint: allow U001 (b) DESIGN.md §1 row 11: RTCP-style receiver reports *)
-  val reports_seen : t -> int
 end

@@ -51,7 +51,6 @@ type t = {
   mutable sent_data : int;
   mutable sent_summaries : int;
   mutable sent_signatures : int;
-  mutable rate_callbacks : (max_rate_bps:float -> unit) list;
   mutable published_bits : float; (* for lambda estimation *)
   mutable lambda_window_start : float;
   mutable lambda_estimate_bps : float;
@@ -84,7 +83,7 @@ let create ?obs ~engine ~config () =
       trace = Obs.trace_of obs; traced = Trace.enabled (Obs.trace_of obs);
       seq = 0;
       next_summary_due = Engine.now engine; sent_data = 0; sent_summaries = 0;
-      sent_signatures = 0; rate_callbacks = [];
+      sent_signatures = 0;
       published_bits = 0.0; lambda_window_start = Engine.now engine;
       lambda_estimate_bps = 0.0 }
   in
@@ -179,8 +178,6 @@ let remove t ~path =
   if Namespace.remove t.namespace ~path then
     enqueue_for_path t path (Send_remove path);
   Hashtbl.remove t.class_of_path (Path.to_string path)
-
-let on_rate_constraint t f = t.rate_callbacks <- f :: t.rate_callbacks
 
 let next_envelope t ~now msg =
   let seq = t.seq in
@@ -311,11 +308,7 @@ let retune t =
       Hierarchy.set_weight t.sched t.data_node
         (Float.max 1.0 decision.Allocator.mu_hot_bps);
       Hierarchy.set_weight t.sched t.cold_node
-        (Float.max 1.0 decision.Allocator.mu_cold_bps);
-      if decision.Allocator.rate_constrained then
-        List.iter
-          (fun f -> f ~max_rate_bps:decision.Allocator.max_app_rate_bps)
-          (List.rev t.rate_callbacks)
+        (Float.max 1.0 decision.Allocator.mu_cold_bps)
 
 let handle_feedback t ~now:_ msg =
   match msg with

@@ -64,12 +64,6 @@ val remove : t -> path:Path.t -> unit
 
 val namespace : t -> Namespace.t
 
-(* lint: allow U001 (b) DESIGN.md §1 row 11: the CM rate-constraint notification *)
-val on_rate_constraint : t -> (max_rate_bps:float -> unit) -> unit
-(** Called when the allocator detects the application publishing
-    faster than the hot bandwidth can absorb (§6.1's notification).
-    Requires an allocator. *)
-
 (** {1 Transport interface} *)
 
 val fetch : t -> now:float -> Wire.envelope Softstate_net.Packet.t option

@@ -45,7 +45,9 @@ type msg =
 
 type envelope = { seq : int; sent_at : float; msg : msg }
 
+(* lint: allow U001 (a) used by test "roundtrip all variants" *)
 val encode : envelope -> string
+(* lint: allow U001 (a) used by test "roundtrip all variants" *)
 val decode : string -> envelope
 (** Raises [Codec.Truncated] on short input and [Failure] on an
     unknown message tag. *)

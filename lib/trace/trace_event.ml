@@ -18,19 +18,6 @@ let check t =
 
 let length = List.length
 
-let duration = function
-  | [] -> 0.0
-  | t -> (List.nth t (List.length t - 1)).time
-
-let merge a b =
-  let rec go a b =
-    match a, b with
-    | [], rest | rest, [] -> rest
-    | x :: xs, y :: ys ->
-        if x.time <= y.time then x :: go xs b else y :: go a ys
-  in
-  go a b
-
 let replay engine t ~put ~remove =
   check t;
   List.iter

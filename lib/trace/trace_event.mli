@@ -14,18 +14,7 @@ type event = { time : float; op : op }
 type t = event list
 (** Non-decreasing in [time]. *)
 
-(* lint: allow U001 (b) DESIGN.md §1 row 9: workload generators *)
-val check : t -> unit
-(** Raises [Invalid_argument] if times decrease. *)
-
 val length : t -> int
-(* lint: allow U001 (b) DESIGN.md §1 row 9: workload generators *)
-val duration : t -> float
-(** Time of the last event; 0 for the empty trace. *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 9: workload generators *)
-val merge : t -> t -> t
-(** Time-ordered merge of two traces. *)
 
 val replay :
   Softstate_sim.Engine.t ->
@@ -34,4 +23,5 @@ val replay :
   remove:(path:string -> unit) ->
   unit
 (** Schedule every event on the engine (absolute times, which must
-    not precede the engine's current time). *)
+    not precede the engine's current time). Raises [Invalid_argument]
+    before scheduling anything if times decrease. *)

@@ -18,7 +18,6 @@ module Writer = struct
       invalid_arg "Codec.Writer.u32: out of range";
     Buffer.add_int32_be t (Int32.of_int v)
 
-  let u64 t v = Buffer.add_int64_be t v
   let f64 t v = Buffer.add_int64_be t (Int64.bits_of_float v)
   let bytes t s = Buffer.add_string t s
 
@@ -37,9 +36,7 @@ module Reader = struct
   type t = { data : string; mutable pos : int }
 
   let of_string data = { data; pos = 0 }
-  let remaining t = String.length t.data - t.pos
-
-  let need t n = if remaining t < n then raise Truncated
+  let need t n = if String.length t.data - t.pos < n then raise Truncated
 
   let u8 t =
     need t 1;
@@ -59,13 +56,11 @@ module Reader = struct
     t.pos <- t.pos + 4;
     v
 
-  let u64 t =
+  let f64 t =
     need t 8;
     let v = String.get_int64_be t.data t.pos in
     t.pos <- t.pos + 8;
-    v
-
-  let f64 t = Int64.float_of_bits (u64 t)
+    Int64.float_of_bits v
 
   let bytes t n =
     if n < 0 then invalid_arg "Codec.Reader.bytes: negative length";

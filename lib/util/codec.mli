@@ -20,8 +20,6 @@ module Writer : sig
   val u32 : t -> int -> unit
   (** Append a 32-bit unsigned big-endian integer in [0, 2^32). *)
 
-  (* lint: allow U001 (b) DESIGN.md §1 row 3: byte codecs *)
-  val u64 : t -> int64 -> unit
   val f64 : t -> float -> unit
   (** Append an IEEE-754 double, big-endian. *)
 
@@ -45,14 +43,9 @@ module Reader : sig
   type t
 
   val of_string : string -> t
-  (* lint: allow U001 (b) DESIGN.md §1 row 3: byte codecs *)
-  val remaining : t -> int
-
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int
-  (* lint: allow U001 (b) DESIGN.md §1 row 3: byte codecs *)
-  val u64 : t -> int64
   val f64 : t -> float
   val bytes : t -> int -> string
   val string16 : t -> string

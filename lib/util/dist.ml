@@ -8,39 +8,6 @@ let exponential g ~rate =
   (* 1 - u is in (0,1], so log never sees 0 *)
   -.log (1.0 -. u) /. rate
 
-let geometric g ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Dist.geometric: p must be in (0,1]";
-  if Float.equal p 1.0 then 1
-  else
-    let u = Rng.float g in
-    1 + int_of_float (floor (log (1.0 -. u) /. log (1.0 -. p)))
-
-let normal g ~mean ~std =
-  let rec draw () =
-    let u1 = Rng.float g in
-    if Float.equal u1 0.0 then draw ()
-    else
-      let u2 = Rng.float g in
-      sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-  in
-  mean +. (std *. draw ())
-
-let poisson g ~mean =
-  if mean < 0.0 then invalid_arg "Dist.poisson: mean must be non-negative";
-  if Float.equal mean 0.0 then 0
-  else if mean > 60.0 then
-    (* normal approximation with continuity correction *)
-    let x = normal g ~mean ~std:(sqrt mean) in
-    max 0 (int_of_float (Float.round x))
-  else begin
-    let limit = exp (-.mean) in
-    let rec loop k prod =
-      let prod = prod *. Rng.float g in
-      if prod <= limit then k else loop (k + 1) prod
-    in
-    loop 0 1.0
-  end
-
 let pareto g ~shape ~scale =
   if shape <= 0.0 || scale <= 0.0 then
     invalid_arg "Dist.pareto: shape and scale must be positive";
@@ -142,21 +109,3 @@ let burst_interarrival g ~rate ~mult ~period ~dwell ~now =
     end
   done;
   Float.max 0.0 (!arrival -. now)
-
-let categorical g weights =
-  let n = Array.length weights in
-  if n = 0 then invalid_arg "Dist.categorical: empty weights";
-  let total = Array.fold_left (fun acc w ->
-      if w < 0.0 then invalid_arg "Dist.categorical: negative weight";
-      acc +. w)
-      0.0 weights
-  in
-  if total <= 0.0 then invalid_arg "Dist.categorical: weights sum to zero";
-  let u = Rng.float g *. total in
-  let rec pick i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if u < acc then i else pick (i + 1) acc
-  in
-  pick 0 0.0

@@ -10,24 +10,9 @@ val exponential : Rng.t -> rate:float -> float
 (** [exponential g ~rate] draws from Exp(rate) by inversion; mean is
     [1 /. rate]. [rate] must be positive. *)
 
-(* lint: allow U001 (b) DESIGN.md §1 row 1: random variates *)
-val geometric : Rng.t -> p:float -> int
-(** [geometric g ~p] is the number of Bernoulli(p) trials up to and
-    including the first success (support 1, 2, ...). [p] in (0, 1]. *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 1: random variates *)
-val poisson : Rng.t -> mean:float -> int
-(** [poisson g ~mean] draws a Poisson variate. Knuth multiplication
-    for small means, normal approximation with continuity correction
-    beyond [mean > 60]. *)
-
 val pareto : Rng.t -> shape:float -> scale:float -> float
 (** [pareto g ~shape ~scale] draws from a Pareto distribution with
     minimum [scale] and tail index [shape] (both positive). *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 1: random variates *)
-val normal : Rng.t -> mean:float -> std:float -> float
-(** [normal g ~mean ~std] draws a Gaussian by Box–Muller. *)
 
 val zipf_approx : Rng.t -> n:int -> s:float -> int
 (** [zipf_approx g ~n ~s] draws a rank in [\[1, n\]] from the
@@ -64,9 +49,3 @@ module Zipf_table : sig
 
   val draw : t -> Rng.t -> int
 end
-
-(* lint: allow U001 (b) DESIGN.md §1 row 1: random variates *)
-val categorical : Rng.t -> float array -> int
-(** [categorical g weights] draws index [i] with probability
-    [weights.(i) /. sum]. Weights must be non-negative with a positive
-    sum. *)

@@ -1,10 +1,6 @@
-(** Exponentially weighted moving averages.
-
-    Used by receiver reports to smooth measured loss fractions and by
-    the SSTP allocator to smooth rate estimates. Two flavours:
-    sample-indexed (fixed gain per observation) and time-decayed
-    (gain derived from the time elapsed since the previous sample, so
-    irregularly spaced observations are weighted consistently). *)
+(** Exponentially weighted moving average with a fixed gain per
+    observation. SSTP's sender smooths the loss fractions of receiver
+    reports with it. *)
 
 type t
 
@@ -17,19 +13,3 @@ val value : t -> float
 (** Current average; [nan] before the first sample. *)
 
 val is_initialised : t -> bool
-
-module Timed : sig
-  type t
-
-  (* lint: allow U001 (b) DESIGN.md §1 row 2: EWMA *)
-  val create : half_life:float -> t
-  (** [create ~half_life] makes a time-decayed average whose weight on
-      history halves every [half_life] time units. *)
-
-  (* lint: allow U001 (b) DESIGN.md §1 row 2: EWMA *)
-  val add : t -> now:float -> float -> unit
-  (** Observations must arrive with non-decreasing [now]. *)
-
-  (* lint: allow U001 (b) DESIGN.md §1 row 2: EWMA *)
-  val value : t -> float
-end

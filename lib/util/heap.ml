@@ -56,27 +56,19 @@ type 'a t = {
   tail_key : float array;
 }
 
-let min_capacity = 64
-let shrink_threshold = 256
-
-(* Every slot free, chained in ascending order from slot 0. *)
-let free_chain cap =
-  Array.init cap (fun i -> if i + 1 < cap then i + 1 else -1)
-
-let create ?(initial_capacity = min_capacity) () =
+let create ?(initial_capacity = 64) () =
   let cap = max 2 initial_capacity in
   { hkey = Array.make cap 0.0;
     hseq = Array.make cap 0;
     hslot = Array.make cap 0;
     value = [||];
-    link = free_chain cap;
+    (* every slot free, chained in ascending order from slot 0 *)
+    link = Array.init cap (fun i -> if i + 1 < cap then i + 1 else -1);
     free_head = 0; count = 0;
     size = 0; next_seq = 0;
     tail = -1; tail_key = [| 0.0 |] }
 
 let length t = t.count
-let is_empty t = t.size = 0
-let capacity t = Array.length t.hkey
 
 (* Whether heap position [i] orders strictly before the parked entry. *)
 let[@hot][@inline] before_parked t i =
@@ -146,11 +138,10 @@ let grow t =
 
 (* [value] lags the other arrays because a polymorphic array needs a
    seed element; the first inserted value becomes the filler. Freed
-   slots keep their last payload until reused — bounded by capacity,
-   and [clear] drops the whole array. An insert takes one free slot,
-   and a new heap position needs one index beyond it for the parking
-   spot; positions in use never outnumber slots in use, so two free
-   slots cover both. *)
+   slots keep their last payload until reused — bounded by capacity.
+   An insert takes one free slot, and a new heap position needs one
+   index beyond it for the parking spot; positions in use never
+   outnumber slots in use, so two free slots cover both. *)
 let ensure_capacity t v =
   if t.count + 2 > Array.length t.hkey then grow t;
   if Array.length t.value < Array.length t.hkey then begin
@@ -180,14 +171,12 @@ let insert t ~key v =
   end;
   t.tail <- slot
 
-let min_key t = if t.size = 0 then None else Some t.hkey.(0)
-
-(* Zero-alloc variants of peek/pop for per-event callers: the
-   option/tuple results cost two blocks per engine step. The
-   protocol is top (slot id or -1), then top_key / slot_value to read
-   the entry, then drop_top to extract it. A freed slot keeps its
-   payload until the slot is reused by an insert, so reading
-   slot_value immediately after drop_top is sound. *)
+(* Allocation-free extraction for per-event callers: an option/tuple
+   result would cost two blocks per engine step. The protocol is top
+   (slot id or -1), then top_key / slot_value to read the entry, then
+   drop_top to extract it. A freed slot keeps its payload until the
+   slot is reused by an insert, so reading slot_value immediately
+   after drop_top is sound. *)
 let[@hot] top t = if t.size = 0 then -1 else t.hslot.(0)
 let[@hot] top_key t = t.hkey.(0)
 let[@hot] slot_value t slot = t.value.(slot)
@@ -211,29 +200,3 @@ let[@hot] drop_top t =
     if t.size > 0 then move t ~src:t.size ~dst:(sift_up t (sift_down t 0));
     false
   end
-
-let peek t =
-  if t.size = 0 then None else Some (t.hkey.(0), t.value.(t.hslot.(0)))
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let key = t.hkey.(0) and v = t.value.(t.hslot.(0)) in
-    ignore (drop_top t);
-    Some (key, v)
-  end
-
-let clear t =
-  t.size <- 0;
-  t.next_seq <- 0;
-  t.tail <- -1;
-  if Array.length t.hkey > shrink_threshold then begin
-    t.hkey <- Array.make min_capacity 0.0;
-    t.hseq <- Array.make min_capacity 0;
-    t.hslot <- Array.make min_capacity 0
-  end;
-  t.link <- free_chain (Array.length t.hkey);
-  t.free_head <- 0;
-  t.count <- 0;
-  (* always drop payload references so cleared calendars leak nothing *)
-  t.value <- [||]

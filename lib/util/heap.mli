@@ -25,21 +25,13 @@ val create : ?initial_capacity:int -> unit -> 'a t
 val length : 'a t -> int
 (** Number of elements (run members count one each). *)
 
-(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
-val is_empty : 'a t -> bool
-
 val insert : 'a t -> key:float -> 'a -> unit
 (** [insert t ~key v] adds [v] with priority [key]. *)
 
-(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
-val min_key : 'a t -> float option
-(** Smallest key, or [None] when empty. *)
+(** {2 Extraction}
 
-(** {2 Allocation-free extraction}
-
-    [min_key]/[peek]/[pop] wrap their results in options and tuples.
-    The per-event protocol below allocates at most the float box of
-    the key [top_key] returns: call [top]; if it returns a slot id
+    Extraction allocates at most the float box of the key [top_key]
+    returns: call [top]; if it returns a slot id
     [>= 0], read [top_key]/[slot_value], then [drop_top] to extract.
     A freed slot keeps its payload until an [insert] reuses it, so
     reading [slot_value slot] immediately after [drop_top] is
@@ -60,21 +52,3 @@ val drop_top : 'a t -> bool
 (** Extract the root. Only legal right after [top] returned [>= 0].
     [true] when the root's run goes on: the next member of the run is
     now the root, under the same key. *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
-val peek : 'a t -> (float * 'a) option
-(** Minimum (key, value) without removing it. *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum (key, value). *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
-val clear : 'a t -> unit
-(** Empty the heap: resets the FIFO sequence counter, drops payload
-    references and shrinks the backing arrays back below a fixed
-    threshold. *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 3: binary min-heap *)
-val capacity : 'a t -> int
-(** Current backing-array length (exposed for tests and benchmarks). *)

@@ -9,7 +9,6 @@ let create ~capacity =
   { data = Array.make capacity None; head = 0; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 let is_full t = t.len = Array.length t.data
 
 let push t x =
@@ -30,22 +29,3 @@ let pop t =
     t.len <- t.len - 1;
     x
   end
-
-let peek t = if t.len = 0 then None else t.data.(t.head)
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    match t.data.((t.head + i) mod Array.length t.data) with
-    | Some x -> f x
-    | None -> assert false
-  done
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun x -> acc := x :: !acc) t;
-  List.rev !acc
-
-let clear t =
-  Array.fill t.data 0 (Array.length t.data) None;
-  t.head <- 0;
-  t.len <- 0

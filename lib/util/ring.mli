@@ -12,19 +12,9 @@ val create : capacity:int -> 'a t
     elements; [capacity] must be positive. *)
 
 val length : 'a t -> int
-(* lint: allow U001 (b) DESIGN.md §1 row 3: ring buffers *)
-val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
 (** [push t x] enqueues at the tail; [false] (and no change) if full. *)
 
 val pop : 'a t -> 'a option
 (** Dequeue from the head. *)
-
-(* lint: allow U001 (b) DESIGN.md §1 row 3: ring buffers *)
-val peek : 'a t -> 'a option
-
-(* lint: allow U001 (b) DESIGN.md §1 row 3: ring buffers *)
-val to_list : 'a t -> 'a list
-(* lint: allow U001 (b) DESIGN.md §1 row 3: ring buffers *)
-val clear : 'a t -> unit

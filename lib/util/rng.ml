@@ -23,7 +23,6 @@ let of_state state =
   g
 
 let create seed = of_state (mix64 (Int64.of_int seed))
-let copy g = Bytes.copy g
 
 let[@inline] bits64 g =
   let state = Int64.add (get64u g 0) golden_gamma in

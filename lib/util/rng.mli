@@ -16,10 +16,6 @@ val create : int -> t
 (** [create seed] makes a generator from an integer seed. Equal seeds
     yield equal streams. *)
 
-(* lint: allow U001 (b) DESIGN.md §1 row 1: deterministic PRNG *)
-val copy : t -> t
-(** [copy g] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split g] advances [g] and returns a fresh generator whose stream
     is (for all practical purposes) independent of [g]'s. *)

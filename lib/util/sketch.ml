@@ -16,16 +16,14 @@
    the sequence of finite values added, in order). There is no
    randomness, no wall-clock input, and no dependence on hash order;
    two sketches fed the same stream return bit-identical answers to
-   every query. Non-finite samples (nan, +/-inf) are counted in
-   [dropped] and otherwise ignored — a quantile of a stream is only
-   defined over its ordered values. *)
+   every query. Non-finite samples (nan, +/-inf) are ignored — a
+   quantile of a stream is only defined over its ordered values. *)
 
 type tuple = { v : float; g : int; d : int }
 
 type t = {
   epsilon : float;
   mutable n : int; (* finite samples merged into the summary *)
-  mutable dropped : int;
   mutable tuples : tuple list; (* ascending by v *)
   mutable len : int; (* List.length tuples, maintained incrementally *)
   buf : float array;
@@ -36,11 +34,10 @@ let create ?(epsilon = 0.01) () =
   if epsilon <= 0.0 || epsilon >= 0.5 then
     invalid_arg "Sketch.create: epsilon in (0, 0.5)";
   let cap = max 16 (int_of_float (ceil (1.0 /. (2.0 *. epsilon)))) in
-  { epsilon; n = 0; dropped = 0; tuples = []; len = 0;
+  { epsilon; n = 0; tuples = []; len = 0;
     buf = Array.make cap 0.0; buf_len = 0 }
 
 let count t = t.n + t.buf_len
-let dropped t = t.dropped
 let size t = t.len
 
 (* floor(2 eps n): the capacity every interior tuple's g + delta must
@@ -107,7 +104,6 @@ let add t x =
     t.buf_len <- t.buf_len + 1;
     if t.buf_len = Array.length t.buf then flush t
   end
-  else t.dropped <- t.dropped + 1
 
 let rank_error t = t.epsilon *. float_of_int (count t)
 

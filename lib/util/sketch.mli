@@ -11,8 +11,7 @@
     values added, in order. No randomness, no wall clock, no hash-order
     dependence. Identical streams yield bit-identical answers.
     Non-finite samples (nan, infinities) are not part of a stream's
-    ordered values; they are counted in {!dropped} and otherwise
-    ignored. *)
+    ordered values; they are ignored. *)
 
 type t
 
@@ -24,7 +23,7 @@ val create : ?epsilon:float -> unit -> t
 val add : t -> float -> unit
 (** [add t x] appends [x] to the stream. Amortised O(log(1/epsilon) +
     summary size); worst case one buffer sort + merge. Non-finite [x]
-    is dropped (see {!dropped}). *)
+    is ignored. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] returns a stream value whose rank is within
@@ -36,15 +35,11 @@ val quantile : t -> float -> float
 val count : t -> int
 (** Number of finite samples added. *)
 
-(* lint: allow U001 (b) DESIGN.md §1 row 2: quantiles *)
-val dropped : t -> int
-(** Number of non-finite samples ignored. *)
-
 val rank_error : t -> float
 (** [rank_error t = epsilon t *. float_of_int (count t)]: the absolute
     rank-error bound currently guaranteed by {!quantile}. *)
 
-(* lint: allow U001 (b) DESIGN.md §1 row 2: quantiles *)
+(* lint: allow U001 (a) used by test "space bounded" *)
 val size : t -> int
 (** Number of summary tuples currently retained (excludes the insert
     buffer); useful for space-bound checks. *)

@@ -1,47 +1,22 @@
 module Welford = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
+  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
 
-  let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
 
   let add t x =
     t.n <- t.n + 1;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
   let count t = t.n
   let mean t = if t.n = 0 then nan else t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let std t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
 
   let confidence95 t =
-    if t.n < 2 then 0.0 else 1.96 *. std t /. sqrt (float_of_int t.n)
-
-  let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
-    else begin
-      let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n
-            /. float_of_int n)
-      in
-      { n; mean; m2; min = Float.min a.min b.min; max = Float.max a.max b.max }
-    end
+    if t.n < 2 then 0.0
+    else
+      let variance = t.m2 /. float_of_int (t.n - 1) in
+      1.96 *. sqrt variance /. sqrt (float_of_int t.n)
 end
 
 module Timeweighted = struct

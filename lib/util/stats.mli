@@ -15,24 +15,10 @@ module Welford : sig
   val mean : t -> float
   (** Mean of the samples so far; [nan] if no sample was added. *)
 
-  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
-  val variance : t -> float
-  (** Unbiased sample variance; [0.] with fewer than two samples. *)
-
-  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
-  val std : t -> float
-  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
-  val min : t -> float
-  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
-  val max : t -> float
-
   val confidence95 : t -> float
   (** Half-width of the normal-approximation 95% confidence interval
-      of the mean ([1.96 σ/√n]); [0.] with fewer than two samples. *)
-
-  (* lint: allow U001 (b) DESIGN.md §1 row 2: Welford mean/variance *)
-  val merge : t -> t -> t
-  (** Combine two accumulators as if all samples were seen by one. *)
+      of the mean ([1.96 σ/√n], σ the unbiased sample standard
+      deviation); [0.] with fewer than two samples. *)
 end
 
 module Timeweighted : sig

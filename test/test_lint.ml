@@ -535,6 +535,37 @@ let test_u001_module_alias () =
              \  let module X = Softstate_core.Exporter in\n\
              \  X.used 3\n" ) ]))
 
+(* An export only a test calls, kept by a U001 directive with
+   [reason]; the test file defines the test "own value". *)
+let kept_export reason =
+  [ ( "lib/core/exporter.mli",
+      Printf.sprintf "(* lint: allow U001 %s *)\nval own : int\n" reason );
+    ("lib/core/exporter.ml", "let own = 1\n");
+    ( "test/test_exporter.ml",
+      "let cases =\n\
+      \  [ Alcotest.test_case \"own value\" `Quick (fun () ->\n\
+      \      ignore Softstate_core.Exporter.own) ]\n" ) ]
+
+let u001_verdict reason =
+  let fs = Driver.scan_sources ~with_m001:false (kept_export reason) in
+  (at "S001" fs, at "U001" fs)
+
+let verdict = Alcotest.(pair loc loc)
+
+let test_u001_reason_form () =
+  Alcotest.check verdict "a (b) reason is S001 and keeps nothing"
+    ([ (1, 0) ], [ (2, 4) ])
+    (u001_verdict "(b) DESIGN.md section 1 row 3")
+
+let test_u001_stale_test () =
+  Alcotest.check verdict "a test no test/ file defines is S001"
+    ([ (1, 0) ], [ (2, 4) ])
+    (u001_verdict "(a) used by test \"own values\"")
+
+let test_u001_named_test () =
+  Alcotest.check verdict "a defined test keeps the export" ([], [])
+    (u001_verdict "(a) used by test \"own value\"")
+
 let test_catalogue () =
   List.iter
     (fun r ->
@@ -591,7 +622,11 @@ let () =
             test_u001_own_unit_only;
           Alcotest.test_case "U001 test reference" `Quick
             test_u001_test_reference;
-          Alcotest.test_case "U001 module alias" `Quick test_u001_module_alias
+          Alcotest.test_case "U001 module alias" `Quick test_u001_module_alias;
+          Alcotest.test_case "U001 reason form" `Quick test_u001_reason_form;
+          Alcotest.test_case "U001 stale test name" `Quick
+            test_u001_stale_test;
+          Alcotest.test_case "U001 named test" `Quick test_u001_named_test
         ] );
       ( "suppressions",
         [ Alcotest.test_case "valid directive silences" `Quick

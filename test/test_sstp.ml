@@ -1,6 +1,5 @@
 (* Tests for the SSTP framework: MD5 digests, paths, namespace hash tree,
-   wire codec, reports, profiles, allocator, rate control, and
-   end-to-end sessions. *)
+   wire codec, reports, profiles, allocator, and end-to-end sessions. *)
 
 module Engine = Softstate_sim.Engine
 module Rng = Softstate_util.Rng
@@ -11,7 +10,6 @@ module Wire = Sstp.Wire
 module Reports = Sstp.Reports
 module Profile = Sstp.Profile
 module Allocator = Sstp.Allocator
-module Rate_control = Sstp.Rate_control
 module Session = Sstp.Session
 
 let check_close eps = Alcotest.(check (float eps))
@@ -397,15 +395,17 @@ let test_reports_loss_estimation () =
     (fun s -> Reports.Receiver_side.on_packet r ~seq:s)
     [ 0; 1; 3; 4; 6; 7; 8; 9 ];
   (* highest advanced from -1 to 9 = 10 expected packets, 8 received *)
-  check_close 1e-9 "interval loss 2/10" 0.2
-    (Reports.Receiver_side.interval_loss r);
-  match Reports.Receiver_side.flush r with
+  (match Reports.Receiver_side.flush r with
   | Wire.Receiver_report { highest_seq; received; loss_estimate } ->
       Alcotest.(check int) "highest" 9 highest_seq;
       Alcotest.(check int) "received" 8 received;
-      check_close 1e-9 "loss in report" 0.2 loss_estimate;
-      (* next interval starts clean *)
-      check_close 1e-9 "reset" 0.0 (Reports.Receiver_side.interval_loss r)
+      check_close 1e-9 "loss in report" 0.2 loss_estimate
+  | _ -> Alcotest.fail "not a report");
+  (* next interval starts clean *)
+  match Reports.Receiver_side.flush r with
+  | Wire.Receiver_report { received; loss_estimate; _ } ->
+      Alcotest.(check int) "reset received" 0 received;
+      check_close 1e-9 "reset loss" 0.0 loss_estimate
   | _ -> Alcotest.fail "not a report"
 
 let test_reports_sender_smoothing () =
@@ -416,15 +416,24 @@ let test_reports_sender_smoothing () =
   check_close 1e-9 "first adopted" 0.2 (Reports.Sender_side.loss_estimate s);
   Reports.Sender_side.on_report s
     (Wire.Receiver_report { highest_seq = 20; received = 10; loss_estimate = 0.4 });
-  check_close 1e-9 "ewma" 0.3 (Reports.Sender_side.loss_estimate s);
-  Alcotest.(check int) "count" 2 (Reports.Sender_side.reports_seen s)
+  check_close 1e-9 "ewma" 0.3 (Reports.Sender_side.loss_estimate s)
 
 (* ------------------------------------------------------------------ *)
 (* Profile / Allocator *)
 
+(* A profile from its axes and grid: [grid.(i).(j)] is the consistency
+   at [losses.(i)], [shares.(j)]. *)
+let profile ~losses ~shares ~grid =
+  Profile.of_measurements
+    (List.concat
+       (List.mapi
+          (fun i loss ->
+            List.mapi (fun j share -> (loss, share, grid.(i).(j))) shares)
+          losses))
+
 let test_profile_interpolation () =
   let p =
-    Profile.create ~losses:[| 0.0; 1.0 |] ~shares:[| 0.0; 1.0 |]
+    profile ~losses:[ 0.0; 1.0 ] ~shares:[ 0.0; 1.0 ]
       ~grid:[| [| 0.0; 1.0 |]; [| 0.0; 0.5 |] |]
   in
   check_close 1e-9 "corner" 1.0 (Profile.consistency_at p ~loss:0.0 ~share:1.0);
@@ -435,7 +444,7 @@ let test_profile_interpolation () =
 
 let test_profile_best_share () =
   let p =
-    Profile.create ~losses:[| 0.1 |] ~shares:[| 0.1; 0.2; 0.3 |]
+    profile ~losses:[ 0.1 ] ~shares:[ 0.1; 0.2; 0.3 ]
       ~grid:[| [| 0.5; 0.8; 0.9 |] |]
   in
   Alcotest.(check (option (float 1e-9))) "meets 0.75" (Some 0.2)
@@ -464,12 +473,26 @@ let test_profile_analytic_monotone () =
   let c3 = Profile.consistency_at p ~loss:0.5 ~share:0.9 in
   Alcotest.(check bool) "loss hurts" true (c3 <= c2)
 
+(* Save [p] to a temporary file and read its text back as
+   "loss share consistency" triples, one per non-comment line. *)
+let saved_triples p =
+  let path = Filename.temp_file "profile" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Profile.save p ~path;
+      In_channel.with_open_text path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+      |> List.map (fun l ->
+             Scanf.sscanf l "%f %f %f" (fun loss share c -> (loss, share, c))))
+
 let test_profile_roundtrip_string () =
   let p =
-    Profile.create ~losses:[| 0.05; 0.3 |] ~shares:[| 0.1; 0.2; 0.4 |]
+    profile ~losses:[ 0.05; 0.3 ] ~shares:[ 0.1; 0.2; 0.4 ]
       ~grid:[| [| 0.91; 0.95; 0.99 |]; [| 0.55; 0.7; 0.86 |] |]
   in
-  let p' = Profile.of_string (Profile.to_string p) in
+  let p' = Profile.of_measurements (saved_triples p) in
   List.iter
     (fun (loss, share) ->
       check_close 1e-12
@@ -480,28 +503,16 @@ let test_profile_roundtrip_string () =
 
 let test_profile_save_load () =
   let p = Profile.analytic_open_loop ~lambda_kbps:15.0 ~mu_total_kbps:45.0 ~p_death:0.5 in
-  let path = Filename.temp_file "profile" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Profile.save p ~path;
-      let p' = Profile.load ~path in
-      check_close 1e-12 "loaded grid matches"
-        (Profile.consistency_at p ~loss:0.22 ~share:0.53)
-        (Profile.consistency_at p' ~loss:0.22 ~share:0.53))
-
-let test_profile_of_string_rejects_garbage () =
-  Alcotest.check_raises "malformed"
-    (Invalid_argument "Profile.of_string: malformed line") (fun () ->
-      ignore (Profile.of_string "0.1 zebra 0.5\n"));
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Profile.of_string: empty profile") (fun () ->
-      ignore (Profile.of_string "# nothing\n"))
-
+  let triples = saved_triples p in
+  Alcotest.(check int) "one line per cell" 100 (List.length triples);
+  let p' = Profile.of_measurements triples in
+  check_close 1e-12 "loaded grid matches"
+    (Profile.consistency_at p ~loss:0.22 ~share:0.53)
+    (Profile.consistency_at p' ~loss:0.22 ~share:0.53)
 
 let test_allocator_decision_structure () =
   let profile =
-    Profile.create ~losses:[| 0.0; 0.5 |] ~shares:[| 0.1; 0.2; 0.3 |]
+    profile ~losses:[ 0.0; 0.5 ] ~shares:[ 0.1; 0.2; 0.3 ]
       ~grid:[| [| 0.8; 0.9; 0.95 |]; [| 0.5; 0.7; 0.85 |] |]
   in
   let a = Allocator.create ~profile ~target_consistency:0.9 () in
@@ -511,64 +522,32 @@ let test_allocator_decision_structure () =
   check_close 1e-6 "data partitions hot/cold" d.Allocator.mu_data_bps
     (d.Allocator.mu_hot_bps +. d.Allocator.mu_cold_bps);
   Alcotest.(check bool) "hot covers lambda with headroom" true
-    (d.Allocator.mu_hot_bps >= 20_000.0);
-  Alcotest.(check bool) "not constrained" false d.Allocator.rate_constrained
+    (d.Allocator.mu_hot_bps >= 20_000.0)
 
 let test_allocator_rate_constraint () =
+  (* An application publishing faster than the data share can carry
+     gets the hot cap, and cold keeps its tenth of data. *)
   let profile =
-    Profile.create ~losses:[| 0.0; 0.5 |] ~shares:[| 0.1; 0.5 |]
+    profile ~losses:[ 0.0; 0.5 ] ~shares:[ 0.1; 0.5 ]
       ~grid:[| [| 0.9; 0.99 |]; [| 0.6; 0.9 |] |]
   in
   let a = Allocator.create ~profile ~target_consistency:0.95 () in
   let d = Allocator.decide a ~mu_total_bps:50_000.0 ~loss:0.4 ~lambda_bps:45_000.0 in
-  Alcotest.(check bool) "overloaded app flagged" true d.Allocator.rate_constrained;
-  Alcotest.(check bool) "max rate positive" true (d.Allocator.max_app_rate_bps > 0.0);
-  Alcotest.(check bool) "max rate below lambda" true
-    (d.Allocator.max_app_rate_bps < 45_000.0)
+  check_close 1e-6 "hot capped" (0.9 *. d.Allocator.mu_data_bps)
+    d.Allocator.mu_hot_bps;
+  check_close 1e-6 "cold keeps a tenth" (0.1 *. d.Allocator.mu_data_bps)
+    d.Allocator.mu_cold_bps
 
 let test_allocator_feedback_capped () =
   (* Even a profile that "wants" 90% feedback is capped at half. *)
   let profile =
-    Profile.create ~losses:[| 0.0; 0.5 |] ~shares:[| 0.1; 0.9 |]
+    profile ~losses:[ 0.0; 0.5 ] ~shares:[ 0.1; 0.9 ]
       ~grid:[| [| 0.1; 0.99 |]; [| 0.1; 0.99 |] |]
   in
   let a = Allocator.create ~profile ~target_consistency:0.95 () in
   let d = Allocator.decide a ~mu_total_bps:100_000.0 ~loss:0.2 ~lambda_bps:10_000.0 in
   Alcotest.(check bool) "fb capped at half" true
     (d.Allocator.mu_fb_bps <= 50_000.0 +. 1e-6)
-
-(* ------------------------------------------------------------------ *)
-(* Rate control *)
-
-let test_rate_control_tokens () =
-  let engine = Engine.create () in
-  let rc = Rate_control.create engine ~rate_bps:1000.0 ~burst_bits:500.0 () in
-  Alcotest.(check bool) "initial burst available" true
-    (Rate_control.try_consume rc ~bits:500.0);
-  Alcotest.(check bool) "empty now" false (Rate_control.try_consume rc ~bits:100.0);
-  (* advance simulated time 0.25 s -> 250 bits accrue *)
-  Engine.schedule engine ~after:0.25 (fun _ -> ());
-  Engine.run engine;
-  Alcotest.(check bool) "refilled" true (Rate_control.try_consume rc ~bits:200.0);
-  Alcotest.(check bool) "but not more" false (Rate_control.try_consume rc ~bits:200.0)
-
-let test_rate_control_burst_cap () =
-  let engine = Engine.create () in
-  let rc = Rate_control.create engine ~rate_bps:1000.0 ~burst_bits:100.0 () in
-  Engine.schedule engine ~after:100.0 (fun _ -> ());
-  Engine.run engine;
-  check_close 1e-9 "capped at burst" 100.0 (Rate_control.available_bits rc)
-
-let test_rate_control_change_notification () =
-  let engine = Engine.create () in
-  let rc = Rate_control.create engine ~rate_bps:1000.0 () in
-  let seen = ref [] in
-  Rate_control.on_change rc (fun r -> seen := r :: !seen);
-  Rate_control.set_rate rc 2000.0;
-  Rate_control.set_rate rc 500.0;
-  Alcotest.(check (list (float 0.0))) "notified in order" [ 2000.0; 500.0 ]
-    (List.rev !seen);
-  check_close 0.0 "rate updated" 500.0 (Rate_control.rate_bps rc)
 
 (* ------------------------------------------------------------------ *)
 (* Session end-to-end *)
@@ -1412,8 +1391,6 @@ let () =
           Alcotest.test_case "analytic monotone" `Quick test_profile_analytic_monotone;
           Alcotest.test_case "string roundtrip" `Quick test_profile_roundtrip_string;
           Alcotest.test_case "save/load" `Quick test_profile_save_load;
-          Alcotest.test_case "rejects garbage" `Quick
-            test_profile_of_string_rejects_garbage;
         ] );
       ( "allocator",
         [
@@ -1421,13 +1398,6 @@ let () =
             test_allocator_decision_structure;
           Alcotest.test_case "rate constraint" `Quick test_allocator_rate_constraint;
           Alcotest.test_case "feedback capped" `Quick test_allocator_feedback_capped;
-        ] );
-      ( "rate-control",
-        [
-          Alcotest.test_case "tokens" `Quick test_rate_control_tokens;
-          Alcotest.test_case "burst cap" `Quick test_rate_control_burst_cap;
-          Alcotest.test_case "change notification" `Quick
-            test_rate_control_change_notification;
         ] );
       ( "sender-classes",
         [

@@ -7,23 +7,29 @@ module Gen = Softstate_trace.Generators
 
 let rng () = Rng.create 77
 
+(* Generated traces must be time-ordered. *)
+let check_ordered trace =
+  ignore
+    (List.fold_left
+       (fun last e ->
+         if e.Trace.time < last then Alcotest.fail "time reversed";
+         e.Trace.time)
+       neg_infinity trace)
+
 let test_trace_check () =
-  Trace.check
+  let replay trace =
+    Trace.replay (Engine.create ()) trace
+      ~put:(fun ~path:_ ~payload:_ -> ())
+      ~remove:(fun ~path:_ -> ())
+  in
+  replay
     [ { Trace.time = 0.0; op = Trace.Put { path = "a"; payload = "x" } };
       { Trace.time = 1.0; op = Trace.Remove { path = "a" } } ];
-  Alcotest.check_raises "reversed"
+  Alcotest.check_raises "replay rejects a reversed trace"
     (Invalid_argument "Trace_event.check: time reversed") (fun () ->
-      Trace.check
+      replay
         [ { Trace.time = 2.0; op = Trace.Remove { path = "a" } };
           { Trace.time = 1.0; op = Trace.Remove { path = "b" } } ])
-
-let test_trace_merge () =
-  let mk times =
-    List.map (fun t -> { Trace.time = t; op = Trace.Remove { path = "x" } }) times
-  in
-  let merged = Trace.merge (mk [ 1.0; 3.0 ]) (mk [ 0.5; 2.0; 4.0 ]) in
-  Alcotest.(check (list (float 0.0))) "sorted merge" [ 0.5; 1.0; 2.0; 3.0; 4.0 ]
-    (List.map (fun e -> e.Trace.time) merged)
 
 let test_trace_replay () =
   let engine = Engine.create () in
@@ -45,7 +51,7 @@ let test_trace_replay () =
 
 let test_session_directory_shape () =
   let trace = Gen.session_directory ~rng:(rng ()) ~duration:20_000.0 () in
-  Trace.check trace;
+  check_ordered trace;
   Alcotest.(check bool) "non-trivial" true (Trace.length trace > 500);
   (* every Remove must follow a Put of the same path *)
   let seen = Hashtbl.create 64 in
@@ -103,7 +109,7 @@ let test_routing_updates_shape () =
   let trace =
     Gen.routing_updates ~rng:(rng ()) ~duration:5000.0 ~prefixes:100 ()
   in
-  Trace.check trace;
+  check_ordered trace;
   (* all prefixes announced at time 0 *)
   let initial =
     List.filter (fun e -> e.Trace.time = 0.0) trace |> List.length
@@ -139,7 +145,7 @@ let test_routing_updates_has_withdrawals () =
 
 let test_stock_ticker_shape () =
   let trace = Gen.stock_ticker ~rng:(rng ()) ~duration:100.0 ~symbols:50 () in
-  Trace.check trace;
+  check_ordered trace;
   (* initial quotes for every symbol *)
   let initial = List.filter (fun e -> e.Trace.time = 0.0) trace in
   Alcotest.(check int) "initial quotes" 50 (List.length initial);
@@ -184,7 +190,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "check" `Quick test_trace_check;
-          Alcotest.test_case "merge" `Quick test_trace_merge;
           Alcotest.test_case "replay" `Quick test_trace_replay;
         ] );
       ( "generators",

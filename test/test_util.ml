@@ -26,16 +26,6 @@ let test_rng_seed_sensitivity () =
   Alcotest.(check bool) "different seeds differ" false
     (Rng.bits64 a = Rng.bits64 b)
 
-let test_rng_copy_independent () =
-  let a = Rng.create 7 in
-  let b = Rng.copy a in
-  let x = Rng.bits64 a in
-  let y = Rng.bits64 b in
-  Alcotest.(check int64) "copy continues identically" x y;
-  ignore (Rng.bits64 a);
-  let x2 = Rng.bits64 a and y2 = Rng.bits64 b in
-  Alcotest.(check bool) "desynchronised after extra draw" false (x2 = y2)
-
 let test_rng_split_independent () =
   let a = Rng.create 9 in
   let b = Rng.split a in
@@ -193,54 +183,6 @@ let test_exponential_positive () =
     if Dist.exponential g ~rate:0.5 < 0.0 then Alcotest.fail "negative"
   done
 
-let test_geometric_mean () =
-  let g = Rng.create 22 in
-  let n = 100_000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    sum := !sum + Dist.geometric g ~p:0.25
-  done;
-  check_close 0.05 "mean 1/p" 4.0 (float_of_int !sum /. float_of_int n)
-
-let test_geometric_support () =
-  let g = Rng.create 23 in
-  for _ = 1 to 10_000 do
-    if Dist.geometric g ~p:0.9 < 1 then Alcotest.fail "support starts at 1"
-  done;
-  Alcotest.(check int) "p=1 is always 1" 1 (Dist.geometric g ~p:1.0)
-
-let test_poisson_mean_small () =
-  let g = Rng.create 24 in
-  let n = 100_000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    sum := !sum + Dist.poisson g ~mean:3.5
-  done;
-  check_close 0.05 "poisson mean" 3.5 (float_of_int !sum /. float_of_int n)
-
-let test_poisson_mean_large () =
-  let g = Rng.create 25 in
-  let n = 20_000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    sum := !sum + Dist.poisson g ~mean:200.0
-  done;
-  check_close 1.0 "poisson large mean" 200.0 (float_of_int !sum /. float_of_int n)
-
-let test_poisson_zero () =
-  let g = Rng.create 26 in
-  Alcotest.(check int) "mean 0" 0 (Dist.poisson g ~mean:0.0)
-
-let test_normal_moments () =
-  let g = Rng.create 27 in
-  let n = 200_000 in
-  let acc = Stats.Welford.create () in
-  for _ = 1 to n do
-    Stats.Welford.add acc (Dist.normal g ~mean:10.0 ~std:2.0)
-  done;
-  check_close 0.05 "normal mean" 10.0 (Stats.Welford.mean acc);
-  check_close 0.05 "normal std" 2.0 (Stats.Welford.std acc)
-
 let test_pareto_minimum () =
   let g = Rng.create 28 in
   for _ = 1 to 10_000 do
@@ -269,25 +211,6 @@ let test_zipf_rank_ordering () =
   done;
   Alcotest.(check bool) "rank 1 most popular" true (counts.(1) > counts.(2));
   Alcotest.(check bool) "rank 2 beats rank 8" true (counts.(2) > counts.(8))
-
-let test_categorical () =
-  let g = Rng.create 31 in
-  let counts = Array.make 3 0 in
-  for _ = 1 to 60_000 do
-    let i = Dist.categorical g [| 1.0; 2.0; 3.0 |] in
-    counts.(i) <- counts.(i) + 1
-  done;
-  check_close 0.02 "weight-1 share" (1.0 /. 6.0)
-    (float_of_int counts.(0) /. 60_000.0);
-  check_close 0.02 "weight-3 share" 0.5 (float_of_int counts.(2) /. 60_000.0)
-
-let test_categorical_errors () =
-  let g = Rng.create 32 in
-  Alcotest.check_raises "empty" (Invalid_argument "Dist.categorical: empty weights")
-    (fun () -> ignore (Dist.categorical g [||]));
-  Alcotest.check_raises "zero sum"
-    (Invalid_argument "Dist.categorical: weights sum to zero") (fun () ->
-      ignore (Dist.categorical g [| 0.0; 0.0 |]))
 
 (* The piecewise-Poisson flash process: arrivals inside burst windows
    should carry exactly their hazard share, and the long-run rate
@@ -370,32 +293,15 @@ let test_welford_known () =
   let w = Stats.Welford.create () in
   List.iter (Stats.Welford.add w) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
   check_float "mean" 5.0 (Stats.Welford.mean w);
-  check_close 1e-9 "variance" (32.0 /. 7.0) (Stats.Welford.variance w);
-  check_float "min" 2.0 (Stats.Welford.min w);
-  check_float "max" 9.0 (Stats.Welford.max w);
+  (* sample variance 32/7 *)
+  check_close 1e-9 "ci" (1.96 *. sqrt (32.0 /. 7.0) /. sqrt 8.0)
+    (Stats.Welford.confidence95 w);
   Alcotest.(check int) "count" 8 (Stats.Welford.count w)
 
 let test_welford_empty () =
   let w = Stats.Welford.create () in
   Alcotest.(check bool) "mean nan" true (Float.is_nan (Stats.Welford.mean w));
-  check_float "variance 0" 0.0 (Stats.Welford.variance w);
   check_float "ci 0" 0.0 (Stats.Welford.confidence95 w)
-
-let test_welford_merge () =
-  let all = Stats.Welford.create () in
-  let a = Stats.Welford.create () and b = Stats.Welford.create () in
-  let g = Rng.create 40 in
-  for i = 1 to 1000 do
-    let x = Rng.float g *. 10.0 in
-    Stats.Welford.add all x;
-    Stats.Welford.add (if i mod 2 = 0 then a else b) x
-  done;
-  let merged = Stats.Welford.merge a b in
-  check_close 1e-9 "merged mean" (Stats.Welford.mean all)
-    (Stats.Welford.mean merged);
-  check_close 1e-6 "merged variance" (Stats.Welford.variance all)
-    (Stats.Welford.variance merged);
-  Alcotest.(check int) "merged count" 1000 (Stats.Welford.count merged)
 
 let test_timeweighted_piecewise () =
   let tw = Stats.Timeweighted.create () in
@@ -449,7 +355,6 @@ let test_sketch_drops_non_finite () =
   let s = Sketch.create () in
   List.iter (Sketch.add s) [ 1.0; nan; 2.0; infinity; 3.0; neg_infinity ];
   Alcotest.(check int) "count" 3 (Sketch.count s);
-  Alcotest.(check int) "dropped" 3 (Sketch.dropped s);
   check_float "median" 2.0 (Sketch.quantile s 0.5)
 
 let test_sketch_space_bounded () =
@@ -516,6 +421,19 @@ let qcheck_sketch_deterministic =
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+(* Extract the minimum through the engine's slot protocol: top, then
+   top_key / drop_top, then slot_value on the freed slot; a run that
+   goes on keeps the key. *)
+let heap_pop h =
+  let slot = Heap.top h in
+  if slot < 0 then None
+  else begin
+    let k = Heap.top_key h in
+    if Heap.drop_top h && not (Heap.top h >= 0 && Heap.top_key h = k) then
+      Alcotest.fail "run went on under another key";
+    Some (k, Heap.slot_value h slot)
+  end
+
 let test_heap_ordering () =
   let h = Heap.create () in
   let g = Rng.create 50 in
@@ -523,7 +441,7 @@ let test_heap_ordering () =
     Heap.insert h ~key:(Rng.float g) ()
   done;
   let rec drain last n =
-    match Heap.pop h with
+    match heap_pop h with
     | None -> n
     | Some (k, ()) ->
         if k < last then Alcotest.fail "heap order violated";
@@ -536,7 +454,7 @@ let test_heap_fifo_ties () =
   Heap.insert h ~key:1.0 "a";
   Heap.insert h ~key:1.0 "b";
   Heap.insert h ~key:1.0 "c";
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
+  let pop () = match heap_pop h with Some (_, v) -> v | None -> "?" in
   Alcotest.(check string) "fifo 1" "a" (pop ());
   Alcotest.(check string) "fifo 2" "b" (pop ());
   Alcotest.(check string) "fifo 3" "c" (pop ())
@@ -546,12 +464,12 @@ let test_heap_random_mixed_ops () =
   let g = Rng.create 51 in
   let last = ref neg_infinity in
   for i = 1 to 2000 do
-    if Rng.float g < 0.6 || Heap.is_empty h then begin
+    if Rng.float g < 0.6 || Heap.length h = 0 then begin
       (* keys never precede the last pop, as in an event calendar *)
       Heap.insert h ~key:(!last +. Rng.float g) i
     end
     else
-      match Heap.pop h with
+      match heap_pop h with
       | Some (k, _) ->
           if k < !last then Alcotest.fail "order violated during mixed ops";
           last := k
@@ -559,7 +477,7 @@ let test_heap_random_mixed_ops () =
   done;
   (* drain and check order *)
   let rec drain last =
-    match Heap.pop h with
+    match heap_pop h with
     | None -> ()
     | Some (k, _) ->
         if k < last then Alcotest.fail "order violated after mixed ops";
@@ -567,38 +485,11 @@ let test_heap_random_mixed_ops () =
   in
   drain !last
 
-let test_heap_clear () =
-  let h = Heap.create () in
-  Heap.insert h ~key:1.0 ();
-  Heap.clear h;
-  Alcotest.(check int) "empty" 0 (Heap.length h);
-  Alcotest.(check bool) "nothing to pop" true (Heap.pop h = None);
-  Alcotest.(check int) "no top" (-1) (Heap.top h)
-
-let test_heap_clear_shrinks_and_resets () =
-  let h = Heap.create () in
-  for i = 0 to 4_999 do
-    Heap.insert h ~key:(float_of_int i) i
-  done;
-  Alcotest.(check bool) "grew past shrink threshold" true (Heap.capacity h > 256);
-  Heap.clear h;
-  Alcotest.(check int) "empty after clear" 0 (Heap.length h);
-  Alcotest.(check bool) "capacity shrunk" true (Heap.capacity h <= 256);
-  (* the calendar is fully reusable: FIFO tie order restarts cleanly *)
-  Heap.insert h ~key:1.0 1;
-  Heap.insert h ~key:1.0 2;
-  (match Heap.peek h with
-  | Some (k, v) ->
-      Alcotest.(check (float 0.0)) "peek key" 1.0 k;
-      Alcotest.(check int) "fifo restarts" 1 v
-  | None -> Alcotest.fail "heap empty after reuse");
-  Alcotest.(check int) "reused length" 2 (Heap.length h)
-
 (* Model check: drive the heap through a long random interleaving of
-   insert / pop / peek / clear and compare every observable against a
-   naive sorted-list reference. Keys are drawn from 8 distinct values
-   so FIFO tie-breaking is exercised constantly; half the pops go
-   through the engine's zero-allocation slot protocol. *)
+   insert / pop / peek and compare every observable against a naive
+   sorted-list reference. Keys are drawn from 8 distinct values so
+   FIFO tie-breaking is exercised constantly. Pops and peeks go
+   through the engine's slot protocol. *)
 let test_heap_model_check () =
   let h = Heap.create () in
   let g = Rng.create 99 in
@@ -618,18 +509,6 @@ let test_heap_model_check () =
   let drop_entry (_, s, _) =
     model := List.filter (fun (_, s', _) -> s' <> s) !model
   in
-  (* pop through the slot protocol: top, top_key, drop_top, then
-     slot_value on the freed slot; a run that goes on keeps the key *)
-  let slot_pop () =
-    let slot = Heap.top h in
-    if slot < 0 then None
-    else begin
-      let k = Heap.top_key h in
-      if Heap.drop_top h && not (Heap.top h >= 0 && Heap.top_key h = k) then
-        Alcotest.fail "run went on under another key";
-      Some (k, Heap.slot_value h slot)
-    end
-  in
   for _step = 1 to 20_000 do
     let r = Rng.float g in
     if r < 0.55 then begin
@@ -643,8 +522,7 @@ let test_heap_model_check () =
     end
     else if r < 0.95 then begin
       (* pop must agree with the reference minimum *)
-      let popped = if Rng.bool g then Heap.pop h else slot_pop () in
-      match (popped, model_min ()) with
+      match (heap_pop h, model_min ()) with
       | None, None -> ()
       | Some (k, v), Some ((mk, _, mid) as e) ->
           Alcotest.(check (float 0.0)) "pop key" mk k;
@@ -653,26 +531,22 @@ let test_heap_model_check () =
       | Some _, None -> Alcotest.fail "heap popped but model empty"
       | None, Some _ -> Alcotest.fail "heap empty but model not"
     end
-    else if r < 0.985 then begin
-      match (Heap.peek h, model_min ()) with
-      | None, None -> ()
-      | Some (k, v), Some (mk, _, mid) ->
-          Alcotest.(check (float 0.0)) "peek key" mk k;
-          Alcotest.(check int) "peek value" mid v;
-          Alcotest.(check (option (float 0.0))) "min_key" (Some mk)
-            (Heap.min_key h)
-      | _ -> Alcotest.fail "peek disagrees on emptiness"
-    end
     else begin
-      Heap.clear h;
-      model := []
+      (* peek: read the root without extracting it *)
+      let slot = Heap.top h in
+      match model_min () with
+      | None -> Alcotest.(check int) "peek empty" (-1) slot
+      | Some (mk, _, mid) ->
+          if slot < 0 then Alcotest.fail "heap empty but model not";
+          Alcotest.(check (float 0.0)) "peek key" mk (Heap.top_key h);
+          Alcotest.(check int) "peek value" mid (Heap.slot_value h slot)
     end;
     Alcotest.(check int) "length tracks model" (List.length !model)
       (Heap.length h)
   done;
   (* final drain stays sorted and FIFO-stable *)
   let rec drain last =
-    match (Heap.pop h, model_min ()) with
+    match (heap_pop h, model_min ()) with
     | None, None -> ()
     | Some (k, v), Some ((mk, _, mid) as e) ->
         if k < last then Alcotest.fail "final drain out of order";
@@ -706,13 +580,6 @@ let test_ewma_gain () =
   Ewma.add e 10.0;
   check_float "half step" 5.0 (Ewma.value e)
 
-let test_ewma_timed_half_life () =
-  let e = Ewma.Timed.create ~half_life:10.0 in
-  Ewma.Timed.add e ~now:0.0 0.0;
-  Ewma.Timed.add e ~now:10.0 10.0;
-  (* decay 0.5 at one half-life: 0.5*0 + 0.5*10 = 5 *)
-  check_close 1e-9 "half-life step" 5.0 (Ewma.Timed.value e)
-
 (* ------------------------------------------------------------------ *)
 (* Ring *)
 
@@ -724,7 +591,8 @@ let test_ring_fifo () =
   Alcotest.(check bool) "full rejects" false (Ring.push r 4);
   Alcotest.(check (option int)) "pop 1" (Some 1) (Ring.pop r);
   Alcotest.(check bool) "space after pop" true (Ring.push r 4);
-  Alcotest.(check (list int)) "order" [ 2; 3; 4 ] (Ring.to_list r)
+  Alcotest.(check (list (option int))) "order" [ Some 2; Some 3; Some 4; None ]
+    (List.init 4 (fun _ -> Ring.pop r))
 
 let test_ring_wraparound () =
   let r = Ring.create ~capacity:4 in
@@ -736,16 +604,7 @@ let test_ring_wraparound () =
       Alcotest.(check (option int)) "pop" (Some (round * i)) (Ring.pop r)
     done
   done;
-  Alcotest.(check bool) "empty" true (Ring.is_empty r)
-
-let test_ring_peek_clear () =
-  let r = Ring.create ~capacity:2 in
-  Alcotest.(check (option int)) "peek empty" None (Ring.peek r);
-  ignore (Ring.push r 9);
-  Alcotest.(check (option int)) "peek" (Some 9) (Ring.peek r);
-  Alcotest.(check int) "peek non-destructive" 1 (Ring.length r);
-  Ring.clear r;
-  Alcotest.(check bool) "cleared" true (Ring.is_empty r)
+  Alcotest.(check int) "empty" 0 (Ring.length r)
 
 (* ------------------------------------------------------------------ *)
 (* Codec *)
@@ -755,17 +614,16 @@ let test_codec_roundtrip_scalars () =
   Codec.Writer.u8 w 0xAB;
   Codec.Writer.u16 w 0xCDEF;
   Codec.Writer.u32 w 0xDEADBEEF;
-  Codec.Writer.u64 w 0x0123456789ABCDEFL;
   Codec.Writer.f64 w 3.14159;
   Codec.Writer.string16 w "hello";
   let r = Codec.Reader.of_string (Codec.Writer.contents w) in
   Alcotest.(check int) "u8" 0xAB (Codec.Reader.u8 r);
   Alcotest.(check int) "u16" 0xCDEF (Codec.Reader.u16 r);
   Alcotest.(check int) "u32" 0xDEADBEEF (Codec.Reader.u32 r);
-  Alcotest.(check int64) "u64" 0x0123456789ABCDEFL (Codec.Reader.u64 r);
   check_float "f64" 3.14159 (Codec.Reader.f64 r);
   Alcotest.(check string) "string16" "hello" (Codec.Reader.string16 r);
-  Alcotest.(check int) "fully consumed" 0 (Codec.Reader.remaining r)
+  Alcotest.check_raises "fully consumed" Codec.Truncated (fun () ->
+      ignore (Codec.Reader.u8 r))
 
 let test_codec_truncated () =
   let r = Codec.Reader.of_string "\x01" in
@@ -813,7 +671,7 @@ let qcheck_heap_sorts =
       let h = Heap.create () in
       List.iter (fun k -> Heap.insert h ~key:k ()) keys;
       let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
+        match heap_pop h with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
       in
       let popped = drain [] in
       popped = List.sort compare keys)
@@ -833,7 +691,7 @@ let qcheck_ring_fifo =
     (fun xs ->
       let r = Ring.create ~capacity:(max 1 (List.length xs)) in
       List.iter (fun x -> ignore (Ring.push r x)) xs;
-      Ring.to_list r = xs)
+      List.map (fun _ -> Ring.pop r) xs = List.map Option.some xs)
 
 (* Variate tails: sample means must match the analytic first moment
    within a CLT band. Tolerances are 6–8 standard errors of the mean,
@@ -853,16 +711,6 @@ let harmonic n s =
     h := !h +. (1.0 /. (float_of_int k ** s))
   done;
   !h
-
-let qcheck_geometric_mean =
-  QCheck.Test.make ~name:"geometric sample mean is 1/p" ~count:20
-    QCheck.(pair (int_bound 0xFFFFF) (float_range 0.05 0.8))
-    (fun (seed, p) ->
-      let g = Rng.create (succ seed) in
-      let n = 30_000 in
-      let mean = sample_mean n (fun () -> float_of_int (Dist.geometric g ~p)) in
-      let se = sqrt (1.0 -. p) /. p /. sqrt (float_of_int n) in
-      abs_float (mean -. (1.0 /. p)) < (6.0 *. se) +. 1e-9)
 
 let qcheck_pareto_mean =
   QCheck.Test.make ~name:"pareto sample mean is shape*scale/(shape-1)"
@@ -919,7 +767,7 @@ let () =
       [ qcheck_codec_u32_roundtrip; qcheck_codec_string_roundtrip;
         qcheck_codec_f64_roundtrip; qcheck_heap_sorts;
         qcheck_welford_mean_matches; qcheck_ring_fifo;
-        qcheck_geometric_mean; qcheck_pareto_mean; qcheck_zipf_mean;
+        qcheck_pareto_mean; qcheck_zipf_mean;
         qcheck_split_stream_independent; qcheck_sketch_rank_error;
         qcheck_sketch_deterministic ]
   in
@@ -929,7 +777,6 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
-          Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "split reproducible" `Quick test_rng_split_reproducible;
           Alcotest.test_case "split siblings differ" `Quick
@@ -947,17 +794,9 @@ let () =
         [
           Alcotest.test_case "exponential mean" `Slow test_exponential_mean;
           Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
-          Alcotest.test_case "geometric mean" `Slow test_geometric_mean;
-          Alcotest.test_case "geometric support" `Quick test_geometric_support;
-          Alcotest.test_case "poisson mean small" `Slow test_poisson_mean_small;
-          Alcotest.test_case "poisson mean large" `Slow test_poisson_mean_large;
-          Alcotest.test_case "poisson zero" `Quick test_poisson_zero;
-          Alcotest.test_case "normal moments" `Slow test_normal_moments;
           Alcotest.test_case "pareto minimum" `Quick test_pareto_minimum;
           Alcotest.test_case "pareto mean" `Slow test_pareto_mean;
           Alcotest.test_case "zipf ordering" `Slow test_zipf_rank_ordering;
-          Alcotest.test_case "categorical shares" `Slow test_categorical;
-          Alcotest.test_case "categorical errors" `Quick test_categorical_errors;
           Alcotest.test_case "burst interarrival moments" `Slow
             test_burst_interarrival_moments;
           Alcotest.test_case "burst interarrival boundary" `Quick
@@ -969,7 +808,6 @@ let () =
         [
           Alcotest.test_case "welford known values" `Quick test_welford_known;
           Alcotest.test_case "welford empty" `Quick test_welford_empty;
-          Alcotest.test_case "welford merge" `Quick test_welford_merge;
           Alcotest.test_case "timeweighted piecewise" `Quick test_timeweighted_piecewise;
           Alcotest.test_case "timeweighted window" `Quick
             test_timeweighted_starts_at_first_update;
@@ -990,9 +828,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "mixed ops" `Quick test_heap_random_mixed_ops;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "clear shrinks and resets" `Quick
-            test_heap_clear_shrinks_and_resets;
           Alcotest.test_case "model check vs sorted reference" `Slow
             test_heap_model_check;
         ] );
@@ -1001,13 +836,11 @@ let () =
           Alcotest.test_case "first sample" `Quick test_ewma_first_sample;
           Alcotest.test_case "converges" `Quick test_ewma_converges;
           Alcotest.test_case "gain" `Quick test_ewma_gain;
-          Alcotest.test_case "timed half life" `Quick test_ewma_timed_half_life;
         ] );
       ( "ring",
         [
           Alcotest.test_case "fifo" `Quick test_ring_fifo;
           Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "peek and clear" `Quick test_ring_peek_clear;
         ] );
       ( "codec",
         [
