@@ -6,18 +6,16 @@ type decision = {
   predicted_consistency : float;
 }
 
-type t = {
-  profile : Profile.t;
-  target_consistency : float;
-  hot_headroom : float;
-}
+type t = { profile : Profile.t; target_consistency : float }
 
-let create ~profile ~target_consistency ?(hot_headroom = 1.2) () =
+(* μ_hot = headroom · λ/(1−loss): the operating point just beyond the
+   Figure 10/11 knee. *)
+let hot_headroom = 1.2
+
+let create ~profile ~target_consistency () =
   if target_consistency <= 0.0 || target_consistency > 1.0 then
     invalid_arg "Allocator.create: target consistency in (0,1]";
-  if hot_headroom < 1.0 then
-    invalid_arg "Allocator.create: headroom must be >= 1";
-  { profile; target_consistency; hot_headroom }
+  { profile; target_consistency }
 
 let decide t ~mu_total_bps ~loss ~lambda_bps =
   if mu_total_bps <= 0.0 then
@@ -42,7 +40,7 @@ let decide t ~mu_total_bps ~loss ~lambda_bps =
      headroom; cold receives the remainder but never less than a
      tithe, so late joiners and lost NACKs are always covered. *)
   let min_cold = 0.1 *. mu_data_bps in
-  let wanted_hot = t.hot_headroom *. lambda_bps /. (1.0 -. loss) in
+  let wanted_hot = hot_headroom *. lambda_bps /. (1.0 -. loss) in
   let mu_hot_bps =
     Float.max (0.1 *. mu_data_bps)
       (Float.min wanted_hot (mu_data_bps -. min_cold))

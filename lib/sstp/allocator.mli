@@ -4,8 +4,9 @@
     no congestion manager), the smoothed loss estimate from receiver
     reports, the application's consistency target and its current
     send rate. Output: the data/feedback split and the hot/cold split
-    within data. Hot is sized to the loss-corrected send rate but
-    capped so that cold keeps a tenth of data; an application sending
+    within data. Hot is sized to 1.2 times the loss-corrected send
+    rate, just beyond the Figure 10/11 knee, but capped so that cold
+    keeps a tenth of data; an application sending
     faster than that cap (the paper's λ ≤ μ_hot rule) gets the cap. *)
 
 type decision = {
@@ -18,17 +19,9 @@ type decision = {
 
 type t
 
-val create :
-  profile:Profile.t ->
-  target_consistency:float ->
-  ?hot_headroom:float ->
-  unit ->
-  t
+val create : profile:Profile.t -> target_consistency:float -> unit -> t
 (** [profile]'s control axis must be the feedback share of total
-    bandwidth. [hot_headroom] (default 1.2) multiplies the loss-
-    corrected arrival rate when sizing the hot queue: μ_hot =
-    headroom · λ/(1−loss), the operating point just beyond the
-    Figure 10/11 knee. *)
+    bandwidth. *)
 
 val decide :
   t -> mu_total_bps:float -> loss:float -> lambda_bps:float -> decision

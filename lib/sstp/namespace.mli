@@ -15,16 +15,20 @@
     divergence by descending only into mismatching subtrees — the
     recursive-descent repair of the announcement protocol.
 
-    Cost model. Digests are cached and recomputed lazily along the
-    dirty spine: an update costs O(depth) invalidations, and the next
-    digest read rehashes only the stale nodes on that spine. An
-    interior node keeps its framed parts in one byte buffer with each
-    child's digest at a fixed offset; rehashing it blits the children's
-    16-byte digests into place and runs one MD5 over the buffer, with
-    no allocation beyond the new digest. The buffer is laid out again
-    only when a child is added, removed or pruned. The same pass counts
-    each node's subtree leaves, so {!matching_leaves} stops at the
-    first equal digest on each branch. *)
+    Cost model. Each node keeps its children in two arrays sorted by
+    name ([String.compare], the order the digest frames them in), so a
+    path lookup is one binary search per segment, and {!diff} and
+    {!matching_leaves} are merge walks over those arrays. Adding or
+    removing a child copies its parent's arrays (O(fan-out)); replacing
+    a leaf's payload does not. Digests are cached and recomputed lazily
+    along the dirty spine: an update costs O(depth) invalidations, and
+    the next digest read rehashes only the stale nodes on that spine.
+    An interior node keeps its framed parts in one byte buffer with
+    each child's digest at a fixed offset; rehashing it blits the
+    children's 16-byte digests into place and runs one MD5 over the
+    buffer, with no allocation beyond the new digest. The buffer is
+    laid out again only when a child is added, removed or pruned. The
+    same pass counts each node's subtree leaves. *)
 
 type t
 
@@ -40,21 +44,31 @@ val remove : t -> path:Path.t -> bool
     nodes left childless are pruned. Removing the root clears the
     tree. *)
 
+val store : t -> path:Path.t -> payload:string -> meta:string list -> bool
+(** {!put} followed by setting the leaf's meta tags to [meta], in one
+    walk down [path]. [true] iff the leaf is new or its payload or its
+    tags changed, which is exactly when its digest changes. Raises as
+    {!put} does. *)
+
 val find : t -> Path.t -> string option
 (** Leaf payload, if [path] names a leaf. *)
 
 val mem : t -> Path.t -> bool
 val is_leaf : t -> Path.t -> bool
 
-val version : t -> Path.t -> int option
-(** Monotone per-leaf update counter (0 on insert). *)
+val leaf : t -> Path.t -> (string * int * string list) option
+(** The payload, version and meta tags of the leaf at [path], from one
+    lookup. The version is a monotone per-leaf update counter, 0 on
+    insert. *)
 
 val set_meta : t -> path:Path.t -> string list -> unit
 (** Attach application-level tags (e.g. media type) used by receivers
     to scope repair interest. [Invalid_argument] if absent. *)
 
+(* lint: allow U001 (a) used by test "meta in digest" *)
 val meta : t -> Path.t -> string list
 
+(* lint: allow U001 (a) used by test "digest_list" *)
 val digest : t -> Path.t -> Digest.t option
 val root_digest : t -> Digest.t
 (** The root summary announced on the cold channel. An empty tree is
@@ -70,8 +84,13 @@ val diff : t -> Path.t -> Wire.child list -> Wire.child list * string list
     with the local children there. The first list holds the remote
     children that are missing locally or whose digest differs, in
     [remote]'s order; the second, the names of local children that
-    [remote] does not list, in name order. One lookup per remote
-    child; no map is built. *)
+    [remote] does not list, in name order. An absent [path] gives
+    [(remote, [])]. One pass over [remote]: each name is first tried
+    just past where the previous lookup ended, which costs O(1) per
+    child when [remote] lists the local names in name order, as
+    {!children} produces them, and a binary search otherwise. No map
+    is built, and when nothing diverges nothing is allocated beyond
+    the result pair. *)
 
 val leaf_count : t -> int
 (* lint: allow U001 (a) used by test "put/find" *)
@@ -84,9 +103,11 @@ val iter_leaves : t -> (Path.t -> string -> unit) -> unit
 val matching_leaves : t -> t -> int * int
 (** [matching_leaves a b] is [(leaves, matching)]: the leaves of [a],
     and those of them at whose path [b] has a node (of either kind)
-    with an equal digest. One walk down both trees that counts a
-    whole subtree at the first equal digest and descends only into
-    mismatches. *)
+    with an equal digest. One merge walk down both trees. It compares
+    digests at leaves, and at interior nodes whose digests are fresh
+    on both sides, where an equal digest counts the whole subtree. It
+    descends through an interior node with a stale digest instead of
+    rehashing it, so counting never hashes an interior node. *)
 
 (* lint: allow U001 (a) used by test "remove" *)
 val payload_bits : t -> int

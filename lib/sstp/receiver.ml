@@ -138,18 +138,14 @@ let notify_update t path payload =
 let notify_remove t path =
   List.iter (fun f -> f path) (List.rev t.remove_callbacks)
 
-let store_data t ~now path payload meta =
+(* [key] is [path]'s wire form. The leaf's digest frames exactly its
+   payload and meta tags (which must follow the sender's, or the leaf
+   would never match), so the update is news iff either changed. *)
+let store_data t key path payload meta =
   (* Clear repair suppression so a future divergence re-queries. *)
-  Hashtbl.remove t.outstanding ("n:" ^ Path.to_string path);
-  ignore now;
-  let before = Namespace.digest t.namespace path in
-  ignore (Namespace.put t.namespace ~path ~payload);
-  (* meta participates in the digest; without it the leaf would never
-     match the sender's *)
-  if meta <> [] || Namespace.meta t.namespace path <> [] then
-    Namespace.set_meta t.namespace ~path meta;
-  let after = Namespace.digest t.namespace path in
-  if before <> after then notify_update t path payload
+  Hashtbl.remove t.outstanding ("n:" ^ key);
+  if Namespace.store t.namespace ~path ~payload ~meta then
+    notify_update t path payload
 
 let on_signatures t ~now ~parent path (children : Wire.child list) =
   let diverged, withdrawn = Namespace.diff t.namespace path children in
@@ -186,7 +182,7 @@ let handle t ~now (env : Wire.envelope) =
   Reports.Receiver_side.on_packet t.reports ~seq:env.Wire.seq;
   match env.Wire.msg with
   | Wire.Data { path; payload; version = _; meta } ->
-      store_data t ~now (Path.of_string path) payload meta
+      store_data t path (Path.of_string path) payload meta
   | Wire.Summary { root_digest; leaf_count = _ } ->
       t.last_summary_digest <- Some root_digest;
       if

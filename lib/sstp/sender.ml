@@ -26,6 +26,7 @@ let default_config ~mu_total_bps =
     mu_total_bps }
 
 type klass = {
+  name : string;
   node : Hierarchy.node;
   queue : work Queue.t;
   mutable sent : int;
@@ -35,8 +36,9 @@ type t = {
   engine : Engine.t;
   config : config;
   namespace : Namespace.t;
-  classes : (string, klass) Hashtbl.t;
-  class_of_path : (string, string) Hashtbl.t;
+  mutable classes : klass array;
+      (* in registration order; [classes.(0)] is the default class *)
+  class_of_path : (string, klass) Hashtbl.t;
   pending : (string, unit) Hashtbl.t;
       (* dedup of queued work, keyed by describe-style tags *)
   sched : Hierarchy.t;
@@ -71,10 +73,11 @@ let create ?obs ~engine ~config () =
   let cold_node =
     Hierarchy.add_child sched ~parent:root ~weight:config.mu_cold_bps
   in
-  let classes = Hashtbl.create 8 in
-  Hashtbl.replace classes default_class
-    { node = Hierarchy.add_child sched ~parent:data_node ~weight:1.0;
-      queue = Queue.create (); sent = 0 };
+  let classes =
+    [| { name = default_class;
+         node = Hierarchy.add_child sched ~parent:data_node ~weight:1.0;
+         queue = Queue.create (); sent = 0 } |]
+  in
   let t =
     { engine; config; namespace = Namespace.create (); classes;
       class_of_path = Hashtbl.create 64; pending = Hashtbl.create 64; sched;
@@ -98,9 +101,8 @@ let create ?obs ~engine ~config () =
           float_of_int t.sent_signatures);
       Metrics.probe m "sender.hot_backlog" (fun ~now:_ ->
           float_of_int
-            (* lint: allow D003 commutative: integer sum over classes *)
-            (Hashtbl.fold (fun _ k acc -> acc + Queue.length k.queue)
-               t.classes 0));
+            (Array.fold_left (fun acc k -> acc + Queue.length k.queue) 0
+               t.classes));
       Metrics.probe m "sender.loss_estimate" (fun ~now:_ ->
           Reports.Sender_side.loss_estimate t.reports)
   | None -> ());
@@ -111,15 +113,17 @@ let namespace t = t.namespace
 let add_class t ~name ~weight =
   if name = default_class then
     invalid_arg "Sender.add_class: 'default' is reserved";
-  if Hashtbl.mem t.classes name then
+  if Array.exists (fun k -> String.equal k.name name) t.classes then
     invalid_arg "Sender.add_class: class exists";
   if weight <= 0.0 then invalid_arg "Sender.add_class: weight must be positive";
-  Hashtbl.replace t.classes name
-    { node = Hierarchy.add_child t.sched ~parent:t.data_node ~weight;
-      queue = Queue.create (); sent = 0 }
+  t.classes <-
+    Array.append t.classes
+      [| { name; node = Hierarchy.add_child t.sched ~parent:t.data_node ~weight;
+           queue = Queue.create (); sent = 0 } |]
 
+(* A session has a handful of classes: a linear scan beats hashing. *)
 let find_class t name =
-  match Hashtbl.find_opt t.classes name with
+  match Array.find_opt (fun k -> String.equal k.name name) t.classes with
   | Some k -> k
   | None -> raise Not_found
 
@@ -127,12 +131,11 @@ let set_class_weight t ~name weight =
   Hierarchy.set_weight t.sched (find_class t name).node weight
 
 let class_for_path t path =
-  match Hashtbl.find_opt t.class_of_path (Path.to_string path) with
-  | Some name -> (
-      match Hashtbl.find_opt t.classes name with
-      | Some k -> k
-      | None -> Hashtbl.find t.classes default_class)
-  | None -> Hashtbl.find t.classes default_class
+  if Hashtbl.length t.class_of_path = 0 then t.classes.(0)
+  else
+    match Hashtbl.find_opt t.class_of_path (Path.to_string path) with
+    | Some k -> k
+    | None -> t.classes.(0)
 
 let work_tag = function
   | Send_data p -> "d:" ^ Path.to_string p
@@ -164,8 +167,7 @@ let note_published t bits =
 let publish t ~path ~payload ?meta ?klass () =
   (match klass with
   | Some name ->
-      ignore (find_class t name);
-      Hashtbl.replace t.class_of_path (Path.to_string path) name
+      Hashtbl.replace t.class_of_path (Path.to_string path) (find_class t name)
   | None -> ());
   ignore (Namespace.put t.namespace ~path ~payload);
   (match meta with
@@ -209,17 +211,13 @@ let rec materialise t klass ~now =
       Hashtbl.remove t.pending (work_tag work);
       match work with
       | Send_data path -> (
-          match Namespace.find t.namespace path with
-          | Some payload ->
-              let version =
-                Option.value ~default:0 (Namespace.version t.namespace path)
-              in
+          match Namespace.leaf t.namespace path with
+          | Some (payload, version, meta) ->
               t.sent_data <- t.sent_data + 1;
               Some
                 (next_envelope t ~now
                    (Wire.Data
-                      { path = Path.to_string path; version; payload;
-                        meta = Namespace.meta t.namespace path }))
+                      { path = Path.to_string path; version; payload; meta }))
           | None ->
               t.sent_data <- t.sent_data + 1;
               Some
@@ -256,18 +254,11 @@ let make_summary t ~now =
        { root_digest = Namespace.root_digest t.namespace;
          leaf_count = Namespace.leaf_count t.namespace })
 
-let node_to_class t node =
-  let found = ref None in
-  (* lint: allow D003 class nodes are unique, so the single match is order-independent *)
-  Hashtbl.iter
-    (fun _ k -> if k.node = node then found := Some k)
-    t.classes;
-  !found
+let node_to_class t node = Array.find_opt (fun k -> k.node = node) t.classes
 
 let refresh_backlog t ~now =
-  (* lint: allow D003 independent per-class flag writes to distinct scheduler leaves *)
-  Hashtbl.iter
-    (fun _ k ->
+  Array.iter
+    (fun k ->
       Hierarchy.set_backlogged t.sched k.node (not (Queue.is_empty k.queue)))
     t.classes;
   Hierarchy.set_backlogged t.sched t.cold_node (summary_due t ~now)

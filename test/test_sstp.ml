@@ -102,8 +102,9 @@ let test_namespace_put_find () =
     (Namespace.put ns ~path:(Path.of_string "a/b") ~payload:"v2" = `Updated);
   Alcotest.(check (option string)) "updated value" (Some "v2")
     (Namespace.find ns (Path.of_string "a/b"));
-  Alcotest.(check (option int)) "version bumped" (Some 1)
-    (Namespace.version ns (Path.of_string "a/b"));
+  Alcotest.(check (option (triple string int (list string))))
+    "version bumped" (Some ("v2", 1, []))
+    (Namespace.leaf ns (Path.of_string "a/b"));
   Alcotest.(check int) "one leaf" 1 (Namespace.leaf_count ns);
   Alcotest.(check int) "two nodes" 2 (Namespace.node_count ns)
 
@@ -259,6 +260,62 @@ let update_words ~fanout =
 let test_namespace_update_allocation () =
   Alcotest.(check (float 0.0)) "words at fanout 200 = at fanout 2000"
     (update_words ~fanout:200) (update_words ~fanout:2000)
+
+(* Minor words per call of [f], over [calls] calls after a warm-up. *)
+let words_per_call ~calls f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* A "db" node with [groups] interior children of [items] leaves each,
+   every digest read once so the whole tree is fresh. *)
+let clean_tree ~groups ~items =
+  let ns = Namespace.create () in
+  for g = 0 to groups - 1 do
+    for i = 0 to items - 1 do
+      ignore
+        (Namespace.put ns
+           ~path:[ "db"; Printf.sprintf "g%03d" g; Printf.sprintf "k%d" i ]
+           ~payload:(Printf.sprintf "v%d.%d" g i))
+    done
+  done;
+  ignore (Namespace.root_digest ns);
+  ns
+
+(* A diff against the node's own up-to-date signatures finds nothing:
+   it allocates the result pair (3 words) and nothing per child. *)
+let test_diff_allocation () =
+  let ns = clean_tree ~groups:200 ~items:10 in
+  let remote = Namespace.children ns [ "db" ] in
+  Alcotest.(check (pair int int)) "nothing diverges" (0, 0)
+    (let d, w = Namespace.diff ns [ "db" ] remote in
+     (List.length d, List.length w));
+  let per_call =
+    words_per_call ~calls:1_000 (fun () ->
+        ignore (Namespace.diff ns [ "db" ] remote))
+  in
+  if per_call > 3.0 then
+    Alcotest.failf "%.2f minor words per 200-child diff (expected <= 3)"
+      per_call
+
+(* Two equal fresh trees match at the root: the count allocates a fixed
+   15 words (its two counters, its walk closure and the result pair),
+   not one per node. *)
+let test_matching_leaves_allocation () =
+  let a = clean_tree ~groups:200 ~items:10
+  and b = clean_tree ~groups:200 ~items:10 in
+  Alcotest.(check (pair int int)) "every leaf matches" (2000, 2000)
+    (Namespace.matching_leaves a b);
+  let per_call =
+    words_per_call ~calls:1_000 (fun () ->
+        ignore (Namespace.matching_leaves a b))
+  in
+  if per_call > 15.0 then
+    Alcotest.failf "%.2f minor words per matching_leaves (expected <= 15)"
+      per_call
 
 let qcheck_namespace_digest_agreement =
   (* Property: two namespaces built from the same random key-value map
@@ -858,6 +915,38 @@ let test_receiver_purge_by_segment () =
     (List.rev !log);
   Alcotest.(check int) "nacks" 3 (Sstp.Receiver.nacks_sent receiver)
 
+(* [on_update] fires exactly when a Data message changes the stored
+   leaf: on a first store, a new payload, or new meta tags alone. A
+   re-delivery of the same payload and tags is silent, whatever its
+   version. *)
+let test_receiver_update_notification () =
+  let engine = Engine.create () in
+  let receiver =
+    Sstp.Receiver.create ~engine ~config:Sstp.Receiver.default_config
+      ~send_feedback:ignore ()
+  in
+  let fired = ref [] in
+  Sstp.Receiver.on_update receiver (fun path payload ->
+      fired := (Path.to_string path ^ "=" ^ payload) :: !fired);
+  let seq = ref 0 in
+  let deliver label path payload meta expected =
+    Sstp.Receiver.handle receiver ~now:0.0
+      { Wire.seq = !seq; sent_at = 0.0;
+        msg = Wire.Data { path; payload; version = !seq; meta } };
+    incr seq;
+    Alcotest.(check (list string)) label expected (List.rev !fired);
+    fired := []
+  in
+  deliver "first store" "a/b" "v1" [] [ "a/b=v1" ];
+  deliver "same payload, new version" "a/b" "v1" [] [];
+  deliver "payload change" "a/b" "v2" [] [ "a/b=v2" ];
+  deliver "meta-only change" "a/b" "v2" [ "t=1" ] [ "a/b=v2" ];
+  deliver "same payload and meta" "a/b" "v2" [ "t=1" ] [];
+  deliver "meta dropped" "a/b" "v2" [] [ "a/b=v2" ];
+  deliver "sibling first store" "a/c" "v2" [] [ "a/c=v2" ];
+  Alcotest.(check (option string)) "stored payload" (Some "v2")
+    (Namespace.find (Sstp.Receiver.namespace receiver) (Path.of_string "a/b"))
+
 (* ------------------------------------------------------------------ *)
 (* Sender data classes (§6.1 application-controlled allocation) *)
 
@@ -1227,45 +1316,114 @@ let reference_matching a b =
   (!total, !matching)
 
 (* Random namespace pairs built from shared and one-sided op lists over
-   paths where one side's leaf can be the other's interior node: the
-   one-pass count must equal the per-leaf reference. *)
-let qcheck_matching_leaves =
-  let paths = [| "a"; "a/x"; "a/y"; "b/x/1"; "b/x"; "b/z"; "c"; "c/d/e" |] in
-  let op_gen =
-    QCheck.Gen.(
-      triple (int_bound (Array.length paths - 1)) (int_bound 5)
-        (oneofl [ ""; "x"; "y" ]))
-  in
+   paths where one side's leaf can be the other's interior node. *)
+let pair_paths = [| "a"; "a/x"; "a/y"; "b/x/1"; "b/x"; "b/z"; "c"; "c/d/e" |]
+
+let pair_op_gen =
+  QCheck.Gen.(
+    triple (int_bound (Array.length pair_paths - 1)) (int_bound 5)
+      (oneofl [ ""; "x"; "y" ]))
+
+let pair_ops_gen = QCheck.Gen.(list_size (int_bound 12) pair_op_gen)
+
+let show_pair_ops ops =
+  String.concat ";"
+    (List.map (fun (pi, k, v) -> Printf.sprintf "(%d,%d,%S)" pi k v) ops)
+
+let build_pair (common, xs, ys) =
   let apply ns (pi, kind, v) =
-    let path = Path.of_string paths.(pi) in
+    let path = Path.of_string pair_paths.(pi) in
     try
       if kind < 3 then ignore (Namespace.put ns ~path ~payload:v)
       else if kind < 5 then Namespace.set_meta ns ~path [ v ]
       else ignore (Namespace.remove ns ~path)
     with Invalid_argument _ -> ()
   in
-  let ops = QCheck.Gen.(list_size (int_bound 12) op_gen) in
+  let build extra =
+    let ns = Namespace.create () in
+    List.iter (apply ns) (common @ extra);
+    ns
+  in
+  (build xs, build ys)
+
+(* The one-pass count must equal the per-leaf reference. *)
+let qcheck_matching_leaves =
   let arb =
     QCheck.make
       ~print:(fun (common, xs, ys) ->
-        let show ops =
-          String.concat ";"
-            (List.map (fun (pi, k, v) -> Printf.sprintf "(%d,%d,%S)" pi k v) ops)
-        in
-        Printf.sprintf "common=[%s] a=[%s] b=[%s]" (show common) (show xs)
-          (show ys))
-      QCheck.Gen.(triple ops ops ops)
+        Printf.sprintf "common=[%s] a=[%s] b=[%s]" (show_pair_ops common)
+          (show_pair_ops xs) (show_pair_ops ys))
+      QCheck.Gen.(triple pair_ops_gen pair_ops_gen pair_ops_gen)
   in
   QCheck.Test.make ~name:"matching_leaves = per-leaf reference" ~count:500 arb
-    (fun (common, xs, ys) ->
-      let build extra =
-        let ns = Namespace.create () in
-        List.iter (apply ns) (common @ extra);
-        ns
-      in
-      let a = build xs and b = build ys in
+    (fun ops ->
+      let a, b = build_pair ops in
       Namespace.matching_leaves a b = reference_matching a b
       && Namespace.matching_leaves b a = reference_matching b a)
+
+(* [Namespace.diff] one remote child at a time: look each one up from
+   the root, then list the local children that no remote entry names. *)
+let reference_diff ns path (remote : Wire.child list) =
+  if not (Namespace.mem ns path) then (remote, [])
+  else
+    ( List.filter
+        (fun (c : Wire.child) ->
+          Namespace.digest ns (Path.child path c.Wire.name) <> Some c.Wire.digest)
+        remote,
+      List.filter_map
+        (fun (c : Wire.child) ->
+          if List.exists (fun (r : Wire.child) -> r.Wire.name = c.Wire.name) remote
+          then None
+          else Some c.Wire.name)
+        (Namespace.children ns path) )
+
+(* [diff a path (children b path)] equals the per-child reference with
+   the remote list as [children] gives it (name order), shuffled, and
+   shuffled with some entries repeated. Two calls in a row must agree,
+   so a match stamp left over from the first call would show. *)
+let qcheck_diff =
+  let diff_paths = [| ""; "a"; "a/x"; "b"; "b/x"; "c"; "c/d"; "q" |] in
+  let arrangements = [| "as given"; "shuffled"; "shuffled, repeats" |] in
+  let arrange seed how (remote : Wire.child list) =
+    let key (c : Wire.child) = Hashtbl.hash (seed, c.Wire.name) in
+    let shuffle l =
+      List.map snd
+        (List.stable_sort
+           (fun (x, _) (y, _) -> Int.compare x y)
+           (List.map (fun c -> (key c, c)) l))
+    in
+    match how with
+    | 0 -> remote
+    | 1 -> shuffle remote
+    | _ ->
+        shuffle
+          (List.concat_map
+             (fun c -> if key c land 1 = 0 then [ c; c ] else [ c ])
+             remote)
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ((common, xs, ys), (pi, how, seed)) ->
+        Printf.sprintf "common=[%s] a=[%s] b=[%s] path=%S remote %s (seed %d)"
+          (show_pair_ops common) (show_pair_ops xs) (show_pair_ops ys)
+          diff_paths.(pi) arrangements.(how) seed)
+      QCheck.Gen.(
+        pair
+          (triple pair_ops_gen pair_ops_gen pair_ops_gen)
+          (triple
+             (int_bound (Array.length diff_paths - 1))
+             (int_bound (Array.length arrangements - 1))
+             nat))
+  in
+  QCheck.Test.make ~name:"diff = per-child reference" ~count:500 arb
+    (fun (ops, (pi, how, seed)) ->
+      let a, b = build_pair ops in
+      let path = Path.of_string diff_paths.(pi) in
+      let remote = arrange seed how (Namespace.children b path) in
+      let first = Namespace.diff a path remote in
+      let second = Namespace.diff a path remote in
+      let expected = reference_diff a path remote in
+      first = expected && second = expected)
 
 (* Session.consistency, sampled through a lossy run with removals, is
    the reference ratio over the same two namespaces. *)
@@ -1338,7 +1496,8 @@ let () =
     List.map QCheck_alcotest.to_alcotest
       [ qcheck_md5_distinct; qcheck_namespace_digest_agreement;
         qcheck_wire_data_roundtrip; qcheck_namespace_model;
-        qcheck_namespace_interleaved_reads; qcheck_matching_leaves ]
+        qcheck_namespace_interleaved_reads; qcheck_matching_leaves;
+        qcheck_diff ]
   in
   Alcotest.run "sstp"
     [
@@ -1368,6 +1527,12 @@ let () =
           Alcotest.test_case "golden digests" `Quick test_namespace_golden;
           Alcotest.test_case "update allocation flat in fan-out" `Quick
             test_namespace_update_allocation;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "diff of a clean node" `Quick test_diff_allocation;
+          Alcotest.test_case "matching_leaves of equal trees" `Quick
+            test_matching_leaves_allocation;
         ] );
       ( "wire",
         [
@@ -1429,6 +1594,8 @@ let () =
             test_receiver_reconcile_order;
           Alcotest.test_case "withdrawal purges by segment" `Quick
             test_receiver_purge_by_segment;
+          Alcotest.test_case "update notification" `Quick
+            test_receiver_update_notification;
           Alcotest.test_case "consistency = reference" `Quick
             test_session_consistency_reference;
           Alcotest.test_case "meta converges" `Quick test_session_meta_converges;
