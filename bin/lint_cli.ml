@@ -20,8 +20,8 @@ let paths_arg =
     & info [] ~docv:"PATH"
         ~doc:
           "Files or directories to lint (default: lib bin bench examples \
-           test, relative to the repository root). U001 needs every \
-           caller of lib/ in the scanned set.")
+           test, relative to the repository root). U001 and U002 need \
+           every caller of lib/ in the scanned set.")
 
 let format_arg =
   Arg.(
@@ -55,7 +55,9 @@ let summary_out_arg =
     & info [ "summary-out" ] ~docv:"FILE"
         ~doc:
           "Write the phase-1 whole-program summary (per-unit mutable \
-           state, call graph edges, spawn sites, hot marks) to $(docv).")
+           state, call graph edges with the labels they pass, constructors \
+           built, spawn sites, hot marks, interface values and variant \
+           constructors) to $(docv).")
 
 let baseline_arg =
   Arg.(

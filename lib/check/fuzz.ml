@@ -36,7 +36,9 @@ let oracle_battery ?(corrupt = id) ?note names =
    sequentially from the scenario's own rng and keep the one touching
    the most feature buckets the run has not seen yet. Candidate 1 is
    exactly the uniform generator's scenario, so guidance can only add
-   draws, never perturb the unguided stream. *)
+   draws, never perturb the unguided stream (one candidate). *)
+let guided_candidates = 4
+
 let generate_candidate ~coverage ~candidates scenario_seed =
   let rng = Rng.create scenario_seed in
   let first = Scenario.generate rng in
@@ -90,7 +92,7 @@ let failure_to_json f =
       ("flight", Json.list (List.map Trace.to_json f.flight)) ]
 
 let run ?corrupt ?(oracles = []) ?(max_shrink = 200) ?log ?on_progress
-    ?(guided = false) ?(candidates = 4) ~seed ~count () =
+    ?(guided = false) ~seed ~count () =
   let coverage = Coverage.create () in
   let rerun, battery =
     oracle_battery ?corrupt ~note:(Coverage.note_branch coverage) oracles
@@ -101,8 +103,9 @@ let run ?corrupt ?(oracles = []) ?(max_shrink = 200) ?log ?on_progress
   Array.iteri
     (fun index scenario_seed ->
       let scenario =
-        if guided then generate_candidate ~coverage ~candidates scenario_seed
-        else Scenario.generate (Rng.create scenario_seed)
+        generate_candidate ~coverage
+          ~candidates:(if guided then guided_candidates else 1)
+          scenario_seed
       in
       Coverage.note_scenario coverage scenario;
       incr runs;
@@ -138,14 +141,14 @@ let run ?corrupt ?(oracles = []) ?(max_shrink = 200) ?log ?on_progress
 (* Generation-only coverage comparison: what fraction of the feature
    catalogue does a [count]-scenario chain touch, without running
    anything? Cheap enough for a bench row. *)
-let feature_coverage ?(guided = false) ?(candidates = 4) ~seed ~count () =
+let feature_coverage ?(guided = false) ?(candidates = guided_candidates) ~seed
+    ~count () =
   let coverage = Coverage.create () in
   Array.iter
     (fun scenario_seed ->
-      let scenario =
-        if guided then generate_candidate ~coverage ~candidates scenario_seed
-        else Scenario.generate (Rng.create scenario_seed)
-      in
-      Coverage.note_scenario coverage scenario)
+      Coverage.note_scenario coverage
+        (generate_candidate ~coverage
+           ~candidates:(if guided then candidates else 1)
+           scenario_seed))
     (scenario_seeds ~seed ~count);
   coverage

@@ -39,7 +39,6 @@ val run :
   ?log:(string -> unit) ->
   ?on_progress:(int -> unit) ->
   ?guided:bool ->
-  ?candidates:int ->
   seed:int ->
   count:int ->
   unit ->
@@ -55,7 +54,7 @@ val run :
     [on_progress] is called with each completed scenario index.
 
     [guided] turns on coverage guidance: scenario [i] is chosen among
-    [candidates] (default 4) sequential draws from its seed-chain rng,
+    4 sequential draws from its seed-chain rng,
     keeping the draw that touches the most feature buckets not yet in
     the run's coverage map. The first draw is exactly the unguided
     scenario, so [guided:false] (default) remains byte-identical to
@@ -71,7 +70,8 @@ val feature_coverage :
   Coverage.t
 (** Generation-only: the coverage map of a [count]-scenario chain's
     features, without executing any scenario — the cheap way to
-    compare guided against uniform generation at equal count. *)
+    compare guided against uniform generation at equal count.
+    [candidates] defaults to {!run}'s 4. *)
 
 val check_scenario :
   ?corrupt:(Scenario.outcome -> Scenario.outcome) ->

@@ -19,15 +19,15 @@ type t = {
   mutable redundant : int;
 }
 
-let create ?(empty_policy = Empty_is_consistent) ?(series_capacity = 4096)
-    ?(record_series = false) ?(receivers = 1) ~now () =
+let create ?(empty_policy = Empty_is_consistent) ?(record_series = false)
+    ?(receivers = 1) ~now () =
   if receivers < 1 then invalid_arg "Consistency.create: receivers >= 1";
   let t =
     { empty_policy; receivers;
       tw = Stats.Timeweighted.create ();
       latency = Stats.Welford.create ();
       series =
-        (if record_series then Some (Stats.Series.create ~capacity:series_capacity ())
+        (if record_series then Some (Stats.Series.create ())
          else None);
       live = 0; matching = 0; held = { last_defined = 1.0 }; transmissions = 0;
       redundant = 0 }

@@ -23,7 +23,6 @@ type t
 
 val create :
   ?empty_policy:empty_policy ->
-  ?series_capacity:int ->
   ?record_series:bool ->
   ?receivers:int ->
   now:float ->

@@ -495,7 +495,7 @@ let run_many ?(jobs = 1) ?domain_report ~replications config =
   in
   (summarise results, results)
 
-let run_grid ?(jobs = 1) ?domain_report configs =
+let run_grid ?(jobs = 1) configs =
   let effective =
     if jobs <= 0 then Parallel.recommended_jobs () else jobs
   in
@@ -504,8 +504,7 @@ let run_grid ?(jobs = 1) ?domain_report configs =
        configs that will run on helper domains *)
     if effective > 1 then { c with obs = None } else c
   in
-  Parallel.map_list ~jobs ?report:domain_report configs (fun c ->
-      run (prepare c))
+  Parallel.map_list ~jobs configs (fun c -> run (prepare c))
 
 let summary_report ~config s =
   let module R = Softstate_obs.Report in

@@ -190,16 +190,11 @@ val run_many :
     wall-time/task-count stats, which are host-clock readings kept out
     of the summary. *)
 
-val run_grid :
-  ?jobs:int ->
-  ?domain_report:(Softstate_sim.Parallel.Stats.t -> unit) ->
-  config list ->
-  result list
+val run_grid : ?jobs:int -> config list -> result list
 (** Run a list of distinct configurations (a parameter sweep),
     optionally across domains, preserving order. Each config's [obs]
     context is detached when running with more than one job (an obs
-    context is single-domain mutable state). [domain_report] is as in
-    {!run_many}. *)
+    context is single-domain mutable state). *)
 
 (* lint: allow U001 (a) used by test "replications reproducible standalone" *)
 val replication_seeds : config -> int -> int array

@@ -58,9 +58,7 @@ let receiver_deliver t ~now (ann : Base.announcement) =
   Base.deliver t.base ~now ~receiver:0 ann
 
 let create ~base ~mu_hot_bps ~mu_cold_bps ~mu_fb_bps ?sched ?obs ?transport
-    ?(nack_bits = 256)
-    ?(fb_queue_capacity = 1024) ?(fb_loss = Net.Loss.never) ~loss ~link_rng ()
-    =
+    ?(nack_bits = 256) ?(fb_loss = Net.Loss.never) ~loss ~link_rng () =
   if mu_fb_bps <= 0.0 then
     invalid_arg "Feedback.create: feedback rate must be positive";
   let transport =
@@ -105,7 +103,7 @@ let create ~base ~mu_hot_bps ~mu_cold_bps ~mu_fb_bps ?sched ?obs ?transport
   Two_queue.attach_unicast sender unicast;
   let outbox =
     transport.Net.Transport.outbox ~rate_bps:mu_fb_bps ~loss:fb_loss
-      ~queue_capacity:fb_queue_capacity ~label:"feedback.fb" ~rng:fb_rng
+      ~label:"feedback.fb" ~rng:fb_rng
       ~deliver:(fun ~now nack -> on_nack t ~now nack)
       ()
   in

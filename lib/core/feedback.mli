@@ -24,16 +24,15 @@ val create :
   ?obs:Softstate_obs.Obs.t ->
   ?transport:Softstate_net.Transport.t ->
   ?nack_bits:int ->
-  ?fb_queue_capacity:int ->
   ?fb_loss:Softstate_net.Loss.t ->
   loss:Softstate_net.Loss.t ->
   link_rng:Softstate_util.Rng.t ->
   unit ->
   t
-(** [nack_bits] defaults to 256; [fb_loss] defaults to the same mean
-    as [loss] would suggest — pass it explicitly for asymmetric
-    channels; default is lossless feedback as in the paper's
-    single-receiver simulations. *)
+(** [nack_bits] defaults to 256. [fb_loss] defaults to lossless
+    feedback, as in the paper's single-receiver simulations; pass it
+    for asymmetric channels. The feedback queue holds the outbox's
+    default of 1024 NACKs. *)
 
 val sender : t -> Two_queue.t
 val nacks_sent : t -> int

@@ -125,7 +125,7 @@ let on_nack t ~now nack =
         t.reheats <- t.reheats + 1
 
 let create ~base ~mu_hot_bps ~mu_cold_bps ~mu_fb_bps ?sched ?obs ?transport
-    ?(nack_bits = 500) ?(fb_queue_capacity = 4096) ?(suppression = true)
+    ?(nack_bits = 500) ?(suppression = true)
     ?(nack_slot = 0.5) ~receiver_loss ~link_rng () =
   if mu_fb_bps <= 0.0 then
     invalid_arg "Multicast.create: feedback rate must be positive";
@@ -179,7 +179,7 @@ let create ~base ~mu_hot_bps ~mu_cold_bps ~mu_fb_bps ?sched ?obs ?transport
   Two_queue.attach_kick sender (fun () -> fanout.Net.Transport.f_kick ());
   let outbox =
     transport.Net.Transport.outbox ~rate_bps:mu_fb_bps
-      ~queue_capacity:fb_queue_capacity ~label:"multicast.fb" ~rng:fb_rng
+      ~queue_capacity:4096 ~label:"multicast.fb" ~rng:fb_rng
       ~deliver:(fun ~now nack -> on_nack t ~now nack)
       ()
   in

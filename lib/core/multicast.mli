@@ -26,7 +26,6 @@ val create :
   ?obs:Softstate_obs.Obs.t ->
   ?transport:Softstate_net.Transport.t ->
   ?nack_bits:int ->
-  ?fb_queue_capacity:int ->
   ?suppression:bool ->
   ?nack_slot:float ->
   receiver_loss:(int -> Softstate_net.Loss.t) ->
@@ -38,7 +37,8 @@ val create :
     its own: loss processes are stateful). [suppression] (default
     true) enables slotting and damping with maximum delay [nack_slot]
     (default 0.5 s); with it off every receiver NACKs immediately —
-    the implosion baseline. [nack_bits] defaults to 500. *)
+    the implosion baseline. [nack_bits] defaults to 500; the shared
+    feedback queue holds 4096 NACKs. *)
 
 val sender : t -> Two_queue.t
 val fanout : t -> Base.announcement Softstate_net.Transport.fanout

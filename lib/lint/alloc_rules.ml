@@ -61,8 +61,7 @@ let check_def g (u : Summary.unit_summary) (d : Summary.def) =
     d.Summary.d_calls;
   List.rev !findings
 
-let check (program : Summary.program) =
-  let g = Callgraph.build program in
+let check g (program : Summary.program) =
   List.concat_map
     (fun (u : Summary.unit_summary) ->
       List.concat_map (check_def g u) u.Summary.u_defs)

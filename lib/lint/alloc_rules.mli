@@ -11,4 +11,4 @@
     The rules are per-definition, not transitive: amortized slow
     paths belong in separate, unannotated helpers. *)
 
-val check : Summary.program -> Finding.t list
+val check : Callgraph.t -> Summary.program -> Finding.t list

@@ -48,6 +48,20 @@ let resolve t ~current path =
   in
   List.filter exists candidates
 
+(* Does [d], defined in [u], fully apply some callee node [p] holds
+   for? *)
+let fully_applies t (u : Summary.unit_summary) (d : Summary.def) p =
+  List.exists
+    (fun (c : Summary.call) ->
+      List.exists
+        (fun callee ->
+          List.exists
+            (fun (_, (cd : Summary.def)) ->
+              c.Summary.c_nargs >= cd.Summary.d_arity && p callee)
+            (find_def t callee))
+        (resolve t ~current:u.Summary.u_name c.Summary.c_path))
+    d.Summary.d_calls
+
 (* Does evaluating a full application of [node] construct fresh
    mutable state? Memoized DFS over full-application call edges; a
    cycle is resolved to [false] (constructors are not recursive). *)
@@ -61,20 +75,9 @@ let app_builds t =
         else
           let result =
             List.exists
-              (fun ((u : Summary.unit_summary), (d : Summary.def)) ->
+              (fun (u, (d : Summary.def)) ->
                 d.Summary.d_builds_mutable
-                || List.exists
-                     (fun (c : Summary.call) ->
-                       List.exists
-                         (fun callee ->
-                           List.exists
-                             (fun (_, (cd : Summary.def)) ->
-                               c.Summary.c_nargs >= cd.Summary.d_arity
-                               && go (node :: visiting) callee)
-                             (find_def t callee))
-                         (resolve t ~current:u.Summary.u_name
-                            c.Summary.c_path))
-                     d.Summary.d_calls)
+                || fully_applies t u d (go (node :: visiting)))
               (find_def t node)
           in
           Hashtbl.replace memo node result;
@@ -116,17 +119,7 @@ let build (program : Summary.program) =
             d.Summary.d_arity = 0
             && (not d.Summary.d_builds_mutable)
             && (not (Hashtbl.mem t.mutables node))
-            && List.exists
-                 (fun (c : Summary.call) ->
-                   List.exists
-                     (fun callee ->
-                       List.exists
-                         (fun (_, (cd : Summary.def)) ->
-                           c.Summary.c_nargs >= cd.Summary.d_arity
-                           && builds callee)
-                         (find_def t callee))
-                     (resolve t ~current:u.Summary.u_name c.Summary.c_path))
-                 d.Summary.d_calls
+            && fully_applies t u d builds
           then
             Hashtbl.add t.mutables node
               ( u,

@@ -16,9 +16,10 @@
     - R001–R003 (domain safety) apply under [lib/] and [bin/] — every
       tree that can reach a [Domain.spawn].
     - A001–A004 (hot-path allocation) apply under [lib/] only.
-    - U001 (unused export) applies under [lib/] except
-      [lib/queueing]: those are the analytic models' APIs, reserved
-      for the model-agreement gates that will call them.
+    - U001 (unused export) and U002 (unpassed optional label, unbuilt
+      constructor) apply under [lib/] except [lib/queueing]: those
+      are the analytic models' APIs, reserved for the model-agreement
+      gates that will call them.
     - S001 and E001 apply everywhere.
 
     Paths are matched on [/]-separated segments, so both repo-relative
@@ -28,8 +29,8 @@
 val enabled : path:string -> rule:string -> bool
 
 val counts_as_caller : string -> bool
-(** Whether a reference from this file can keep an export alive for
-    U001: everywhere but [test/], since a test alone is no caller. *)
+(** Whether a use in this file keeps an export, label or constructor
+    alive for U001/U002: everywhere but [test/]. *)
 
 val mli_required : string -> bool
 (** Whether M001 demands a matching [.mli] for this [.ml] path. *)

@@ -80,53 +80,49 @@ type analysis = { findings : Finding.t list; summaries : Summary.program }
 (* The full two-phase pipeline over in-memory (file, content) pairs:
    parse each file once; run the single-file D-rules and the phase-1
    summary scan on the same AST; merge summaries and run the
-   whole-program R/A phase; then filter everything through Config
+   whole-program R/A/U phase; then filter everything through Config
    scoping, rule selection and per-file suppressions. Suppression
    findings (S001) pass through unfiltered — they are audit records
    about the directives themselves. *)
 let analyze_sources ?rules ?(with_m001 = true) sources =
   let files = List.map fst sources in
   let tests = Hashtbl.create 512 in
+  let impls = ref [] and intfs = ref [] in
   let per_file =
     List.map
       (fun (file, source) ->
         let supp, supp_findings = Suppress.scan ~file source in
-        match parse ~file source with
-        | Error f -> (file, supp, supp_findings, [ f ], None)
-        | Ok (Impl str) ->
-            if not (Config.counts_as_caller file) then
-              List.iter
-                (fun name -> Hashtbl.replace tests name ())
-                (Suppress.test_names str);
-            ( file,
-              supp,
-              supp_findings,
-              Scan.structure ~file str,
-              Some (Either.Left (Summary.scan_structure ~file str)) )
-        | Ok (Intf sg) ->
-            ( file,
-              supp,
-              supp_findings,
-              Scan.signature ~file sg,
-              Some (Either.Right (Summary.exports_of_signature sg)) ))
+        let findings =
+          match parse ~file source with
+          | Error f -> [ f ]
+          | Ok (Impl str) ->
+              if not (Config.counts_as_caller file) then
+                List.iter
+                  (fun name -> Hashtbl.replace tests name ())
+                  (Suppress.test_names str);
+              impls := Summary.scan_structure ~file str :: !impls;
+              Scan.structure ~file str
+          | Ok (Intf sg) ->
+              intfs := (file, sg) :: !intfs;
+              Scan.signature ~file sg
+        in
+        (file, supp, supp_findings, findings))
       sources
   in
+  (* each unit's summary carries its interface, when one was scanned *)
   let summaries =
-    List.filter_map
-      (function _, _, _, _, Some (Either.Left s) -> Some s | _ -> None)
-      per_file
-  in
-  let interfaces =
-    List.filter_map
-      (function
-        | file, _, _, _, Some (Either.Right es) -> Some (file, es) | _ -> None)
-      per_file
+    List.rev_map
+      (fun (s : Summary.unit_summary) ->
+        Option.fold ~none:s ~some:(Summary.with_interface s)
+          (List.assoc_opt (s.Summary.u_file ^ "i") !intfs))
+      !impls
   in
   let phase2 =
     if summaries = [] then []
     else
-      Race_rules.check summaries @ Alloc_rules.check summaries
-      @ Export_rules.check summaries interfaces
+      let g = Callgraph.build summaries in
+      Race_rules.check g summaries @ Alloc_rules.check g summaries
+      @ Export_rules.check g summaries
   in
   (* U001 suppressions must name a test some scanned test/ file
      defines; with no test/ file scanned there is nothing to judge. *)
@@ -134,16 +130,16 @@ let analyze_sources ?rules ?(with_m001 = true) sources =
     if List.for_all Config.counts_as_caller files then per_file
     else
       List.map
-        (fun (file, supp, sf, fs, s) ->
+        (fun (file, supp, sf, fs) ->
           let supp, stale =
             Suppress.stale ~file supp ~known:(Hashtbl.mem tests)
           in
-          (file, supp, sf @ stale, fs, s))
+          (file, supp, sf @ stale, fs))
         per_file
   in
   let supp_of =
     let tbl = Hashtbl.create 64 in
-    List.iter (fun (f, supp, _, _, _) -> Hashtbl.replace tbl f supp) per_file;
+    List.iter (fun (f, supp, _, _) -> Hashtbl.replace tbl f supp) per_file;
     fun file ->
       match Hashtbl.find_opt tbl file with
       | Some supp -> supp
@@ -158,10 +154,10 @@ let analyze_sources ?rules ?(with_m001 = true) sources =
   in
   let m001 = if with_m001 then missing_mli files else [] in
   let checked =
-    List.concat_map (fun (_, _, _, fs, _) -> fs) per_file @ phase2 @ m001
+    List.concat_map (fun (_, _, _, fs) -> fs) per_file @ phase2 @ m001
   in
   let supp_findings =
-    List.concat_map (fun (_, _, sf, _, _) -> sf) per_file
+    List.concat_map (fun (_, _, sf, _) -> sf) per_file
   in
   { findings =
       supp_findings @ List.filter keep checked
@@ -188,7 +184,7 @@ let analyze_paths ?rules paths =
 let scan_sources ?rules ?with_m001 sources =
   (analyze_sources ?rules ?with_m001 sources).findings
 
-let scan_paths ?rules paths = (analyze_paths ?rules paths).findings
+let scan_paths paths = (analyze_paths paths).findings
 
 let scan_source ~file source =
   scan_sources ~with_m001:false [ (file, source) ]

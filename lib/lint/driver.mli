@@ -1,6 +1,6 @@
 (** Orchestration: walk sources, parse each file once, run the
     single-file D-rules and the phase-1 summary scan on the same AST,
-    run the whole-program R/A phase over the merged summaries, filter
+    run the whole-program R/A/U phase over the merged summaries, filter
     by {!Config} scope, rule selection and {!Suppress} directives,
     render reports. *)
 
@@ -33,7 +33,7 @@ val missing_mli : string list -> Finding.t list
 (** M001 over a file listing: every path for which
     {!Config.mli_required} holds must have its [.mli] in the list. *)
 
-val scan_paths : ?rules:string list -> string list -> Finding.t list
+val scan_paths : string list -> Finding.t list
 (** [collect], lint every file, add M001 — the full battery, sorted
     and deduplicated. *)
 

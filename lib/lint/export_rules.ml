@@ -1,51 +1,88 @@
-(* Phase 2, U001: every node some other unit's definition refers to,
-   then every export that is not among them. Bare names resolve only
-   into their own unit, so only dotted references count: a unit that
-   opened another would hide its callers, and U001 would over-report
-   (the compiler then rejects the deletion). *)
+(* Phase 2, U family: one pass over program code (outside test/)
+   collects the nodes another unit refers to, the labels each node's
+   applications pass (its own unit's too: a wrapper that forwards a
+   label gives it more than one value in use; an unapplied reference
+   passes none, as OCaml erases its optional arguments) and the
+   constructors built. Bare names resolve only into their own unit, so
+   only dotted references count as another unit's. A constructor path
+   also counts under its dotted suffixes ([Sstp.Session.Target] as
+   [Session.Target]). *)
 
-let referenced (program : Summary.program) =
-  let g = Callgraph.build program in
-  let seen = Hashtbl.create 1024 in
+let check g (program : Summary.program) =
+  let seen = Hashtbl.create 1024 (* nodes another unit refers to *)
+  and passed = Hashtbl.create 512 (* node -> labels its applications pass *)
+  and built = Hashtbl.create 512 in
+  let rec build = function
+    | _ :: rest as path ->
+        Hashtbl.replace built (String.concat "." path) ();
+        if List.length rest >= 2 then build rest
+    | [] -> ()
+  in
   List.iter
     (fun (u : Summary.unit_summary) ->
+      let resolve path f =
+        List.iter
+          (fun ((name, _) as node) -> f node (name <> u.Summary.u_name))
+          (Callgraph.resolve g ~current:u.Summary.u_name path)
+      in
       if Config.counts_as_caller u.Summary.u_file then
         List.iter
           (fun (d : Summary.def) ->
             List.iter
               (fun r ->
-                List.iter
-                  (fun ((name, _) as node) ->
-                    if name <> u.Summary.u_name then
-                      Hashtbl.replace seen node ())
-                  (Callgraph.resolve g ~current:u.Summary.u_name r))
-              d.Summary.d_refs)
+                resolve r (fun node cross ->
+                    if cross then Hashtbl.replace seen node ()))
+              d.Summary.d_refs;
+            List.iter
+              (fun (c : Summary.call) ->
+                resolve c.Summary.c_path (fun node _ ->
+                    let prev = Hashtbl.find_opt passed node in
+                    Hashtbl.replace passed node
+                      (c.Summary.c_labels @ Option.value ~default:[] prev)))
+              d.Summary.d_calls;
+            List.iter
+              (fun k -> build (String.split_on_char '.' k))
+              d.Summary.d_ctors)
           u.Summary.u_defs)
     program;
-  seen
-
-let check (program : Summary.program) interfaces =
-  let seen = referenced program in
   List.concat_map
-    (fun (file, exports) ->
-      let impl = Filename.remove_extension file ^ ".ml" in
-      if
-        not
-          (List.exists
-             (fun (u : Summary.unit_summary) -> u.Summary.u_file = impl)
-             program)
-      then []
-      else
-        let unit = Summary.unit_name_of_file file in
-        List.filter_map
+    (fun (u : Summary.unit_summary) ->
+      let unit = u.Summary.u_name in
+      let finding (e : Summary.export) rule fmt =
+        Printf.ksprintf
+          (Finding.v ~file:(u.Summary.u_file ^ "i") ~line:e.Summary.e_line
+             ~col:e.Summary.e_col ~rule)
+          ("%s.%s " ^^ fmt) unit e.Summary.e_name
+      in
+      List.concat_map
+        (fun (e : Summary.export) ->
+          let node = (unit, e.Summary.e_name) in
+          if not (Hashtbl.mem seen node) then
+            [ finding e "U001" "is exported but no other unit references it" ]
+          else
+            let labels =
+              Option.value ~default:[] (Hashtbl.find_opt passed node)
+            in
+            e.Summary.e_optional
+            |> List.filter (fun l -> not (List.mem l labels))
+            |> List.map
+                 (finding e "U002"
+                    "takes ?%s but no program application passes it"))
+        u.Summary.u_exports
+      @ List.filter_map
           (fun (e : Summary.export) ->
-            if Hashtbl.mem seen (unit, e.Summary.e_name) then None
+            let name = e.Summary.e_name in
+            let short =
+              match String.rindex_opt name '.' with
+              | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+              | None -> name
+            in
+            if
+              List.exists (Hashtbl.mem built) [ unit ^ "." ^ name; name; short ]
+            then None
             else
               Some
-                (Finding.v ~file ~line:e.Summary.e_line ~col:e.Summary.e_col
-                   ~rule:"U001"
-                   (Printf.sprintf
-                      "%s.%s is exported but no other unit references it"
-                      unit e.Summary.e_name)))
-          exports)
-    interfaces
+                (finding e "U002"
+                   "is exported but no program expression builds it"))
+          u.Summary.u_variants)
+    program

@@ -10,18 +10,11 @@ type t = {
 
 let v ~file ~line ~col ~rule message = { file; line; col; rule; message }
 
+(* Strings and ints only: the structural order is the field order. *)
 let compare a b =
-  let c = String.compare a.file b.file in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.line b.line in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.col b.col in
-      if c <> 0 then c
-      else
-        let c = String.compare a.rule b.rule in
-        if c <> 0 then c else String.compare a.message b.message
+  Stdlib.compare
+    (a.file, a.line, a.col, a.rule, a.message)
+    (b.file, b.line, b.col, b.rule, b.message)
 
 let hint t =
   match Rules.find t.rule with Some r -> r.Rules.hint | None -> ""

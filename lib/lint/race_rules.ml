@@ -101,8 +101,7 @@ let check_spawn g (u : Summary.unit_summary) (s : Summary.spawn) =
   | _ -> ());
   List.rev !findings
 
-let check (program : Summary.program) =
-  let g = Callgraph.build program in
+let check g (program : Summary.program) =
   List.concat_map
     (fun (u : Summary.unit_summary) ->
       List.concat_map (check_spawn g u) u.Summary.u_spawns)

@@ -9,4 +9,4 @@
     Findings are anchored at the spawn site and carry the call chain
     that reaches the offending state. *)
 
-val check : Summary.program -> Finding.t list
+val check : Callgraph.t -> Summary.program -> Finding.t list

@@ -168,20 +168,34 @@ let all =
          \"NAME\", with NAME a test a scanned test/ file defines. \
          lib/queueing is out of scope: its model APIs are reserved for the \
          model-agreement gates." };
+    { id = "U002";
+      title = "no optional label no program passes or constructor it builds";
+      hint =
+        "delete it, inlining the default, or keep it with (* lint: allow \
+         U002 (a) used by test \"NAME\" *)";
+      explain =
+        "An optional label of a lib/ val that another unit uses but no \
+         application passes (~l and ?l alike, so a forwarded ?l counts; an \
+         unapplied reference passes none), or an exported constructor no \
+         expression builds (patterns do not count): a configuration the \
+         docs describe but no run uses. test/ does not count; a val no \
+         other unit references is left to U001. \
+         Delete it, or keep it under U001's reason form. lib/queueing is \
+         out of scope." };
     { id = "S001";
       title = "malformed suppression";
       hint =
         "write (* lint: allow RULE reason... *) with a non-empty reason; a \
-         U001 reason reads (a) used by test \"NAME\"";
+         U001 or U002 reason reads (a) used by test \"NAME\"";
       explain =
         "Inline suppressions are audit records, not escape hatches: the \
          grammar is (* lint: allow RULE reason... *) where RULE is a known \
-         rule id and the reason is mandatory. A U001 reason must read (a) \
-         used by test \"NAME\", naming a test a scanned test/ file defines \
-         with test_case or ~name. A suppression without a reason, naming an \
-         unknown rule, with a U001 reason in another form or naming no \
-         defined test, or otherwise unparseable is itself a finding — and \
-         it suppresses nothing." };
+         rule id and the reason is mandatory. A U001 or U002 reason must \
+         read (a) used by test \"NAME\", naming a test a scanned test/ \
+         file defines with test_case or ~name. A suppression without a \
+         reason, naming an unknown rule, with a U001 or U002 reason in \
+         another form or naming no defined test, or otherwise unparseable \
+         is itself a finding — and it suppresses nothing." };
     { id = "E001";
       title = "unparseable source";
       hint = "fix the syntax error; the pass only analyses valid OCaml";

@@ -1,10 +1,12 @@
 (* Phase 1 of the whole-program analyzer: one pass over every parsed
    compilation unit producing a per-unit summary — module-level
    mutable state, every top-level definition with its references,
-   applications and allocation sites, the closures handed to
-   [Domain.spawn] / [Softstate_sim.Parallel] task slots, and the
-   [@hot] marks. Phase 2 ({!Race_rules}, {!Alloc_rules}) checks the
-   R/A rule families against the merged program summary.
+   applications (with the labels they pass), constructors built and
+   allocation sites, the closures handed to [Domain.spawn] /
+   [Softstate_sim.Parallel] task slots, the [@hot] marks, and the
+   unit's interface. Phase 2 ({!Race_rules}, {!Alloc_rules},
+   {!Export_rules}) checks the R/A/U rule families against the merged
+   program summary.
 
    Everything here is syntactic and deliberately conservative:
 
@@ -29,20 +31,14 @@ let dotted = String.concat "."
 
 type mkind = Ref_cell | Container | Lazy_block | Mutable_record | Derived
 
-let mkind_name = function
-  | Ref_cell -> "ref"
-  | Container -> "container"
-  | Lazy_block -> "lazy"
-  | Mutable_record -> "mutable-record"
-  | Derived -> "derived"
+(* Each kind's name in reports and in the serialized summary. *)
+let mkind_names =
+  [ (Ref_cell, "ref"); (Container, "container"); (Lazy_block, "lazy");
+    (Mutable_record, "mutable-record"); (Derived, "derived") ]
 
-let mkind_of_name = function
-  | "ref" -> Some Ref_cell
-  | "container" -> Some Container
-  | "lazy" -> Some Lazy_block
-  | "mutable-record" -> Some Mutable_record
-  | "derived" -> Some Derived
-  | _ -> None
+let mkind_name k = List.assoc k mkind_names
+let of_name names n =
+  List.find_map (fun (k, m) -> if m = n then Some k else None) names
 
 type mutable_global = { m_name : string; m_line : int; m_kind : mkind }
 
@@ -57,6 +53,7 @@ type alloc = {
 type call = {
   c_path : string; (* alias-expanded dotted path *)
   c_nargs : int; (* non-optional arguments supplied *)
+  c_labels : string list; (* ~l and ?l alike; sorted, deduplicated *)
   c_line : int;
   c_col : int;
   c_region : string;
@@ -69,20 +66,14 @@ type def = {
   d_hot : bool;
   d_builds_mutable : bool;
   d_refs : string list; (* sorted, deduplicated *)
+  d_ctors : string list; (* built in expressions; sorted, deduplicated *)
   d_calls : call list;
   d_allocs : alloc list;
 }
 
 type spawn_kind = Domain_spawn | Task_slot
 
-let spawn_kind_name = function
-  | Domain_spawn -> "domain"
-  | Task_slot -> "task"
-
-let spawn_kind_of_name = function
-  | "domain" -> Some Domain_spawn
-  | "task" -> Some Task_slot
-  | _ -> None
+let spawn_kind_names = [ (Domain_spawn, "domain"); (Task_slot, "task") ]
 
 type spawn = {
   s_line : int;
@@ -93,12 +84,22 @@ type spawn = {
   s_unresolved : bool; (* some task ref may be a local closure *)
 }
 
+(* an interface value, or (with no labels) a variant constructor *)
+type export = {
+  e_name : string;
+  e_line : int;
+  e_col : int;
+  e_optional : string list;
+}
+
 type unit_summary = {
   u_name : string;
   u_file : string;
   u_mutables : mutable_global list;
   u_defs : def list;
   u_spawns : spawn list;
+  u_exports : export list;
+  u_variants : export list;
 }
 
 type program = unit_summary list
@@ -217,6 +218,7 @@ type scan_state = {
 
 type def_state = {
   mutable refs : string list;
+  mutable ctors : string list;
   mutable calls : call list;
   mutable allocs : alloc list;
   mutable builds : mkind option;
@@ -228,6 +230,12 @@ let resolve st path = strip_stdlib (Aliases.expand st.aliases path)
 let nonopt_args args =
   List.length
     (List.filter (function Asttypes.Optional _, _ -> false | _ -> true) args)
+
+let labels_of args =
+  List.sort_uniq String.compare
+    (List.filter_map
+       (function Asttypes.(Labelled l | Optional l), _ -> Some l | _ -> None)
+       args)
 
 (* Collect every resolved identifier under [e]; [`true`] in the result
    when some bare identifier could name a local binding we cannot
@@ -300,12 +308,15 @@ let scan_body st ds ~encl body =
     | Pexp_lazy _ ->
         note_alloc e.pexp_loc "A002" "lazy block";
         note_build Lazy_block
-    | Pexp_construct ({ txt; _ }, Some _) -> (
-        match List.rev (flatten txt) with
-        | "::" :: _ -> note_alloc e.pexp_loc "A004" "list cons"
-        | name :: _ ->
+    | Pexp_construct ({ txt; _ }, arg) -> (
+        (match flatten txt with
+        | [ ("()" | "[]" | "::" | "true" | "false") ] -> ()
+        | path -> ds.ctors <- dotted (resolve st path) :: ds.ctors);
+        match (List.rev (flatten txt), arg) with
+        | "::" :: _, Some _ -> note_alloc e.pexp_loc "A004" "list cons"
+        | name :: _, Some _ ->
             note_alloc e.pexp_loc "A002" ("constructor " ^ name)
-        | [] -> ())
+        | _ -> ())
     | Pexp_variant (tag, Some _) ->
         note_alloc e.pexp_loc "A002" ("variant `" ^ tag)
     | Pexp_apply (f, args) -> (
@@ -316,7 +327,8 @@ let scan_body st ds ~encl body =
             let line, col = line_col e.pexp_loc in
             ds.calls <-
               { c_path = dotted path; c_nargs = nonopt_args args;
-                c_line = line; c_col = col; c_region = region () }
+                c_labels = labels_of args; c_line = line; c_col = col;
+                c_region = region () }
               :: ds.calls;
             (match mutable_builder path with
             | Some k -> note_build k
@@ -420,58 +432,51 @@ let scan_structure ~file str =
       items
   in
   collect_types_deep str;
-  let add_def ~prefix ~hot_attr vb =
-    let names = pattern_names vb.pvb_pat in
-    let name =
-      match names with
-      | [ n ] -> n
-      | [] -> Printf.sprintf "_init_%d" (fst (line_col vb.pvb_loc))
-      | ns -> String.concat "," ns
-    in
+  (* One top-level definition (a binding, or an evaluated expression
+     with arity 0); a zero-arity one that builds mutable state is a
+     mutable global. *)
+  let add_def ~prefix ~name ~line ~arity ~hot body =
     let qname = if prefix = "" then name else prefix ^ "." ^ name in
-    let line, _ = line_col vb.pvb_loc in
-    let arity = arity_of vb.pvb_expr in
     let ds =
-      { refs = []; calls = []; allocs = []; builds = None; regions = [] }
+      { refs = []; ctors = []; calls = []; allocs = []; builds = None;
+        regions = [] }
     in
-    scan_body st ds ~encl:qname vb.pvb_expr;
-    let hot = hot_attr || has_hot_attrs vb.pvb_attributes in
-    let d =
+    scan_body st ds ~encl:qname body;
+    st.defs <-
       { d_name = qname; d_line = line; d_arity = arity; d_hot = hot;
         d_builds_mutable = ds.builds <> None;
         d_refs = List.sort_uniq String.compare ds.refs;
+        d_ctors = List.sort_uniq String.compare ds.ctors;
         d_calls = List.rev ds.calls;
         d_allocs = List.rev ds.allocs }
-    in
-    st.defs <- d :: st.defs;
-    (match ds.builds with
+      :: st.defs;
+    match ds.builds with
     | Some k when arity = 0 ->
         st.mutables <-
           { m_name = qname; m_line = line; m_kind = k } :: st.mutables
-    | _ -> ())
+    | _ -> ()
   in
   let rec walk ~prefix items =
     List.iter
       (fun item ->
         match item.pstr_desc with
         | Pstr_value (_, vbs) ->
-            List.iter (add_def ~prefix ~hot_attr:false) vbs
+            List.iter
+              (fun vb ->
+                let line, _ = line_col vb.pvb_loc in
+                let name =
+                  match pattern_names vb.pvb_pat with
+                  | [ n ] -> n
+                  | [] -> Printf.sprintf "_init_%d" line
+                  | ns -> String.concat "," ns
+                in
+                add_def ~prefix ~name ~line ~arity:(arity_of vb.pvb_expr)
+                  ~hot:(has_hot_attrs vb.pvb_attributes) vb.pvb_expr)
+              vbs
         | Pstr_eval (e, _) ->
             let line, _ = line_col item.pstr_loc in
-            let name = Printf.sprintf "_eval_%d" line in
-            let qname = if prefix = "" then name else prefix ^ "." ^ name in
-            let ds =
-              { refs = []; calls = []; allocs = []; builds = None;
-                regions = [] }
-            in
-            scan_body st ds ~encl:qname e;
-            st.defs <-
-              { d_name = qname; d_line = line; d_arity = 0; d_hot = false;
-                d_builds_mutable = ds.builds <> None;
-                d_refs = List.sort_uniq String.compare ds.refs;
-                d_calls = List.rev ds.calls;
-                d_allocs = List.rev ds.allocs }
-              :: st.defs
+            add_def ~prefix ~name:(Printf.sprintf "_eval_%d" line) ~line
+              ~arity:0 ~hot:false e
         | Pstr_module { pmb_name = { txt = Some n; _ }; pmb_expr; _ } -> (
             match pmb_expr.pmod_desc with
             | Pmod_ident { txt; _ } ->
@@ -487,35 +492,62 @@ let scan_structure ~file str =
     u_file = file;
     u_mutables = List.rev st.mutables;
     u_defs = List.rev st.defs;
-    u_spawns = List.rev st.spawns }
+    u_spawns = List.rev st.spawns;
+    u_exports = [];
+    u_variants = [] }
 
-(* ---- interface exports (the U001 subjects) ---- *)
+(* ---- interface exports (the U001/U002 subjects) ---- *)
 
-type export = { e_name : string; e_line : int; e_col : int }
+let rec optional_labels ty =
+  match ty.ptyp_desc with
+  | Ptyp_arrow (Optional l, _, rest) -> l :: optional_labels rest
+  | Ptyp_arrow (_, _, rest) | Ptyp_poly (_, rest) -> optional_labels rest
+  | _ -> []
 
-let exports_of_signature sg =
-  let rec walk prefix items =
-    List.concat_map
-      (fun item ->
+let export prefix { Location.txt; loc } e_optional =
+  let line, col = line_col loc in
+  { e_name = prefix ^ txt; e_line = line; e_col = col; e_optional }
+
+let with_interface u sg =
+  let vals = ref [] and ctors = ref [] in
+  let rec walk prefix =
+    List.iter (fun item ->
         match item.psig_desc with
-        | Psig_value { pval_name = { txt; loc }; _ } ->
-            let line, col = line_col loc in
-            [ { e_name = prefix ^ txt; e_line = line; e_col = col } ]
+        | Psig_value { pval_name; pval_type; _ } ->
+            vals := export prefix pval_name (optional_labels pval_type) :: !vals
+        | Psig_type (_, tds) ->
+            List.iter
+              (fun td ->
+                match td.ptype_kind with
+                | Ptype_variant cds ->
+                    List.iter
+                      (fun cd ->
+                        ctors := export prefix cd.pcd_name [] :: !ctors)
+                      cds
+                | _ -> ())
+              tds
         | Psig_module
             { pmd_name = { txt = Some n; _ };
               pmd_type = { pmty_desc = Pmty_signature sub; _ }; _ } ->
             walk (prefix ^ n ^ ".") sub
-        | _ -> [])
-      items
+        | _ -> ())
   in
-  walk "" sg
+  walk "" sg;
+  { u with u_exports = List.rev !vals; u_variants = List.rev !ctors }
 
 (* ---- serialization: one record per line, tab-separated ----
 
    Field values never contain tabs or newlines (OCaml identifiers and
-   repo paths don't); [to_string]/[of_string] round-trip exactly. *)
+   repo paths don't); [to_string]/[of_string] round-trip exactly. A
+   unit line opens a unit, followed by its mut, def, spawn, val and
+   variant lines in that order; a def line is followed by its ref,
+   ctor, call and alloc lines, a spawn line by its sref lines. *)
 
 let bool_field b = if b then "1" else "0"
+
+(* A label list is one comma-separated field; labels hold no commas. *)
+let list_field = String.concat ","
+let of_list_field = function "" -> [] | s -> String.split_on_char ',' s
 
 let to_buffer buf (u : unit_summary) =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
@@ -528,11 +560,12 @@ let to_buffer buf (u : unit_summary) =
       line "def\t%s\t%d\t%d\t%s\t%s" d.d_name d.d_line d.d_arity
         (bool_field d.d_hot)
         (bool_field d.d_builds_mutable);
-      List.iter (fun r -> line "ref\t%s" r) d.d_refs;
+      List.iter (line "ref\t%s") d.d_refs;
+      List.iter (line "ctor\t%s") d.d_ctors;
       List.iter
         (fun c ->
-          line "call\t%s\t%d\t%d\t%d\t%s" c.c_path c.c_nargs c.c_line c.c_col
-            c.c_region)
+          line "call\t%s\t%d\t%d\t%d\t%s\t%s" c.c_path c.c_nargs c.c_line
+            c.c_col c.c_region (list_field c.c_labels))
         d.d_calls;
       List.iter
         (fun a ->
@@ -543,11 +576,16 @@ let to_buffer buf (u : unit_summary) =
   List.iter
     (fun s ->
       line "spawn\t%s\t%d\t%d\t%s\t%s"
-        (spawn_kind_name s.s_kind)
-        s.s_line s.s_col s.s_encl
-        (bool_field s.s_unresolved);
-      List.iter (fun r -> line "sref\t%s" r) s.s_refs)
-    u.u_spawns
+        (List.assoc s.s_kind spawn_kind_names)
+        s.s_line s.s_col s.s_encl (bool_field s.s_unresolved);
+      List.iter (line "sref\t%s") s.s_refs)
+    u.u_spawns;
+  let export tag e =
+    line "%s\t%s\t%d\t%d\t%s" tag e.e_name e.e_line e.e_col
+      (list_field e.e_optional)
+  in
+  List.iter (export "val") u.u_exports;
+  List.iter (export "variant") u.u_variants
 
 let to_string program =
   let buf = Buffer.create 4096 in
@@ -556,133 +594,101 @@ let to_string program =
 
 exception Bad_line of int * string
 
+(* Recursive descent over the numbered lines: [run item] parses the
+   leading lines [item] accepts (it sees a line's fields and the lines
+   after it, from which it may take its own children). Any line left
+   over where a record of another kind stood is malformed. *)
 let of_string text =
-  let units = ref [] in
-  (* current unit under construction, newest-first lists *)
-  let cur = ref None in
-  let cur_def = ref None in
-  let cur_spawn = ref None in
-  let flush_def () =
-    match !cur_def, !cur with
-    | Some d, Some u ->
-        cur_def := None;
-        cur :=
+  let lines =
+    String.split_on_char '\n' text
+    |> List.mapi (fun i raw -> (i + 1, raw))
+    |> List.filter (fun (_, raw) -> raw <> "")
+  in
+  let bad (n, raw) = raise (Bad_line (n, raw)) in
+  let int l s = match int_of_string_opt s with Some n -> n | None -> bad l in
+  let rec run item acc = function
+    | ((_, raw) as l) :: rest as lines -> (
+        match item l (String.split_on_char '\t' raw) rest with
+        | Some (x, rest) -> run item (x :: acc) rest
+        | None -> (List.rev acc, lines))
+    | [] -> (List.rev acc, [])
+  in
+  let leaf f l fields rest = Option.map (fun x -> (x, rest)) (f l fields) in
+  let path tag =
+    leaf (fun _ -> function [ t; p ] when t = tag -> Some p | _ -> None)
+  in
+  let mut =
+    leaf (fun l -> function
+      | [ "mut"; name; line; kind ] -> (
+          match of_name mkind_names kind with
+          | Some k -> Some { m_name = name; m_line = int l line; m_kind = k }
+          | None -> bad l)
+      | _ -> None)
+  in
+  let call =
+    leaf (fun l -> function
+      | [ "call"; path; nargs; line; col; region; labels ] ->
           Some
-            { u with
-              u_defs =
-                { d with
-                  d_refs = List.rev d.d_refs;
-                  d_calls = List.rev d.d_calls;
-                  d_allocs = List.rev d.d_allocs }
-                :: u.u_defs }
-    | Some _, None -> ()
-    | None, _ -> ()
+            { c_path = path; c_nargs = int l nargs;
+              c_labels = of_list_field labels; c_line = int l line;
+              c_col = int l col; c_region = region }
+      | _ -> None)
   in
-  let flush_spawn () =
-    match !cur_spawn, !cur with
-    | Some s, Some u ->
-        cur_spawn := None;
-        cur := Some { u with u_spawns = { s with s_refs = List.rev s.s_refs } :: u.u_spawns }
-    | Some _, None -> ()
-    | None, _ -> ()
+  let alloc =
+    leaf (fun l -> function
+      | [ "alloc"; rule; line; col; region; what ] ->
+          Some
+            { a_rule = rule; a_line = int l line; a_col = int l col;
+              a_region = region; a_what = what }
+      | _ -> None)
   in
-  let flush_unit () =
-    flush_def ();
-    flush_spawn ();
-    match !cur with
-    | Some u ->
-        cur := None;
-        units :=
-          { u with
-            u_mutables = List.rev u.u_mutables;
-            u_defs = List.rev u.u_defs;
-            u_spawns = List.rev u.u_spawns }
-          :: !units
-    | None -> ()
+  let def l fields rest =
+    match fields with
+    | [ "def"; name; line; arity; hot; builds ] ->
+        let d_refs, rest = run (path "ref") [] rest in
+        let d_ctors, rest = run (path "ctor") [] rest in
+        let d_calls, rest = run call [] rest in
+        let d_allocs, rest = run alloc [] rest in
+        Some
+          ( { d_name = name; d_line = int l line; d_arity = int l arity;
+              d_hot = hot = "1"; d_builds_mutable = builds = "1"; d_refs;
+              d_ctors; d_calls; d_allocs },
+            rest )
+    | _ -> None
   in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun i raw ->
-      if raw <> "" then
-        let fields = String.split_on_char '\t' raw in
-        let bad () = raise (Bad_line (i + 1, raw)) in
-        let int s = match int_of_string_opt s with Some n -> n | None -> bad () in
-        match fields with
-        | [ "unit"; name; file ] ->
-            flush_unit ();
-            cur :=
-              Some
-                { u_name = name; u_file = file; u_mutables = []; u_defs = [];
-                  u_spawns = [] }
-        | [ "mut"; name; line; kind ] -> (
-            flush_def ();
-            flush_spawn ();
-            match !cur, mkind_of_name kind with
-            | Some u, Some k ->
-                cur :=
-                  Some
-                    { u with
-                      u_mutables =
-                        { m_name = name; m_line = int line; m_kind = k }
-                        :: u.u_mutables }
-            | _ -> bad ())
-        | [ "def"; name; line; arity; hot; builds ] ->
-            flush_def ();
-            flush_spawn ();
-            if !cur = None then bad ();
-            cur_def :=
-              Some
-                { d_name = name; d_line = int line; d_arity = int arity;
-                  d_hot = hot = "1"; d_builds_mutable = builds = "1";
-                  d_refs = []; d_calls = []; d_allocs = [] }
-        | [ "ref"; path ] -> (
-            match !cur_def with
-            | Some d -> cur_def := Some { d with d_refs = path :: d.d_refs }
-            | None -> bad ())
-        | [ "call"; path; nargs; line; col; region ] -> (
-            match !cur_def with
-            | Some d ->
-                cur_def :=
-                  Some
-                    { d with
-                      d_calls =
-                        { c_path = path; c_nargs = int nargs;
-                          c_line = int line; c_col = int col;
-                          c_region = region }
-                        :: d.d_calls }
-            | None -> bad ())
-        | [ "alloc"; rule; line; col; region; what ] -> (
-            match !cur_def with
-            | Some d ->
-                cur_def :=
-                  Some
-                    { d with
-                      d_allocs =
-                        { a_rule = rule; a_line = int line; a_col = int col;
-                          a_region = region; a_what = what }
-                        :: d.d_allocs }
-            | None -> bad ())
-        | [ "spawn"; kind; line; col; encl; unresolved ] -> (
-            flush_def ();
-            flush_spawn ();
-            match !cur, spawn_kind_of_name kind with
-            | Some _, Some k ->
-                cur_spawn :=
-                  Some
-                    { s_line = int line; s_col = int col; s_kind = k;
-                      s_encl = encl; s_refs = [];
-                      s_unresolved = unresolved = "1" }
-            | _ -> bad ())
-        | [ "sref"; path ] -> (
-            match !cur_spawn with
-            | Some s -> cur_spawn := Some { s with s_refs = path :: s.s_refs }
-            | None -> bad ())
-        | _ -> bad ())
-    lines;
-  flush_unit ();
-  List.rev !units
-
-let of_string_opt text =
-  match of_string text with
-  | program -> Some program
-  | exception Bad_line _ -> None
+  let spawn l fields rest =
+    match fields with
+    | [ "spawn"; kind; line; col; encl; unresolved ] ->
+        let s_kind =
+          match of_name spawn_kind_names kind with Some k -> k | None -> bad l
+        in
+        let s_refs, rest = run (path "sref") [] rest in
+        Some
+          ( { s_line = int l line; s_col = int l col; s_kind; s_encl = encl;
+              s_refs; s_unresolved = unresolved = "1" },
+            rest )
+    | _ -> None
+  in
+  let export tag =
+    leaf (fun l -> function
+      | [ t; name; line; col; labels ] when t = tag ->
+          Some
+            { e_name = name; e_line = int l line; e_col = int l col;
+              e_optional = of_list_field labels }
+      | _ -> None)
+  in
+  let unit _ fields rest =
+    match fields with
+    | [ "unit"; name; file ] ->
+        let u_mutables, rest = run mut [] rest in
+        let u_defs, rest = run def [] rest in
+        let u_spawns, rest = run spawn [] rest in
+        let u_exports, rest = run (export "val") [] rest in
+        let u_variants, rest = run (export "variant") [] rest in
+        Some
+          ( { u_name = name; u_file = file; u_mutables; u_defs; u_spawns;
+              u_exports; u_variants },
+            rest )
+    | _ -> None
+  in
+  match run unit [] lines with program, [] -> program | _, l :: _ -> bad l

@@ -1,10 +1,13 @@
 (** Phase 1 of the whole-program analyzer: per-compilation-unit
     summaries of module-level mutable state, top-level definitions
-    (references, applications, allocation sites, [@hot] marks) and the
-    closures handed to [Domain.spawn] / [Parallel] task slots. Phase 2
-    ({!Race_rules}, {!Alloc_rules}) checks the R/A families against
-    the merged program. The scan is syntactic and conservative: it
-    over-approximates reachability, never under-approximates. *)
+    (references, applications with their labels, constructors built,
+    allocation sites, [@hot] marks), the closures handed to
+    [Domain.spawn] / [Parallel] task slots, and the unit's interface
+    (its [val]s with their optional labels, its variant constructors).
+    Phase 2 ({!Race_rules}, {!Alloc_rules}, {!Export_rules}) checks the
+    R/A/U families against the merged program. The scan is syntactic
+    and conservative: it over-approximates reachability, never
+    under-approximates. *)
 
 (** Flat module-alias environment (last binding wins):
     [module U = Unix] makes [U.gettimeofday] expand to
@@ -35,6 +38,7 @@ type alloc = {
 type call = {
   c_path : string;  (** alias-expanded dotted path *)
   c_nargs : int;  (** non-optional arguments supplied *)
+  c_labels : string list;  (** [~l] and [?l] alike; sorted, unique *)
   c_line : int;
   c_col : int;
   c_region : string;
@@ -47,6 +51,7 @@ type def = {
   d_hot : bool;
   d_builds_mutable : bool;
   d_refs : string list;
+  d_ctors : string list;  (** built in expressions; sorted, unique *)
   d_calls : call list;
   d_allocs : alloc list;
 }
@@ -65,28 +70,33 @@ type spawn = {
           definition's references *)
 }
 
+type export = {
+  e_name : string;
+  e_line : int;
+  e_col : int;
+  e_optional : string list;  (** optional labels, in source order *)
+}
+(** A [val] (or [external]) of an interface, or a variant constructor
+    (no labels); nested [module M : sig ... end] members are dotted. *)
+
 type unit_summary = {
   u_name : string;
   u_file : string;
   u_mutables : mutable_global list;
   u_defs : def list;
   u_spawns : spawn list;
+  u_exports : export list;  (** the [.mli]'s values; [[]] without one *)
+  u_variants : export list;  (** the [.mli]'s variant constructors *)
 }
 
 type program = unit_summary list
 
-val unit_name_of_file : string -> string
-(** ["lib/sim/engine.ml"] → ["Engine"] *)
-
 val scan_structure : file:string -> Parsetree.structure -> unit_summary
+(** With [u_exports] and [u_variants] empty, for {!with_interface}. *)
 
-type export = { e_name : string; e_line : int; e_col : int }
-(** A [val] (or [external]) of an interface; members of nested
-    [module M : sig ... end] blocks are dotted (["Counter.make"]). *)
-
-val exports_of_signature : Parsetree.signature -> export list
-(** Every exported value in source order. Module types and
-    [include]s are skipped: they name no value of this unit. *)
+val with_interface : unit_summary -> Parsetree.signature -> unit_summary
+(** Fill [u_exports] and [u_variants] from the unit's [.mli], in
+    source order; module types and [include]s name nothing here. *)
 
 val to_string : program -> string
 (** Line-oriented, tab-separated serialization for [--summary-out];
@@ -97,6 +107,3 @@ exception Bad_line of int * string
 (* lint: allow U001 (a) used by test "summary serialization round-trips" *)
 val of_string : string -> program
 (** Inverse of {!to_string}; raises {!Bad_line} on malformed input. *)
-
-(* lint: allow U001 (a) used by test "of_string rejects garbage" *)
-val of_string_opt : string -> program option

@@ -1,5 +1,5 @@
-(* [d_test] is the test a U001 suppression names, [""] for other
-   rules. *)
+(* [d_test] is the test a U001 or U002 suppression names, [""] for
+   other rules. *)
 type directive = { d_line : int; d_col : int; d_rule : string; d_test : string }
 type t = directive list
 
@@ -16,18 +16,21 @@ let words s =
   |> List.concat_map (String.split_on_char '\n')
   |> List.filter (fun w -> w <> "")
 
-(* The test a U001 reason names: the reason must read exactly
+(* The rules whose reasons name a test. *)
+let names_test rule = rule = "U001" || rule = "U002"
+
+(* The test such a reason names: the reason must read exactly
    (a) used by test "NAME". *)
-let u001_test reason =
+let reason_test reason =
   try Some (Scanf.sscanf reason "(a) used by test %S%!" Fun.id)
   with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
 (* The comment text after the "lint:" marker. One directive may name
    several rules, comma-separated: (* lint: allow R001,A002 reason *).
    Every named rule must be known, or the whole directive is an S001
-   finding and suppresses nothing. A directive naming U001 must give
-   its reason as (a) used by test "NAME": an export is kept only for
-   a named test. *)
+   finding and suppresses nothing. A directive naming U001 or U002
+   must give its reason as (a) used by test "NAME": an export, label
+   or constructor is kept only for a named test. *)
 let parse_directive ~file ~line ~col body =
   let bad msg = Error (Finding.v ~file ~line ~col ~rule:"S001" msg) in
   let split_rules token =
@@ -41,16 +44,17 @@ let parse_directive ~file ~line ~col body =
           (List.map
              (fun r ->
                { d_line = line; d_col = col; d_rule = r;
-                 d_test = (if r = "U001" then test else "") })
+                 d_test = (if names_test r then test else "") })
              ids)
       in
       match List.filter (fun r -> not (Rules.is_known r)) ids with
-      | [] when ids <> [] && List.mem "U001" ids -> (
-          match u001_test (String.concat " " reason) with
+      | [] when List.exists names_test ids -> (
+          match reason_test (String.concat " " reason) with
           | Some test -> directives test
           | None ->
               bad
-                "U001 suppression reason must read (a) used by test \"NAME\"")
+                (List.find names_test ids
+               ^ " suppression reason must read (a) used by test \"NAME\""))
       | [] when ids <> [] -> directives ""
       | unknown :: _ ->
           bad (Printf.sprintf "suppression names unknown rule %s" unknown)
@@ -150,14 +154,14 @@ let test_names str =
 
 let stale ~file t ~known =
   let stale, live =
-    List.partition (fun d -> d.d_rule = "U001" && not (known d.d_test)) t
+    List.partition (fun d -> names_test d.d_rule && not (known d.d_test)) t
   in
   ( live,
     List.map
       (fun d ->
         Finding.v ~file ~line:d.d_line ~col:d.d_col ~rule:"S001"
           (Printf.sprintf
-             "U001 suppression names test %S, which no scanned test/ file \
+             "%s suppression names test %S, which no scanned test/ file \
               defines"
-             d.d_test))
+             d.d_rule d.d_test))
       stale )

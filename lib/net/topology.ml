@@ -6,7 +6,7 @@ module Trace = Softstate_obs.Trace
 
 (* Graph, routes and fault bits all live in the flat core [g]; this
    record adds only what packet-level overlays need. Every directed
-   edge carries the topology-wide rate, delay and loss, so an edge is
+   edge carries the topology-wide rate and loss, so an edge is
    just its id [eid = 2 * cable + dir]: direction 0 runs from the
    cable's first endpoint to its second, direction 1 back. *)
 type t = {
@@ -15,10 +15,8 @@ type t = {
   obs : Obs.t option;
   trace : Trace.t;
   traced : bool;
-  label : string;
   g : Flat_topology.t;
   rate_bps : float;
-  delay : float;
   loss : unit -> Loss.t;
   mutable bh_inject : int;   (* packets destroyed entering a down element *)
   mutable bh_deliver : int;  (* packets destroyed leaving a down element *)
@@ -112,14 +110,15 @@ let count_down n up =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let wrap ~engine ~rng ?obs ?(label = "topo") ~rate_bps ?(delay = 0.0)
-    ?(loss = fun () -> Loss.never) g =
+(* The source tag of trace events and the prefix of probes. *)
+let label = "topo"
+
+let wrap ~engine ~rng ?obs ~rate_bps ?(loss = fun () -> Loss.never) g =
   if rate_bps <= 0.0 then invalid_arg "Topology: rate must be positive";
-  if delay < 0.0 then invalid_arg "Topology: negative delay";
   let t =
     { engine; rng; obs; trace = Obs.trace_of obs;
-      traced = Trace.enabled (Obs.trace_of obs); label; g; rate_bps; delay;
-      loss; bh_inject = 0; bh_deliver = 0; injected = 0; pipe_readers = [] }
+      traced = Trace.enabled (Obs.trace_of obs); g; rate_bps; loss;
+      bh_inject = 0; bh_deliver = 0; injected = 0; pipe_readers = [] }
   in
   (match obs with
   | Some o ->
@@ -150,22 +149,18 @@ let wrap ~engine ~rng ?obs ?(label = "topo") ~rate_bps ?(delay = 0.0)
   | None -> ());
   t
 
-let star ~engine ~rng ?obs ?label ?delay ?loss ~rate_bps ~leaves () =
-  wrap ~engine ~rng ?obs ?label ~rate_bps ?delay ?loss
-    (Flat_topology.star ~leaves ())
+let star ~engine ~rng ?obs ?loss ~rate_bps ~leaves () =
+  wrap ~engine ~rng ?obs ~rate_bps ?loss (Flat_topology.star ~leaves ())
 
-let chain ~engine ~rng ?obs ?label ?delay ?loss ~rate_bps ~hops () =
-  wrap ~engine ~rng ?obs ?label ~rate_bps ?delay ?loss
-    (Flat_topology.chain ~hops ())
+let chain ~engine ~rng ?obs ?loss ~rate_bps ~hops () =
+  wrap ~engine ~rng ?obs ~rate_bps ?loss (Flat_topology.chain ~hops ())
 
-let kary_tree ~engine ~rng ?obs ?label ?delay ?loss ~rate_bps ~arity ~depth ()
-    =
-  wrap ~engine ~rng ?obs ?label ~rate_bps ?delay ?loss
+let kary_tree ~engine ~rng ?obs ?loss ~rate_bps ~arity ~depth () =
+  wrap ~engine ~rng ?obs ~rate_bps ?loss
     (Flat_topology.kary_tree ~arity ~depth ())
 
-let random_graph ~engine ~rng ?obs ?label ?delay ?loss ~rate_bps ~nodes
-    ~edge_prob () =
-  wrap ~engine ~rng ?obs ?label ~rate_bps ?delay ?loss
+let random_graph ~engine ~rng ?obs ?loss ~rate_bps ~nodes ~edge_prob () =
+  wrap ~engine ~rng ?obs ~rate_bps ?loss
     (Flat_topology.random ~rng ~nodes ~edge_prob ())
 
 (* ------------------------------------------------------------------ *)
@@ -218,7 +213,7 @@ let tree_children t ~root =
 let emit_fault t kind ~detail ~value =
   if t.traced then
     Trace.emit t.trace
-      (Trace.event ~time:(Engine.now t.engine) ~src:t.label ~detail ~value
+      (Trace.event ~time:(Engine.now t.engine) ~src:label ~detail ~value
          kind)
 
 let set_cable t cid ~up =
@@ -299,7 +294,7 @@ let endpoint_delivered t ~now ~label ~detail ~hop id =
          Trace.Packet_delivered)
 
 (* One forwarding stage per directed edge [eid]: a Pipe at the
-   topology's rate / delay / loss. The send-side gate admits a packet
+   topology's rate and loss, with no propagation delay. The send-side gate admits a packet
    only while the cable and the sending node are up, and delivery
    re-checks the cable and the receiving node (packets in flight when
    either goes down are destroyed). Both gates test [all_up] first, an
@@ -310,13 +305,16 @@ let endpoint_delivered t ~now ~label ~detail ~hop id =
    [hop] is the stage's position along the overlay path (the head
    server is hop 0), stamped on every edge trace event so a packet's
    causal chain reads in path order. *)
-let edge_stage t ~qcap ~overlay_rng ~hop eid next =
+(* Packets each edge queue holds. *)
+let edge_qcap = 256
+
+let edge_stage t ~overlay_rng ~hop eid next =
   let cable = eid lsr 1 in
   let src, dst = edge_ends t eid in
-  let elabel = Printf.sprintf "%s.e%d" t.label eid in
+  let elabel = Printf.sprintf "%s.e%d" label eid in
   let pipe =
-    Pipe.create t.engine ~rate_bps:t.rate_bps ~delay:t.delay ~loss:(t.loss ())
-      ~queue_capacity:qcap ~label:elabel ~hop ~rng:overlay_rng
+    Pipe.create t.engine ~rate_bps:t.rate_bps ~loss:(t.loss ())
+      ~queue_capacity:edge_qcap ~label:elabel ~hop ~rng:overlay_rng
       ~deliver:(fun ~now packet ->
         if
           Flat_topology.all_up t.g
@@ -343,7 +341,7 @@ let edge_stage t ~qcap ~overlay_rng ~hop eid next =
 (* The edge stages along [edges], returned as the entry the head
    server delivers into. The same packet, id and size unchanged,
    crosses every hop; past the last, its payload goes to [deliver]. *)
-let path_entry t ~qcap ~label ~deliver edges =
+let path_entry t ~label ~deliver edges =
   let overlay_rng = Rng.split t.rng in
   let n = List.length edges in
   let final ~now (packet : 'a Packet.t) =
@@ -354,14 +352,14 @@ let path_entry t ~qcap ~label ~deliver edges =
   let _, entry =
     List.fold_right
       (fun eid (hop, next) ->
-        (hop - 1, edge_stage t ~qcap ~overlay_rng ~hop eid next))
+        (hop - 1, edge_stage t ~overlay_rng ~hop eid next))
       edges (n, final)
   in
   entry
 
-let unicast_over t ~path_edges ~qcap ~rate_bps ?delay ?loss ?on_served ~label
+let unicast_over t ~path_edges ~rate_bps ?delay ?loss ?on_served ~label
     ~rng ~fetch ~deliver () =
-  let entry = path_entry t ~qcap ~label ~deliver path_edges in
+  let entry = path_entry t ~label ~deliver path_edges in
   (* The access hop: the sender's own server at the protocol's rate,
      carrying the protocol-level loss/delay, feeding the first edge. *)
   let head =
@@ -374,9 +372,9 @@ let unicast_over t ~path_edges ~qcap ~rate_bps ?delay ?loss ?on_served ~label
     u_stats = (fun () -> Link.stats head);
     u_utilisation = (fun ~now -> Link.utilisation head ~now) }
 
-let outbox_over t ~path_edges ~qcap ~rate_bps ?delay ?loss
+let outbox_over t ~path_edges ~rate_bps ?delay ?loss
     ?(queue_capacity = 1024) ~label ~rng ~deliver () =
-  let entry = path_entry t ~qcap ~label ~deliver path_edges in
+  let entry = path_entry t ~label ~deliver path_edges in
   let head =
     Pipe.create t.engine ~rate_bps ?delay ?loss ~queue_capacity ?obs:t.obs
       ~label ~hop:0 ~rng ~deliver:entry ()
@@ -407,7 +405,7 @@ let rec insert_sub s = function
   | x :: _ as l when s.sid < x.sid -> s :: l
   | x :: rest -> x :: insert_sub s rest
 
-let fanout_over t ~root ~attach ~qcap ~rate_bps ?delay ?on_served ~label
+let fanout_over t ~root ~attach ~rate_bps ?delay ?on_served ~label
     ~rng ~fetch () =
   let overlay_rng = Rng.split t.rng in
   let children = tree_children t ~root in
@@ -459,7 +457,7 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?delay ?on_served ~label
         List.map
           (fun eid ->
             let _, dst = edge_ends t eid in
-            edge_stage t ~qcap ~overlay_rng ~hop:depth.(dst) eid
+            edge_stage t ~overlay_rng ~hop:depth.(dst) eid
               (fun ~now packet -> forward dst ~now packet))
           eids)
     children;
@@ -482,7 +480,6 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?delay ?on_served ~label
         let sid = !next_sid in
         incr next_sid;
         let node = attach sid in
-        check_node t node "transport.attach";
         let s =
           { sid; s_loss = loss; s_deliver = deliver; s_lost = 0; s_live = true }
         in
@@ -509,39 +506,29 @@ let fanout_over t ~root ~attach ~qcap ~rate_bps ?delay ?on_served ~label
         | None -> raise Not_found);
     f_utilisation = (fun ~now -> Link.utilisation server ~now) }
 
-let transport ?(src = 0) ?dst ?attach ?(queue_capacity = 256) t =
-  check_node t src "transport";
-  let dst =
-    match dst with
-    | Some d ->
-        check_node t d "transport";
-        d
-    | None -> farthest t ~src
-  in
+let transport t =
+  let src = 0 in
+  let dst = farthest t ~src in
   let attach =
-    match attach with
-    | Some f -> f
-    | None ->
-        let others =
-          Array.of_list
-            (List.filter (fun v -> v <> src)
-               (List.init (node_count t) Fun.id))
-        in
-        if Array.length others = 0 then fun _ -> src
-        else fun i -> others.(i mod Array.length others)
+    let others =
+      Array.of_list
+        (List.filter (fun v -> v <> src) (List.init (node_count t) Fun.id))
+    in
+    if Array.length others = 0 then fun _ -> src
+    else fun i -> others.(i mod Array.length others)
   in
   let data_path = path t ~src ~dst in
   let fb_path = path t ~src:dst ~dst:src in
   { Transport.name = "topology:" ^ kind t;
     unicast =
       (fun ~rate_bps ?delay ?loss ?on_served ~label ~rng ~fetch ~deliver () ->
-        unicast_over t ~path_edges:data_path ~qcap:queue_capacity ~rate_bps
+        unicast_over t ~path_edges:data_path ~rate_bps
           ?delay ?loss ?on_served ~label ~rng ~fetch ~deliver ());
     outbox =
       (fun ~rate_bps ?delay ?loss ?queue_capacity:qc ~label ~rng ~deliver () ->
-        outbox_over t ~path_edges:fb_path ~qcap:queue_capacity ~rate_bps
+        outbox_over t ~path_edges:fb_path ~rate_bps
           ?delay ?loss ?queue_capacity:qc ~label ~rng ~deliver ());
     fanout =
       (fun ~rate_bps ?delay ?on_served ~label ~rng ~fetch () ->
-        fanout_over t ~root:src ~attach ~qcap:queue_capacity ~rate_bps ?delay
+        fanout_over t ~root:src ~attach ~rate_bps ?delay
           ?on_served ~label ~rng ~fetch ()) }

@@ -1,5 +1,4 @@
-(** A network graph: nodes joined by rate-limited, lossy, delayed
-    cables, with static shortest-path routing, a source-rooted
+(** A network graph: nodes joined by rate-limited, lossy cables, with static shortest-path routing, a source-rooted
     multicast tree, and injectable fault state — the multi-hop
     substrate behind {!Transport}.
 
@@ -9,11 +8,11 @@
     node / cable up bits — is a {!Flat_topology.t}; this module adds
     the packet-level plumbing on top. Each cable is a bidirectional
     pair of directed edges, and every edge has the topology-wide
-    service rate, propagation delay and loss-process spec, so an edge
+    service rate and loss-process spec, so an edge
     is just its id [eid = 2 * cable + dir] (direction 0 runs from the
     cable's first endpoint to its second). Traffic crosses an edge
     through a bounded FIFO queue and a rate-limited server ({!Pipe}
-    underneath), so congestion, loss and delay accumulate per hop
+    underneath), so congestion, loss and queueing delay accumulate per hop
     instead of being a single flat draw.
 
     Routing is the flat core's breadth-first search over the full
@@ -50,8 +49,9 @@ type t
 (** {1 Builders}
 
     All builders share the same cable parameters: [rate_bps] per
-    directed edge, [delay] one-way propagation (default 0), and
-    [loss] a spec invoked once per overlay edge (default lossless).
+    directed edge, no propagation delay, and [loss] a spec invoked
+    once per overlay edge (default lossless). Trace events and probes
+    carry the source tag ["topo"].
     [rng] seeds overlay plumbing and the random builder's structure;
     node 0 is the conventional source. *)
 
@@ -59,8 +59,6 @@ val star :
   engine:Softstate_sim.Engine.t ->
   rng:Softstate_util.Rng.t ->
   ?obs:Softstate_obs.Obs.t ->
-  ?label:string ->
-  ?delay:float ->
   ?loss:(unit -> Loss.t) ->
   rate_bps:float ->
   leaves:int ->
@@ -72,8 +70,6 @@ val chain :
   engine:Softstate_sim.Engine.t ->
   rng:Softstate_util.Rng.t ->
   ?obs:Softstate_obs.Obs.t ->
-  ?label:string ->
-  ?delay:float ->
   ?loss:(unit -> Loss.t) ->
   rate_bps:float ->
   hops:int ->
@@ -85,8 +81,6 @@ val kary_tree :
   engine:Softstate_sim.Engine.t ->
   rng:Softstate_util.Rng.t ->
   ?obs:Softstate_obs.Obs.t ->
-  ?label:string ->
-  ?delay:float ->
   ?loss:(unit -> Loss.t) ->
   rate_bps:float ->
   arity:int ->
@@ -101,8 +95,6 @@ val random_graph :
   engine:Softstate_sim.Engine.t ->
   rng:Softstate_util.Rng.t ->
   ?obs:Softstate_obs.Obs.t ->
-  ?label:string ->
-  ?delay:float ->
   ?loss:(unit -> Loss.t) ->
   rate_bps:float ->
   nodes:int ->
@@ -183,7 +175,7 @@ val fault_drops : t -> int
 
     and [s_sent = s_serving + s_delivered + s_dropped] hold exactly —
     during a run and at the horizon. With an observability context the
-    same readings are registered as [<label>.injected],
+    same readings are registered as [topo.injected],
     [.blackholed_inject], [.blackholed_deliver], [.overflowed],
     [.queued], [.edge_sent], [.edge_delivered] and [.edge_dropped]
     probes. *)
@@ -206,26 +198,18 @@ val substrate : t -> substrate
 
 (** {1 Transport} *)
 
-val transport :
-  ?src:int ->
-  ?dst:int ->
-  ?attach:(int -> int) ->
-  ?queue_capacity:int ->
-  t ->
-  Transport.t
-(** [transport t] views the topology as a {!Transport.t}:
+val transport : t -> Transport.t
+(** [transport t] views the topology as a {!Transport.t} whose source
+    [src] is node 0 and whose receiver [dst] is [farthest t ~src]:
 
     - [unicast] serves at the protocol's rate on an access hop at
       [src] (applying the protocol's own [loss]/[delay] there), then
-      forwards along [path t ~src ~dst] through per-edge queues;
+      forwards along [path t ~src ~dst] through per-edge queues of
+      256 packets;
     - [outbox] is the reverse: a bounded access queue at [dst]
       draining along [path t ~src:dst ~dst:src] — the feedback
       direction;
     - [fanout] serves at [src] and floods the source-rooted multicast
-      tree hop-by-hop; subscriber [i] listens at node [attach i] and
-      its [loss] argument becomes a last-hop process on top of the
-      per-link ones.
-
-    [src] defaults to node 0, [dst] to [farthest t ~src], [attach] to
-    round-robin over non-[src] nodes in ascending order, and
-    [queue_capacity] (per edge queue, packets) to 256. *)
+      tree hop-by-hop; subscriber [i] listens at the [i]-th non-[src]
+      node in ascending order, round-robin, and its [loss] argument
+      becomes a last-hop process on top of the per-link ones. *)

@@ -391,8 +391,8 @@ let repair_latency_values t =
 (* ------------------------------------------------------------------ *)
 (* Series and percentiles *)
 
-let sketch ?(epsilon = 0.01) values =
-  let s = Softstate_util.Sketch.create ~epsilon () in
+let sketch values =
+  let s = Softstate_util.Sketch.create () in
   List.iter (Softstate_util.Sketch.add s) values;
   s
 

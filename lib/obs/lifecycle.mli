@@ -91,9 +91,9 @@ val percentile : float list -> float -> float
     empty list. O(n log n) and retains the full list — fine for tests
     and small traces; reports over large traces use {!sketch}. *)
 
-val sketch : ?epsilon:float -> float list -> Softstate_util.Sketch.t
-(** The values folded into a streaming quantile sketch (default
-    [epsilon] 0.01): bounded-memory percentiles with a documented
+val sketch : float list -> Softstate_util.Sketch.t
+(** The values folded into a streaming quantile sketch (the sketch's
+    default [epsilon], 0.01): bounded-memory percentiles with a documented
     rank-error bound, as used by the analyzer CLI's reports. *)
 
 type depth_point = {

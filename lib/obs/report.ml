@@ -16,11 +16,11 @@ let float x = Float x
 let string s = String s
 let bool b = Bool b
 
-let of_metrics ?(title = "metrics") metrics ~now =
+let of_metrics metrics ~now =
   let rows =
     List.map (fun (name, x) -> (name, Float x)) (Metrics.snapshot metrics ~now)
   in
-  { title; rows }
+  { title = "metrics"; rows }
 
 let value_to_string = function
   | Int n -> string_of_int n

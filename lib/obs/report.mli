@@ -19,7 +19,8 @@ val float : float -> value
 val string : string -> value
 val bool : bool -> value
 
-val of_metrics : ?title:string -> Metrics.t -> now:float -> section
-(** One [Float] row per metric, in registration order. *)
+val of_metrics : Metrics.t -> now:float -> section
+(** A section titled ["metrics"]: one [Float] row per metric, in
+    registration order. *)
 
 val render : [ `Table | `Json ] -> t -> string

@@ -109,9 +109,8 @@ let memory ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Trace.memory: capacity must be positive";
   Memory { capacity; q = Queue.create (); overwritten = 0 }
 
-let recorder ?(capacity = 512) () =
-  if capacity < 1 then invalid_arg "Trace.recorder: capacity must be positive";
-  Ring { buf = Array.make capacity dummy_event; len = 0; head = 0; seen = 0 }
+let recorder () =
+  Ring { buf = Array.make 512 dummy_event; len = 0; head = 0; seen = 0 }
 
 let rec emit t ev =
   match t with

@@ -71,11 +71,11 @@ val memory : ?capacity:int -> unit -> t
 (** In-memory ring keeping the last [capacity] (default 65536)
     events; older events are overwritten. *)
 
-val recorder : ?capacity:int -> unit -> t
-(** Flight recorder: a fixed-size ring of the last [capacity] (default
-    512) events, O(1) per emit with no allocation beyond the event
-    itself. Cheap enough to leave attached for a whole run; when an
-    oracle fires, {!recent} is the black box. *)
+val recorder : unit -> t
+(** Flight recorder: a fixed-size ring of the last 512 events, O(1)
+    per emit with no allocation beyond the event itself. Cheap enough
+    to leave attached for a whole run; when an oracle fires,
+    {!recent} is the black box. *)
 
 val recent : t -> event list
 (** Contents of a {!recorder} (or {!memory}) sink, oldest first.

@@ -7,15 +7,12 @@ type entry = {
 }
 
 type t = {
-  quantum : float;
   mutable entries : entry array;
   mutable count : int;
   mutable cursor : int;
 }
 
-let create ?(quantum = 1.0) () =
-  if quantum <= 0.0 then invalid_arg "Drr.create: quantum must be positive";
-  { quantum; entries = [||]; count = 0; cursor = 0 }
+let create () = { entries = [||]; count = 0; cursor = 0 }
 
 let add_flow t ~weight =
   if weight <= 0.0 then invalid_arg "Drr.add_flow: weight must be positive";
@@ -37,7 +34,7 @@ let set_backlogged t f b =
   let e = entry t f in
   if b && not e.backlogged then
     (* Idle flows must not hoard credit across idle periods. *)
-    e.deficit <- Float.min e.deficit (t.quantum *. e.weight);
+    e.deficit <- Float.min e.deficit e.weight;
   e.backlogged <- b
 
 let any_backlogged t =
@@ -57,13 +54,12 @@ let scan_from t start =
 let replenish_until_eligible t =
   (* Exactly enough whole rounds for the least-indebted backlogged
      flow to climb above zero; every backlogged flow gains its
-     weighted quantum per round, as in per-visit DRR. *)
+     weight per round, as in per-visit DRR. *)
   let rounds = ref infinity in
   for i = 0 to t.count - 1 do
     let e = t.entries.(i) in
     if e.backlogged then begin
-      let per_round = t.quantum *. e.weight in
-      let need = Float.max 1.0 (ceil ((-.e.deficit /. per_round) +. 1e-9)) in
+      let need = Float.max 1.0 (ceil ((-.e.deficit /. e.weight) +. 1e-9)) in
       if need < !rounds then rounds := need
     end
   done;
@@ -71,7 +67,7 @@ let replenish_until_eligible t =
   for i = 0 to t.count - 1 do
     let e = t.entries.(i) in
     if e.backlogged then
-      e.deficit <- e.deficit +. (!rounds *. t.quantum *. e.weight)
+      e.deficit <- e.deficit +. (!rounds *. e.weight)
   done
 
 let select t =

@@ -1,8 +1,9 @@
 (** Deficit round robin (Shreedhar & Varghese).
 
-    Flows are visited in a fixed cycle; each visit adds
-    [quantum * weight] to the flow's deficit and the flow may send
-    while its deficit covers the packet. Because our uniform
+    Flows are visited in a fixed cycle; each visit adds [weight] to
+    the flow's deficit (a weight-1.0 flow earns one unit of [charge]
+    size per round) and the flow may send while its deficit covers
+    the packet. Because our uniform
     scheduler interface picks the flow {e before} learning the packet
     size, this implementation lets the deficit go negative on the last
     packet of a visit and makes the flow wait for enough replenishment
@@ -13,9 +14,7 @@ type t
 type flow = int
 (** Registration index of the flow (0, 1, ... in {!add_flow} order). *)
 
-val create : ?quantum:float -> unit -> t
-(** [quantum] is the per-round credit of a weight-1.0 flow, in the
-    same units as [charge] sizes (default 1.0). *)
+val create : unit -> t
 
 val add_flow : t -> weight:float -> flow
 val set_backlogged : t -> flow -> bool -> unit

@@ -8,8 +8,8 @@ type t = {
   mutable on_step : (t -> unit) option;
 }
 
-let create ?(start = 0.0) () =
-  { clock = start; calendar = Heap.create ();
+let create () =
+  { clock = 0.0; calendar = Heap.create ();
     events_fired = 0; high_water = 0; on_step = None }
 
 let now t = t.clock
@@ -93,25 +93,16 @@ let run ?until t =
    one after [f] returns. The calendar has no cancellation, so the
    stopper only sets [stopped]: the occurrence already armed still
    fires, but runs nothing and arms nothing. *)
-let every t ~period ?jitter f =
+let every t ~period f =
   if not (period > 0.0 && Float.is_finite period) then
     invalid_arg "Engine.every: period must be positive";
-  let delay () =
-    match jitter with
-    | None -> period
-    | Some j ->
-        let d = period +. j () in
-        if not (d > 0.0 && Float.is_finite d) then
-          invalid_arg "Engine.every: jitter exceeds period";
-        d
-  in
   let stopped = ref false in
   let rec occur engine =
     if not !stopped then begin
       f engine;
       if not !stopped then arm engine
     end
-  and arm engine = schedule_at engine ~time:(engine.clock +. delay ()) occur in
+  and arm engine = schedule_at engine ~time:(engine.clock +. period) occur in
   arm t;
   fun () ->
     let was_running = not !stopped in

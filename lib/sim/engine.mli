@@ -34,9 +34,8 @@
 
 type t
 
-val create : ?start:float -> unit -> t
-(** [create ~start ()] makes an engine whose clock starts at [start]
-    (default 0). *)
+val create : unit -> t
+(** [create ()] makes an engine whose clock starts at 0. *)
 
 val now : t -> float
 (** Current simulation time. *)
@@ -77,12 +76,10 @@ val run : ?until:float -> t -> unit
     horizon is given the clock is left at [until] (so time-weighted
     statistics can be closed out at the horizon). *)
 
-val every : t -> period:float -> ?jitter:(unit -> float) -> (t -> unit)
-  -> (unit -> bool)
+val every : t -> period:float -> (t -> unit) -> (unit -> bool)
 (** [every t ~period f] arms a recurring timer: [f] runs at
-    now + period, then repeatedly each [period] (plus [jitter ()] if
-    given). [period] must be positive and finite, and so must each
-    jittered delay. Each occurrence is one calendar event, scheduled
+    now + period, then repeatedly each [period]. [period] must be
+    positive and finite. Each occurrence is one calendar event, scheduled
     when the previous one fires. The returned stopper ends the
     recurrence: the occurrence already in the calendar still fires but
     runs nothing and arms nothing. It returns [true] if the timer was

@@ -91,6 +91,6 @@ let map ?(jobs = 1) ?report n f =
       results
   end
 
-let map_list ?jobs ?report items f =
+let map_list ?jobs items f =
   let arr = Array.of_list items in
-  Array.to_list (map ?jobs ?report (Array.length arr) (fun i -> f arr.(i)))
+  Array.to_list (map ?jobs (Array.length arr) (fun i -> f arr.(i)))

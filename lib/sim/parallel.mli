@@ -59,6 +59,5 @@ val map : ?jobs:int -> ?report:(Stats.t -> unit) -> int -> (int -> 'a) -> 'a arr
     called). [report] receives the per-domain wall-time/task-count
     stats after every domain has been joined. *)
 
-val map_list :
-  ?jobs:int -> ?report:(Stats.t -> unit) -> 'a list -> ('a -> 'b) -> 'b list
+val map_list : ?jobs:int -> 'a list -> ('a -> 'b) -> 'b list
 (** [map] over a list, preserving order. *)

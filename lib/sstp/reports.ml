@@ -40,7 +40,7 @@ end
 module Sender_side = struct
   type t = Ewma.t
 
-  let create ?(alpha = 0.25) () = Ewma.create ~alpha
+  let create () = Ewma.create ~alpha:0.25
 
   let on_report t = function
     | Wire.Receiver_report { loss_estimate; _ } -> Ewma.add t loss_estimate

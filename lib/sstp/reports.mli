@@ -25,9 +25,9 @@ end
 module Sender_side : sig
   type t
 
-  val create : ?alpha:float -> unit -> t
-  (** [alpha] is the EWMA gain on successive reports (default 0.25,
-      conservative like RFC 3448-style smoothing). *)
+  val create : unit -> t
+  (** The EWMA gain on successive reports is 0.25, conservative like
+      RFC 3448-style smoothing. *)
 
   val on_report : t -> Wire.msg -> unit
   (** Consume a {!Wire.Receiver_report}; other messages raise

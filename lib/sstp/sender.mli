@@ -51,6 +51,7 @@ val set_class_weight : t -> name:string -> float -> unit
 (** Re-weight a class (the application reflecting changed priorities
     into the protocol, §6.1). Raises [Not_found] on unknown names. *)
 
+(* lint: allow U002 (a) used by test "meta-driven interest" *)
 val publish :
   t -> path:Path.t -> payload:string -> ?meta:string list ->
   ?klass:string -> unit -> unit

@@ -13,6 +13,7 @@
 type reliability =
   | Announce_only
       (** no feedback channel: open-loop summaries + data *)
+  (* lint: allow U002 (a) used by test "target split and retune" *)
   | Target of float
       (** profile-driven allocation toward a consistency target *)
   | Manual of { mu_hot_bps : float; mu_cold_bps : float; mu_fb_bps : float }

@@ -10,7 +10,7 @@ let random_text rng n =
   String.init n (fun _ -> Char.chr (32 + Rng.int rng 95))
 
 let session_directory ~rng ~duration ?(arrival_rate = 0.05)
-    ?(mean_lifetime = 600.0) ?(description_bytes = 300) () =
+    ?(mean_lifetime = 600.0) () =
   if duration <= 0.0 then invalid_arg "session_directory: duration";
   let events = ref [] in
   let emit time op = events := { Trace_event.time; op } :: !events in
@@ -26,14 +26,12 @@ let session_directory ~rng ~duration ?(arrival_rate = 0.05)
     in
     let birth = !t in
     emit birth
-      (Trace_event.Put { path; payload = random_text rng description_bytes });
+      (Trace_event.Put { path; payload = random_text rng 300 });
     (* occasional mid-life description change *)
     if Rng.bernoulli rng 0.1 && lifetime > 10.0 then begin
       let when_ = birth +. Dist.uniform rng ~lo:1.0 ~hi:lifetime in
       if when_ < duration then
-        emit when_
-          (Trace_event.Put
-             { path; payload = random_text rng description_bytes })
+        emit when_ (Trace_event.Put { path; payload = random_text rng 300 })
     end;
     let death = birth +. lifetime in
     if death < duration then emit death (Trace_event.Remove { path });
@@ -41,8 +39,8 @@ let session_directory ~rng ~duration ?(arrival_rate = 0.05)
   done;
   sort_trace !events
 
-let routing_updates ~rng ~duration ?(prefixes = 200) ?(base_rate = 1.0 /. 300.0)
-    ?(flap_fraction = 0.05) ?(flap_rate = 0.1) () =
+let routing_updates ~rng ~duration ?(prefixes = 200) ?(flap_fraction = 0.05)
+    () =
   if duration <= 0.0 then invalid_arg "routing_updates: duration";
   if prefixes <= 0 then invalid_arg "routing_updates: prefixes";
   let events = ref [] in
@@ -57,21 +55,21 @@ let routing_updates ~rng ~duration ?(prefixes = 200) ?(base_rate = 1.0 /. 300.0)
     let flapping = Rng.bernoulli rng flap_fraction in
     if flapping then begin
       (* alternate withdraw / re-announce *)
-      let t = ref (Dist.exponential rng ~rate:flap_rate) in
+      let t = ref (Dist.exponential rng ~rate:0.1) in
       let up = ref true in
       while !t < duration do
         if !up then emit !t (Trace_event.Remove { path })
         else emit !t (Trace_event.Put { path; payload = route_payload rng });
         up := not !up;
-        t := !t +. Dist.exponential rng ~rate:flap_rate
+        t := !t +. Dist.exponential rng ~rate:0.1
       done
     end
     else begin
       (* calm: periodic metric refresh *)
-      let t = ref (Dist.exponential rng ~rate:base_rate) in
+      let t = ref (Dist.exponential rng ~rate:(1.0 /. 300.0)) in
       while !t < duration do
         emit !t (Trace_event.Put { path; payload = route_payload rng });
-        t := !t +. Dist.exponential rng ~rate:base_rate
+        t := !t +. Dist.exponential rng ~rate:(1.0 /. 300.0)
       done
     end
   done;
@@ -107,11 +105,10 @@ let flash_crowd ~rng ~duration ?(keys = 32) ?(base_rate = 2.0) ?(mult = 8.0)
   done;
   sort_trace !events
 
-let stock_ticker ~rng ~duration ?(symbols = 100) ?(update_rate = 20.0)
-    ?(zipf_s = 1.1) () =
+let stock_ticker ~rng ~duration ?(symbols = 100) ?(update_rate = 20.0) () =
   if duration <= 0.0 then invalid_arg "stock_ticker: duration";
   if symbols <= 0 then invalid_arg "stock_ticker: symbols";
-  let table = Dist.Zipf_table.create ~n:symbols ~s:zipf_s in
+  let table = Dist.Zipf_table.create ~n:symbols ~s:1.1 in
   let prices = Array.init symbols (fun _ -> 20.0 +. (Rng.float rng *. 480.0)) in
   let events = ref [] in
   let emit time op = events := { Trace_event.time; op } :: !events in

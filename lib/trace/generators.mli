@@ -11,13 +11,12 @@ val session_directory :
   duration:float ->
   ?arrival_rate:float ->
   ?mean_lifetime:float ->
-  ?description_bytes:int ->
   unit ->
   Trace_event.t
 (** sdr/SAP-like conference announcements: sessions arrive Poisson
     (default 0.05/s), live Pareto-tailed lifetimes (mean default
     600 s, shape 1.5 — a few marathon sessions), each carrying a
-    description of about [description_bytes] (default 300). Paths are
+    description of 300 printable bytes. Paths are
     ["sessions/<id>/sdp"]. Sessions occasionally (10%) update their
     description mid-life. *)
 
@@ -25,17 +24,15 @@ val routing_updates :
   rng:Softstate_util.Rng.t ->
   duration:float ->
   ?prefixes:int ->
-  ?base_rate:float ->
   ?flap_fraction:float ->
-  ?flap_rate:float ->
   unit ->
   Trace_event.t
 (** Route advertisements over a fixed prefix table (default 200
     prefixes at ["routes/<prefix>"]). All prefixes are announced at
-    time 0; thereafter a calm majority re-announces at [base_rate]
-    per prefix (default 1/300 s) while a small [flap_fraction]
-    (default 5%) of flapping prefixes alternates withdraw/announce at
-    [flap_rate] (default 1/10 s) — the heavy-tailed update skew
+    time 0; thereafter a calm majority re-announces at 1/300 s per
+    prefix while a small [flap_fraction] (default 5%) of flapping
+    prefixes alternates withdraw/announce at 1/10 s — the
+    heavy-tailed update skew
     observed in BGP. *)
 
 val flash_crowd :
@@ -64,12 +61,11 @@ val stock_ticker :
   duration:float ->
   ?symbols:int ->
   ?update_rate:float ->
-  ?zipf_s:float ->
   unit ->
   Trace_event.t
 (** Quote dissemination: [symbols] (default 100) instruments at
     ["quotes/<sym>"], updated as a Poisson stream of [update_rate]
     total updates/s (default 20) spread across symbols by a Zipf law
-    with exponent [zipf_s] (default 1.1) — a few hot stocks take most
+    with exponent 1.1 — a few hot stocks take most
     of the updates. Payloads are little price strings that change
     every update. *)

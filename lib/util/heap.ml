@@ -56,8 +56,8 @@ type 'a t = {
   tail_key : float array;
 }
 
-let create ?(initial_capacity = 64) () =
-  let cap = max 2 initial_capacity in
+let create () =
+  let cap = 64 in
   { hkey = Array.make cap 0.0;
     hseq = Array.make cap 0;
     hslot = Array.make cap 0;

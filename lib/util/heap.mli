@@ -20,7 +20,8 @@ type 'a t
 (** Heap of elements prioritised by a float key (smallest first); ties
     broken by insertion order, so equal-key elements dequeue FIFO. *)
 
-val create : ?initial_capacity:int -> unit -> 'a t
+val create : unit -> 'a t
+(** An empty heap with room for 64 elements; it grows as needed. *)
 
 val length : 'a t -> int
 (** Number of elements (run members count one each). *)

@@ -12,8 +12,8 @@
    practical variant: amortised cost per sample is O(log(1/eps) +
    summary/buffer), independent of n.
 
-   Determinism contract: the summary is a pure function of (epsilon,
-   the sequence of finite values added, in order). There is no
+   Determinism contract: the summary is a pure function of the
+   sequence of finite values added, in order. There is no
    randomness, no wall-clock input, and no dependence on hash order;
    two sketches fed the same stream return bit-identical answers to
    every query. Non-finite samples (nan, +/-inf) are ignored — a
@@ -21,8 +21,10 @@
 
 type tuple = { v : float; g : int; d : int }
 
+(* The relative rank-error bound. *)
+let epsilon = 0.01
+
 type t = {
-  epsilon : float;
   mutable n : int; (* finite samples merged into the summary *)
   mutable tuples : tuple list; (* ascending by v *)
   mutable len : int; (* List.length tuples, maintained incrementally *)
@@ -30,11 +32,9 @@ type t = {
   mutable buf_len : int;
 }
 
-let create ?(epsilon = 0.01) () =
-  if epsilon <= 0.0 || epsilon >= 0.5 then
-    invalid_arg "Sketch.create: epsilon in (0, 0.5)";
+let create () =
   let cap = max 16 (int_of_float (ceil (1.0 /. (2.0 *. epsilon)))) in
-  { epsilon; n = 0; tuples = []; len = 0;
+  { n = 0; tuples = []; len = 0;
     buf = Array.make cap 0.0; buf_len = 0 }
 
 let count t = t.n + t.buf_len
@@ -42,7 +42,7 @@ let size t = t.len
 
 (* floor(2 eps n): the capacity every interior tuple's g + delta must
    respect, and twice the guaranteed rank-error bound. *)
-let band t = int_of_float (2.0 *. t.epsilon *. float_of_int t.n)
+let band t = int_of_float (2.0 *. epsilon *. float_of_int t.n)
 
 (* Merge the sorted buffer into the summary. [t.n] is bumped per value
    so each new tuple's delta reflects the stream length at its own
@@ -105,7 +105,7 @@ let add t x =
     if t.buf_len = Array.length t.buf then flush t
   end
 
-let rank_error t = t.epsilon *. float_of_int (count t)
+let rank_error t = epsilon *. float_of_int (count t)
 
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Sketch.quantile: q in [0,1]";
@@ -115,7 +115,7 @@ let quantile t q =
     (* target rank in 1..n; the first tuple whose max possible rank
        overshoots r + eps*n means its predecessor is within eps*n *)
     let r = 1 + int_of_float (q *. float_of_int (t.n - 1)) in
-    let err = int_of_float (t.epsilon *. float_of_int t.n) in
+    let err = int_of_float (epsilon *. float_of_int t.n) in
     let rec go rmin last = function
       | [] -> last.v
       | u :: rest ->

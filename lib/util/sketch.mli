@@ -15,10 +15,9 @@
 
 type t
 
-val create : ?epsilon:float -> unit -> t
-(** [create ?epsilon ()] makes an empty sketch. [epsilon] (default
-    0.01) is the relative rank-error bound and must lie in (0, 0.5).
-    Raises [Invalid_argument] otherwise. *)
+val create : unit -> t
+(** [create ()] makes an empty sketch whose relative rank-error bound
+    [epsilon] is 0.01. *)
 
 val add : t -> float -> unit
 (** [add t x] appends [x] to the stream. Amortised O(log(1/epsilon) +

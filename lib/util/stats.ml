@@ -57,17 +57,17 @@ module Timeweighted = struct
 end
 
 module Series = struct
+  (* Retained points before thinning. *)
+  let capacity = 4096
+
   type t = {
-    capacity : int;
     mutable stride : int;
     mutable seen : int;
     mutable points : (float * float) list; (* newest first *)
     mutable length : int;
   }
 
-  let create ?(capacity = 4096) () =
-    if capacity < 2 then invalid_arg "Series.create: capacity too small";
-    { capacity; stride = 1; seen = 0; points = []; length = 0 }
+  let create () = { stride = 1; seen = 0; points = []; length = 0 }
 
   let thin t =
     (* Keep every second retained point (oldest-preserving), doubling
@@ -86,7 +86,7 @@ module Series = struct
     if t.seen mod t.stride = 0 then begin
       t.points <- (time, value) :: t.points;
       t.length <- t.length + 1;
-      if t.length > t.capacity then thin t
+      if t.length > capacity then thin t
     end;
     t.seen <- t.seen + 1
 

@@ -50,8 +50,8 @@ module Series : sig
 
   type t
 
-  val create : ?capacity:int -> unit -> t
-  (** [create ?capacity ()] — capacity >= 2 (default 4096). *)
+  val create : unit -> t
+  (** Capacity 4096 points. *)
 
   val add : t -> time:float -> value:float -> unit
 

@@ -384,25 +384,35 @@ let gen_summary_program =
       (pair small_nat small_nat)
       (pair region (oneofl [ "closure construction"; "tuple"; "list cons" ]))
   in
+  let labels = list_size (int_bound 3) (oneofl [ "obs"; "jitter"; "start" ]) in
   let call =
     map3
-      (fun p (n, l) (c, reg) ->
-        { Summary.c_path = p; c_nargs = n; c_line = l; c_col = c;
-          c_region = reg })
+      (fun p (n, l) (c, reg, labels) ->
+        { Summary.c_path = p; c_nargs = n; c_labels = labels; c_line = l;
+          c_col = c; c_region = reg })
       (oneofl [ "Heap.insert"; "go"; "Softstate_sim.Parallel.map" ])
       (pair small_nat small_nat)
-      (pair small_nat region)
+      (triple small_nat region labels)
   in
+  let ctor = oneofl [ "Some"; "Target"; "Sstp.Session.Manual" ] in
   let def =
     map3
-      (fun (n, l, a) (h, b) (refs, calls, allocs) ->
+      (fun (n, l, a) (h, b) ((refs, ctors), calls, allocs) ->
         { Summary.d_name = n; d_line = l; d_arity = a; d_hot = h;
-          d_builds_mutable = b; d_refs = refs; d_calls = calls;
-          d_allocs = allocs })
+          d_builds_mutable = b; d_refs = refs; d_ctors = ctors;
+          d_calls = calls; d_allocs = allocs })
       (triple name small_nat (int_bound 4))
       (pair bool bool)
-      (triple (list_size (int_bound 3) name) (list_size (int_bound 3) call)
+      (triple
+         (pair (list_size (int_bound 3) name) (list_size (int_bound 2) ctor))
+         (list_size (int_bound 3) call)
          (list_size (int_bound 3) alloc))
+  in
+  let export names labels =
+    map3
+      (fun n (l, c) labels ->
+        { Summary.e_name = n; e_line = l; e_col = c; e_optional = labels })
+      names (pair small_nat small_nat) labels
   in
   let spawn =
     map3
@@ -415,11 +425,14 @@ let gen_summary_program =
   in
   let unit_summary =
     map3
-      (fun (n, f) muts (defs, spawns) ->
+      (fun (n, f) (muts, exports, variants) (defs, spawns) ->
         { Summary.u_name = n; u_file = f; u_mutables = muts; u_defs = defs;
-          u_spawns = spawns })
+          u_spawns = spawns; u_exports = exports; u_variants = variants })
       (pair name path)
-      (list_size (int_bound 2) mutable_global)
+      (triple
+         (list_size (int_bound 2) mutable_global)
+         (list_size (int_bound 3) (export name labels))
+         (list_size (int_bound 2) (export ctor (return []))))
       (pair (list_size (int_bound 3) def) (list_size (int_bound 2) spawn))
   in
   list_size (int_bound 3) unit_summary
@@ -430,12 +443,26 @@ let qcheck_summary_roundtrip =
     (fun p -> Summary.of_string (Summary.to_string p) = p)
 
 let test_summary_of_string_rejects_garbage () =
+  let of_string_opt text =
+    try Some (Summary.of_string text) with Summary.Bad_line _ -> None
+  in
   Alcotest.(check bool) "malformed text is None" true
-    (Summary.of_string_opt "unit\tonly-one-field" = None);
+    (of_string_opt "unit\tonly-one-field" = None);
   Alcotest.(check bool) "orphan ref line is None" true
-    (Summary.of_string_opt "ref\tx\n" = None);
+    (of_string_opt "ref\tx\n" = None);
+  Alcotest.(check bool) "orphan ctor line is None" true
+    (of_string_opt "ctor\tTarget\n" = None);
+  Alcotest.(check bool) "val before any unit is None" true
+    (of_string_opt "val\tcreate\t1\t4\tstart\n" = None);
+  Alcotest.(check bool) "variant with a bad line number is None" true
+    (of_string_opt "unit\tU\tlib/u.ml\nvariant\tTarget\tx\t2\t\n"
+    = None);
+  Alcotest.(check bool) "call without its labels field is None" true
+    (of_string_opt
+       "unit\tU\tlib/u.ml\ndef\tf\t1\t0\t0\t0\ncall\tg\t0\t1\t2\t\n"
+    = None);
   Alcotest.(check bool) "empty text is the empty program" true
-    (Summary.of_string_opt "" = Some [])
+    (of_string_opt "" = Some [])
 
 (* ---- baselines ---- *)
 
@@ -566,6 +593,110 @@ let test_u001_named_test () =
   Alcotest.check verdict "a defined test keeps the export" ([], [])
     (u001_verdict "(a) used by test \"own value\"")
 
+(* ---- U002: optional labels no program passes, constructors no
+   program builds ---- *)
+
+let u002 sources =
+  at "U002" (Driver.scan_sources ~rules:[ "U002" ] ~with_m001:false sources)
+
+let labelled =
+  [ ("lib/core/opts.mli", "val create : ?start:float -> unit -> float\n");
+    ("lib/core/opts.ml", "let create ?(start = 0.0) () = start\n");
+    ("lib/core/caller.ml", "let go () = Opts.create ()\n") ]
+
+let test_u002_unpassed_label () =
+  Alcotest.check loc "an optional label no application passes" [ (1, 4) ]
+    (u002 labelled)
+
+let test_u002_program_passes () =
+  List.iter
+    (fun file ->
+      Alcotest.check loc (file ^ " passes the label") []
+        (u002
+           (labelled @ [ (file, "let go () = Opts.create ~start:1.0 ()\n") ])))
+    [ "bench/b.ml"; "examples/e.ml" ]
+
+let test_u002_test_passes () =
+  Alcotest.check loc "an application from test/ does not count" [ (1, 4) ]
+    (u002
+       (labelled
+       @ [ ( "test/test_opts.ml",
+             "let () = ignore (Opts.create ~start:1.0 ())\n" ) ]))
+
+let test_u002_forwarded () =
+  Alcotest.check loc "a forwarded ?start passes the label" []
+    (u002
+       (labelled
+       @ [ ("lib/core/wrap.ml", "let go ?start () = Opts.create ?start ()\n")
+         ]))
+
+let test_u002_unused () =
+  Alcotest.check loc "a val no program uses is left to U001" []
+    (u002
+       [ List.nth labelled 0; List.nth labelled 1;
+         ("test/test_opts.ml", "let () = ignore (Opts.create ())\n") ])
+
+let test_u002_unapplied () =
+  Alcotest.check loc "an unapplied reference passes no label" [ (1, 4) ]
+    (u002
+       [ List.nth labelled 0; List.nth labelled 1;
+         ("lib/core/caller.ml", "let make = Opts.create\n") ])
+
+(* [Fast] is built only by a test and [Off] only matched in a
+   pattern; [Slow] is built by another unit. *)
+let modes extra =
+  [ ( "lib/core/mode.mli",
+      "type t = Fast | Slow of int | Off\nval name : t -> string\n" );
+    ( "lib/core/mode.ml",
+      "type t = Fast | Slow of int | Off\n\
+       let name = function\n\
+      \  | Fast -> \"fast\" | Slow _ -> \"slow\" | Off -> \"off\"\n"
+      ^ extra );
+    ("lib/core/user.ml", "let go () = Mode.name (Mode.Slow 3)\n");
+    ("test/test_mode.ml", "let () = ignore (Mode.name Mode.Fast)\n") ]
+
+let test_u002_unbuilt_constructor () =
+  Alcotest.check loc "constructors no program expression builds"
+    [ (1, 9); (1, 30) ] (u002 (modes ""))
+
+let test_u002_parser_builds () =
+  Alcotest.check loc "a constructor its own unit's parser builds" []
+    (u002
+       (modes
+          "let of_string = function\n\
+          \  | \"fast\" -> Some Fast\n\
+          \  | \"off\" -> Some Off\n\
+          \  | _ -> None\n"))
+
+(* An unpassed label kept by a U002 directive with [reason]; the test
+   file defines the test "start value". *)
+let u002_verdict reason =
+  let fs =
+    Driver.scan_sources ~with_m001:false
+      [ ( "lib/core/opts.mli",
+          Printf.sprintf
+            "(* lint: allow U002 %s *)\nval create : ?start:float -> unit -> \
+             float\n"
+            reason );
+        List.nth labelled 1;
+        List.nth labelled 2;
+        ( "test/test_opts.ml",
+          "let cases =\n\
+          \  [ Alcotest.test_case \"start value\" `Quick (fun () ->\n\
+          \      ignore (Opts.create ~start:1.0 ())) ]\n" ) ]
+  in
+  (at "S001" fs, at "U002" fs)
+
+let test_u002_reason_form () =
+  Alcotest.check verdict "a (b) reason is S001 and keeps nothing"
+    ([ (1, 0) ], [ (2, 4) ])
+    (u002_verdict "(b) DESIGN.md section 1 row 3");
+  Alcotest.check verdict "a test no test/ file defines is S001"
+    ([ (1, 0) ], [ (2, 4) ])
+    (u002_verdict "(a) used by test \"start values\"");
+  Alcotest.check verdict "a defined test keeps the label" ([], [])
+    (u002_verdict "(a) used by test \"start value\"")
+
 let test_catalogue () =
   List.iter
     (fun r ->
@@ -575,6 +706,7 @@ let test_catalogue () =
         (r.Rules.hint <> "" && r.Rules.explain <> ""))
     Rules.all;
   Alcotest.(check bool) "find knows D003" true (Rules.is_known "D003");
+  Alcotest.(check bool) "find knows U002" true (Rules.is_known "U002");
   Alcotest.(check bool) "find rejects D999" false (Rules.is_known "D999")
 
 let () =
@@ -626,7 +758,22 @@ let () =
           Alcotest.test_case "U001 reason form" `Quick test_u001_reason_form;
           Alcotest.test_case "U001 stale test name" `Quick
             test_u001_stale_test;
-          Alcotest.test_case "U001 named test" `Quick test_u001_named_test
+          Alcotest.test_case "U001 named test" `Quick test_u001_named_test;
+          Alcotest.test_case "U002 unpassed label" `Quick
+            test_u002_unpassed_label;
+          Alcotest.test_case "U002 passed from bench or examples" `Quick
+            test_u002_program_passes;
+          Alcotest.test_case "U002 passed only from test" `Quick
+            test_u002_test_passes;
+          Alcotest.test_case "U002 forwarded label" `Quick test_u002_forwarded;
+          Alcotest.test_case "U002 val no program uses" `Quick test_u002_unused;
+          Alcotest.test_case "U002 unapplied reference" `Quick
+            test_u002_unapplied;
+          Alcotest.test_case "U002 unbuilt constructor" `Quick
+            test_u002_unbuilt_constructor;
+          Alcotest.test_case "U002 constructor built by its parser" `Quick
+            test_u002_parser_builds;
+          Alcotest.test_case "U002 reason form" `Quick test_u002_reason_form
         ] );
       ( "suppressions",
         [ Alcotest.test_case "valid directive silences" `Quick

@@ -343,15 +343,16 @@ let test_correlation_fields_json () =
     (List.length (parse_csv_row (Trace.to_csv e)))
 
 let test_recorder_ring () =
-  let r = Trace.recorder ~capacity:4 () in
+  let r = Trace.recorder () in
   Alcotest.(check bool) "recorder is enabled" true (Trace.enabled r);
-  for i = 1 to 10 do
+  for i = 1 to 1000 do
     Trace.emit r (ev ~time:(float_of_int i) ~src:"x" Trace.Announce)
   done;
   let times = List.map (fun e -> e.Trace.time) (Trace.recent r) in
-  Alcotest.(check (list (float 0.0))) "last capacity events, oldest first"
-    [ 7.0; 8.0; 9.0; 10.0 ] times;
-  Alcotest.(check int) "seen counts everything" 10 (Trace.seen r)
+  Alcotest.(check (list (float 0.0))) "last 512 events, oldest first"
+    (List.init 512 (fun i -> float_of_int (489 + i)))
+    times;
+  Alcotest.(check int) "seen counts everything" 1000 (Trace.seen r)
 
 (* ---- flat JSON parser ---- *)
 

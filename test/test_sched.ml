@@ -164,7 +164,7 @@ let test_lottery_randomised () =
   Alcotest.(check bool) "different draws" true (make 1 <> make 2)
 
 let test_drr_deficit_accounting () =
-  let s = Sched.Drr.create ~quantum:100.0 () in
+  let s = Sched.Drr.create () in
   let f1 = Sched.Drr.add_flow s ~weight:1.0 in
   let f2 = Sched.Drr.add_flow s ~weight:1.0 in
   Sched.Drr.set_backlogged s f1 true;
@@ -176,15 +176,15 @@ let test_drr_deficit_accounting () =
         f
     | None -> Alcotest.fail "empty"
   in
-  (* a quantum of 100 covers 60 + 40 but no more: the flow keeps the
-     turn while its deficit stays positive *)
+  (* a weight-1.0 round covers 0.75 + 0.25 but no more: the flow keeps
+     the turn while its deficit stays positive *)
   Alcotest.(check (list int)) "turns follow the deficit" [ f1; f1; f2 ]
-    (List.map serve [ 60.0; 40.0; 100.0 ]);
+    (List.map serve [ 0.75; 0.25; 1.0 ]);
   Sched.Drr.set_backlogged s f2 false;
   (* a huge packet sends the deficit deeply negative; selection must
      still terminate and eventually serve the flow again *)
   (match Sched.Drr.select s with
-  | Some f -> Sched.Drr.charge s f 100_000.0
+  | Some f -> Sched.Drr.charge s f 1000.0
   | None -> Alcotest.fail "empty");
   match Sched.Drr.select s with
   | Some f -> Alcotest.(check int) "recovers after bulk replenish" f1 f

@@ -6,10 +6,6 @@ let test_time_starts_at_zero () =
   let e = Engine.create () in
   Alcotest.(check (float 0.0)) "t=0" 0.0 (Engine.now e)
 
-let test_custom_start () =
-  let e = Engine.create ~start:100.0 () in
-  Alcotest.(check (float 0.0)) "t=100" 100.0 (Engine.now e)
-
 let test_events_fire_in_order () =
   let e = Engine.create () in
   let log = ref [] in
@@ -87,12 +83,6 @@ let test_nan_rejected () =
   Alcotest.check_raises "nan period"
     (Invalid_argument "Engine.every: period must be positive") (fun () ->
       let (_ : unit -> bool) = Engine.every e ~period:nan ignore in ());
-  Alcotest.check_raises "nan jitter"
-    (Invalid_argument "Engine.every: jitter exceeds period") (fun () ->
-      let (_ : unit -> bool) =
-        Engine.every e ~period:1.0 ~jitter:(fun () -> nan) ignore
-      in
-      ());
   Engine.run e;
   Alcotest.(check (list (float 0.0))) "fires in time order" [ 1.0; 2.0; 3.0 ]
     (List.rev !log);
@@ -122,21 +112,6 @@ let test_every_period () =
   Alcotest.(check bool) "stop stops" true (stop ());
   Engine.run ~until:10.0 e;
   Alcotest.(check int) "no more firings" 5 !count
-
-let test_every_jitter () =
-  let e = Engine.create () in
-  let times = ref [] in
-  let jitter =
-    let toggle = ref true in
-    fun () ->
-      toggle := not !toggle;
-      if !toggle then 0.25 else -0.25
-  in
-  let _stop =
-    Engine.every e ~period:1.0 ~jitter (fun e -> times := Engine.now e :: !times)
-  in
-  Engine.run ~until:3.0 e;
-  Alcotest.(check bool) "fired at least twice" true (List.length !times >= 2)
 
 let test_loop_telemetry () =
   let e = Engine.create () in
@@ -429,7 +404,6 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "starts at zero" `Quick test_time_starts_at_zero;
-          Alcotest.test_case "custom start" `Quick test_custom_start;
           Alcotest.test_case "time order" `Quick test_events_fire_in_order;
           Alcotest.test_case "fifo ties" `Quick test_equal_times_fifo;
           Alcotest.test_case "clock advance" `Quick test_clock_advances_to_event_time;
@@ -440,7 +414,6 @@ let () =
           Alcotest.test_case "zero delay" `Quick test_zero_delay_fires;
           Alcotest.test_case "step" `Quick test_step;
           Alcotest.test_case "every period" `Quick test_every_period;
-          Alcotest.test_case "every jitter" `Quick test_every_jitter;
           Alcotest.test_case "loop telemetry" `Quick test_loop_telemetry;
           Alcotest.test_case "on_step composes" `Quick test_on_step_composes;
           Alcotest.test_case "50k events" `Slow test_many_events_throughput;

@@ -466,14 +466,14 @@ let test_reports_loss_estimation () =
   | _ -> Alcotest.fail "not a report"
 
 let test_reports_sender_smoothing () =
-  let s = Reports.Sender_side.create ~alpha:0.5 () in
+  let s = Reports.Sender_side.create () in
   check_close 0.0 "optimistic start" 0.0 (Reports.Sender_side.loss_estimate s);
   Reports.Sender_side.on_report s
     (Wire.Receiver_report { highest_seq = 10; received = 8; loss_estimate = 0.2 });
   check_close 1e-9 "first adopted" 0.2 (Reports.Sender_side.loss_estimate s);
   Reports.Sender_side.on_report s
     (Wire.Receiver_report { highest_seq = 20; received = 10; loss_estimate = 0.4 });
-  check_close 1e-9 "ewma" 0.3 (Reports.Sender_side.loss_estimate s)
+  check_close 1e-9 "ewma" 0.25 (Reports.Sender_side.loss_estimate s)
 
 (* ------------------------------------------------------------------ *)
 (* Profile / Allocator *)
@@ -1061,6 +1061,68 @@ let test_session_meta_converges () =
        (Sstp.Receiver.namespace (Session.receiver s))
        (Path.of_string "m/img"))
 
+(* [Session.Target]: the session hands the sender
+   [Allocator.decide]'s split (analytic open-loop profile, send rate
+   0.2 mu, no loss yet), and each receiver report retunes it. A
+   [Manual] twin given that same split runs the same trace until the
+   first report (receivers report every 5 s), and another one after. *)
+let test_session_target () =
+  let mu = 64_000.0 in
+  let d =
+    let profile =
+      Profile.analytic_open_loop ~lambda_kbps:(0.3 *. mu /. 1000.0)
+        ~mu_total_kbps:(mu /. 1000.0) ~p_death:0.2
+    in
+    Allocator.decide
+      (Allocator.create ~profile ~target_consistency:0.9 ())
+      ~mu_total_bps:mu ~loss:0.0 ~lambda_bps:(0.2 *. mu)
+  in
+  let run reliability =
+    let engine = Engine.create () in
+    let trace = Softstate_obs.Trace.memory () in
+    let config =
+      { (Session.default_config ~mu_total_bps:mu) with
+        Session.loss = Net.Loss.bernoulli 0.3;
+        reliability;
+        (* summaries due at once, so the cold class contends for the
+           link and the hot/cold weights decide the packet order *)
+        summary_period = 0.01 }
+    in
+    let s =
+      Session.create ~obs:(Softstate_obs.Obs.create ~trace ()) ~engine
+        ~rng:(Rng.create 61) ~config ()
+    in
+    publish_tree s ~groups:4 ~items:10;
+    let n = ref 0 in
+    let (_ : unit -> bool) =
+      Engine.every engine ~period:0.05 (fun _ ->
+          incr n;
+          Session.publish s
+            ~path:(Printf.sprintf "g%d/i%d" (!n mod 4) (!n mod 10))
+            ~payload:(String.make 400 (Char.chr (65 + (!n mod 26)))))
+    in
+    Engine.run ~until:30.0 engine;
+    Alcotest.(check int) "trace kept whole" 0
+      (Softstate_obs.Trace.overwritten trace);
+    Softstate_obs.Trace.events trace
+  in
+  let target = run (Session.Target 0.9) in
+  let twin =
+    run
+      (Session.Manual
+         { mu_hot_bps = Float.max 1.0 d.Allocator.mu_hot_bps;
+           mu_cold_bps = Float.max 1.0 d.Allocator.mu_cold_bps;
+           mu_fb_bps = Float.max 1.0 d.Allocator.mu_fb_bps })
+  in
+  let before_report =
+    List.filter (fun e -> e.Softstate_obs.Trace.time < 5.0)
+  in
+  Alcotest.(check bool) "the decided split, until the first report" true
+    (before_report target = before_report twin);
+  Alcotest.(check bool) "traffic before the first report" true
+    (List.length (before_report target) > 100);
+  Alcotest.(check bool) "reports retune the split" false (target = twin)
+
 let test_session_meta_driven_interest () =
   (* The PDA example of section 6.2: the receiver declines repair of
      branches tagged as high-resolution images, using the *sender's*
@@ -1601,6 +1663,8 @@ let () =
           Alcotest.test_case "meta converges" `Quick test_session_meta_converges;
           Alcotest.test_case "meta-driven interest" `Quick
             test_session_meta_driven_interest;
+          Alcotest.test_case "target split and retune" `Quick
+            test_session_target;
         ] );
       ( "group",
         [
