@@ -3,11 +3,14 @@
    Drives a bare Base instance — no protocol queueing, announcements
    delivered directly — with a fixed-lifetime workload tuned for a
    steady-state live set of 10^6 keys under the per-key expiry timers
-   ([Refresh_wheel], one engine calendar event per armed copy), then
-   gates on live-heap *flatness*: after warmup, a least-squares fit of
-   Gc live words against simulated time must have negligible slope. Any per-key structure that leaks (receiver rows,
-   expiry timers, seq maps, engine calendar entries) shows up as a
-   positive drift over the hours-long measurement window.
+   ([Refresh_wheel]: at most one engine calendar event per armed copy,
+   and none for a copy whose deadline falls after its key's death; the
+   fixed-lifetime deaths queue in one engine lane), then gates on
+   live-heap *flatness*: after warmup, a least-squares fit of Gc live
+   words against simulated time must have negligible slope. Any
+   per-key structure that leaks (receiver rows, expiry timers, death
+   lane, seq maps, engine calendar entries) shows up as a positive
+   drift over the hours-long measurement window.
 
    Shape of the run:
    - arrivals: Poisson at [keys/ttl] per second, each record living

@@ -113,6 +113,18 @@ type t = {
   update_rng : Rng.t;
   table : Table.t;
   rows : soa array;
+  (* Death time of the record in each table slot, known at its birth
+     under the lifetime specs and kept only under [Refresh_wheel], its
+     one reader; [infinity] when unknown (per-service deaths, or a
+     record the table got from elsewhere), and at every slot >= live
+     or beyond the array. A float field of [Record.t] would be boxed,
+     and the box promoted with the record. Moves in lockstep with
+     Table's swap-remove, like the rows. *)
+  mutable death_at : float array;
+  (* [Lifetime_fixed] deaths: every one falls [ttl] after its birth, so
+     they queue in one engine lane, keyed by the record's key; made by
+     [start] *)
+  mutable death_lane : Engine.lane option;
   tracker : Consistency.t;
   workload : Workload.t;
   death : death_spec;
@@ -216,6 +228,7 @@ let create ~engine ~rng ~workload ~death ?(receivers = 1)
     update_rng = Rng.split rng;
     table = Table.create ();
     rows = Array.init receivers (fun _ -> soa_create ());
+    death_at = [||]; death_lane = None;
     tracker; workload; death; expiry; next_key = 0;
     on_arrival = ignore; on_death = ignore; hooks_set = false;
     false_expiries = 0; stale_purged = 0 }
@@ -261,25 +274,45 @@ let unmatch t ~now r =
   r.Record.matching <- r.Record.matching - 1;
   Consistency.on_unmatch t.tracker ~now
 
+let death_of_slot t slot =
+  if slot < Array.length t.death_at then t.death_at.(slot) else infinity
+
+let note_death t slot time =
+  match t.expiry with
+  | No_expiry | Refresh_timeout _ -> ()
+  | Refresh_wheel _ ->
+      let cap = Array.length t.death_at in
+      if slot >= cap then begin
+        let grown = Array.make (max 64 (2 * max cap (slot + 1))) infinity in
+        Array.blit t.death_at 0 grown 0 cap;
+        t.death_at <- grown
+      end;
+      t.death_at.(slot) <- time
+
+(* Mirror Table's swap-remove, as [soa_on_remove] does for the rows. *)
+let death_on_remove t ~slot ~last_slot =
+  let cap = Array.length t.death_at in
+  if slot < cap then t.death_at.(slot) <- death_of_slot t last_slot;
+  if last_slot < cap then t.death_at.(last_slot) <- infinity
+
 let remove_record t ~now r =
   (* read while the key still has a slot *)
   let matching = matching_count r in
   let key = r.Record.key in
   (* Slot-indexed rows cannot outlive the slot: the dying record's row
      is reclaimed here, in lockstep with Table's swap-remove. That
-     reclaim is the soft-state garbage collection: under the sweep,
-     each copy with a gap estimate (one the sweep could expire) counts
-     as a stale purge now; under the wheel, an armed timer for the
-     dead key stays on the engine calendar and is counted when it
-     fires. *)
+     reclaim is the soft-state garbage collection, and under either
+     discipline each copy with a gap estimate counts as one stale
+     purge now: a copy the sweep could expire or, under the wheel, a
+     copy whose timer is armed (every such copy has one). *)
   let slot = r.Record.slot in
   assert (slot >= 0);
   let last_slot = Table.live_count t.table - 1 in
   ignore (Table.remove t.table key);
   let count_purges =
     match t.expiry with
-    | Refresh_timeout _ -> true
-    | No_expiry | Refresh_wheel _ -> false
+    | Refresh_timeout _ | Refresh_wheel _ -> true
+    | No_expiry -> false
   in
   Array.iter
     (fun soa ->
@@ -287,24 +320,34 @@ let remove_record t ~now r =
         t.stale_purged <- t.stale_purged + 1;
       soa_on_remove soa ~slot ~last_slot)
     t.rows;
+  death_on_remove t ~slot ~last_slot;
   Consistency.on_death t.tracker ~now ~matching;
   t.on_death r
 
-let schedule_expiry t r =
-  let schedule_kill after =
-    Engine.schedule t.engine ~after (fun engine ->
-        (* The key may have died early (e.g. explicit kill in
-           tests); remove_record is only called on live records. *)
-        match Table.find t.table r.Record.key with
-        | Some live -> remove_record t ~now:(Engine.now engine) live
-        | None -> ())
-  in
-  match t.death with
-  | Per_service _ -> ()
-  | Lifetime_fixed ttl -> schedule_kill ttl
-  | Lifetime_exp mean ->
-      schedule_kill
-        (Softstate_util.Dist.exponential t.death_rng ~rate:(1.0 /. mean))
+(* The end of a lifetime. The key may have died early (e.g. explicit
+   kill in tests); remove_record is only called on live records. *)
+let lifetime_ends t engine key =
+  match Table.find t.table key with
+  | Some live -> remove_record t ~now:(Engine.now engine) live
+  | None -> ()
+
+(* Schedule a newborn record's death and note its time, which is the
+   time the engine computes for the event. *)
+let schedule_death t r =
+  let now = Engine.now t.engine in
+  match (t.death, t.death_lane) with
+  | Per_service _, _ -> ()
+  | Lifetime_fixed ttl, Some lane ->
+      Engine.lane_schedule lane r.Record.key;
+      note_death t r.Record.slot (now +. ttl)
+  | Lifetime_exp mean, _ ->
+      let after =
+        Softstate_util.Dist.exponential t.death_rng ~rate:(1.0 /. mean)
+      in
+      let key = r.Record.key in
+      Engine.schedule t.engine ~after (fun engine -> lifetime_ends t engine key);
+      note_death t r.Record.slot (now +. after)
+  | Lifetime_fixed _, None -> assert false
 
 let arrival t =
   let now = Engine.now t.engine in
@@ -336,7 +379,7 @@ let arrival t =
       let r = Record.make ~key ~now ~size_bits:t.workload.Workload.size_bits in
       Table.insert t.table r;
       Consistency.on_birth t.tracker ~now;
-      schedule_expiry t r;
+      schedule_death t r;
       t.on_arrival r
 
 (* One expiry sweep over one receiver's soft state: a scan of the live
@@ -369,12 +412,20 @@ let sweep_receiver t ~now ~multiple soa =
    the row's armed bit is set, so each (receiver, key) has at most one
    pending event.
 
+   A timer whose deadline is not before its key's known death time is
+   never put on the calendar: the armed bit alone stands for it. It
+   could only have fired after the death (at an equal time the death
+   fires first, its event being the older), when the key's row is
+   already reclaimed, so leaving it out changes nothing but the
+   calendar's size. Keys without a known death (per-service deaths)
+   keep real timers.
+
    Contract vs the sweep: the timer fires at the deadline itself, so a
    record is expired when now - last_heard >= multiple * gap (the
    sweep, sampling at sweep_period boundaries, tests with strict >
    some time after the deadline has passed). Under both, dead keys'
-   copies are reclaimed at sender death; the wheel counts stale_purged
-   when the orphaned timer fires, the sweep at the reclaim itself. *)
+   copies are reclaimed at sender death, and stale_purged is counted
+   at that reclaim; a real timer of a dead key fires as a no-op. *)
 
 let wheel_multiple t =
   match t.expiry with
@@ -382,17 +433,19 @@ let wheel_multiple t =
   | No_expiry | Refresh_timeout _ -> assert false
 
 (* The timer closure captures only [t], [receiver] and [key]: one is
-   live per armed copy, so its size is per-key memory. *)
-let rec arm_expiry t ~deadline receiver key =
-  Engine.schedule_at t.engine ~time:deadline (fun engine ->
-      fire_expiry t ~now:(Engine.now engine) receiver key)
+   live per calendar timer, so its size is per-key memory. [slot] is
+   the key's current slot, to read its death time. *)
+let rec arm_expiry t ~deadline ~slot receiver key =
+  if deadline < death_of_slot t slot then
+    Engine.schedule_at t.engine ~time:deadline (fun engine ->
+        fire_expiry t ~now:(Engine.now engine) receiver key)
 
 and fire_expiry t ~now receiver key =
   match Table.slot_of_key t.table key with
   | None ->
-      (* the record died at the sender; its row was reclaimed with the
-         slot, and this orphaned timer is the purge event *)
-      t.stale_purged <- t.stale_purged + 1
+      (* the record died at the sender; its row was reclaimed, and
+         counted, with the slot *)
+      ()
   | Some slot ->
       let soa = t.rows.(receiver) in
       if soa_present soa slot && soa_armed soa slot then begin
@@ -410,11 +463,15 @@ and fire_expiry t ~now receiver key =
         else
           (* heard from since the timer was set: push back to the
              recomputed deadline (the armed bit stays set) *)
-          arm_expiry t ~deadline receiver key
+          arm_expiry t ~deadline ~slot receiver key
       end
 
 let start t =
   if not t.hooks_set then failwith "Base.start: hooks not set";
+  (match t.death with
+  | Lifetime_fixed ttl ->
+      t.death_lane <- Some (Engine.lane t.engine ~delay:ttl (lifetime_ends t))
+  | Per_service _ | Lifetime_exp _ -> ());
   let rec tick engine =
     arrival t;
     Engine.schedule engine
@@ -489,7 +546,7 @@ let deliver t ~now ~receiver ann =
         | Refresh_wheel { multiple } ->
             if not (soa_armed soa slot) then begin
               (* first defined gap estimate: arm the expiry timer *)
-              arm_expiry t ~deadline:(now +. (multiple *. gap)) receiver
+              arm_expiry t ~deadline:(now +. (multiple *. gap)) ~slot receiver
                 ann.key;
               soa_set_flags soa slot ~present:true ~armed:true
             end

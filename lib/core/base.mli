@@ -53,10 +53,13 @@ val death_of_string : string -> (death_spec, string) result
     {!Refresh_timeout} is the periodic sweep: O(live keys) per sweep,
     with expiry observed at the first scan after the deadline (strict
     [>] test). {!Refresh_wheel} runs per-key timers on the engine
-    calendar: one event per (receiver, key), pushed back lazily when
-    it fires early, so a refresh costs no calendar operation and
-    expiry fires at the deadline itself ([now - last_heard >= multiple
-    * gap]). The name is historical; scenario strings keep it. *)
+    calendar: at most one event per (receiver, key), pushed back
+    lazily when it fires early, so a refresh costs no calendar
+    operation and expiry fires at the deadline itself ([now -
+    last_heard >= multiple * gap]). A timer whose deadline is not
+    before its key's death time, known at birth under the lifetime
+    specs, is never put on the calendar: it could not fire before the
+    death. The name is historical; scenario strings keep it. *)
 type expiry_spec =
   | No_expiry
   | Refresh_timeout of {
@@ -147,7 +150,7 @@ val stale_purged : t -> int
 (** Receiver copies of records already dead at the sender that the
     expiry timers would have collected — the garbage collection soft
     state is supposed to provide. Every copy is reclaimed at sender
-    death; only copies with a gap estimate (heard at least twice)
-    count. {!Refresh_timeout} counts them at the reclaim;
-    {!Refresh_wheel} counts each when its orphaned timer fires.
-    Always 0 under {!No_expiry}. *)
+    death; only copies with a gap estimate (heard at least twice,
+    which under {!Refresh_wheel} is a copy with an armed timer) count,
+    at the reclaim, under both disciplines. Always 0 under
+    {!No_expiry}. *)

@@ -112,8 +112,8 @@ type result = {
   false_expiries : int;        (** receiver timeouts of live records *)
   stale_purged : int;
       (** receiver copies of dead records the expiry timers would have
-          collected: counted at sender death under the sweep, at the
-          orphaned timer's firing under the wheel ({!Base.stale_purged}) *)
+          collected, counted at sender death under both disciplines
+          ({!Base.stale_purged}) *)
   live_at_end : int;
   utilisation : float;         (** data link busy fraction *)
   fault_transitions : int;     (** effective topology fault flips *)

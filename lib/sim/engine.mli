@@ -9,15 +9,19 @@
     or until the calendar drains. Model processes (arrivals, services,
     timers) are ordinary closures that reschedule themselves.
 
-    One calendar backs the engine: a binary heap keyed by time. One-shot
-    events ({!schedule}), each occurrence of a recurring timer
-    ({!every}) and every per-key soft-state timer are entries in it.
-    A scheduled event cannot be cancelled: it always fires, and a
-    callback whose work has become moot checks its own state and
-    returns (the soft-state expiry timers push their deadlines back
-    this way). Determinism contract: events fire in (time, scheduling
-    order) — at equal timestamps, whichever event was scheduled first
-    fires first.
+    The calendar is a binary heap keyed by time, with FIFO lanes
+    beside it. One-shot events ({!schedule}), each occurrence of a
+    recurring timer ({!every}) and each per-key soft-state expiry
+    timer are entries in the heap. A lane ({!lane}) holds events that
+    all share one constant delay — the fixed-lifetime deaths — and
+    only its oldest entry sits in the heap, so a lane of a thousand
+    pending events costs the heap one entry. A scheduled event cannot
+    be cancelled: it always fires, and a callback whose work has
+    become moot checks its own state and returns (the soft-state
+    expiry timers push their deadlines back this way). Determinism
+    contract: events fire in (time, scheduling order) — at equal
+    timestamps, whichever event was scheduled first fires first, lane
+    entries included.
 
     Coalesced runs: an event scheduled at the same time as the event
     scheduled just before it, while that one is still pending, joins
@@ -30,7 +34,8 @@
     calendar entry keeps a cursor to its next callback: {!step} fires
     exactly one callback and leaves the rest of the run pending, and
     {!pending}, {!events_fired}, {!high_water} and {!on_step} count
-    callbacks, not entries. *)
+    callbacks, not entries; a lane entry counts as one callback whether
+    or not it is the lane's head. *)
 
 type t
 
@@ -84,3 +89,21 @@ val every : t -> period:float -> (t -> unit) -> (unit -> bool)
     recurrence: the occurrence already in the calendar still fires but
     runs nothing and arms nothing. It returns [true] if the timer was
     running, [false] if it had already been stopped. *)
+
+(** {2 Lanes} *)
+
+type lane
+(** A FIFO of events that all fire [delay] after they are scheduled,
+    each carrying an int payload for one shared handler. *)
+
+val lane : t -> delay:float -> (t -> int -> unit) -> lane
+(** [lane t ~delay handler] makes an empty lane on [t]. [delay] must be
+    non-negative (NaN is rejected). The lane schedules nothing until
+    {!lane_schedule}. *)
+
+val lane_schedule : lane -> int -> unit
+(** [lane_schedule l x] arranges for [handler t x] to run at
+    [now t +. delay], exactly as [schedule t ~after:delay] would: it
+    fires in (time, scheduling order) among all the engine's events,
+    and counts as one in {!pending}, {!high_water} and
+    {!events_fired}. Allocates only when the lane's ring grows. *)

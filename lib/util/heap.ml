@@ -19,7 +19,9 @@
    it up from there.
 
    Every (key, seq) pair is distinct, so the order entries leave the
-   heap does not depend on its internal layout.
+   heap does not depend on its internal layout. A sequence number is
+   minted either by the insert itself or, ahead of time, by [mint]
+   for a later [insert_minted]; either way each number is used once.
 
    Runs: an insert whose key equals the previous insert's key, while
    that insert is still in the heap, takes a fresh slot but no heap
@@ -150,26 +152,52 @@ let ensure_capacity t v =
     t.value <- nv
   end
 
-let insert t ~key v =
+(* Take a free slot for [v]. *)
+let[@inline] take_slot t v =
   ensure_capacity t v;
   let slot = t.free_head in
   t.free_head <- t.link.(slot);
   t.link.(slot) <- -1;
   t.count <- t.count + 1;
   t.value.(slot) <- v;
+  slot
+
+(* Give [slot] a heap position of its own under ([key], [seq]). *)
+let[@inline] place t ~key ~seq slot =
+  let i = t.size in
+  t.size <- i + 1;
+  let p = t.size in
+  t.hkey.(p) <- key;
+  t.hseq.(p) <- seq;
+  t.hslot.(p) <- slot;
+  move t ~src:p ~dst:(sift_up t i)
+
+let insert t ~key v =
+  let slot = take_slot t v in
   if key = t.tail_key.(0) && t.tail >= 0 then t.link.(t.tail) <- slot
   else begin
-    let i = t.size in
-    t.size <- i + 1;
-    let p = t.size in
-    t.hkey.(p) <- key;
-    t.hseq.(p) <- t.next_seq;
-    t.hslot.(p) <- slot;
+    place t ~key ~seq:t.next_seq slot;
     t.next_seq <- t.next_seq + 1;
-    move t ~src:p ~dst:(sift_up t i);
     t.tail_key.(0) <- key
   end;
   t.tail <- slot
+
+(* A minted sequence number belongs to an element the caller inserts
+   later, with [insert_minted]. Minting closes the open run: an insert
+   after it must order after the minted element, so it may not join a
+   run that opened before. *)
+let[@hot] mint t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  t.tail <- -1;
+  seq
+
+(* An element under a sequence number minted earlier takes a heap
+   position of its own. It may not join the open run: that run opened
+   after the mint, so its members order after this element. Nor may it
+   open one: a later insert at its key would be linked behind it, ahead
+   of elements whose numbers fall in between. *)
+let[@hot][@inline] insert_minted t ~key ~seq v = place t ~key ~seq (take_slot t v)
 
 (* Allocation-free extraction for per-event callers: an option/tuple
    result would cost two blocks per engine step. The protocol is top

@@ -14,11 +14,17 @@
     insert at the previous insert's key, while that element is still
     in the heap, is linked behind it as a run and costs no sift, and
     extracting a run member other than the last costs no sift either.
-    The order elements leave the heap is unchanged by this. *)
+    The order elements leave the heap is unchanged by this.
+
+    A caller may also take an element's sequence number now and insert
+    it later ({!mint}, {!insert_minted}): the engine's FIFO lanes keep
+    only their oldest entry in the heap this way. *)
 
 type 'a t
 (** Heap of elements prioritised by a float key (smallest first); ties
-    broken by insertion order, so equal-key elements dequeue FIFO. *)
+    broken by sequence number — insertion order, or for
+    {!insert_minted} the order of the {!mint} — so equal-key elements
+    dequeue FIFO. *)
 
 val create : unit -> 'a t
 (** An empty heap with room for 64 elements; it grows as needed. *)
@@ -28,6 +34,17 @@ val length : 'a t -> int
 
 val insert : 'a t -> key:float -> 'a -> unit
 (** [insert t ~key v] adds [v] with priority [key]. *)
+
+val mint : 'a t -> int
+(** Take the sequence number the next {!insert} would have used, for an
+    element to be inserted later with {!insert_minted}; it orders
+    after every element inserted so far and before every later one at
+    its key. *)
+
+val insert_minted : 'a t -> key:float -> seq:int -> 'a -> unit
+(** [insert_minted t ~key ~seq v] adds [v] under a [seq] that {!mint}
+    returned and that no other element holds. The element takes a
+    heap position of its own: it neither joins a run nor opens one. *)
 
 (** {2 Extraction}
 

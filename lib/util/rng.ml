@@ -36,18 +36,24 @@ let[@inline] float g =
   Int64.to_float (Int64.shift_right_logical (bits64 g) 11)
   *. (1.0 /. 9007199254740992.0)
 
-(* Rejection sampling on 62 usable non-negative bits. *)
+(* Rejection sampling on 62 usable non-negative bits. [int] inlines
+   the first draw, which is rejected with probability below n / 2^62;
+   this out-of-line loop redraws. *)
 let rec draw_below g n =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
   let v = r mod n in
   if r - v > max_int - n + 1 then draw_below g n else v
 
-let int g n =
+let[@inline] int g n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   if n land (n - 1) = 0 then
     (* power of two: mask is exact *)
     Int64.to_int (bits64 g) land (n - 1)
-  else draw_below g n
+  else begin
+    let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
+    let v = r mod n in
+    if r - v > max_int - n + 1 then draw_below g n else v
+  end
 
 let bool g = Int64.logand (bits64 g) 1L = 1L
 

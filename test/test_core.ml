@@ -17,6 +17,8 @@ let check_close eps = Alcotest.(check (float eps))
 (* ------------------------------------------------------------------ *)
 (* Record / Table *)
 
+module Int_map = Map.Make (Int)
+
 let test_record_touch () =
   let r = Record.make ~key:1 ~now:10.0 ~size_bits:100 in
   Alcotest.(check int) "version 0" 0 r.Record.version;
@@ -137,6 +139,97 @@ let qcheck_table_model =
 (* ------------------------------------------------------------------ *)
 (* Consistency tracker *)
 
+
+(* Model test of the open-addressing index: long insert/remove
+   sequences over wide-ranging keys (negative, extreme, and multiples of
+   2^20, which share their low bits), checked against a [Map] from key
+   to slot and a dense key array with swap-remove. The sequences grow
+   the index several times and remove from the middle of probe
+   clusters, so backward-shift deletion has to keep every key
+   reachable. *)
+type table_op = Ins of int | Del of int | Del_live of int
+
+let table_op_gen =
+  QCheck.Gen.(
+    let key =
+      frequency
+        [ (6, int_range (-5) 3000);
+          (2, map (fun k -> k lsl 20) (int_range (-50) 50));
+          (1, oneofl [ min_int; max_int; 0; -1 ]) ]
+    in
+    frequency
+      [ (5, map (fun k -> Ins k) key);
+        (1, map (fun k -> Del k) key);
+        (3, map (fun n -> Del_live n) nat) ])
+
+let qcheck_table_map_model =
+  QCheck.Test.make ~name:"table index matches a map" ~count:100
+    QCheck.(make Gen.(list_size (int_range 0 1500) table_op_gen))
+    (fun ops ->
+      let t = Table.create () in
+      let slots = ref Int_map.empty and dense = ref [||] in
+      let check_key k =
+        let want = Int_map.find_opt k !slots in
+        if Table.slot_of_key t k <> want then
+          QCheck.Test.fail_reportf "slot_of_key %d" k;
+        if Table.mem t k <> (want <> None) then QCheck.Test.fail_reportf "mem %d" k;
+        match (Table.find t k, want) with
+        | Some r, Some slot when r.Record.key = k && r.Record.slot = slot -> ()
+        | None, None -> ()
+        | Some _, _ | None, Some _ -> QCheck.Test.fail_reportf "find %d" k
+      in
+      let check_all () =
+        Int_map.iter (fun k _ -> check_key k) !slots;
+        Array.iteri
+          (fun slot k ->
+            if (Table.record_at t slot).Record.key <> k then
+              QCheck.Test.fail_reportf "record_at %d" slot)
+          !dense
+      in
+      let remove k =
+        let removed = Table.remove t k in
+        match Int_map.find_opt k !slots with
+        | None -> if removed <> None then QCheck.Test.fail_reportf "removed absent %d" k
+        | Some slot ->
+            (match removed with
+            | Some r when r.Record.key = k && r.Record.slot = -1 -> ()
+            | Some _ | None -> QCheck.Test.fail_reportf "remove %d" k);
+            let last = Array.length !dense - 1 in
+            let moved = !dense.(last) in
+            !dense.(slot) <- moved;
+            dense := Array.sub !dense 0 last;
+            slots := Int_map.remove k !slots;
+            if moved <> k then slots := Int_map.add moved slot !slots
+      in
+      List.iteri
+        (fun i op ->
+          let k =
+            match op with
+            | Ins k ->
+                (match Table.insert t (Record.make ~key:k ~now:0.0 ~size_bits:1) with
+                | () ->
+                    if Int_map.mem k !slots then
+                      QCheck.Test.fail_reportf "duplicate %d accepted" k;
+                    slots := Int_map.add k (Array.length !dense) !slots;
+                    dense := Array.append !dense [| k |]
+                | exception Invalid_argument _ ->
+                    if not (Int_map.mem k !slots) then
+                      QCheck.Test.fail_reportf "insert %d refused" k);
+                k
+            | Del k -> remove k; k
+            | Del_live n ->
+                let live = Array.length !dense in
+                let k = if live = 0 then n else !dense.(n mod live) in
+                remove k;
+                k
+          in
+          if Table.live_count t <> Array.length !dense then
+            QCheck.Test.fail_report "live_count";
+          check_key k;
+          if i mod 64 = 0 then check_all ())
+        ops;
+      check_all ();
+      true)
 let test_tracker_counts () =
   let t = Consistency.create ~now:0.0 () in
   Consistency.on_birth t ~now:1.0;
@@ -1027,9 +1120,10 @@ let test_expiry_wheel_fires_at_deadline () =
   Alcotest.(check int) "pushed back" 0 (Base.false_expiries pushed)
 
 let test_expiry_wheel_stale_purge () =
-  (* once armed, a key killed at the sender leaves an orphaned wheel
-     timer; its eventual firing is the stale purge. The sweep path
-     counts the same event at its next scan. *)
+  (* once armed, a key killed at the sender has its armed copy
+     reclaimed with the slot, and that reclaim is the stale purge; the
+     timer still on the calendar fires later as a no-op. The sweep
+     counts the same copy at the same reclaim. *)
   let script ~insert ~deliver_at ~engine ~base =
     let r = insert 1 in
     let key = r.Record.key in
@@ -1049,6 +1143,76 @@ let test_expiry_wheel_stale_purge () =
   Alcotest.(check int) "sweep stale purge" 1 (Base.stale_purged sweep);
   Alcotest.(check int) "wheel no false" 0 (Base.false_expiries wheel);
   Alcotest.(check int) "sweep no false" 0 (Base.false_expiries sweep)
+
+(* An explicit kill while the copy's wheel timer is really on the
+   calendar (the micro-harness's records have no known death): the
+   reclaim counts the purge, and the timer firing later adds nothing. *)
+let test_expiry_wheel_kill_counts_once () =
+  let base =
+    expiry_micro (Base.Refresh_wheel { multiple = 2.0 })
+      (fun ~insert ~deliver_at ~engine ~base ->
+        let key = (insert 1).Record.key in
+        deliver_at 0.0 key;
+        deliver_at 10.0 key;
+        Engine.run ~until:15.0 engine;
+        Alcotest.(check int) "arrival tick and timer pending" 2
+          (Engine.pending engine);
+        Base.kill base ~now:(Engine.now engine) key;
+        Alcotest.(check int) "purged at the kill" 1 (Base.stale_purged base);
+        Engine.run ~until:60.0 engine;
+        Alcotest.(check int) "the timer fired" 1 (Engine.pending engine))
+  in
+  Alcotest.(check int) "purged once" 1 (Base.stale_purged base);
+  Alcotest.(check int) "no false expiry" 0 (Base.false_expiries base)
+
+(* A wheel copy armed with a deadline at or past its key's known death
+   (a fixed lifetime of 50 s) puts nothing on the calendar: the timer
+   could only fire after the death. The reclaim at the death counts the
+   copy once. A deadline before the death still arms a real timer. *)
+let test_expiry_wheel_past_death () =
+  let run multiple =
+    let engine = Engine.create () in
+    let tracker = Consistency.create ~now:0.0 () in
+    let workload = Workload.create ~arrival_rate:1e-3 ~size_bits:1000 () in
+    let base =
+      Base.create ~engine ~rng:(Rng.create 7) ~workload
+        ~death:(Base.Lifetime_fixed 50.0)
+        ~expiry:(Base.Refresh_wheel { multiple }) ~tracker ()
+    in
+    Base.set_hooks base ~on_arrival:ignore ~on_death:ignore;
+    Base.start base;
+    while Table.live_count (Base.table base) = 0 do
+      ignore (Engine.step engine)
+    done;
+    let r = Table.record_at (Base.table base) 0 in
+    let born = Engine.now engine in
+    let deliver now =
+      Base.deliver base ~now ~receiver:0 (Base.announce_of base ~seq:0 r)
+    in
+    deliver born;
+    let before = Engine.pending engine in
+    (* gap 10: the deadline falls at born + 10 + 10 * multiple *)
+    deliver (born +. 10.0);
+    (engine, base, r.Record.key, born, Engine.pending engine - before)
+  in
+  let _, _, _, _, added = run 3.0 in
+  Alcotest.(check int) "deadline before death: one timer" 1 added;
+  let _, _, _, born, added = run 4.0 in
+  Alcotest.(check bool) "the deadline lands on the death time" true
+    (Float.equal (born +. 10.0 +. (4.0 *. (born +. 10.0 -. born))) (born +. 50.0));
+  Alcotest.(check int) "deadline at death: no timer" 0 added;
+  let engine, base, key, born, added = run 5.0 in
+  Alcotest.(check int) "deadline past death: no timer" 0 added;
+  Engine.run ~until:(born +. 49.0) engine;
+  Alcotest.(check int) "nothing purged before the death" 0
+    (Base.stale_purged base);
+  Engine.run ~until:(born +. 51.0) engine;
+  Alcotest.(check (option int)) "reclaimed at the death" None
+    (Base.receiver_version base ~receiver:0 key);
+  Alcotest.(check int) "counted at the reclaim" 1 (Base.stale_purged base);
+  Engine.run ~until:(born +. 500.0) engine;
+  Alcotest.(check int) "counted once" 1 (Base.stale_purged base);
+  Alcotest.(check int) "no false expiry" 0 (Base.false_expiries base)
 
 let test_expiry_sweep_reclaims_at_death () =
   (* A copy heard once has no gap estimate, so no sweep can expire it:
@@ -1328,7 +1492,13 @@ let test_golden_sweep_stale_purged () =
 (* Per-key wheel expiry on the ledger's unicast-feedback shape (NACK
    feedback, wheel:3, Bernoulli 0.3) at a short duration. Pinned
    before the per-key timers moved from a dedicated expiry wheel onto
-   the engine calendar; the move kept every field bitwise identical. *)
+   the engine calendar; the move kept every field bitwise identical.
+   Pin provenance for [purged]: the wheel counted a stale purge when
+   the orphaned timer of a dead key fired, which gave 19588 here:
+   copies whose timer fell past the horizon were never counted. It now
+   counts at slot reclaim (sender death), once per armed copy, as the
+   sweep does, and timers that could only fire after their key's death
+   are never scheduled; avg, final, lat and false did not move. *)
 let test_golden_wheel () =
   let r =
     Experiment.run
@@ -1344,7 +1514,7 @@ let test_golden_wheel () =
   in
   Alcotest.(check string) "wheel bitwise stable"
     "avg=0x1.c4fde4f086c0ep-1 final=0x1.c3052d727b1c3p-1 \
-     lat=0x1.69dc3fcc4ba96p+1 false=74 purged=19588"
+     lat=0x1.69dc3fcc4ba96p+1 false=74 purged=20483"
     (Printf.sprintf "avg=%h final=%h lat=%h false=%d purged=%d"
        r.Experiment.avg_consistency r.Experiment.final_consistency
        r.Experiment.latency_mean r.Experiment.false_expiries
@@ -1966,6 +2136,7 @@ let () =
           Alcotest.test_case "table insert/remove" `Quick test_table_insert_remove;
           Alcotest.test_case "table random key" `Quick test_table_random_key;
           QCheck_alcotest.to_alcotest qcheck_table_model;
+          QCheck_alcotest.to_alcotest qcheck_table_map_model;
         ] );
       ( "tracker",
         [
@@ -2058,6 +2229,10 @@ let () =
             test_expiry_wheel_fires_at_deadline;
           Alcotest.test_case "wheel stale purge" `Quick
             test_expiry_wheel_stale_purge;
+          Alcotest.test_case "wheel kill counts once" `Quick
+            test_expiry_wheel_kill_counts_once;
+          Alcotest.test_case "wheel timer past death" `Quick
+            test_expiry_wheel_past_death;
           Alcotest.test_case "sweep reclaims at death" `Quick
             test_expiry_sweep_reclaims_at_death;
           Alcotest.test_case "wheel vs sweep agreement" `Slow

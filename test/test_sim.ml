@@ -388,6 +388,152 @@ let qcheck_engine_matches_reference =
     (QCheck.make ~print:print_script script_gen)
     (fun s -> engine_trace s = reference_trace s)
 
+(* The same contract with lanes in the mix. Each child is scheduled one
+   of four ways: [schedule], [schedule_at], or onto one of two lanes,
+   whose delays are drawn from the same set (zero included, so lane
+   entries land inside zero-delay runs and tie with them). The log
+   also records [pending] as each callback sees it, and the reference
+   counts a lane entry like any other pending event. *)
+type via = Plain | At | Lane_a | Lane_b
+
+type lane_script = {
+  lroots : (via * float) list;
+  ltemplates : (via * float) list array;
+  lcap : int;
+  lane_delays : float * float;
+  lstepped : bool;
+}
+
+let via_gen = QCheck.Gen.oneofl [ Plain; Plain; At; Lane_a; Lane_a; Lane_b ]
+
+let children_gen =
+  QCheck.Gen.(
+    map
+      (List.concat_map (fun ((via, d), n) -> List.init n (fun _ -> (via, d))))
+      (list_size (int_range 0 5) (pair (pair via_gen delay_gen) (int_range 1 4))))
+
+let lane_script_gen =
+  QCheck.Gen.(
+    map
+      (fun ((((roots, templates), cap), lane_delays), stepped) ->
+        { lroots = (Lane_a, 0.0) :: (Plain, 1.0) :: roots;
+          ltemplates = Array.of_list templates; lcap = cap; lane_delays;
+          lstepped = stepped })
+      (pair
+         (pair
+            (pair
+               (pair children_gen (list_size (int_range 1 6) children_gen))
+               (int_range 1 300))
+            (pair delay_gen delay_gen))
+         bool))
+
+let print_lane_script s =
+  let child (via, d) =
+    Printf.sprintf "%s%g"
+      (match via with Plain -> "" | At -> "@" | Lane_a -> "A" | Lane_b -> "B")
+      d
+  in
+  let children l = String.concat ";" (List.map child l) in
+  Printf.sprintf "roots=[%s] templates=[%s] cap=%d lanes=(%g,%g) stepped=%b"
+    (children s.lroots)
+    (String.concat " | " (Array.to_list (Array.map children s.ltemplates)))
+    s.lcap (fst s.lane_delays) (snd s.lane_delays) s.lstepped
+
+(* Firing log (event id, time, pending), high water and events fired. *)
+let lane_engine_trace s =
+  let e = Engine.create () in
+  let log = ref [] and next = ref 0 in
+  let fired = ref (fun _ _ -> ()) in
+  let lane_a = Engine.lane e ~delay:(fst s.lane_delays) (fun e id -> !fired e id)
+  and lane_b = Engine.lane e ~delay:(snd s.lane_delays) (fun e id -> !fired e id) in
+  let spawn e (via, delay) =
+    if !next < s.lcap then begin
+      let id = !next in
+      incr next;
+      match via with
+      | Plain -> Engine.schedule e ~after:delay (fun e -> !fired e id)
+      | At -> Engine.schedule_at e ~time:(Engine.now e +. delay) (fun e -> !fired e id)
+      | Lane_a -> Engine.lane_schedule lane_a id
+      | Lane_b -> Engine.lane_schedule lane_b id
+    end
+  in
+  (fired :=
+     fun e id ->
+       log := (id, Engine.now e, Engine.pending e) :: !log;
+       List.iter (spawn e) s.ltemplates.(id mod Array.length s.ltemplates));
+  List.iter (spawn e) s.lroots;
+  if s.lstepped then while Engine.step e do () done else Engine.run e;
+  (List.rev !log, Engine.high_water e, Engine.events_fired e, Engine.pending e)
+
+let lane_reference_trace s =
+  let pending = ref [] and log = ref [] and next = ref 0 and now = ref 0.0 in
+  let high = ref 0 in
+  let spawn (via, delay) =
+    if !next < s.lcap then begin
+      let delay =
+        match via with
+        | Plain | At -> delay
+        | Lane_a -> fst s.lane_delays
+        | Lane_b -> snd s.lane_delays
+      in
+      pending := (!now +. delay, !next) :: !pending;
+      incr next;
+      high := max !high (List.length !pending)
+    end
+  in
+  List.iter spawn s.lroots;
+  let rec loop () =
+    match List.sort compare !pending with
+    | [] -> ()
+    | ((time, id) as first) :: _ ->
+        pending := List.filter (fun ev -> ev <> first) !pending;
+        now := time;
+        log := (id, time, List.length !pending) :: !log;
+        List.iter spawn s.ltemplates.(id mod Array.length s.ltemplates);
+        loop ()
+  in
+  loop ();
+  (List.rev !log, !high, List.length !log, 0)
+
+let qcheck_engine_lanes_match_reference =
+  QCheck.Test.make ~name:"lanes keep (time, scheduling order) and counters"
+    ~count:300
+    (QCheck.make ~print:print_lane_script lane_script_gen)
+    (fun s -> lane_engine_trace s = lane_reference_trace s)
+
+(* A lane entry that re-schedules itself onto its lane, with 600
+   pending, allocates only the clock's float box per step: the ring
+   and the heap entry of its head allocate nothing once grown. *)
+let test_lane_allocation () =
+  let e = Engine.create () in
+  let lane = ref None in
+  let again _ x =
+    match !lane with Some l -> Engine.lane_schedule l x | None -> ()
+  in
+  let l = Engine.lane e ~delay:600.0 again in
+  lane := Some l;
+  for i = 1 to 600 do
+    Engine.schedule e ~after:(float_of_int i) (fun _ -> Engine.lane_schedule l i)
+  done;
+  Engine.run ~until:600.0 e;
+  Alcotest.(check int) "600 in the lane" 600 (Engine.pending e);
+  let steps = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to steps do
+    ignore (Engine.step e)
+  done;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int steps in
+  Alcotest.(check int) "still 600 pending" 600 (Engine.pending e);
+  if per_event > 2.0 +. 1e-3 then
+    Alcotest.failf "%.3f words per event, expected at most 2" per_event
+
+let test_lane_negative_delay () =
+  let e = Engine.create () in
+  Alcotest.check_raises "negative" (Invalid_argument "Engine.lane: negative delay")
+    (fun () -> ignore (Engine.lane e ~delay:(-1.0) (fun _ _ -> ())));
+  Alcotest.check_raises "nan" (Invalid_argument "Engine.lane: negative delay")
+    (fun () -> ignore (Engine.lane e ~delay:Float.nan (fun _ _ -> ())))
+
 let test_many_events_throughput () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -432,7 +578,11 @@ let () =
             test_every_ties_in_scheduling_order;
           Alcotest.test_case "pending counts periodic" `Quick
             test_pending_counts_periodic;
+          Alcotest.test_case "lane allocation" `Quick test_lane_allocation;
+          Alcotest.test_case "lane delay rejected" `Quick
+            test_lane_negative_delay;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest qcheck_engine_matches_reference ] );
+        [ QCheck_alcotest.to_alcotest qcheck_engine_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_engine_lanes_match_reference ] );
     ]
