@@ -21,8 +21,7 @@ let seed_arg =
     & info [ "seed" ] ~doc:"Fuzzer seed; fixes the whole scenario sequence.")
 
 let count_arg =
-  Arg.(
-    value & opt int 200 & info [ "count"; "n" ] ~doc:"Scenarios to generate.")
+  Cli_arg.opt Cli_arg.count [ "count"; "n" ] 200 "Scenarios to generate."
 
 let max_shrink_arg =
   Arg.(
@@ -343,41 +342,54 @@ let lint_smoke () =
       end)
 
 (* Same guard for the whole-program phase: plant a shared-ref-across-
-   domains race and a hot-path closure in a scratch tree (under a lib/
-   segment, which is what puts the R/A rules in scope) and assert R001
-   and an A-rule fire at the planted lines, with a non-zero CLI exit. *)
+   domains race and a hot-path closure, and an interface record field
+   no code reads, in a scratch tree (under a lib/ segment, which is
+   what puts the R/A/U rules in scope) and assert R001, an A-rule and
+   U003 fire at the planted lines, with a non-zero CLI exit. *)
 let race_smoke () =
   let dir = Filename.temp_file "lint_race" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
   let libdir = Filename.concat dir "lib" in
   Sys.mkdir libdir 0o755;
-  let file = Filename.concat libdir "race_smoke.ml" in
-  let race_line = 2 and alloc_line = 3 in
-  let src =
-    "let shared = ref 0\n\
-     let race () = Domain.spawn (fun () -> incr shared)\n\
-     let[@hot] hot_sum xs = List.fold_left (fun a b -> a + b) 0 xs\n"
+  let race_line = 2 and alloc_line = 3 and field_line = 3 in
+  let files =
+    [ ( "race_smoke.ml",
+        "let shared = ref 0\n\
+         let race () = Domain.spawn (fun () -> incr shared)\n\
+         let[@hot] hot_sum xs = List.fold_left (fun a b -> a + b) 0 xs\n" );
+      ("field_smoke.mli", "type t = {\n  seen : int;\n  unread : int;\n}\n");
+      ( "field_smoke.ml",
+        "type t = { seen : int; unread : int }\nlet seen r = r.seen\n" ) ]
+    |> List.map (fun (name, src) -> (Filename.concat libdir name, src))
   in
   Fun.protect
     ~finally:(fun () ->
-      (try Sys.remove file with Sys_error _ -> ());
+      List.iter
+        (fun (file, _) -> try Sys.remove file with Sys_error _ -> ())
+        files;
       (try Sys.rmdir libdir with Sys_error _ -> ());
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () ->
-      let oc = open_out_bin file in
-      output_string oc src;
-      close_out oc;
+      List.iter
+        (fun (file, src) ->
+          let oc = open_out_bin file in
+          output_string oc src;
+          close_out oc)
+        files;
       let findings = Lint.Driver.scan_paths [ dir ] in
-      let fired rule line =
+      let fired ?(file = "race_smoke.ml") rule line =
         List.exists
-          (fun f -> f.Lint.Finding.rule = rule && f.Lint.Finding.line = line)
+          (fun f ->
+            f.Lint.Finding.rule = rule && f.Lint.Finding.line = line
+            && Filename.basename f.Lint.Finding.file = file)
           findings
       in
       let race_caught = fired "R001" race_line in
       let alloc_caught =
         List.exists (fun r -> fired r alloc_line) [ "A001"; "A002"; "A004" ]
       in
+      let field_caught = fired ~file:"field_smoke.mli" "U003" field_line in
       let cli_caught =
         let exe =
           Filename.concat (Filename.dirname Sys.executable_name)
@@ -385,7 +397,7 @@ let race_smoke () =
         in
         if Sys.file_exists exe then
           Sys.command
-            (Printf.sprintf "%s --rules R,A %s >/dev/null 2>&1"
+            (Printf.sprintf "%s --rules R,A,U003 %s >/dev/null 2>&1"
                (Filename.quote exe) (Filename.quote dir))
           <> 0
         else true
@@ -404,6 +416,13 @@ let race_smoke () =
           alloc_line;
         false
       end
+      else if not field_caught then begin
+        Printf.eprintf
+          "race-smoke: FAILED — planted unread field at line %d not \
+           reported as U003\n"
+          field_line;
+        false
+      end
       else if not cli_caught then begin
         Printf.eprintf "race-smoke: FAILED — lint_cli.exe exited 0\n";
         false
@@ -411,8 +430,8 @@ let race_smoke () =
       else begin
         Printf.printf
           "race-smoke: planted race caught as R001 at line %d, hot-path \
-           allocation at line %d\n"
-          race_line alloc_line;
+           allocation at line %d, unread field as U003 at line %d\n"
+          race_line alloc_line field_line;
         true
       end)
 

@@ -20,7 +20,7 @@ let paths_arg =
     & info [] ~docv:"PATH"
         ~doc:
           "Files or directories to lint (default: lib bin bench examples \
-           test, relative to the repository root). U001 and U002 need \
+           test, relative to the repository root). The U rules need \
            every caller of lib/ in the scanned set.")
 
 let format_arg =

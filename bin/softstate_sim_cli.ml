@@ -30,16 +30,14 @@ let protocol_arg =
 (* A codec's [Error] as a Cmdliner parse error. *)
 let msg_error r = Result.map_error (fun e -> `Msg e) r
 
-let float_arg names default doc =
-  Arg.(value & opt float default & info names ~doc)
-
-let int_arg names default doc =
-  Arg.(value & opt int default & info names ~doc)
+let positive = Cli_arg.opt Cli_arg.positive
+let positive_int = Cli_arg.opt Cli_arg.positive_int
+let int_arg = Cli_arg.opt Arg.int
 
 let seed_arg = int_arg [ "seed" ] 1 "PRNG seed; equal seeds reproduce runs."
-let duration_arg = float_arg [ "duration"; "d" ] 5000.0 "Simulated seconds."
-let lambda_arg = float_arg [ "lambda" ] 15.0 "Table update rate, kb/s."
-let size_arg = int_arg [ "size-bits" ] 1000 "Announcement size, bits."
+let duration_arg = positive [ "duration"; "d" ] 5000.0 "Simulated seconds."
+let lambda_arg = positive [ "lambda" ] 15.0 "Table update rate, kb/s."
+let size_arg = positive_int [ "size-bits" ] 1000 "Announcement size, bits."
 let loss_arg =
   let doc =
     "Channel loss process: a bare probability P (Bernoulli), or \
@@ -54,17 +52,18 @@ let loss_arg =
     & info [ "loss"; "l" ] ~doc)
 
 let update_fraction_arg =
-  float_arg [ "update-fraction" ] 0.0
+  Cli_arg.opt Cli_arg.probability [ "update-fraction" ] 0.0
     "Fraction of arrivals that update an existing record instead of \
      creating a new one."
-let mu_data_arg = float_arg [ "mu-data" ] 45.0 "Open-loop data rate, kb/s."
-let mu_hot_arg = float_arg [ "mu-hot" ] 20.0 "Hot queue rate, kb/s."
-let mu_cold_arg = float_arg [ "mu-cold" ] 25.0 "Cold queue rate, kb/s."
-let mu_fb_arg = float_arg [ "mu-fb" ] 7.0 "Feedback channel rate, kb/s."
-let nack_arg = int_arg [ "nack-bits" ] 500 "NACK packet size, bits."
+let mu_data_arg = positive [ "mu-data" ] 45.0 "Open-loop data rate, kb/s."
+let mu_hot_arg = positive [ "mu-hot" ] 20.0 "Hot queue rate, kb/s."
+let mu_cold_arg = positive [ "mu-cold" ] 25.0 "Cold queue rate, kb/s."
+let mu_fb_arg = positive [ "mu-fb" ] 7.0 "Feedback channel rate, kb/s."
+let nack_arg = positive_int [ "nack-bits" ] 500 "NACK packet size, bits."
 
 let receivers_arg =
-  int_arg [ "receivers" ] 8 "Multicast group size (multicast protocol only)."
+  positive_int [ "receivers" ] 8
+    "Multicast group size (multicast protocol only)."
 
 let topology_arg =
   let doc =
@@ -163,22 +162,26 @@ let gossip_mode_arg =
     & info [ "gossip-mode" ] ~doc)
 
 let fanout_arg =
-  int_arg [ "fanout" ] 1 "Contacts per infected node per gossip round."
+  positive_int [ "fanout" ] 1 "Contacts per infected node per gossip round."
 
-let rounds_arg = int_arg [ "rounds" ] 64 "Gossip round budget."
+let rounds_arg =
+  Cli_arg.opt Cli_arg.count [ "rounds" ] 64 "Gossip round budget."
 
 let round_period_arg =
-  float_arg [ "round-period" ] 1.0 "Simulated seconds per gossip round."
+  positive [ "round-period" ] 1.0 "Simulated seconds per gossip round."
 
 let initial_arg =
-  int_arg [ "initial" ] 1 "Initially infected nodes (gossip only)."
+  positive_int [ "initial" ] 1 "Initially infected nodes (gossip only)."
 
 let target_arg =
-  float_arg [ "target" ] 1.0
+  Cli_arg.opt
+    (Cli_arg.ranged Arg.float "a fraction in (0, 1]" (fun x ->
+         x > 0.0 && x <= 1.0))
+    [ "target" ] 1.0
     "Stop gossip once this infected fraction is reached."
 
 let nodes_arg =
-  int_arg [ "nodes"; "n" ] 1000
+  positive_int [ "nodes"; "n" ] 1000
     "Gossip population under uniform mixing (ignored when --topology \
      selects a mesh, whose node count then governs)."
 

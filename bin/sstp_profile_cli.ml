@@ -13,28 +13,28 @@ module E = Softstate_core.Experiment
 module Base = Softstate_core.Base
 module Consistency = Softstate_core.Consistency
 
-let floats_arg names default doc =
-  Arg.(value & opt (list float) default & info names ~doc)
-
 let mu_total_arg =
-  Arg.(value & opt float 45.0 & info [ "mu-total" ] ~doc:"Session bandwidth, kb/s.")
+  Cli_arg.opt Cli_arg.positive [ "mu-total" ] 45.0 "Session bandwidth, kb/s."
 
 let lambda_arg =
-  Arg.(value & opt float 15.0 & info [ "lambda" ] ~doc:"Update rate, kb/s.")
+  Cli_arg.opt Cli_arg.positive [ "lambda" ] 15.0 "Update rate, kb/s."
 
 let duration_arg =
-  Arg.(value & opt float 4000.0 & info [ "duration" ] ~doc:"Seconds per cell.")
+  Cli_arg.opt Cli_arg.positive [ "duration" ] 4000.0 "Seconds per cell."
 
 let losses_arg =
-  floats_arg [ "losses" ] [ 0.05; 0.1; 0.2; 0.3; 0.4; 0.5 ]
+  Cli_arg.opt Arg.(list Cli_arg.probability) [ "losses" ]
+    [ 0.05; 0.1; 0.2; 0.3; 0.4; 0.5 ]
     "Loss rates to sweep (comma separated)."
 
 let shares_arg =
-  floats_arg [ "shares" ] [ 0.05; 0.1; 0.2; 0.3; 0.4 ]
+  Cli_arg.opt Arg.(list Cli_arg.share) [ "shares" ] [ 0.05; 0.1; 0.2; 0.3; 0.4 ]
     "Feedback shares of the session bandwidth to sweep."
 
 let hot_frac_arg =
-  Arg.(value & opt float 0.8 & info [ "hot-frac" ] ~doc:"Hot share of data bandwidth.")
+  Cli_arg.opt
+    (Cli_arg.ranged Arg.float "a share in (0, 1)" (fun x -> x > 0.0 && x < 1.0))
+    [ "hot-frac" ] 0.8 "Hot share of data bandwidth."
 
 let out_arg =
   Arg.(

@@ -27,16 +27,23 @@ let workload_arg =
         Session_directory
     & info [ "workload"; "w" ] ~doc)
 
-let float_arg names default doc =
-  Arg.(value & opt float default & info names ~doc)
-
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.")
 
-let loss_arg = float_arg [ "loss"; "l" ] 0.1 "Data-channel loss probability."
-let mu_arg = float_arg [ "mu-total" ] 128.0 "Session bandwidth, kb/s."
-let duration_arg = float_arg [ "duration"; "d" ] 600.0 "Trace duration, seconds."
-let fb_share_arg = float_arg [ "fb-share" ] 0.15 "Feedback share of the session."
+let loss_arg =
+  Cli_arg.opt Cli_arg.probability [ "loss"; "l" ] 0.1
+    "Data-channel loss probability."
+
+let mu_arg =
+  Cli_arg.opt Cli_arg.positive [ "mu-total" ] 128.0 "Session bandwidth, kb/s."
+
+let duration_arg =
+  Cli_arg.opt Cli_arg.positive [ "duration"; "d" ] 600.0
+    "Trace duration, seconds."
+
+let fb_share_arg =
+  Cli_arg.opt Cli_arg.share [ "fb-share" ] 0.15
+    "Feedback share of the session (0 announces only)."
 
 let run workload seed loss mu_total duration fb_share trace_file metrics_file
     report =

@@ -41,8 +41,8 @@ let event_catalogue =
     [ Trace.Packet_sent; Trace.Packet_dropped; Trace.Packet_delivered;
       Trace.Queue_overflow; Trace.Announce; Trace.Refresh; Trace.Summary;
       Trace.Nack; Trace.Query; Trace.Repair; Trace.Remove;
-      Trace.Digest_mismatch; Trace.Timer_fired; Trace.Rate_change;
-      Trace.Link_down; Trace.Link_up; Trace.Node_crash; Trace.Node_restart;
+      Trace.Digest_mismatch; Trace.Timer_fired; Trace.Link_down;
+      Trace.Link_up; Trace.Node_crash; Trace.Node_restart;
       Trace.Partition; Trace.Heal ]
   |> List.sort_uniq String.compare
 

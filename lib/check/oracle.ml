@@ -479,8 +479,6 @@ let jobs note outcome =
 let backlog_buckets = 32
 
 type backlog_stats = {
-  b_buckets : int;          (** depth-series points actually observed *)
-  b_peak : int;             (** max outstanding repair requests *)
   b_final : int;            (** outstanding in the last observed bucket *)
   b_nack_quarters : int array;
       (** NACK/query issues per run quarter, length 4 *)
@@ -518,19 +516,16 @@ let backlog_measure outcome =
         if n < backlog_buckets / 2 then None
         else begin
           let quarters = Array.make 4 0 in
-          let peak = ref 0 and nacks = ref 0 and repairs = ref 0 in
+          let nacks = ref 0 and repairs = ref 0 in
           Array.iteri
             (fun i (p : Lifecycle.depth_point) ->
               let q = min 3 (4 * i / n) in
               quarters.(q) <- quarters.(q) + p.Lifecycle.nacks;
-              peak := max !peak p.Lifecycle.outstanding;
               nacks := !nacks + p.Lifecycle.nacks;
               repairs := !repairs + p.Lifecycle.repairs)
             pts;
           Some
-            { b_buckets = n;
-              b_peak = !peak;
-              b_final = pts.(n - 1).Lifecycle.outstanding;
+            { b_final = pts.(n - 1).Lifecycle.outstanding;
               b_nack_quarters = quarters;
               b_repair_total = !repairs;
               b_nack_total = !nacks }

@@ -70,8 +70,6 @@ val check : t list -> Scenario.outcome -> violation list
     [backlog] oracle enforces. *)
 
 type backlog_stats = {
-  b_buckets : int;          (** depth-series points actually observed *)
-  b_peak : int;             (** max outstanding repair requests *)
   b_final : int;            (** outstanding in the last observed bucket *)
   b_nack_quarters : int array;
       (** NACK/query issues per run quarter, length 4 *)

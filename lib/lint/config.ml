@@ -39,7 +39,8 @@ let enabled ~path ~rule =
   | "M001" -> within path "lib"
   | "R001" | "R002" | "R003" -> within path "lib" || within path "bin"
   | "A001" | "A002" | "A003" | "A004" -> within path "lib"
-  | "U001" | "U002" -> within path "lib" && not (within path "lib/queueing")
+  | "U001" | "U002" | "U003" ->
+      within path "lib" && not (within path "lib/queueing")
   | _ -> true
 
 let counts_as_caller path = not (within path "test")

@@ -16,8 +16,9 @@
     - R001–R003 (domain safety) apply under [lib/] and [bin/] — every
       tree that can reach a [Domain.spawn].
     - A001–A004 (hot-path allocation) apply under [lib/] only.
-    - U001 (unused export) and U002 (unpassed optional label, unbuilt
-      constructor) apply under [lib/] except [lib/queueing]: those
+    - U001 (unused export), U002 (unpassed optional label, unbuilt
+      constructor) and U003 (unread record field, unassigned mutable
+      field) apply under [lib/] except [lib/queueing]: those
       are the analytic models' APIs, reserved for the model-agreement
       gates that will call them.
     - S001 and E001 apply everywhere.
@@ -29,8 +30,8 @@
 val enabled : path:string -> rule:string -> bool
 
 val counts_as_caller : string -> bool
-(** Whether a use in this file keeps an export, label or constructor
-    alive for U001/U002: everywhere but [test/]. *)
+(** Whether a use in this file keeps an export, label, constructor or
+    field alive for the U rules: everywhere but [test/]. *)
 
 val mli_required : string -> bool
 (** Whether M001 demands a matching [.mli] for this [.ml] path. *)

@@ -3,15 +3,23 @@
    applications pass (its own unit's too: a wrapper that forwards a
    label gives it more than one value in use; an unapplied reference
    passes none, as OCaml erases its optional arguments) and the
-   constructors built. Bare names resolve only into their own unit, so
-   only dotted references count as another unit's. A constructor path
-   also counts under its dotted suffixes ([Sstp.Session.Target] as
-   [Session.Target]). *)
+   constructors built, and the field labels read and assigned. Bare
+   names resolve only into their own unit, so only dotted references
+   count as another unit's. A constructor path also counts under its
+   dotted suffixes ([Sstp.Session.Target] as [Session.Target]); a
+   field, under its label alone. *)
+
+let last name =
+  match String.rindex_opt name '.' with
+  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+  | None -> name
 
 let check g (program : Summary.program) =
   let seen = Hashtbl.create 1024 (* nodes another unit refers to *)
   and passed = Hashtbl.create 512 (* node -> labels its applications pass *)
-  and built = Hashtbl.create 512 in
+  and built = Hashtbl.create 512
+  and read = Hashtbl.create 512
+  and set = Hashtbl.create 64 in
   let rec build = function
     | _ :: rest as path ->
         Hashtbl.replace built (String.concat "." path) ();
@@ -42,7 +50,9 @@ let check g (program : Summary.program) =
               d.Summary.d_calls;
             List.iter
               (fun k -> build (String.split_on_char '.' k))
-              d.Summary.d_ctors)
+              d.Summary.d_ctors;
+            List.iter (fun l -> Hashtbl.replace read l ()) d.Summary.d_reads;
+            List.iter (fun l -> Hashtbl.replace set l ()) d.Summary.d_sets)
           u.Summary.u_defs)
     program;
   List.concat_map
@@ -53,6 +63,10 @@ let check g (program : Summary.program) =
           (Finding.v ~file:(u.Summary.u_file ^ "i") ~line:e.Summary.e_line
              ~col:e.Summary.e_col ~rule)
           ("%s.%s " ^^ fmt) unit e.Summary.e_name
+      in
+      let unused tbl msg (e : Summary.export) =
+        if Hashtbl.mem tbl (last e.Summary.e_name) then None
+        else Some (finding e "U003" "%s" msg)
       in
       List.concat_map
         (fun (e : Summary.export) ->
@@ -72,17 +86,19 @@ let check g (program : Summary.program) =
       @ List.filter_map
           (fun (e : Summary.export) ->
             let name = e.Summary.e_name in
-            let short =
-              match String.rindex_opt name '.' with
-              | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-              | None -> name
-            in
             if
-              List.exists (Hashtbl.mem built) [ unit ^ "." ^ name; name; short ]
+              List.exists (Hashtbl.mem built)
+                [ unit ^ "." ^ name; name; last name ]
             then None
             else
               Some
                 (finding e "U002"
                    "is exported but no program expression builds it"))
-          u.Summary.u_variants)
+          u.Summary.u_variants
+      @ List.filter_map
+          (unused read "is exported but no program reads it")
+          u.Summary.u_fields
+      @ List.filter_map
+          (unused set "is mutable but no program assigns it")
+          u.Summary.u_mutable_fields)
     program

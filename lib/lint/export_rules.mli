@@ -12,6 +12,10 @@
       variant constructor no program expression builds (patterns do
       not count; an unqualified name matches by name alone). A [val]
       no other unit references is U001's.
+    - U003 — an exported record field whose label no program
+      projection or record pattern names (its own unit's included; a
+      construction or [{ r with ... }] reads none), and an exported
+      [mutable] one no program [<-] assigns. Labels match by name.
 
     An interface is judged only when its implementation is among the
     analysed files, and the verdict is only as good as the scanned

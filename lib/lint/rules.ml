@@ -182,18 +182,30 @@ let all =
          other unit references is left to U001. \
          Delete it, or keep it under U001's reason form. lib/queueing is \
          out of scope." };
+    { id = "U003";
+      title = "no record field no program reads";
+      hint =
+        "delete the field, or keep it with (* lint: allow U003 (a) used by \
+         test \"NAME\" *)";
+      explain =
+        "A field of a lib/ interface record, function-typed or not, whose \
+         label no projection e.f or record pattern (puns included) in \
+         program code names; a construction or { r with f = ... } reads \
+         none. Also a mutable field no r.f <- v assigns. Labels match by \
+         name alone; test/ does not count. Delete it, or keep it under \
+         U001's reason form. lib/queueing is out of scope." };
     { id = "S001";
       title = "malformed suppression";
       hint =
         "write (* lint: allow RULE reason... *) with a non-empty reason; a \
-         U001 or U002 reason reads (a) used by test \"NAME\"";
+         U-rule reason reads (a) used by test \"NAME\"";
       explain =
         "Inline suppressions are audit records, not escape hatches: the \
          grammar is (* lint: allow RULE reason... *) where RULE is a known \
-         rule id and the reason is mandatory. A U001 or U002 reason must \
+         rule id and the reason is mandatory. A U001, U002 or U003 reason must \
          read (a) used by test \"NAME\", naming a test a scanned test/ \
          file defines with test_case or ~name. A suppression without a \
-         reason, naming an unknown rule, with a U001 or U002 reason in \
+         reason, naming an unknown rule, with a U-rule reason in \
          another form or naming no defined test, or otherwise unparseable \
          is itself a finding — and it suppresses nothing." };
     { id = "E001";

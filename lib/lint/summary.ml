@@ -1,10 +1,10 @@
 (* Phase 1 of the whole-program analyzer: one pass over every parsed
    compilation unit producing a per-unit summary — module-level
    mutable state, every top-level definition with its references,
-   applications (with the labels they pass), constructors built and
-   allocation sites, the closures handed to [Domain.spawn] /
-   [Softstate_sim.Parallel] task slots, the [@hot] marks, and the
-   unit's interface. Phase 2 ({!Race_rules}, {!Alloc_rules},
+   applications (with the labels they pass), constructors built, field
+   labels read and assigned, and allocation sites, the closures handed
+   to [Domain.spawn] / [Softstate_sim.Parallel] task slots, the [@hot]
+   marks, and the unit's interface. Phase 2 ({!Race_rules}, {!Alloc_rules},
    {!Export_rules}) checks the R/A/U rule families against the merged
    program summary.
 
@@ -67,6 +67,8 @@ type def = {
   d_builds_mutable : bool;
   d_refs : string list; (* sorted, deduplicated *)
   d_ctors : string list; (* built in expressions; sorted, deduplicated *)
+  d_reads : string list; (* field labels read; sorted, deduplicated *)
+  d_sets : string list; (* labels assigned by [<-]; likewise *)
   d_calls : call list;
   d_allocs : alloc list;
 }
@@ -100,6 +102,8 @@ type unit_summary = {
   u_spawns : spawn list;
   u_exports : export list;
   u_variants : export list;
+  u_fields : export list; (* [type.label] *)
+  u_mutable_fields : export list; (* the [mutable] ones, again *)
 }
 
 type program = unit_summary list
@@ -219,6 +223,8 @@ type scan_state = {
 type def_state = {
   mutable refs : string list;
   mutable ctors : string list;
+  mutable reads : string list;
+  mutable sets : string list;
   mutable calls : call list;
   mutable allocs : alloc list;
   mutable builds : mkind option;
@@ -284,10 +290,14 @@ let scan_body st ds ~encl body =
     match ds.builds with None -> ds.builds <- Some k | Some _ -> ()
   in
   let default = Ast_iterator.default_iterator in
+  (* a construction or [{ r with ... }] reads none of its labels *)
   let rec expr it e =
     (match e.pexp_desc with
     | Pexp_ident { txt; _ } ->
         ds.refs <- dotted (resolve st (flatten txt)) :: ds.refs
+    | Pexp_field (_, { txt; _ }) -> ds.reads <- Longident.last txt :: ds.reads
+    | Pexp_setfield (_, { txt; _ }, _) ->
+        ds.sets <- Longident.last txt :: ds.sets
     | Pexp_fun _ | Pexp_function _ ->
         if not (List.memq e !spines) then
           note_alloc e.pexp_loc "A001" "closure construction"
@@ -391,7 +401,18 @@ let scan_body st ds ~encl body =
     end
     else default.value_binding it vb
   in
-  let it = { default with Ast_iterator.expr; value_binding } in
+  (* a record pattern reads each label it names, puns included *)
+  let pat it p =
+    (match p.ppat_desc with
+    | Ppat_record (fs, _) ->
+        List.iter
+          (fun ({ Location.txt; _ }, _) ->
+            ds.reads <- Longident.last txt :: ds.reads)
+          fs
+    | _ -> ());
+    default.pat it p
+  in
+  let it = { default with Ast_iterator.expr; pat; value_binding } in
   it.Ast_iterator.expr it body
 
 (* ---- structure traversal ---- *)
@@ -438,8 +459,8 @@ let scan_structure ~file str =
   let add_def ~prefix ~name ~line ~arity ~hot body =
     let qname = if prefix = "" then name else prefix ^ "." ^ name in
     let ds =
-      { refs = []; ctors = []; calls = []; allocs = []; builds = None;
-        regions = [] }
+      { refs = []; ctors = []; reads = []; sets = []; calls = []; allocs = [];
+        builds = None; regions = [] }
     in
     scan_body st ds ~encl:qname body;
     st.defs <-
@@ -447,6 +468,8 @@ let scan_structure ~file str =
         d_builds_mutable = ds.builds <> None;
         d_refs = List.sort_uniq String.compare ds.refs;
         d_ctors = List.sort_uniq String.compare ds.ctors;
+        d_reads = List.sort_uniq String.compare ds.reads;
+        d_sets = List.sort_uniq String.compare ds.sets;
         d_calls = List.rev ds.calls;
         d_allocs = List.rev ds.allocs }
       :: st.defs;
@@ -494,9 +517,11 @@ let scan_structure ~file str =
     u_defs = List.rev st.defs;
     u_spawns = List.rev st.spawns;
     u_exports = [];
-    u_variants = [] }
+    u_variants = [];
+    u_fields = [];
+    u_mutable_fields = [] }
 
-(* ---- interface exports (the U001/U002 subjects) ---- *)
+(* ---- interface exports (the U001/U002/U003 subjects) ---- *)
 
 let rec optional_labels ty =
   match ty.ptyp_desc with
@@ -509,7 +534,7 @@ let export prefix { Location.txt; loc } e_optional =
   { e_name = prefix ^ txt; e_line = line; e_col = col; e_optional }
 
 let with_interface u sg =
-  let vals = ref [] and ctors = ref [] in
+  let vals = ref [] and ctors = ref [] and fields = ref [] and mut = ref [] in
   let rec walk prefix =
     List.iter (fun item ->
         match item.psig_desc with
@@ -524,6 +549,16 @@ let with_interface u sg =
                       (fun cd ->
                         ctors := export prefix cd.pcd_name [] :: !ctors)
                       cds
+                | Ptype_record lds ->
+                    List.iter
+                      (fun ld ->
+                        let f =
+                          export (prefix ^ td.ptype_name.txt ^ ".")
+                            { ld.pld_name with loc = ld.pld_loc } []
+                        in
+                        fields := f :: !fields;
+                        if ld.pld_mutable = Mutable then mut := f :: !mut)
+                      lds
                 | _ -> ())
               tds
         | Psig_module
@@ -533,15 +568,20 @@ let with_interface u sg =
         | _ -> ())
   in
   walk "" sg;
-  { u with u_exports = List.rev !vals; u_variants = List.rev !ctors }
+  { u with
+    u_exports = List.rev !vals;
+    u_variants = List.rev !ctors;
+    u_fields = List.rev !fields;
+    u_mutable_fields = List.rev !mut }
 
 (* ---- serialization: one record per line, tab-separated ----
 
    Field values never contain tabs or newlines (OCaml identifiers and
    repo paths don't); [to_string]/[of_string] round-trip exactly. A
-   unit line opens a unit, followed by its mut, def, spawn, val and
-   variant lines in that order; a def line is followed by its ref,
-   ctor, call and alloc lines, a spawn line by its sref lines. *)
+   unit line opens a unit, followed by its mut, def, spawn, val,
+   variant, field and mfield lines in that order; a def line is
+   followed by its ref, ctor, read, set, call and alloc lines, a spawn
+   line by its sref lines. *)
 
 let bool_field b = if b then "1" else "0"
 
@@ -562,6 +602,8 @@ let to_buffer buf (u : unit_summary) =
         (bool_field d.d_builds_mutable);
       List.iter (line "ref\t%s") d.d_refs;
       List.iter (line "ctor\t%s") d.d_ctors;
+      List.iter (line "read\t%s") d.d_reads;
+      List.iter (line "set\t%s") d.d_sets;
       List.iter
         (fun c ->
           line "call\t%s\t%d\t%d\t%d\t%s\t%s" c.c_path c.c_nargs c.c_line
@@ -585,7 +627,9 @@ let to_buffer buf (u : unit_summary) =
       (list_field e.e_optional)
   in
   List.iter (export "val") u.u_exports;
-  List.iter (export "variant") u.u_variants
+  List.iter (export "variant") u.u_variants;
+  List.iter (export "field") u.u_fields;
+  List.iter (export "mfield") u.u_mutable_fields
 
 let to_string program =
   let buf = Buffer.create 4096 in
@@ -647,12 +691,14 @@ let of_string text =
     | [ "def"; name; line; arity; hot; builds ] ->
         let d_refs, rest = run (path "ref") [] rest in
         let d_ctors, rest = run (path "ctor") [] rest in
+        let d_reads, rest = run (path "read") [] rest in
+        let d_sets, rest = run (path "set") [] rest in
         let d_calls, rest = run call [] rest in
         let d_allocs, rest = run alloc [] rest in
         Some
           ( { d_name = name; d_line = int l line; d_arity = int l arity;
               d_hot = hot = "1"; d_builds_mutable = builds = "1"; d_refs;
-              d_ctors; d_calls; d_allocs },
+              d_ctors; d_reads; d_sets; d_calls; d_allocs },
             rest )
     | _ -> None
   in
@@ -685,9 +731,11 @@ let of_string text =
         let u_spawns, rest = run spawn [] rest in
         let u_exports, rest = run (export "val") [] rest in
         let u_variants, rest = run (export "variant") [] rest in
+        let u_fields, rest = run (export "field") [] rest in
+        let u_mutable_fields, rest = run (export "mfield") [] rest in
         Some
           ( { u_name = name; u_file = file; u_mutables; u_defs; u_spawns;
-              u_exports; u_variants },
+              u_exports; u_variants; u_fields; u_mutable_fields },
             rest )
     | _ -> None
   in

@@ -1,9 +1,10 @@
 (** Phase 1 of the whole-program analyzer: per-compilation-unit
     summaries of module-level mutable state, top-level definitions
     (references, applications with their labels, constructors built,
-    allocation sites, [@hot] marks), the closures handed to
-    [Domain.spawn] / [Parallel] task slots, and the unit's interface
-    (its [val]s with their optional labels, its variant constructors).
+    record fields read and assigned, allocation sites, [@hot] marks),
+    the closures handed to [Domain.spawn] / [Parallel] task slots, and
+    the unit's interface (its [val]s with their optional labels, its
+    variant constructors, its record fields).
     Phase 2 ({!Race_rules}, {!Alloc_rules}, {!Export_rules}) checks the
     R/A/U families against the merged program. The scan is syntactic
     and conservative: it over-approximates reachability, never
@@ -52,6 +53,8 @@ type def = {
   d_builds_mutable : bool;
   d_refs : string list;
   d_ctors : string list;  (** built in expressions; sorted, unique *)
+  d_reads : string list;  (** labels in [e.f] and record patterns *)
+  d_sets : string list;  (** labels assigned by [r.f <- v] *)
   d_calls : call list;
   d_allocs : alloc list;
 }
@@ -77,7 +80,8 @@ type export = {
   e_optional : string list;  (** optional labels, in source order *)
 }
 (** A [val] (or [external]) of an interface, or a variant constructor
-    (no labels); nested [module M : sig ... end] members are dotted. *)
+    or record field [type.label] (no labels); nested
+    [module M : sig ... end] members are dotted. *)
 
 type unit_summary = {
   u_name : string;
@@ -87,16 +91,18 @@ type unit_summary = {
   u_spawns : spawn list;
   u_exports : export list;  (** the [.mli]'s values; [[]] without one *)
   u_variants : export list;  (** the [.mli]'s variant constructors *)
+  u_fields : export list;  (** the [.mli]'s record fields *)
+  u_mutable_fields : export list;  (** those declared [mutable] *)
 }
 
 type program = unit_summary list
 
 val scan_structure : file:string -> Parsetree.structure -> unit_summary
-(** With [u_exports] and [u_variants] empty, for {!with_interface}. *)
+(** With the interface lists empty, for {!with_interface}. *)
 
 val with_interface : unit_summary -> Parsetree.signature -> unit_summary
-(** Fill [u_exports] and [u_variants] from the unit's [.mli], in
-    source order; module types and [include]s name nothing here. *)
+(** Fill the interface lists from the unit's [.mli], in source order;
+    module types and [include]s name nothing here. *)
 
 val to_string : program -> string
 (** Line-oriented, tab-separated serialization for [--summary-out];

@@ -1,4 +1,4 @@
-(* [d_test] is the test a U001 or U002 suppression names, [""] for
+(* [d_test] is the test a U001, U002 or U003 suppression names, [""] for
    other rules. *)
 type directive = { d_line : int; d_col : int; d_rule : string; d_test : string }
 type t = directive list
@@ -17,7 +17,7 @@ let words s =
   |> List.filter (fun w -> w <> "")
 
 (* The rules whose reasons name a test. *)
-let names_test rule = rule = "U001" || rule = "U002"
+let names_test rule = List.mem rule [ "U001"; "U002"; "U003" ]
 
 (* The test such a reason names: the reason must read exactly
    (a) used by test "NAME". *)
@@ -28,7 +28,7 @@ let reason_test reason =
 (* The comment text after the "lint:" marker. One directive may name
    several rules, comma-separated: (* lint: allow R001,A002 reason *).
    Every named rule must be known, or the whole directive is an S001
-   finding and suppresses nothing. A directive naming U001 or U002
+   finding and suppresses nothing. A directive naming a U rule
    must give its reason as (a) used by test "NAME": an export, label
    or constructor is kept only for a named test. *)
 let parse_directive ~file ~line ~col body =

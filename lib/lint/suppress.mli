@@ -6,14 +6,14 @@
     {v (* lint: allow RULE,RULE reason... *) v}
 
     Every named rule id must be known and the reason is mandatory — a
-    suppression is an audit record. A directive naming U001 or U002
-    keeps interface surface no program uses, so its reason must read
+    suppression is an audit record. A directive naming U001, U002 or
+    U003 keeps interface surface no program uses, so its reason must read
     {v (a) used by test "NAME" v}
     with NAME a test that a scanned [test/] file defines ({!stale}). A valid directive silences
     findings for the named rules on the directive's own line and on the line
     immediately after it (so it can sit at the end of the offending
     line or on its own line just above). A malformed directive (no
-    reason, unknown rule, wrong verb, a U001 or U002 reason in another
+    reason, unknown rule, wrong verb, a U rule's reason in another
     form) is itself an S001 finding and suppresses nothing.
 
     Directives are recognised by lexing the source with the compiler's
@@ -38,5 +38,5 @@ val test_names : Parsetree.structure -> string list
     string literal argument (qcheck properties). *)
 
 val stale : file:string -> t -> known:(string -> bool) -> t * Finding.t list
-(** [stale ~file t ~known] drops the U001 and U002 directives whose
+(** [stale ~file t ~known] drops the U001, U002 and U003 directives whose
     named test is not [known], with an S001 finding for each. *)

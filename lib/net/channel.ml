@@ -35,9 +35,6 @@ let subscribe t ?(loss = Loss.never) callback =
   g.receivers <- { id; loss; callback; lost = 0 } :: g.receivers;
   id
 
-let unsubscribe t sub =
-  t.group.receivers <- List.filter (fun r -> r.id <> sub) t.group.receivers
-
 (* What the server's completion hands on, in this order: the channel's
    own Packet_sent, then each receiver's independent loss draw, then
    delivery, delayed by propagation. *)
@@ -99,7 +96,6 @@ let create engine ~rate_bps ?(delay = 0.0) ?on_served ?obs
   t
 
 let kick t = Link.kick t.server
-let subscriber_count t = List.length t.group.receivers
 let served t = (Link.stats t.server).Link.Stats.delivered
 let utilisation t ~now = Link.utilisation t.server ~now
 

@@ -35,21 +35,15 @@ val subscribe :
 (** [subscribe t ~loss f] adds a receiver; every packet surviving
     [loss] (default lossless) is passed to [f]. Subscribing while the
     channel is active is allowed — late joiners are a soft-state use
-    case. *)
-
-val unsubscribe : 'a t -> subscription -> unit
-(** Remove a receiver; models a member leaving the session.
+    case.
 
     Fan-out uses snapshot semantics: the subscriber set for a served
-    packet is fixed when service completes. Unsubscribing from inside
-    a delivery callback affects only later packets — every receiver
-    subscribed at service completion still gets exactly one loss draw
-    and at most one delivery for the current packet (no skips, no
-    double delivery), and a subscriber added from inside a callback
+    packet is fixed when service completes. Every receiver subscribed
+    then gets exactly one loss draw and at most one delivery for that
+    packet, and a subscriber added from inside a delivery callback
     first sees the next packet. *)
 
 val kick : 'a t -> unit
-val subscriber_count : 'a t -> int
 val served : 'a t -> int
 (** Packets whose service has completed so far; one still in service
     is not counted. *)

@@ -26,7 +26,7 @@ type clock = {
 
 type 'a t = {
   engine : Engine.t;
-  mutable rate_bps : float;
+  rate_bps : float;
   delay : float;
   loss : Loss.t;
   rng : Rng.t;
@@ -143,14 +143,6 @@ let offer t packet =
   end
 
 let is_busy t = Option.is_some t.in_service
-
-let set_rate t rate =
-  if rate <= 0.0 then invalid_arg "Link.set_rate: rate must be positive";
-  t.rate_bps <- rate;
-  if t.traced then
-    Trace.emit t.trace
-      (Trace.event ~time:(Engine.now t.engine) ~src:t.src ~value:rate
-         Trace.Rate_change)
 
 let stats t =
   { Stats.fetched = t.fetched; delivered = t.delivered; dropped = t.dropped;

@@ -66,10 +66,6 @@ val offer : 'a t -> 'a Packet.t -> bool
 (* lint: allow U001 (a) used by test "idle/kick" *)
 val is_busy : 'a t -> bool
 
-val set_rate : 'a t -> float -> unit
-(** Change the service rate; takes effect from the next service
-    (the packet in flight keeps its original service time). *)
-
 (** Counters since creation. *)
 module Stats : sig
   type t = {

@@ -55,4 +55,3 @@ let send t packet =
 let queue_length t = Ring.length t.queue
 let overflows t = t.overflows
 let link_stats t = Link.stats t.link
-let set_rate t rate = Link.set_rate t.link rate

@@ -37,4 +37,3 @@ val send : 'a t -> 'a Packet.t -> bool
 val queue_length : 'a t -> int
 val overflows : 'a t -> int
 val link_stats : 'a t -> Link.Stats.t
-val set_rate : 'a t -> float -> unit

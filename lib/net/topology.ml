@@ -34,7 +34,6 @@ type substrate = {
   s_sent : int;
   s_delivered : int;
   s_dropped : int;
-  s_serving : int;
 }
 
 let engine t = t.engine
@@ -92,8 +91,7 @@ let substrate t =
     s_queued = !queued;
     s_sent = !sent;
     s_delivered = !delivered;
-    s_dropped = !dropped;
-    s_serving = !sent - !delivered - !dropped }
+    s_dropped = !dropped }
 
 let note_pipe t pipe =
   t.pipe_readers <-
@@ -366,9 +364,7 @@ let unicast_over t ~path_edges ~rate_bps ?delay ?loss ?on_served ~label
     Link.create t.engine ~rate_bps ?delay ?loss ?on_served ?obs:t.obs ~label
       ~hop:0 ~rng ~fetch ~deliver:entry ()
   in
-  { Transport.u_label = label;
-    u_kick = (fun () -> Link.kick head);
-    u_set_rate = (fun rate -> Link.set_rate head rate);
+  { Transport.u_kick = (fun () -> Link.kick head);
     u_stats = (fun () -> Link.stats head);
     u_utilisation = (fun ~now -> Link.utilisation head ~now) }
 
@@ -379,19 +375,15 @@ let outbox_over t ~path_edges ~rate_bps ?delay ?loss
     Pipe.create t.engine ~rate_bps ?delay ?loss ~queue_capacity ?obs:t.obs
       ~label ~hop:0 ~rng ~deliver:entry ()
   in
-  { Transport.o_label = label;
-    o_send = (fun p -> Pipe.send head p);
-    o_queue_length = (fun () -> Pipe.queue_length head);
+  { Transport.o_send = (fun p -> Pipe.send head p);
     o_overflows = (fun () -> Pipe.overflows head);
-    o_stats = (fun () -> Pipe.link_stats head);
-    o_set_rate = (fun rate -> Pipe.set_rate head rate) }
+    o_stats = (fun () -> Pipe.link_stats head) }
 
 type 'a subscriber = {
   sid : int;
   s_loss : Loss.t;
   s_deliver : 'a Transport.deliver;
   mutable s_lost : int;
-  mutable s_live : bool; (* cleared by unsubscribe *)
 }
 
 module Sub_map = Map.Make (Int)
@@ -422,21 +414,19 @@ let fanout_over t ~root ~attach ~rate_bps ?delay ?on_served ~label
      child edges. The explicit sid order keeps the per-subscriber
      loss draws — and hence every golden pin — a function of the
      subscription history alone. Snapshot semantics as in {!Channel}:
-     the subscriber list for this packet is read once, so callbacks
-     may (un)subscribe freely; one unsubscribed mid-walk is skipped.
-     Both walks are named recursions over the lists, so a hop
-     allocates no closure. *)
+     the subscriber list for this packet is read once, so a callback
+     may subscribe freely, and a subscriber it adds first hears the
+     next packet. Both walks are named recursions over the lists, so a
+     hop allocates no closure. *)
   let rec deliver_local node ~now (packet : 'a Packet.t) = function
     | [] -> ()
     | s :: rest ->
-        if s.s_live then begin
-          if Loss.drop s.s_loss overlay_rng then s.s_lost <- s.s_lost + 1
-          else begin
-            if t.traced then
-              endpoint_delivered t ~now ~label ~detail:(string_of_int s.sid)
-                ~hop:depth.(node) packet.Packet.id;
-            s.s_deliver ~now packet.Packet.payload
-          end
+        if Loss.drop s.s_loss overlay_rng then s.s_lost <- s.s_lost + 1
+        else begin
+          if t.traced then
+            endpoint_delivered t ~now ~label ~detail:(string_of_int s.sid)
+              ~hop:depth.(node) packet.Packet.id;
+          s.s_deliver ~now packet.Packet.payload
         end;
         deliver_local node ~now packet rest
   in
@@ -473,31 +463,16 @@ let fanout_over t ~root ~attach ~rate_bps ?delay ?on_served ~label
     Link.create t.engine ~rate_bps ?delay ?on_served ~rng ~fetch
       ~deliver:emit ()
   in
-  { Transport.f_label = label;
-    f_kick = (fun () -> Link.kick server);
+  { Transport.f_kick = (fun () -> Link.kick server);
     f_subscribe =
       (fun ~loss deliver ->
         let sid = !next_sid in
         incr next_sid;
         let node = attach sid in
-        let s =
-          { sid; s_loss = loss; s_deliver = deliver; s_lost = 0; s_live = true }
-        in
+        let s = { sid; s_loss = loss; s_deliver = deliver; s_lost = 0 } in
         subs := Sub_map.add sid s !subs;
         at_node.(node) <- insert_sub s at_node.(node);
         sid);
-    f_unsubscribe =
-      (fun sid ->
-        match Sub_map.find_opt sid !subs with
-        | None -> ()
-        | Some s ->
-            s.s_live <- false;
-            subs := Sub_map.remove sid !subs;
-            Array.iteri
-              (fun i l ->
-                if List.memq s l then at_node.(i) <- List.filter (( != ) s) l)
-              at_node);
-    f_subscriber_count = (fun () -> Sub_map.cardinal !subs);
     f_served = (fun () -> (Link.stats server).Link.Stats.delivered);
     f_receiver_losses =
       (fun sid ->

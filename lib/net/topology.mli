@@ -173,12 +173,12 @@ val fault_drops : t -> int
     {[ s_injected = s_blackholed_inject + s_overflowed + s_queued
                     + s_sent ]}
 
-    and [s_sent = s_serving + s_delivered + s_dropped] hold exactly —
-    during a run and at the horizon. With an observability context the
-    same readings are registered as [topo.injected],
-    [.blackholed_inject], [.blackholed_deliver], [.overflowed],
-    [.queued], [.edge_sent], [.edge_delivered] and [.edge_dropped]
-    probes. *)
+    holds exactly, during a run and at the horizon; of the packets
+    sent, [s_sent - s_delivered - s_dropped] are on an edge server now.
+    With an observability context the same readings are registered as
+    [topo.injected], [.blackholed_inject], [.blackholed_deliver],
+    [.overflowed], [.queued], [.edge_sent], [.edge_delivered] and
+    [.edge_dropped] probes. *)
 
 type substrate = {
   s_injected : int;     (** packets offered to an edge stage *)
@@ -191,7 +191,6 @@ type substrate = {
   s_sent : int;         (** entered service on an edge server *)
   s_delivered : int;    (** survived the edge loss draw *)
   s_dropped : int;      (** destroyed by an edge loss process *)
-  s_serving : int;      (** on an edge server now *)
 }
 
 val substrate : t -> substrate

@@ -3,28 +3,20 @@ module Rng = Softstate_util.Rng
 type 'a deliver = now:float -> 'a -> unit
 
 type unicast = {
-  u_label : string;
   u_kick : unit -> unit;
-  u_set_rate : float -> unit;
   u_stats : unit -> Link.Stats.t;
   u_utilisation : now:float -> float;
 }
 
 type 'a outbox = {
-  o_label : string;
   o_send : 'a Packet.t -> bool;
-  o_queue_length : unit -> int;
   o_overflows : unit -> int;
   o_stats : unit -> Link.Stats.t;
-  o_set_rate : float -> unit;
 }
 
 type 'a fanout = {
-  f_label : string;
   f_kick : unit -> unit;
   f_subscribe : loss:Loss.t -> 'a deliver -> int;
-  f_unsubscribe : int -> unit;
-  f_subscriber_count : unit -> int;
   f_served : unit -> int;
   f_receiver_losses : int -> int;
   f_utilisation : now:float -> float;
@@ -79,9 +71,7 @@ let single_hop ?obs engine =
             ~deliver:(fun ~now p -> deliver ~now p.Packet.payload)
             ()
         in
-        { u_label = label;
-          u_kick = (fun () -> Link.kick link);
-          u_set_rate = (fun rate -> Link.set_rate link rate);
+        { u_kick = (fun () -> Link.kick link);
           u_stats = (fun () -> Link.stats link);
           u_utilisation = (fun ~now -> Link.utilisation link ~now) });
     outbox =
@@ -92,24 +82,18 @@ let single_hop ?obs engine =
             ~deliver:(fun ~now p -> deliver ~now p.Packet.payload)
             ()
         in
-        { o_label = label;
-          o_send = (fun packet -> Pipe.send pipe packet);
-          o_queue_length = (fun () -> Pipe.queue_length pipe);
+        { o_send = (fun packet -> Pipe.send pipe packet);
           o_overflows = (fun () -> Pipe.overflows pipe);
-          o_stats = (fun () -> Pipe.link_stats pipe);
-          o_set_rate = (fun rate -> Pipe.set_rate pipe rate) });
+          o_stats = (fun () -> Pipe.link_stats pipe) });
     fanout =
       (fun ~rate_bps ?delay ?on_served ~label ~rng ~fetch () ->
         let channel =
           Channel.create engine ~rate_bps ?delay ?on_served ?obs ~label ~rng
             ~fetch ()
         in
-        { f_label = label;
-          f_kick = (fun () -> Channel.kick channel);
+        { f_kick = (fun () -> Channel.kick channel);
           f_subscribe =
             (fun ~loss deliver -> Channel.subscribe channel ~loss deliver);
-          f_unsubscribe = (fun sub -> Channel.unsubscribe channel sub);
-          f_subscriber_count = (fun () -> Channel.subscriber_count channel);
           f_served = (fun () -> Channel.served channel);
           f_receiver_losses = (fun sub -> Channel.receiver_losses channel sub);
           f_utilisation = (fun ~now -> Channel.utilisation channel ~now) }) }

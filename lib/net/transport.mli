@@ -21,10 +21,9 @@
     hop-by-hop through a node graph with per-link loss, delay,
     queueing and fault state.
 
-    Rate hooks ([set_rate]) retune the sender-side server; loss and
-    delay are fixed per medium at creation (multi-hop transports apply
-    them at the sender's access hop and add per-link processes
-    downstream). *)
+    Rate, loss and delay are fixed per medium at creation (multi-hop
+    transports apply them at the sender's access hop and add per-link
+    processes downstream). *)
 
 module Rng = Softstate_util.Rng
 
@@ -32,10 +31,8 @@ type 'a deliver = now:float -> 'a -> unit
 (** Terminal delivery callback, in simulation time. *)
 
 type unicast = {
-  u_label : string;
   u_kick : unit -> unit;
       (** wake the sender-side server when work arrives *)
-  u_set_rate : float -> unit;  (** retune the sender's service rate *)
   u_stats : unit -> Link.Stats.t;
       (** sender-side (first-hop) counters: fetched / delivered /
           dropped are per-hop readings on multi-hop transports *)
@@ -47,24 +44,18 @@ type unicast = {
     monomorphic. *)
 
 type 'a outbox = {
-  o_label : string;
   o_send : 'a Packet.t -> bool;
       (** enqueue for transmission; [false] on overflow *)
-  o_queue_length : unit -> int;
   o_overflows : unit -> int;
   o_stats : unit -> Link.Stats.t;  (** first-hop counters *)
-  o_set_rate : float -> unit;
 }
 
 type 'a fanout = {
-  f_label : string;
   f_kick : unit -> unit;
   f_subscribe : loss:Loss.t -> 'a deliver -> int;
       (** add a receiver; [loss] is that receiver's own last-hop loss
           process (pass {!Loss.never} when the transport's links carry
           the loss). Returns a subscriber id. *)
-  f_unsubscribe : int -> unit;
-  f_subscriber_count : unit -> int;
   f_served : unit -> int;
       (** packets whose service at the root server has completed *)
   f_receiver_losses : int -> int;

@@ -42,7 +42,6 @@ type key_stats = {
   removes : int;
   nacks : int;
   queries : int;
-  announced_at : float option;
   first_delivery : float option;
   time_to_consistency : float option;
   repair_latencies : float array;
@@ -336,7 +335,6 @@ let analyse events =
           removes = a.k_removes;
           nacks = a.k_nacks;
           queries = a.k_queries;
-          announced_at;
           first_delivery;
           time_to_consistency;
           repair_latencies = Array.of_list repair_latencies;

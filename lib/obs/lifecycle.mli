@@ -43,7 +43,6 @@ type key_stats = {
   removes : int;
   nacks : int;
   queries : int;
-  announced_at : float option;
   first_delivery : float option;
   time_to_consistency : float option;
       (** first completed delivery minus first announce *)

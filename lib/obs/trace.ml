@@ -12,7 +12,6 @@ type kind =
   | Remove
   | Digest_mismatch
   | Timer_fired
-  | Rate_change
   | Link_down
   | Link_up
   | Node_crash
@@ -35,7 +34,6 @@ let kind_to_string = function
   | Remove -> "remove"
   | Digest_mismatch -> "digest_mismatch"
   | Timer_fired -> "timer_fired"
-  | Rate_change -> "rate_change"
   | Link_down -> "link_down"
   | Link_up -> "link_up"
   | Node_crash -> "node_crash"
@@ -58,7 +56,6 @@ let kind_of_string = function
   | "remove" -> Remove
   | "digest_mismatch" -> Digest_mismatch
   | "timer_fired" -> Timer_fired
-  | "rate_change" -> Rate_change
   | "link_down" -> Link_down
   | "link_up" -> Link_up
   | "node_crash" -> Node_crash

@@ -21,7 +21,6 @@ type kind =
   | Remove           (** state withdrawal propagated *)
   | Digest_mismatch  (** receiver digest disagreed with a summary *)
   | Timer_fired      (** engine calendar event fired *)
-  | Rate_change      (** a link's service rate was retuned *)
   | Link_down        (** fault injection took a topology link down *)
   | Link_up          (** fault injection restored a topology link *)
   | Node_crash       (** fault injection crashed a topology node *)

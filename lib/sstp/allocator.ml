@@ -3,7 +3,6 @@ type decision = {
   mu_fb_bps : float;
   mu_hot_bps : float;
   mu_cold_bps : float;
-  predicted_consistency : float;
 }
 
 type t = { profile : Profile.t; target_consistency : float }
@@ -46,6 +45,4 @@ let decide t ~mu_total_bps ~loss ~lambda_bps =
       (Float.min wanted_hot (mu_data_bps -. min_cold))
   in
   let mu_cold_bps = mu_data_bps -. mu_hot_bps in
-  { mu_data_bps; mu_fb_bps; mu_hot_bps; mu_cold_bps;
-    predicted_consistency =
-      Profile.consistency_at t.profile ~loss ~share:fb_share }
+  { mu_data_bps; mu_fb_bps; mu_hot_bps; mu_cold_bps }

@@ -10,11 +10,11 @@
     faster than that cap (the paper's λ ≤ μ_hot rule) gets the cap. *)
 
 type decision = {
+  (* lint: allow U003 (a) used by test "decision structure" *)
   mu_data_bps : float;
   mu_fb_bps : float;
   mu_hot_bps : float;  (** part of [mu_data_bps] *)
   mu_cold_bps : float; (** the rest of [mu_data_bps] *)
-  predicted_consistency : float;
 }
 
 type t

@@ -10,6 +10,7 @@
 
 type t
 
+(* lint: allow U001 (a) used by test "interpolation" *)
 val consistency_at : t -> loss:float -> share:float -> float
 (** Bilinear interpolation; arguments are clamped to the grid's
     range. *)

@@ -395,14 +395,16 @@ let gen_summary_program =
       (triple small_nat region labels)
   in
   let ctor = oneofl [ "Some"; "Target"; "Sstp.Session.Manual" ] in
+  let label = oneofl [ "u_kick"; "s_live"; "rate_bps" ] in
   let def =
     map3
-      (fun (n, l, a) (h, b) ((refs, ctors), calls, allocs) ->
+      (fun (n, l, a) (h, b, (reads, sets)) ((refs, ctors), calls, allocs) ->
         { Summary.d_name = n; d_line = l; d_arity = a; d_hot = h;
           d_builds_mutable = b; d_refs = refs; d_ctors = ctors;
-          d_calls = calls; d_allocs = allocs })
+          d_reads = reads; d_sets = sets; d_calls = calls; d_allocs = allocs })
       (triple name small_nat (int_bound 4))
-      (pair bool bool)
+      (triple bool bool
+         (pair (list_size (int_bound 3) label) (list_size (int_bound 2) label)))
       (triple
          (pair (list_size (int_bound 3) name) (list_size (int_bound 2) ctor))
          (list_size (int_bound 3) call)
@@ -423,12 +425,18 @@ let gen_summary_program =
       (pair (oneofl [ Summary.Domain_spawn; Summary.Task_slot ]) name)
       (pair (list_size (int_bound 3) name) bool)
   in
+  let field = oneofl [ "unicast.u_kick"; "Stats.t.sent"; "t.rate_bps" ] in
   let unit_summary =
     map3
-      (fun (n, f) (muts, exports, variants) (defs, spawns) ->
+      (fun (n, f, (fields, mutable_fields)) (muts, exports, variants)
+           (defs, spawns) ->
         { Summary.u_name = n; u_file = f; u_mutables = muts; u_defs = defs;
-          u_spawns = spawns; u_exports = exports; u_variants = variants })
-      (pair name path)
+          u_spawns = spawns; u_exports = exports; u_variants = variants;
+          u_fields = fields; u_mutable_fields = mutable_fields })
+      (triple name path
+         (pair
+            (list_size (int_bound 3) (export field (return [])))
+            (list_size (int_bound 2) (export field (return [])))))
       (triple
          (list_size (int_bound 2) mutable_global)
          (list_size (int_bound 3) (export name labels))
@@ -697,6 +705,98 @@ let test_u002_reason_form () =
   Alcotest.check verdict "a defined test keeps the label" ([], [])
     (u002_verdict "(a) used by test \"start value\"")
 
+(* ---- U003: record fields no program reads ---- *)
+
+let u003 sources =
+  at "U003" (Driver.scan_sources ~rules:[ "U003" ] ~with_m001:false sources)
+
+(* Four fields, one mutable and one function-typed, at lines 2-5,
+   column 2 of the interface ([above_a] goes on a line of its own above
+   [a]); [make] builds each of them, and [user.ml] assigns [c] unless
+   [assigned] is false. *)
+let record ?above_a ?(assigned = true) extra =
+  [ ( "lib/core/rec.mli",
+      "type t = {\n"
+      ^ Option.fold ~none:"" ~some:(Printf.sprintf "  %s\n") above_a
+      ^ "  a : int;\n\
+        \  b : int;\n\
+        \  mutable c : int;\n\
+        \  f : unit -> int;\n\
+         }\n\
+         val make : unit -> t\n" );
+    ( "lib/core/rec.ml",
+      "type t = { a : int; b : int; mutable c : int; f : unit -> int }\n\
+       let make () = { a = 1; b = 2; c = 3; f = (fun () -> 4) }\n" );
+    ( "lib/core/user.ml",
+      (if assigned then "let zero r = r.Rec.c <- 0\n" else "") ^ extra ) ]
+
+let fields = [ (2, 2); (3, 2); (4, 2); (5, 2) ]
+
+let test_u003_construction () =
+  Alcotest.check loc "a construction reads no field" fields (u003 (record ""))
+
+let test_u003_pattern () =
+  Alcotest.check loc "a record pattern reads the labels it names"
+    [ (3, 2); (4, 2); (5, 2) ]
+    (u003 (record "let get = function { Rec.a = x; _ } -> x\n"))
+
+let test_u003_pun () =
+  Alcotest.check loc "a punned label is read" [ (2, 2); (4, 2); (5, 2) ]
+    (u003 (record "let get { Rec.b; _ } = b\n"))
+
+let test_u003_test_read () =
+  Alcotest.check loc "a read from test/ does not count" fields
+    (u003
+       (record ""
+       @ [ ( "test/test_rec.ml",
+             "let () = ignore ((Rec.make ()).Rec.a, (Rec.make ()).Rec.f ())\n"
+           ) ]))
+
+let test_u003_with_update () =
+  Alcotest.check loc "an update reads only what its right-hand sides read"
+    [ (2, 2); (4, 2); (5, 2) ]
+    (u003 (record "let bump r = { r with Rec.a = r.Rec.b }\n"))
+
+let read_all = "let sum r = r.Rec.a + r.Rec.b + r.Rec.c + r.Rec.f ()\n"
+
+let test_u003_mutable () =
+  let fs =
+    Driver.scan_sources ~rules:[ "U003" ] ~with_m001:false
+      (record ~assigned:false read_all)
+  in
+  Alcotest.check loc "a mutable field no program assigns" [ (4, 2) ]
+    (at "U003" fs);
+  Alcotest.(check bool) "the finding says why" true
+    (List.for_all (message_mentions "no program assigns") fs);
+  Alcotest.check loc "an assignment keeps it" []
+    (u003 (record read_all))
+
+(* A field only a test reads, kept by a U003 directive with [reason];
+   the test file defines the test "rec fields". *)
+let u003_verdict reason =
+  let fs =
+    Driver.scan_sources ~with_m001:false
+      (record
+         ~above_a:(Printf.sprintf "(* lint: allow U003 %s *)" reason)
+         "let sum r = r.Rec.b + r.Rec.c + r.Rec.f ()\n"
+      @ [ ( "test/test_rec.ml",
+            "let cases =\n\
+            \  [ Alcotest.test_case \"rec fields\" `Quick (fun () ->\n\
+            \      ignore (Rec.make ()).Rec.a) ]\n" ) ])
+  in
+  (at "S001" fs, at "U003" fs)
+
+let test_u003_reason_form () =
+  (* the directive's line shifts the fields down by one *)
+  Alcotest.check verdict "a (b) reason is S001 and keeps nothing"
+    ([ (2, 2) ], [ (3, 2) ])
+    (u003_verdict "(b) DESIGN.md section 1 row 3");
+  Alcotest.check verdict "a test no test/ file defines is S001"
+    ([ (2, 2) ], [ (3, 2) ])
+    (u003_verdict "(a) used by test \"rec field\"");
+  Alcotest.check verdict "a defined test keeps the field" ([], [])
+    (u003_verdict "(a) used by test \"rec fields\"")
+
 let test_catalogue () =
   List.iter
     (fun r ->
@@ -707,6 +807,7 @@ let test_catalogue () =
     Rules.all;
   Alcotest.(check bool) "find knows D003" true (Rules.is_known "D003");
   Alcotest.(check bool) "find knows U002" true (Rules.is_known "U002");
+  Alcotest.(check bool) "find knows U003" true (Rules.is_known "U003");
   Alcotest.(check bool) "find rejects D999" false (Rules.is_known "D999")
 
 let () =
@@ -773,7 +874,17 @@ let () =
             test_u002_unbuilt_constructor;
           Alcotest.test_case "U002 constructor built by its parser" `Quick
             test_u002_parser_builds;
-          Alcotest.test_case "U002 reason form" `Quick test_u002_reason_form
+          Alcotest.test_case "U002 reason form" `Quick test_u002_reason_form;
+          Alcotest.test_case "U003 construction is no read" `Quick
+            test_u003_construction;
+          Alcotest.test_case "U003 pattern read" `Quick test_u003_pattern;
+          Alcotest.test_case "U003 punned read" `Quick test_u003_pun;
+          Alcotest.test_case "U003 read only from test" `Quick
+            test_u003_test_read;
+          Alcotest.test_case "U003 with-update" `Quick test_u003_with_update;
+          Alcotest.test_case "U003 mutable never assigned" `Quick
+            test_u003_mutable;
+          Alcotest.test_case "U003 reason form" `Quick test_u003_reason_form
         ] );
       ( "suppressions",
         [ Alcotest.test_case "valid directive silences" `Quick

@@ -103,7 +103,7 @@ let test_json_roundtrip () =
       ev ~time:0.0 ~src:"eng\"ine" Trace.Timer_fired;
       ev ~time:123.456789 ~src:"r" ~detail:"path/with,comma"
         (Trace.Custom "odd kind");
-      ev ~time:2.0 ~src:"x" ~value:(-3.5) Trace.Rate_change ]
+      ev ~time:2.0 ~src:"x" ~value:(-3.5) Trace.Link_down ]
   in
   List.iter
     (fun e ->
@@ -164,8 +164,8 @@ let all_builtin_kinds =
   [ Trace.Packet_sent; Trace.Packet_dropped; Trace.Packet_delivered;
     Trace.Queue_overflow; Trace.Announce; Trace.Refresh; Trace.Summary;
     Trace.Nack; Trace.Query; Trace.Repair; Trace.Remove;
-    Trace.Digest_mismatch; Trace.Timer_fired; Trace.Rate_change;
-    Trace.Link_down; Trace.Link_up; Trace.Node_crash; Trace.Node_restart;
+    Trace.Digest_mismatch; Trace.Timer_fired; Trace.Link_down;
+    Trace.Link_up; Trace.Node_crash; Trace.Node_restart;
     Trace.Partition; Trace.Heal ]
 
 let test_kind_roundtrip_exhaustive () =
