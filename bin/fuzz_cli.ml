@@ -342,10 +342,11 @@ let lint_smoke () =
       end)
 
 (* Same guard for the whole-program phase: plant a shared-ref-across-
-   domains race and a hot-path closure, and an interface record field
-   no code reads, in a scratch tree (under a lib/ segment, which is
-   what puts the R/A/U rules in scope) and assert R001, an A-rule and
-   U003 fire at the planted lines, with a non-zero CLI exit. *)
+   domains race (once at top level, once inside a functor body) and a
+   hot-path closure, and an interface record field no code reads, in a
+   scratch tree (under a lib/ segment, which is what puts the R/A/U
+   rules in scope) and assert R001, an A-rule and U003 fire at the
+   planted lines, with a non-zero CLI exit. *)
 let race_smoke () =
   let dir = Filename.temp_file "lint_race" "" in
   Sys.remove dir;
@@ -353,11 +354,17 @@ let race_smoke () =
   let libdir = Filename.concat dir "lib" in
   Sys.mkdir libdir 0o755;
   let race_line = 2 and alloc_line = 3 and field_line = 3 in
+  let functor_race_line = 3 in
   let files =
     [ ( "race_smoke.ml",
         "let shared = ref 0\n\
          let race () = Domain.spawn (fun () -> incr shared)\n\
          let[@hot] hot_sum xs = List.fold_left (fun a b -> a + b) 0 xs\n" );
+      ( "functor_smoke.ml",
+        "module Make (X : sig end) = struct\n\
+        \  let shared = ref 0\n\
+        \  let race () = Domain.spawn (fun () -> incr shared)\n\
+         end\n" );
       ("field_smoke.mli", "type t = {\n  seen : int;\n  unread : int;\n}\n");
       ( "field_smoke.ml",
         "type t = { seen : int; unread : int }\nlet seen r = r.seen\n" ) ]
@@ -386,6 +393,9 @@ let race_smoke () =
           findings
       in
       let race_caught = fired "R001" race_line in
+      let functor_race_caught =
+        fired ~file:"functor_smoke.ml" "R001" functor_race_line
+      in
       let alloc_caught =
         List.exists (fun r -> fired r alloc_line) [ "A001"; "A002"; "A004" ]
       in
@@ -409,6 +419,13 @@ let race_smoke () =
           race_line;
         false
       end
+      else if not functor_race_caught then begin
+        Printf.eprintf
+          "race-smoke: FAILED — planted shared-ref race in a functor body \
+           at line %d not reported as R001\n"
+          functor_race_line;
+        false
+      end
       else if not alloc_caught then begin
         Printf.eprintf
           "race-smoke: FAILED — planted hot-path closure at line %d not \
@@ -429,9 +446,10 @@ let race_smoke () =
       end
       else begin
         Printf.printf
-          "race-smoke: planted race caught as R001 at line %d, hot-path \
-           allocation at line %d, unread field as U003 at line %d\n"
-          race_line alloc_line field_line;
+          "race-smoke: planted race caught as R001 at line %d and in a \
+           functor body at line %d, hot-path allocation at line %d, unread \
+           field as U003 at line %d\n"
+          race_line functor_race_line alloc_line field_line;
         true
       end)
 

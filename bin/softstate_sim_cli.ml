@@ -194,14 +194,14 @@ let fluid_arg =
   Arg.(value & flag & info [ "fluid" ] ~doc)
 
 let replications_arg =
-  int_arg [ "replications"; "r" ]
+  positive_int [ "replications"; "r" ]
     1
     "Independent replications (seeds derived from --seed); with more \
      than one, the summary reports means and confidence intervals and \
      the obs flags are ignored."
 
 let jobs_arg =
-  int_arg [ "jobs"; "j" ]
+  Cli_arg.opt Cli_arg.count [ "jobs"; "j" ]
     1
     "Domains to fan replications across (0 = all recommended). The \
      summary is identical for every job count."

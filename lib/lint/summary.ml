@@ -214,6 +214,7 @@ let line_col (loc : Location.t) =
 
 type scan_state = {
   mutable aliases : Aliases.t;
+  mutable prefix : string; (* the module path being walked, "" at top *)
   mutable mutable_fields : string list; (* labels declared mutable *)
   mutable mutables : mutable_global list;
   mutable defs : def list;
@@ -233,6 +234,20 @@ type def_state = {
 
 let resolve st path = strip_stdlib (Aliases.expand st.aliases path)
 
+(* A reference as written, and as a member of each enclosing module:
+   inside [module M = struct ... end] a bare [x] may name [M.x]. Phase
+   2 drops the candidates no definition matches. *)
+let scoped st r =
+  let rec outward acc p =
+    if p = "" then acc
+    else
+      let acc = (p ^ "." ^ r) :: acc in
+      match String.rindex_opt p '.' with
+      | Some i -> outward acc (String.sub p 0 i)
+      | None -> acc
+  in
+  outward [ r ] st.prefix
+
 let nonopt_args args =
   List.length
     (List.filter (function Asttypes.Optional _, _ -> false | _ -> true) args)
@@ -251,7 +266,8 @@ let collect_refs st e =
   let default = Ast_iterator.default_iterator in
   let expr it e =
     (match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> refs := dotted (resolve st (flatten txt)) :: !refs
+    | Pexp_ident { txt; _ } ->
+        refs := scoped st (dotted (resolve st (flatten txt))) @ !refs
     | _ -> ());
     default.expr it e
   in
@@ -294,7 +310,7 @@ let scan_body st ds ~encl body =
   let rec expr it e =
     (match e.pexp_desc with
     | Pexp_ident { txt; _ } ->
-        ds.refs <- dotted (resolve st (flatten txt)) :: ds.refs
+        ds.refs <- scoped st (dotted (resolve st (flatten txt))) @ ds.refs
     | Pexp_field (_, { txt; _ }) -> ds.reads <- Longident.last txt :: ds.reads
     | Pexp_setfield (_, { txt; _ }, _) ->
         ds.sets <- Longident.last txt :: ds.sets
@@ -417,9 +433,18 @@ let scan_body st ds ~encl body =
 
 (* ---- structure traversal ---- *)
 
+(* The structure a module expression defines, seen through signature
+   constraints and functor parameters: a functor's body is code the
+   program runs once per application. *)
+let rec module_items me =
+  match me.pmod_desc with
+  | Pmod_structure items -> Some items
+  | Pmod_constraint (me, _) | Pmod_functor (_, me) -> module_items me
+  | _ -> None
+
 let scan_structure ~file str =
   let st =
-    { aliases = Aliases.empty; mutable_fields = []; mutables = [];
+    { aliases = Aliases.empty; prefix = ""; mutable_fields = []; mutables = [];
       defs = []; spawns = [] }
   in
   (* first pass: record labels declared mutable anywhere in the unit,
@@ -446,9 +471,9 @@ let scan_structure ~file str =
       (fun item ->
         collect_mutable_fields item;
         match item.pstr_desc with
-        | Pstr_module
-            { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ } ->
-            collect_types_deep sub
+        | Pstr_module { pmb_expr = m; _ } | Pstr_include { pincl_mod = m; _ }
+          ->
+            Option.iter collect_types_deep (module_items m)
         | _ -> ())
       items
   in
@@ -462,6 +487,7 @@ let scan_structure ~file str =
       { refs = []; ctors = []; reads = []; sets = []; calls = []; allocs = [];
         builds = None; regions = [] }
     in
+    st.prefix <- prefix;
     scan_body st ds ~encl:qname body;
     st.defs <-
       { d_name = qname; d_line = line; d_arity = arity; d_hot = hot;
@@ -504,9 +530,12 @@ let scan_structure ~file str =
             match pmb_expr.pmod_desc with
             | Pmod_ident { txt; _ } ->
                 st.aliases <- Aliases.add st.aliases n (flatten txt)
-            | Pmod_structure sub ->
-                walk ~prefix:(if prefix = "" then n else prefix ^ "." ^ n) sub
-            | _ -> ())
+            | _ ->
+                Option.iter
+                  (walk ~prefix:(if prefix = "" then n else prefix ^ "." ^ n))
+                  (module_items pmb_expr))
+        | Pstr_include { pincl_mod; _ } ->
+            Option.iter (walk ~prefix) (module_items pincl_mod)
         | _ -> ())
       items
   in

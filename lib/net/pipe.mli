@@ -34,6 +34,7 @@ val send : 'a t -> 'a Packet.t -> bool
 (** Enqueue a packet; [false] if the queue overflowed (the packet is
     lost at the sender). *)
 
+(* lint: allow U001 (a) used by test "idle/busy order" *)
 val queue_length : 'a t -> int
 val overflows : 'a t -> int
 val link_stats : 'a t -> Link.Stats.t

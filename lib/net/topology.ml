@@ -1,5 +1,6 @@
 module Engine = Softstate_sim.Engine
 module Rng = Softstate_util.Rng
+module Ring = Softstate_util.Ring
 module Obs = Softstate_obs.Obs
 module Metrics = Softstate_obs.Metrics
 module Trace = Softstate_obs.Trace
@@ -18,11 +19,15 @@ type t = {
   g : Flat_topology.t;
   rate_bps : float;
   loss : unit -> Loss.t;
+  (* substrate accounting over every overlay edge; see [substrate] *)
   mutable bh_inject : int;   (* packets destroyed entering a down element *)
   mutable bh_deliver : int;  (* packets destroyed leaving a down element *)
-  mutable injected : int;    (* packets offered to an edge stage *)
-  mutable pipe_readers : (unit -> Link.Stats.t * int * int) list;
-      (* per overlay edge pipe: (link stats, overflows, queue length) *)
+  mutable injected : int;    (* packets offered to an edge *)
+  mutable overflowed : int;
+  mutable queued : int;
+  mutable sent : int;
+  mutable delivered : int;
+  mutable dropped : int;
 }
 
 type substrate = {
@@ -64,39 +69,22 @@ let leaves t =
   done;
   !acc
 
-(* Aggregate the substrate accounting: every packet offered to an edge
-   stage is, at any instant, in exactly one of the [substrate] buckets
-   (blackholed at the gate, rejected by the bounded queue, waiting in
-   the queue, on the edge server, destroyed by the edge loss process,
-   or past its loss draw), so
-   [s_injected = s_blackholed_inject + s_overflowed + s_queued + s_sent]
+(* Every packet offered to an overlay edge is, at any instant, in
+   exactly one of the [substrate] buckets (blackholed at the gate,
+   rejected by the bounded queue, waiting in the queue, on the edge
+   server, destroyed by the edge loss process, or past its loss draw),
+   so [s_injected = s_blackholed_inject + s_overflowed + s_queued + s_sent]
    holds exactly — the per-edge packet-conservation invariant the
    checker's oracles verify. *)
 let substrate t =
-  let overflowed = ref 0 and queued = ref 0 in
-  let sent = ref 0 and delivered = ref 0 and dropped = ref 0 in
-  List.iter
-    (fun read ->
-      let stats, ov, ql = read () in
-      overflowed := !overflowed + ov;
-      queued := !queued + ql;
-      sent := !sent + stats.Link.Stats.fetched;
-      delivered := !delivered + stats.Link.Stats.delivered;
-      dropped := !dropped + stats.Link.Stats.dropped)
-    t.pipe_readers;
   { s_injected = t.injected;
     s_blackholed_inject = t.bh_inject;
     s_blackholed_deliver = t.bh_deliver;
-    s_overflowed = !overflowed;
-    s_queued = !queued;
-    s_sent = !sent;
-    s_delivered = !delivered;
-    s_dropped = !dropped }
-
-let note_pipe t pipe =
-  t.pipe_readers <-
-    (fun () -> (Pipe.link_stats pipe, Pipe.overflows pipe, Pipe.queue_length pipe))
-    :: t.pipe_readers
+    s_overflowed = t.overflowed;
+    s_queued = t.queued;
+    s_sent = t.sent;
+    s_delivered = t.delivered;
+    s_dropped = t.dropped }
 
 let count_down n up =
   let down = ref 0 in
@@ -116,7 +104,8 @@ let wrap ~engine ~rng ?obs ~rate_bps ?(loss = fun () -> Loss.never) g =
   let t =
     { engine; rng; obs; trace = Obs.trace_of obs;
       traced = Trace.enabled (Obs.trace_of obs); g; rate_bps; loss;
-      bh_inject = 0; bh_deliver = 0; injected = 0; pipe_readers = [] }
+      bh_inject = 0; bh_deliver = 0; injected = 0; overflowed = 0;
+      queued = 0; sent = 0; delivered = 0; dropped = 0 }
   in
   (match obs with
   | Some o ->
@@ -268,8 +257,7 @@ let fault_drops t = t.bh_inject + t.bh_deliver
 (* ------------------------------------------------------------------ *)
 (* Overlays *)
 
-let drop_faulted t ~phase ~src_label ?(packet = Packet.no_id)
-    ?(hop = Trace.no_id) () =
+let drop_faulted t ~phase ~src_label ~packet ~hop =
   (match phase with
   | `Inject -> t.bh_inject <- t.bh_inject + 1
   | `Deliver -> t.bh_deliver <- t.bh_deliver + 1);
@@ -291,73 +279,187 @@ let endpoint_delivered t ~now ~label ~detail ~hop id =
       (Trace.event ~time:now ~src:(label ^ ".end") ~detail ~packet:id ~hop
          Trace.Packet_delivered)
 
-(* One forwarding stage per directed edge [eid]: a Pipe at the
-   topology's rate and loss, with no propagation delay. The send-side gate admits a packet
-   only while the cable and the sending node are up, and delivery
-   re-checks the cable and the receiving node (packets in flight when
-   either goes down are destroyed). Both gates test [all_up] first, an
-   exact O(1) count, and read the fault bits only while something is
-   down. Overlay pipes carry no obs context of their own — per-edge
-   probes would collide across overlays; the topology's fault
-   counters and trace events cover the substrate.
-   [hop] is the stage's position along the overlay path (the head
-   server is hop 0), stamped on every edge trace event so a packet's
-   causal chain reads in path order. *)
 (* Packets each edge queue holds. *)
 let edge_qcap = 256
 
-let edge_stage t ~overlay_rng ~hop eid next =
-  let cable = eid lsr 1 in
-  let src, dst = edge_ends t eid in
-  let elabel = Printf.sprintf "%s.e%d" label eid in
-  let pipe =
-    Pipe.create t.engine ~rate_bps:t.rate_bps ~loss:(t.loss ())
-      ~queue_capacity:edge_qcap ~label:elabel ~hop ~rng:overlay_rng
-      ~deliver:(fun ~now packet ->
-        if
-          Flat_topology.all_up t.g
-          || Flat_topology.is_cable_up t.g cable
-             && Flat_topology.is_node_up t.g dst
-        then next ~now packet
-        else
-          drop_faulted t ~phase:`Deliver ~src_label:elabel
-            ~packet:packet.Packet.id ~hop ())
-      ()
-  in
-  note_pipe t pipe;
-  fun ~now:_ (packet : 'a Packet.t) ->
-    t.injected <- t.injected + 1;
-    if
-      Flat_topology.all_up t.g
-      || Flat_topology.is_cable_up t.g cable
-         && Flat_topology.is_node_up t.g src
-    then ignore (Pipe.send pipe packet)
+(* One overlay's edges as a struct of arrays: entry [i] of each array
+   describes overlay edge [i], a FIFO server at the topology's rate and
+   loss with no propagation delay. Edge [i] is [busy] while
+   [serving.(i)] is on it, and up to [edge_qcap] more packets wait in
+   [queues.(i)]. [serving] is allocated on first use, since only a
+   packet can fill it. Edges are indexed by parent node, so node [v]'s
+   child edges are [first_child.(v) .. first_child.(v + 1) - 1].
+
+   Fault gates as on a single edge: the send side admits a packet only
+   while the cable and the sending node are up, and completion
+   re-checks the cable and the receiving node (packets in flight when
+   either goes down are destroyed). Both gates test [all_up] first, an
+   exact O(1) count, and read the fault bits only while something is
+   down. [hop] is the edge's position along the overlay (the head
+   server is hop 0, an edge into a node at depth d is hop d), stamped
+   on every edge trace event so a packet's causal chain reads in path
+   order. The edges carry no obs context of their own; the topology's
+   counters and trace events cover the substrate. *)
+type 'a edges = {
+  topo : t;
+  rng : Rng.t;
+  cable : int array;
+  dst : int array;
+  hop : int array;
+  elabel : string array;
+  loss : Loss.t array;
+  busy : bool array;
+  mutable serving : 'a Packet.t array;
+  queues : 'a Packet.t Ring.t array;
+  next : int array; (* the next member of [i]'s wave, or -1 *)
+  complete : (Engine.t -> unit) array; (* the event finishing [i]'s wave *)
+  first_child : int array;
+  local : now:float -> int -> 'a Packet.t -> unit;
+      (* delivery to the overlay's own endpoints at a node *)
+}
+
+let gate_open t ~cable ~node =
+  Flat_topology.all_up t.g
+  || Flat_topology.is_cable_up t.g cable && Flat_topology.is_node_up t.g node
+
+let service t (packet : 'a Packet.t) =
+  float_of_int packet.Packet.size_bits /. t.rate_bps
+
+(* Put [packet] on idle edge [i], as the last edge of its wave so far. *)
+let start es i packet =
+  let t = es.topo in
+  if Array.length es.serving = 0 then
+    es.serving <- Array.make (Array.length es.busy) packet;
+  es.busy.(i) <- true;
+  es.serving.(i) <- packet;
+  es.next.(i) <- -1;
+  t.sent <- t.sent + 1
+
+(* Offer [packet] to edge [i] out of [node] through its send-side gate:
+   [true] when the edge was idle and [packet] is now on it. *)
+let admit es i ~node packet =
+  let t = es.topo in
+  t.injected <- t.injected + 1;
+  if not (gate_open t ~cable:es.cable.(i) ~node) then begin
+    drop_faulted t ~phase:`Inject ~src_label:es.elabel.(i)
+      ~packet:packet.Packet.id ~hop:es.hop.(i);
+    false
+  end
+  else if es.busy.(i) then begin
+    if Ring.push es.queues.(i) packet then t.queued <- t.queued + 1
+    else t.overflowed <- t.overflowed + 1;
+    false
+  end
+  else begin
+    start es i packet;
+    true
+  end
+
+(* [packet] reaches [node]: the overlay's endpoints there hear it
+   first, then it floods the node's child edges. The idle ones form a
+   wave: they start together, chained through [next] in child order,
+   and one calendar event finishes them all [service] later. One event
+   per edge would be a heap run of consecutive inserts at one instant,
+   which nothing can join or split, so the wave fires at the same
+   place in (time, scheduling order) and does the same work in the
+   same order. Busy edges queue the packet. *)
+let rec arrive es ~now node packet =
+  es.local ~now node packet;
+  let last = ref (-1) in
+  for i = es.first_child.(node) to es.first_child.(node + 1) - 1 do
+    if admit es i ~node packet then begin
+      if !last < 0 then
+        Engine.schedule es.topo.engine ~after:(service es.topo packet)
+          es.complete.(i)
+      else es.next.(!last) <- i;
+      last := i
+    end
+  done
+
+(* Edge [i]'s packet completes service, as a Link's would: the loss
+   draw, then the receive-side gate, then delivery into the child
+   node, then the edge's next queued packet as a wave of one. *)
+and finish es i ~now =
+  let t = es.topo in
+  let packet = es.serving.(i) in
+  if Loss.drop es.loss.(i) es.rng then t.dropped <- t.dropped + 1
+  else begin
+    t.delivered <- t.delivered + 1;
+    if gate_open t ~cable:es.cable.(i) ~node:es.dst.(i) then
+      arrive es ~now es.dst.(i) packet
     else
-      drop_faulted t ~phase:`Inject ~src_label:elabel ~packet:packet.Packet.id
-        ~hop ()
+      drop_faulted t ~phase:`Deliver ~src_label:es.elabel.(i)
+        ~packet:packet.Packet.id ~hop:es.hop.(i)
+  end;
+  match Ring.pop es.queues.(i) with
+  | None -> es.busy.(i) <- false
+  | Some queued ->
+      t.queued <- t.queued - 1;
+      start es i queued;
+      Engine.schedule t.engine ~after:(service t queued) es.complete.(i)
 
-(* The edge stages along [edges], returned as the entry the head
-   server delivers into. The same packet, id and size unchanged,
-   crosses every hop; past the last, its payload goes to [deliver]. *)
-let path_entry t ~label ~deliver edges =
-  let overlay_rng = Rng.split t.rng in
-  let n = List.length edges in
-  let final ~now (packet : 'a Packet.t) =
-    endpoint_delivered t ~now ~label ~detail:"endpoint" ~hop:n
-      packet.Packet.id;
-    deliver ~now packet.Packet.payload
-  in
-  let _, entry =
-    List.fold_right
-      (fun eid (hop, next) ->
-        (hop - 1, edge_stage t ~overlay_rng ~hop eid next))
-      edges (n, final)
-  in
-  entry
+(* Finish the wave that starts at edge [i], in child order. Each
+   member's successor is read before the member finishes, since a
+   member that starts its next packet leaves the wave. *)
+let rec finish_wave es i ~now =
+  let next = es.next.(i) in
+  finish es i ~now;
+  if next >= 0 then finish_wave es next ~now
 
-let unicast_over t ~path_edges ~rate_bps ?delay ?loss ?on_served ~label
-    ~rng ~fetch ~deliver () =
-  let entry = path_entry t ~label ~deliver path_edges in
+(* The edge table over [children.(v)], the edge ids leaving node [v]
+   in child order. [depth] gives each node's hop index. *)
+let edges (t : t) ~rng ~depth ~local children =
+  let n = node_count t in
+  let first_child = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun v eids -> first_child.(v + 1) <- first_child.(v) + List.length eids)
+    children;
+  let eids = Array.of_list (List.concat (Array.to_list children)) in
+  let m = Array.length eids in
+  let dst = Array.map (fun eid -> snd (edge_ends t eid)) eids in
+  let es =
+    { topo = t; rng; cable = Array.map (fun eid -> eid lsr 1) eids; dst;
+      hop = Array.map (fun v -> depth.(v)) dst;
+      elabel = Array.map (Printf.sprintf "%s.e%d" label) eids;
+      loss = Array.init m (fun _ -> t.loss ());
+      busy = Array.make m false; serving = [||];
+      queues = Array.init m (fun _ -> Ring.create ~capacity:edge_qcap);
+      next = Array.make m (-1); complete = Array.make m ignore; first_child;
+      local }
+  in
+  for i = 0 to m - 1 do
+    es.complete.(i) <-
+      (fun engine -> finish_wave es i ~now:(Engine.now engine))
+  done;
+  es
+
+let depths t ~root =
+  Array.init (node_count t) (fun v -> Flat_topology.dist t.g ~src:root ~dst:v)
+
+(* The edge table along the path [src] to [dst], returned as the entry
+   the head server delivers into: every node on the path but [dst] has
+   one child edge. The same packet, id and size unchanged, crosses
+   every hop; past the last, its payload goes to [deliver]. *)
+let path_entry (t : t) ~src ~dst ~label ~deliver =
+  let rng = Rng.split t.rng in
+  let depth = depths t ~root:src in
+  let local ~now node (packet : 'a Packet.t) =
+    if node = dst then begin
+      endpoint_delivered t ~now ~label ~detail:"endpoint" ~hop:depth.(dst)
+        packet.Packet.id;
+      deliver ~now packet.Packet.payload
+    end
+  in
+  let children = Array.make (node_count t) [] in
+  List.iter
+    (fun eid -> children.(fst (edge_ends t eid)) <- [ eid ])
+    (path t ~src ~dst);
+  let es = edges t ~rng ~depth ~local children in
+  fun ~now packet -> arrive es ~now src packet
+
+let unicast_over t ~src ~dst ~rate_bps ?delay ?loss ?on_served ~label ~rng
+    ~fetch ~deliver () =
+  let entry = path_entry t ~src ~dst ~label ~deliver in
   (* The access hop: the sender's own server at the protocol's rate,
      carrying the protocol-level loss/delay, feeding the first edge. *)
   let head =
@@ -368,9 +470,9 @@ let unicast_over t ~path_edges ~rate_bps ?delay ?loss ?on_served ~label
     u_stats = (fun () -> Link.stats head);
     u_utilisation = (fun ~now -> Link.utilisation head ~now) }
 
-let outbox_over t ~path_edges ~rate_bps ?delay ?loss
-    ?(queue_capacity = 1024) ~label ~rng ~deliver () =
-  let entry = path_entry t ~label ~deliver path_edges in
+let outbox_over t ~src ~dst ~rate_bps ?delay ?loss ?(queue_capacity = 1024)
+    ~label ~rng ~deliver () =
+  let entry = path_entry t ~src ~dst ~label ~deliver in
   let head =
     Pipe.create t.engine ~rate_bps ?delay ?loss ~queue_capacity ?obs:t.obs
       ~label ~hop:0 ~rng ~deliver:entry ()
@@ -397,26 +499,24 @@ let rec insert_sub s = function
   | x :: _ as l when s.sid < x.sid -> s :: l
   | x :: rest -> x :: insert_sub s rest
 
-let fanout_over t ~root ~attach ~rate_bps ?delay ?on_served ~label
+let fanout_over (t : t) ~root ~attach ~rate_bps ?delay ?on_served ~label
     ~rng ~fetch () =
   let overlay_rng = Rng.split t.rng in
-  let children = tree_children t ~root in
   let n = node_count t in
   (* BFS depth doubles as the hop index on edge trace events: the
      shared root server is hop 0, an edge into a depth-d node is hop d. *)
-  let depth = Array.init n (fun v -> Flat_topology.dist t.g ~src:root ~dst:v) in
+  let depth = depths t ~root in
   let subs : 'a subscriber Sub_map.t ref = ref Sub_map.empty in
   let at_node = Array.make n [] in
   let next_sid = ref 0 in
-  let stages = Array.make n [] in
-  (* Hop delivery: local subscribers first, in ascending sid order
-     (each through its own last-hop loss process), then flood the
-     child edges. The explicit sid order keeps the per-subscriber
-     loss draws — and hence every golden pin — a function of the
+  (* Local subscribers hear a packet before it floods the node's child
+     edges, in ascending sid order, each through its own last-hop loss
+     process. The explicit sid order keeps the per-subscriber loss
+     draws — and hence every golden pin — a function of the
      subscription history alone. Snapshot semantics as in {!Channel}:
      the subscriber list for this packet is read once, so a callback
      may subscribe freely, and a subscriber it adds first hears the
-     next packet. Both walks are named recursions over the lists, so a
+     next packet. The walk is a named recursion over the list, so a
      hop allocates no closure. *)
   let rec deliver_local node ~now (packet : 'a Packet.t) = function
     | [] -> ()
@@ -430,32 +530,13 @@ let fanout_over t ~root ~attach ~rate_bps ?delay ?on_served ~label
         end;
         deliver_local node ~now packet rest
   in
-  let rec flood ~now packet = function
-    | [] -> ()
-    | stage :: rest ->
-        stage ~now packet;
-        flood ~now packet rest
-  in
-  let forward node ~now packet =
-    deliver_local node ~now packet at_node.(node);
-    flood ~now packet stages.(node)
-  in
-  (* Instantiate the tree's edge stages (ascending node, then eid). *)
-  Array.iteri
-    (fun node eids ->
-      stages.(node) <-
-        List.map
-          (fun eid ->
-            let _, dst = edge_ends t eid in
-            edge_stage t ~overlay_rng ~hop:depth.(dst) eid
-              (fun ~now packet -> forward dst ~now packet))
-          eids)
-    children;
+  let local ~now node packet = deliver_local node ~now packet at_node.(node) in
+  let es = edges t ~rng:overlay_rng ~depth ~local (tree_children t ~root) in
   let emit ~now packet =
-    if Flat_topology.is_node_up t.g root then forward root ~now packet
+    if Flat_topology.is_node_up t.g root then arrive es ~now root packet
     else
       drop_faulted t ~phase:`Deliver ~src_label:label ~packet:packet.Packet.id
-        ~hop:0 ()
+        ~hop:0
   in
   (* The shared root server: a lossless Link with no obs, so it draws
      nothing from [rng] and delivers every packet it completes. *)
@@ -492,17 +573,15 @@ let transport t =
     if Array.length others = 0 then fun _ -> src
     else fun i -> others.(i mod Array.length others)
   in
-  let data_path = path t ~src ~dst in
-  let fb_path = path t ~src:dst ~dst:src in
   { Transport.name = "topology:" ^ kind t;
     unicast =
       (fun ~rate_bps ?delay ?loss ?on_served ~label ~rng ~fetch ~deliver () ->
-        unicast_over t ~path_edges:data_path ~rate_bps
-          ?delay ?loss ?on_served ~label ~rng ~fetch ~deliver ());
+        unicast_over t ~src ~dst ~rate_bps ?delay ?loss ?on_served ~label
+          ~rng ~fetch ~deliver ());
     outbox =
       (fun ~rate_bps ?delay ?loss ?queue_capacity:qc ~label ~rng ~deliver () ->
-        outbox_over t ~path_edges:fb_path ~rate_bps
-          ?delay ?loss ?queue_capacity:qc ~label ~rng ~deliver ());
+        outbox_over t ~src:dst ~dst:src ~rate_bps ?delay ?loss
+          ?queue_capacity:qc ~label ~rng ~deliver ());
     fanout =
       (fun ~rate_bps ?delay ?on_served ~label ~rng ~fetch () ->
         fanout_over t ~root:src ~attach ~rate_bps ?delay

@@ -11,9 +11,13 @@
     service rate and loss-process spec, so an edge
     is just its id [eid = 2 * cable + dir] (direction 0 runs from the
     cable's first endpoint to its second). Traffic crosses an edge
-    through a bounded FIFO queue and a rate-limited server ({!Pipe}
-    underneath), so congestion, loss and queueing delay accumulate per hop
-    instead of being a single flat draw.
+    through a bounded FIFO queue of 256 packets and a rate-limited
+    server, so congestion, loss and queueing delay accumulate per hop
+    instead of being a single flat draw. An overlay's edges are rows
+    of one struct-of-arrays table, and the idle edges a packet enters
+    at one node (a tree's sibling edges) finish in one calendar event,
+    in child order, with the loss draws, trace events and deliveries
+    that one event per edge would make.
 
     Routing is the flat core's breadth-first search over the full
     graph (ties between equal-length routes break by ascending
@@ -38,9 +42,10 @@
     {2 Overlays}
 
     {!transport} packages a topology as a {!Transport.t}: each
-    unicast / outbox / fanout created through it instantiates its own
-    per-edge queues and loss processes (loss processes are stateful,
-    so overlays never share them) bound to the shared fault state.
+    unicast / outbox / fanout created through it gets its own edge
+    table, with its own per-edge queues and loss processes (loss
+    processes are stateful, so overlays never share them) bound to the
+    shared fault state.
     Overlay randomness derives from the topology's own generator at
     creation time, keeping runs reproducible. *)
 
@@ -166,7 +171,7 @@ val fault_drops : t -> int
 
 (** {1 Substrate accounting}
 
-    Aggregate packet accounting over every overlay edge stage, for
+    Aggregate packet accounting over every overlay edge, for
     invariant checking ({!Softstate_check} oracles). Every packet
     offered to an edge is, at any instant, in exactly one bucket, so
 
@@ -181,7 +186,7 @@ val fault_drops : t -> int
     [.edge_dropped] probes. *)
 
 type substrate = {
-  s_injected : int;     (** packets offered to an edge stage *)
+  s_injected : int;     (** packets offered to an overlay edge *)
   s_blackholed_inject : int;
       (** destroyed at the send-side fault gate *)
   s_blackholed_deliver : int;

@@ -184,6 +184,18 @@ let test_r001_same_unit () =
   Alcotest.(check bool) "message names the reached state" true
     (message_mentions "Fixture.hits" f)
 
+(* A functor's body is module code too: each application makes its
+   own [hits], which the domains it spawns then share. *)
+let test_r001_functor_body () =
+  let src =
+    "module Make (X : sig end) = struct\n\
+    \  let hits = ref 0\n\
+    \  let run () = Domain.spawn (fun () -> incr hits)\n\
+     end\n"
+  in
+  Alcotest.check loc "R001 anchors at the spawn in the body" [ (3, 15) ]
+    (at "R001" (scan src))
+
 let test_r001_cross_unit () =
   let fs =
     Driver.scan_sources
@@ -570,6 +582,23 @@ let test_u001_module_alias () =
              \  let module X = Softstate_core.Exporter in\n\
              \  X.used 3\n" ) ]))
 
+let test_u001_functor_body () =
+  Alcotest.check loc "a reference from a functor body counts" [ (2, 4) ]
+    (u001
+       (exporter
+       @ [ ( "lib/core/caller.ml",
+             "module Make (X : sig end) = struct\n\
+             \  let go () = Exporter.used 2\n\
+              end\n" ) ]))
+
+let test_u001_include () =
+  Alcotest.check loc "a reference from an included structure counts"
+    [ (2, 4) ]
+    (u001
+       (exporter
+       @ [ ( "lib/core/caller.ml",
+             "include struct\n  let go () = Exporter.used 2\nend\n" ) ]))
+
 (* An export only a test calls, kept by a U001 directive with
    [reason]; the test file defines the test "own value". *)
 let kept_export reason =
@@ -757,6 +786,17 @@ let test_u003_with_update () =
     [ (2, 2); (4, 2); (5, 2) ]
     (u003 (record "let bump r = { r with Rec.a = r.Rec.b }\n"))
 
+let test_u003_constrained_module () =
+  Alcotest.check loc "a read in a constrained module counts"
+    [ (3, 2); (4, 2); (5, 2) ]
+    (u003
+       (record
+          "module M : sig\n\
+          \  val get : Rec.t -> int\n\
+           end = struct\n\
+          \  let get r = r.Rec.a\n\
+           end\n"))
+
 let read_all = "let sum r = r.Rec.a + r.Rec.b + r.Rec.c + r.Rec.f ()\n"
 
 let test_u003_mutable () =
@@ -827,6 +867,8 @@ let () =
             test_alias_local_module ] );
       ( "races",
         [ Alcotest.test_case "R001 same unit" `Quick test_r001_same_unit;
+          Alcotest.test_case "R001 in a functor body" `Quick
+            test_r001_functor_body;
           Alcotest.test_case "R001 cross unit" `Quick test_r001_cross_unit;
           Alcotest.test_case "R001 sync-module exempt" `Quick
             test_r001_sync_module_exempt;
@@ -856,6 +898,10 @@ let () =
           Alcotest.test_case "U001 test reference" `Quick
             test_u001_test_reference;
           Alcotest.test_case "U001 module alias" `Quick test_u001_module_alias;
+          Alcotest.test_case "U001 reference from a functor body" `Quick
+            test_u001_functor_body;
+          Alcotest.test_case "U001 reference from an include" `Quick
+            test_u001_include;
           Alcotest.test_case "U001 reason form" `Quick test_u001_reason_form;
           Alcotest.test_case "U001 stale test name" `Quick
             test_u001_stale_test;
@@ -882,6 +928,8 @@ let () =
           Alcotest.test_case "U003 read only from test" `Quick
             test_u003_test_read;
           Alcotest.test_case "U003 with-update" `Quick test_u003_with_update;
+          Alcotest.test_case "U003 read in a constrained module" `Quick
+            test_u003_constrained_module;
           Alcotest.test_case "U003 mutable never assigned" `Quick
             test_u003_mutable;
           Alcotest.test_case "U003 reason form" `Quick test_u003_reason_form

@@ -906,6 +906,190 @@ let test_fault_spec_check () =
     (Ok ()) (check "cable:2@10-20,node:3@1-2,flap:0.1:5,partition@3-4")
 
 (* ------------------------------------------------------------------ *)
+(* The edge table against the per-edge reference model *)
+
+type overlay_case = {
+  shape :
+    [ `Chain of int | `Random of int * float | `Tree of int * int | `Star ];
+  seed : int;
+  edge_loss : float;
+  sizes : int list; (* bits, of the fanout's and the unicast's packets *)
+  burst : int; (* packets sent into the outbox at once *)
+  flips : (float * int * bool) list;
+      (* time, element (cable [k], or node [-1 - k]), up *)
+}
+
+let show_case c =
+  Printf.sprintf "%s seed=%d loss=%g sizes=[%s] burst=%d flips=[%s]"
+    (match c.shape with
+    | `Chain h -> Printf.sprintf "chain:%d" h
+    | `Random (n, p) -> Printf.sprintf "random:%d:%g" n p
+    | `Tree (a, d) -> Printf.sprintf "tree:%d:%d" a d
+    | `Star -> "star:100")
+    c.seed c.edge_loss
+    (String.concat ";" (List.map string_of_int c.sizes))
+    c.burst
+    (String.concat ";"
+       (List.map
+          (fun (at, k, up) -> Printf.sprintf "%g:%d:%b" at k up)
+          c.flips))
+
+let gen_case =
+  QCheck.Gen.(
+    let* shape =
+      oneof
+        [ map (fun h -> `Chain h) (int_range 1 6);
+          map2
+            (fun n p -> `Random (n, p))
+            (int_range 2 14) (float_range 0.05 0.4);
+          map2 (fun a d -> `Tree (a, d)) (int_range 2 4) (int_range 1 3);
+          return `Star ]
+    in
+    let* seed = int_bound 100_000 in
+    let* edge_loss = oneof [ return 0.0; float_range 0.05 0.3 ] in
+    let* sizes = list_size (int_range 1 320) (int_range 100 1500) in
+    let* burst = int_range 0 600 in
+    let* flips =
+      list_size (int_range 0 12)
+        (triple (float_range 0.0 12.0) (int_range (-120) 120) bool)
+    in
+    return { shape; seed; edge_loss; sizes; burst; flips })
+
+(* One run of the three overlays a transport makes over the case's
+   topology, through the edge table or the reference: every rendered
+   trace line, then every delivery, substrate reading and subscriber
+   loss count in the order they happened. *)
+let run_overlays c ~reference =
+  let e = Engine.create () in
+  let lines = ref [] in
+  let obs =
+    Obs.create ~trace:(Trace.jsonl_writer (fun l -> lines := l :: !lines)) ()
+  in
+  let rng = Rng.create c.seed in
+  let rate_bps = 10_000.0 in
+  let loss () = Loss.bernoulli c.edge_loss in
+  let topo =
+    match c.shape with
+    | `Chain hops -> Topology.chain ~engine:e ~rng ~obs ~loss ~rate_bps ~hops ()
+    | `Random (nodes, edge_prob) ->
+        Topology.random_graph ~engine:e ~rng ~obs ~loss ~rate_bps ~nodes
+          ~edge_prob ()
+    | `Tree (arity, depth) ->
+        Topology.kary_tree ~engine:e ~rng ~obs ~loss ~rate_bps ~arity ~depth ()
+    | `Star -> Topology.star ~engine:e ~rng ~obs ~loss ~rate_bps ~leaves:100 ()
+  in
+  let tr, substrate =
+    if reference then
+      let r = Edge_reference.create ~topo ~rng ~obs ~rate_bps ~loss in
+      (Edge_reference.transport r, fun () -> Edge_reference.substrate r)
+    else (Topology.transport topo, fun () -> Topology.substrate topo)
+  in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let hear name ~now v = note (Printf.sprintf "%s %h %d" name now v) in
+  let show_substrate () =
+    let s = substrate () in
+    note
+      (Printf.sprintf "substrate %d %d %d %d %d %d %d %d" s.Topology.s_injected
+         s.s_blackholed_inject s.s_blackholed_deliver s.s_overflowed s.s_queued
+         s.s_sent s.s_delivered s.s_dropped)
+  in
+  (* Faults flip while packets are in flight. *)
+  List.iter
+    (fun (at, k, up) ->
+      Engine.schedule e ~after:at (fun _ ->
+          ignore
+            (if k >= 0 then
+               Topology.set_cable topo (k mod Topology.cable_count topo) ~up
+             else
+               let v = (-1 - k) mod Topology.node_count topo in
+               if up then Topology.restart_node topo v
+               else Topology.crash_node topo v)))
+    c.flips;
+  List.iter
+    (fun at -> Engine.schedule e ~after:at (fun _ -> show_substrate ()))
+    [ 1.0; 3.5; 8.0 ];
+  let packets () =
+    ref
+      (List.mapi
+         (fun i size -> Packet.stamped ~id:(i + 1) ~size_bits:size (i + 1))
+         c.sizes)
+  in
+  (* The root serves faster than an edge drains, so edge queues form;
+     a subscriber adds three more from inside its callback. *)
+  let f =
+    tr.Transport.fanout ~rate_bps:(8.0 *. rate_bps) ~label:"f"
+      ~rng:(Rng.create (c.seed + 1)) ~fetch:(drain_fetch (packets ())) ()
+  in
+  let heard = ref 0 in
+  let subs = ref 0 in
+  let subscribe ~loss name =
+    incr subs;
+    ignore (f.Transport.f_subscribe ~loss (hear name))
+  in
+  ignore
+    (f.Transport.f_subscribe ~loss:Loss.never (fun ~now v ->
+         hear "s0" ~now v;
+         incr heard;
+         if !heard mod 4 = 2 && !heard < 12 then
+           subscribe ~loss:(Loss.bernoulli 0.3) (Printf.sprintf "late%d" !heard)));
+  incr subs;
+  for i = 1 to 4 do
+    subscribe
+      ~loss:(if i mod 2 = 0 then Loss.bernoulli 0.2 else Loss.never)
+      (Printf.sprintf "s%d" i)
+  done;
+  let u =
+    tr.Transport.unicast ~rate_bps:(2.0 *. rate_bps) ~label:"u"
+      ~rng:(Rng.create (c.seed + 2)) ~fetch:(drain_fetch (packets ()))
+      ~deliver:(hear "u") ()
+  in
+  (* A burst past the edge queue's 256 packets. *)
+  let ob =
+    tr.Transport.outbox ~rate_bps:(50.0 *. rate_bps) ~label:"o"
+      ~rng:(Rng.create (c.seed + 3)) ~deliver:(hear "o") ()
+  in
+  f.Transport.f_kick ();
+  u.Transport.u_kick ();
+  Engine.schedule e ~after:0.5 (fun _ ->
+      for i = 1 to c.burst do
+        ignore
+          (ob.Transport.o_send
+             (Packet.stamped ~id:(10_000 + i)
+                ~size_bits:(100 + (37 * i mod 900)) i))
+      done);
+  Engine.run ~until:15.0 e;
+  show_substrate ();
+  for sid = 0 to !subs - 1 do
+    note
+      (Printf.sprintf "losses %d %d" sid (f.Transport.f_receiver_losses sid))
+  done;
+  (List.rev !lines, List.rev !log)
+
+let qcheck_edge_table_matches_reference =
+  QCheck.Test.make ~name:"edge table matches per-edge reference" ~count:60
+    (QCheck.make ~print:show_case gen_case)
+    (fun c ->
+      let lines, log = run_overlays c ~reference:false in
+      let ref_lines, ref_log = run_overlays c ~reference:true in
+      let rec first_diff i a b =
+        match (a, b) with
+        | [], [] -> None
+        | x :: a, y :: b ->
+            if String.equal x y then first_diff (i + 1) a b
+            else Some (Printf.sprintf "%d: %s <> %s" i x y)
+        | x :: _, [] -> Some (Printf.sprintf "%d: extra %s" i x)
+        | [], y :: _ -> Some (Printf.sprintf "%d: missing %s" i y)
+      in
+      (match first_diff 0 lines ref_lines with
+      | Some d -> QCheck.Test.fail_reportf "trace line %s" d
+      | None -> ());
+      (match first_diff 0 log ref_log with
+      | Some d -> QCheck.Test.fail_reportf "delivery or counter %s" d
+      | None -> ());
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Flat struct-of-arrays topology *)
 
 module Flat = Net.Flat_topology
@@ -1101,5 +1285,6 @@ let () =
             test_channel_trace_golden;
           Alcotest.test_case "fanout served counts completions" `Quick
             test_fanout_served_counts_completions;
+          QCheck_alcotest.to_alcotest qcheck_edge_table_matches_reference;
         ] );
     ]

@@ -743,8 +743,13 @@ let test_metrics_snapshot_golden () =
       Alcotest.(check string) (name ^ ": json report") want_report report)
     [ ( "feedback", feedback,
         ("254ea434a0a3a7e84922010ebd65abef", "7bfb1735f0485e1530b9c1e49a13bae1") );
+      (* Re-pinned when a tree wave's edges became one calendar event:
+         engine.events_fired 125361 -> 89790, engine.pending 499 -> 492
+         and engine.calendar_high_water 1834 -> 1832 moved, and every
+         other key of the metrics JSON and of the report stayed
+         byte-identical. *)
       ( "multicast", multicast,
-        ("2bff9442c9f8ce343033f67ae679f2a4", "c345025d532f6536111e3a38432e3677") );
+        ("3c711b4dcec7ba85cdc103e779e80340", "2687a758608e585b9d6398b63f7771ba") );
       ( "session", session,
         ("a3a9479ba333808bfe872dd9871a8f35", "72bd7305da2fc4eee14ab462ca20544d") ) ]
 
