@@ -25,12 +25,41 @@
      event flips between rounds is seen by the next round.
    - The delivery digest is an 8-byte buffer folded through inlined
      unboxed 64-bit steps, so an infection boxes no [int64].
+   - Each phase keeps its counters in locals and adds them to the
+     run's totals once.
 
-   The per-node state is two int arrays:
+   Fixed-outcome contacts take no neighbour read. Most contacts of a
+   run on a mesh cannot change anything: a pusher whose neighbours
+   all know the rumour makes only redundant contacts, and a puller
+   with no informed neighbour only misses, whichever neighbour each
+   draw picks. In an unfaulted round of a lossless [Mesh] run such a
+   node's [fanout] contacts are counted (as redundant or as misses)
+   and its [fanout] draws skipped with one {!Rng.advance}; every
+   other contact, every faulted round (whether a contact is
+   blackholed depends on the drawn edge), every lossy run (lost
+   against redundant depends on the loss draw) and [Uniform] mixing
+   take the path above, in the same order. Two things make the skip
+   exact:
+
+   - [uninformed.(u)] counts u's incident edges whose far end does
+     not know the rumour yet; each infection decrements it over the
+     new node's CSR slice, O(E) per run.
+   - A skipped draw stands for one [Rng.int rng d] call, which is one
+     raw draw unless that call rejects and redraws. {!Rng.clean_draws}
+     with the mesh's maximum degree certifies, once per run, how many
+     upcoming raw draws no such call can reject; the kernel counts
+     the draws it takes (one per contact from a node with
+     neighbours, in a lossless run) and skips only while inside that
+     horizon. Past it every draw goes through [Rng.int], so even a
+     rejecting draw is consumed exactly as the full loop would.
+
+   The per-node state is two int arrays, and a third for the
+   shortcut:
 
    - [order]: nodes in infection order (a preallocated pool — slot
      [i] is the i-th infection, written once);
-   - [rank]: node -> its index in [order], [max_int] if susceptible.
+   - [rank]: node -> its index in [order], [max_int] if susceptible;
+   - [uninformed]: as above, in lossless [Mesh] runs only.
 
    "Infected at the start of round r" is [rank.(v) < active] where
    [active] is the infection count when the round opened, so
@@ -128,6 +157,9 @@ let validate config =
     || config.target_fraction > 1.0
   then invalid_arg "Gossip: target_fraction outside (0, 1]"
 
+(* what became of one contact *)
+type outcome = Delivered | Redundant | Missed | Lost | Blackholed
+
 let run ?obs ?engine config peers =
   validate config;
   (* [Uniform] is complete-graph mixing without materialising O(N^2)
@@ -161,11 +193,31 @@ let run ?obs ?engine config peers =
   let count = ref 0 in
   let digest = Bytes.create 8 in
   set64u digest 0 (Int64.of_int config.seed);
+  let loss = config.loss in
+  let lossy = loss > 0.0 in
+  (* the fixed-outcome shortcut (see the header) runs on lossless
+     meshes; [uninformed] starts at each node's degree *)
+  let skippable = (not uniform) && not lossy in
+  let uninformed =
+    if skippable then Array.init n (fun u -> off.(u + 1) - off.(u)) else [||]
+  in
+  let horizon =
+    if skippable then
+      Rng.clean_draws rng ~bound:(Array.fold_left Int.max 1 uninformed)
+    else 0
+  in
+  (* raw draws taken, exact while within [horizon] *)
+  let drawn = ref 0 in
   let infect u =
     order.(!count) <- u;
     rank.(u) <- !count;
     incr count;
-    digest_step digest u
+    digest_step digest u;
+    if skippable then
+      for e = off.(u) to off.(u + 1) - 1 do
+        let w = node.(e) in
+        uninformed.(w) <- uninformed.(w) - 1
+      done
   in
   let initial = min config.initial n in
   for u = 0 to initial - 1 do
@@ -207,67 +259,94 @@ let run ?obs ?engine config peers =
       Metrics.probe m "gossip.lost" (fun ~now:_ -> float_of_int !lost);
       Metrics.probe m "gossip.blackholed" (fun ~now:_ ->
           float_of_int !blackholed));
-  let loss = config.loss in
-  let lossy = loss > 0.0 in
-  (* one contact: u offers the rumour along its k-th incident edge;
-     [faulted] is false only while no node or cable is down *)
-  let contact u infected_cutoff faulted =
-    incr transmissions;
-    let o = if uniform then 0 else off.(u) in
-    let d = if uniform then n - 1 else off.(u + 1) - o in
-    if d <= 0 then incr misses
+  (* one contact: u, whose incident edges are [o .. o + d - 1], offers
+     the rumour along one of them; [faulted] is false only while no
+     node or cable is down *)
+  let contact u o d push active faulted =
+    if d <= 0 then Missed
     else begin
       let k = Rng.int rng d in
-      if faulted && not (edge_up (o + k)) then incr blackholed
-      else if lossy && Rng.bernoulli rng loss then incr lost
+      if faulted && not (edge_up (o + k)) then Blackholed
+      else if lossy && Rng.bernoulli rng loss then Lost
       else begin
         let w =
           if not uniform then node.(o + k) else if k >= u then k + 1 else k
         in
-        if infected_cutoff < 0 then
-          (* push: u is infected; w either learns or already knew *)
-          if rank.(w) < max_int then incr redundant
+        if push then
+          (* u is infected; w either learns or already knew *)
+          if rank.(w) < max_int then Redundant
           else begin
             infect w;
-            incr deliveries
+            Delivered
           end
         else if
-          (* pull: u was susceptible at round start; w can answer only
-             if it was infected at round start *)
-          rank.(w) < infected_cutoff
+          (* u was susceptible at round start; w can answer only if
+             it was infected at round start *)
+          rank.(w) < active
         then
-          if rank.(u) < max_int then incr redundant
+          if rank.(u) < max_int then Redundant
           else begin
             infect u;
-            incr deliveries
+            Delivered
           end
-        else incr misses
+        else Missed
       end
     end
+  in
+  (* one phase: push over the nodes infected at round start, in
+     infection order, or pull over the nodes susceptible at round
+     start, ascending. A pusher with no uninformed neighbour and a
+     puller with no informed one are skipped while [horizon] allows. *)
+  let phase push active faulted =
+    let fanout = config.fanout in
+    let skipping = skippable && not faulted in
+    let sent = ref 0 and delivered = ref 0 and redundant' = ref 0 in
+    let missed = ref 0 and lost' = ref 0 and blackholed' = ref 0 in
+    let drawn' = ref !drawn in
+    for i = 0 to (if push then active else n) - 1 do
+      let u = if push then order.(i) else i in
+      if (push || rank.(u) >= active) && ((not faulted) || node_up u) then begin
+        let o = if uniform then 0 else off.(u) in
+        let d = if uniform then n - 1 else off.(u + 1) - o in
+        sent := !sent + fanout;
+        if
+          skipping && d > 0
+          && uninformed.(u) = (if push then 0 else d)
+          && !drawn' + fanout <= horizon
+        then begin
+          Rng.advance rng fanout;
+          if push then redundant' := !redundant' + fanout
+          else missed := !missed + fanout
+        end
+        else
+          for _ = 1 to fanout do
+            match contact u o d push active faulted with
+            | Delivered -> incr delivered
+            | Redundant -> incr redundant'
+            | Missed -> incr missed
+            | Lost -> incr lost'
+            | Blackholed -> incr blackholed'
+          done;
+        if d > 0 then drawn' := !drawn' + fanout
+      end
+    done;
+    drawn := !drawn';
+    transmissions := !transmissions + !sent;
+    deliveries := !deliveries + !delivered;
+    redundant := !redundant + !redundant';
+    misses := !misses + !missed;
+    lost := !lost + !lost';
+    blackholed := !blackholed + !blackholed'
   in
   let round () =
     let active = !count in
     (* faults flip only in other calendar events, so one read per
        round sees every fault a caller scheduled between rounds *)
     let faulted = not (all_up ()) in
-    (* push phase: infected nodes in infection order *)
-    for idx = 0 to active - 1 do
-      let u = order.(idx) in
-      if (not faulted) || node_up u then
-        for _ = 1 to config.fanout do
-          contact u (-1) faulted
-        done
-    done;
+    phase true active faulted;
     (match config.mode with
     | Push -> ()
-    | Push_pull ->
-        (* pull phase: nodes susceptible at round start, ascending *)
-        for u = 0 to n - 1 do
-          if rank.(u) >= active && ((not faulted) || node_up u) then
-            for _ = 1 to config.fanout do
-              contact u active faulted
-            done
-        done);
+    | Push_pull -> phase false active faulted);
     incr rounds;
     digest_step digest (-(!rounds));
     series.(!rounds) <- (Engine.now engine, frac ());

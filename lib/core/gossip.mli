@@ -7,7 +7,11 @@
     batched: one calendar event per round sweeps every contact with
     array reads/writes (no per-contact closures or packet records),
     so 10^5-10^6-node populations run within memory on the flat
-    substrate.
+    substrate. In an unfaulted round of a lossless [Mesh] run, a node
+    whose contacts all have a fixed outcome (a pusher with no
+    uninformed neighbour, a puller with no informed one) is counted
+    without a neighbour read, and its draws are skipped in O(1); the
+    result is the same as drawing every contact.
 
     Determinism: a run is a pure function of [(config, peers)]. The
     [digest] folds the complete infection sequence through a 64-bit

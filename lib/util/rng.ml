@@ -31,6 +31,10 @@ let[@inline] bits64 g =
 
 let split g = of_state (mix64 (bits64 g))
 
+let[@inline] advance g k =
+  if k < 0 then invalid_arg "Rng.advance: negative draw count";
+  set64u g 0 (Int64.add (get64u g 0) (Int64.mul (Int64.of_int k) golden_gamma))
+
 (* Use the top 53 bits for a uniform double in [0,1). *)
 let[@inline] float g =
   Int64.to_float (Int64.shift_right_logical (bits64 g) 11)
@@ -61,3 +65,55 @@ let bernoulli g p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float g < p
+
+(* ------------------------------------------------------------------ *)
+(* No-rejection certificate. A non-power-of-two [int g n] rejects its
+   62-bit draw r only if r > max_int - n + 1, so for every n <= bound
+   only the 4 (bound - 1) outputs at or above 2^64 - 4 (bound - 1) can
+   be rejected. The finaliser is a bijection (xor-shifts by >= 22 bits
+   and odd multiplies), so each such output comes from exactly one
+   state, and the j-th upcoming draw reads state s + j gamma: the
+   smallest (s_bad - s) / gamma mod 2^64 over those outputs is where
+   the first possible rejection sits. *)
+
+(* Newton's iteration for an inverse mod 2^64: an odd c is its own
+   inverse to 3 bits, and each step doubles the correct bits. *)
+let inverse_odd c =
+  let x = ref c in
+  for _ = 1 to 5 do
+    x := Int64.mul !x (Int64.sub 2L (Int64.mul c !x))
+  done;
+  !x
+
+let inv_m1 = inverse_odd 0xBF58476D1CE4E5B9L
+let inv_m2 = inverse_odd 0x94D049BB133111EBL
+let inv_gamma = inverse_odd golden_gamma
+
+(* inverse of z lxor (z lsr k) for k >= 22 *)
+let[@inline] unshift z k =
+  Int64.(logxor z (logxor (shift_right_logical z k) (shift_right_logical z (2 * k))))
+
+let[@inline] unmix64 x =
+  let z = Int64.mul (unshift x 31) inv_m2 in
+  let z = Int64.mul (unshift z 27) inv_m1 in
+  unshift z 30
+
+let clean_draws g ~bound =
+  if bound < 1 || bound > 1 lsl 30 then
+    invalid_arg "Rng.clean_draws: bound outside [1, 2^30]";
+  let s = get64u g 0 in
+  (* unsigned minimum, kept as its signed image (x - min_int) so that
+     plain [<] compares *)
+  let best = ref Int64.max_int in
+  for i = 0 to (4 * (bound - 1)) - 1 do
+    (* the i-th output down from all ones is the j-th draw from now;
+       the draws before it number j - 1, and j = 0 (the current
+       state, a full period away) wraps to 2^64 - 1 *)
+    let bad = Int64.lognot (Int64.of_int i) in
+    let j = Int64.mul (Int64.sub (unmix64 bad) s) inv_gamma in
+    let before = Int64.sub (Int64.sub j 1L) Int64.min_int in
+    if before < !best then best := before
+  done;
+  let before = Int64.add !best Int64.min_int in
+  if before < 0L || before > Int64.of_int max_int then max_int
+  else Int64.to_int before

@@ -23,6 +23,22 @@ val split : t -> t
 val bits64 : t -> int64
 (** [bits64 g] draws 64 uniformly random bits. *)
 
+val advance : t -> int -> unit
+(** [advance g k] moves [g] past its next [k] raw draws in O(1): [g]
+    is left where [k] calls of {!bits64} would leave it. Raises
+    [Invalid_argument] if [k < 0]. *)
+
+val clean_draws : t -> bound:int -> int
+(** [clean_draws g ~bound] is a count [c] such that each of [g]'s
+    next [c] raw draws, taken by [int g n] for any [n <= bound], is
+    accepted: such an [int] call consumes exactly one raw draw, so
+    [c] calls of it move [g] as {!advance}[ g c] does. [c] is the
+    number of raw draws before the first whose top 62 bits reach
+    [2^62 - bound + 1] (the only ones such an [int] can reject),
+    saturating at [max_int]. It reads [g] without moving it,
+    allocates nothing and takes O(bound) time. Raises
+    [Invalid_argument] unless [1 <= bound <= 2^30]. *)
+
 val float : t -> float
 (** [float g] draws uniformly in [\[0, 1)] with 53-bit resolution. *)
 

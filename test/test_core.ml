@@ -2020,6 +2020,175 @@ let test_gossip_faulted_mesh_reference () =
   Alcotest.(check bool) "mid-run crash blackholes contacts" true
     (got.Gossip.blackholed > 0)
 
+(* Time x2 law: doubling the round period must leave every count and
+   the digest equal and double every series time exactly (scaling by
+   a power of two commutes with IEEE rounding). Run on both golden
+   configs and on a lossless mesh push-pull config, whose rounds skip
+   fixed-outcome contacts. *)
+let test_gossip_time_law () =
+  let golden_uniform =
+    { Experiment.gossip_default with
+      Experiment.g_seed = 5; g_nodes = 1000; g_fanout = 2; g_loss = 0.1 }
+  and golden_tree =
+    { Experiment.gossip_default with
+      Experiment.g_seed = 9;
+      g_topology = Experiment.Kary_tree { arity = 2; depth = 8 };
+      g_mode = Gossip.Push_pull;
+      g_fanout = 2 }
+  and lossless_mesh =
+    { Experiment.gossip_default with
+      Experiment.g_seed = 12;
+      g_topology = Experiment.Random_graph { nodes = 3000; edge_prob = 0.001 };
+      g_mode = Gossip.Push_pull;
+      g_fanout = 2;
+      g_round_period = 0.75 }
+  in
+  List.iter
+    (fun (name, cfg) ->
+      let r = Experiment.run_gossip cfg in
+      let twin =
+        Experiment.run_gossip
+          { cfg with Experiment.g_round_period = 2.0 *. cfg.Experiment.g_round_period }
+      in
+      let doubled =
+        { r with
+          Gossip.series = Array.map (fun (t, c) -> (2.0 *. t, c)) r.Gossip.series }
+      in
+      check_gossip_result (name ^ " x2") doubled twin)
+    [ ("golden uniform", golden_uniform); ("golden tree", golden_tree);
+      ("lossless mesh", lossless_mesh) ]
+
+(* Differential check of the kernel's fixed-outcome shortcut: a
+   lossless run on an unfaulted mesh skips every pusher with no
+   uninformed neighbour and every puller with no informed one, and
+   must still equal the reference loop, which draws every contact.
+   Cases span random meshes and a graph with a 100-leaf hub,
+   parallel cables and isolated nodes; push and push-pull; loss 0
+   (skipping on) and 0.2 (off); and a shared engine that crashes a
+   node after round 2 and restarts it after round 4, so one run
+   mixes rounds with and without skipping. *)
+type kernel_case = {
+  k_seed : int;
+  k_hub : bool;
+  k_nodes : int;         (* random mesh size, or the hub graph's extra nodes *)
+  k_graph_seed : int;
+  k_mode : Gossip.mode;
+  k_fanout : int;
+  k_initial : int;
+  k_target : float;
+  k_loss : float;
+  k_crash : bool;
+}
+
+let kernel_case_to_string c =
+  Printf.sprintf
+    "seed=%d %s nodes=%d graph_seed=%d %s fanout=%d initial=%d target=%g \
+     loss=%g crash=%b"
+    c.k_seed (if c.k_hub then "hub" else "random") c.k_nodes c.k_graph_seed
+    (Gossip.mode_name c.k_mode) c.k_fanout c.k_initial c.k_target c.k_loss
+    c.k_crash
+
+let kernel_graph c =
+  let rng = Rng.create c.k_graph_seed in
+  if not c.k_hub then
+    Flat.random ~rng ~nodes:c.k_nodes
+      ~edge_prob:(3.0 /. float_of_int c.k_nodes) ()
+  else begin
+    (* nodes 0 .. m-1 hang off each other or the hub m (some twice,
+       some not at all), leaves m+1 .. m+100 off the hub only *)
+    let m = c.k_nodes in
+    let cables = ref [] in
+    for i = 1 to 100 do
+      cables := (m, m + i) :: !cables
+    done;
+    for i = 0 to m - 1 do
+      for _ = 1 to Rng.int rng 3 do
+        let j = Rng.int rng (m + 1) in
+        if j <> i then cables := (i, j) :: !cables
+      done
+    done;
+    Flat.of_cables ~nodes:(m + 101) (Array.of_list (List.rev !cables))
+  end
+
+let kernel_config c =
+  { Gossip.default with
+    Gossip.seed = c.k_seed; mode = c.k_mode; fanout = c.k_fanout;
+    loss = c.k_loss; initial = c.k_initial; target_fraction = c.k_target;
+    max_rounds = 24 }
+
+let kernel_pair c =
+  let side () =
+    let flat = kernel_graph c in
+    if not c.k_crash then (None, flat)
+    else begin
+      let engine = Engine.create () in
+      let victim = Flat.node_count flat / 3 in
+      Engine.schedule_at engine ~time:2.5 (fun _ ->
+          ignore (Flat.crash_node flat victim));
+      Engine.schedule_at engine ~time:4.5 (fun _ ->
+          ignore (Flat.restart_node flat victim));
+      (Some engine, flat)
+    end
+  in
+  let engine, flat = side () in
+  let want = reference_gossip ?engine (kernel_config c) flat in
+  let engine, flat = side () in
+  let got = Gossip.run ?engine (kernel_config c) (Gossip.Mesh flat) in
+  (want, got)
+
+let qcheck_gossip_kernel_reference =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((k_seed, k_hub, k_nodes, k_graph_seed, k_mode),
+              (k_fanout, k_initial, k_target, k_loss, k_crash)) ->
+          { k_seed; k_hub; k_nodes; k_graph_seed; k_mode; k_fanout;
+            k_initial; k_target; k_loss; k_crash })
+        (pair
+           (tup5 (int_bound 1_000_000) bool (int_range 5 300)
+              (int_bound 1_000_000)
+              (oneofl [ Gossip.Push; Gossip.Push_pull ]))
+           (tup5 (int_range 1 3) (int_range 1 5)
+              (oneofl [ 0.3; 0.9; 1.0 ])
+              (frequencyl [ (3, 0.0); (1, 0.2) ])
+              bool)))
+  in
+  QCheck.Test.make ~name:"kernel matches reference" ~count:300
+    (QCheck.make ~print:kernel_case_to_string gen)
+    (fun c ->
+      let want, got = kernel_pair c in
+      check_gossip_result (kernel_case_to_string c) want got;
+      true)
+
+(* A run whose fifth raw draw is rejected by [Rng.int 3]. On a Mobius
+   ladder (every node has degree 3) a push-pull round 1 with node 0
+   the only infective draws once for node 0 and then once per node
+   1 .. n-1, so draw j is node j-1's pull, and nodes 3 .. 18 have no
+   informed neighbour: node 4's pull would be skipped. The kernel must
+   see that the certificate ends before it, draw it through [Rng.int]
+   and so take two raw draws there, as the reference does. The seed
+   comes from the tests' own inverse of the SplitMix64 finaliser. *)
+let test_gossip_kernel_rejecting_draw () =
+  let draw = 5 in
+  let seed =
+    match Splitmix_inverse.seed_reaching ~draws:draw (-1L) with
+    | Some seed -> seed
+    | None -> Alcotest.fail "no int seed reaches the all-ones output"
+  in
+  Alcotest.(check int) "certificate ends before the draw" (draw - 1)
+    (Rng.clean_draws (Rng.create seed) ~bound:3);
+  let n = 40 in
+  let ladder =
+    Flat.of_cables ~nodes:n
+      (Array.init n (fun i -> (i, (i + 1) mod n))
+      |> Array.append (Array.init (n / 2) (fun i -> (i, i + (n / 2)))))
+  in
+  let cfg =
+    { Gossip.default with Gossip.seed; mode = Gossip.Push_pull; max_rounds = 40 }
+  in
+  let want = reference_gossip cfg ladder in
+  check_gossip_result "rejecting draw" want (Gossip.run cfg (Gossip.Mesh ladder))
+
 (* Contacts and infections allocate nothing: push-pull over a
    2*10^4-node random mesh makes 6*10^5 contacts and 2*10^4
    infections in 15 rounds, and the whole run may allocate at most
@@ -2119,10 +2288,14 @@ let () =
           Alcotest.test_case "golden uniform run" `Quick
             test_gossip_golden_uniform;
           Alcotest.test_case "golden tree run" `Quick test_gossip_golden_tree;
+          Alcotest.test_case "time x2 law" `Quick test_gossip_time_law;
           Alcotest.test_case "conservation identity" `Quick
             test_gossip_conservation;
           Alcotest.test_case "faulted mesh matches reference" `Quick
             test_gossip_faulted_mesh_reference;
+          QCheck_alcotest.to_alcotest qcheck_gossip_kernel_reference;
+          Alcotest.test_case "kernel at a rejecting draw" `Quick
+            test_gossip_kernel_rejecting_draw;
           Alcotest.test_case "allocation flat in contacts" `Quick
             test_gossip_allocation_flat;
           Alcotest.test_case "fluid convergence" `Slow

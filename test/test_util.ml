@@ -165,6 +165,71 @@ let test_rng_draw_allocation () =
   at_most "float" 2.0 (per_draw (fun () -> ignore (Rng.float g)));
   at_most "bits64" 3.0 (per_draw (fun () -> ignore (Rng.bits64 g)))
 
+(* [advance g k] is k raw draws in one step. *)
+let qcheck_rng_advance =
+  QCheck.Test.make ~name:"advance equals k raw draws" ~count:200
+    QCheck.(pair small_nat (int_range 0 2000))
+    (fun (seed, k) ->
+      let drawn = Rng.create seed and jumped = Rng.create seed in
+      for _ = 1 to k do
+        ignore (Rng.bits64 drawn)
+      done;
+      Rng.advance jumped k;
+      Rng.bits64 drawn = Rng.bits64 jumped)
+
+(* The no-rejection certificate on a generator built to hit a
+   rejection: its state is five steps before the state whose output
+   is all ones, which every non-power-of-two [Rng.int] rejects. The
+   seed comes from the tests' own inverse of the finaliser. *)
+let test_rng_clean_draws () =
+  let seed =
+    match Splitmix_inverse.seed_reaching ~draws:5 (-1L) with
+    | Some seed -> seed
+    | None -> Alcotest.fail "no int seed reaches the all-ones output"
+  in
+  let g = Rng.create seed in
+  let probe = Rng.create seed in
+  Rng.advance probe 4;
+  Alcotest.(check int64) "fifth output all ones" (-1L) (Rng.bits64 probe);
+  Alcotest.(check int) "bound 1 never rejects" max_int (Rng.clean_draws g ~bound:1);
+  Alcotest.(check int) "four clean draws" 4 (Rng.clean_draws g ~bound:3);
+  Alcotest.(check int) "larger bound, same horizon" 4
+    (Rng.clean_draws g ~bound:1000);
+  let before = Gc.minor_words () in
+  ignore (Rng.clean_draws g ~bound:1000);
+  let words = Gc.minor_words () -. before in
+  if words > 8.0 then
+    Alcotest.failf "clean_draws allocated %.0f words over 3996 outputs" words;
+  let clean = Rng.create seed and raw = Rng.create seed in
+  for _ = 1 to 4 do
+    ignore (Rng.int clean 3)
+  done;
+  Rng.advance raw 4;
+  Alcotest.(check int64) "one raw draw per clean int" (Rng.bits64 raw)
+    (Rng.bits64 clean);
+  for left = 4 downto 1 do
+    Alcotest.(check int) "horizon counts down" left (Rng.clean_draws g ~bound:3);
+    ignore (Rng.int g 3)
+  done;
+  Alcotest.(check int) "at the rejecting draw" 0 (Rng.clean_draws g ~bound:3);
+  ignore (Rng.int g 3);
+  let two = Rng.create seed in
+  Rng.advance two 6;
+  Alcotest.(check int64) "the rejecting int takes two raw draws"
+    (Rng.bits64 two) (Rng.bits64 g)
+
+let test_rng_advance_bounds () =
+  let g = Rng.create 1 in
+  List.iter
+    (fun bound ->
+      match Rng.clean_draws g ~bound with
+      | _ -> Alcotest.failf "bound %d accepted" bound
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; min_int; (1 lsl 30) + 1; max_int ];
+  Alcotest.check_raises "negative advance rejected"
+    (Invalid_argument "Rng.advance: negative draw count") (fun () ->
+      Rng.advance g (-1))
+
 (* ------------------------------------------------------------------ *)
 (* Dist *)
 
@@ -789,6 +854,10 @@ let () =
           Alcotest.test_case "bernoulli rate" `Slow test_bernoulli_rate;
           Alcotest.test_case "golden vector" `Quick test_rng_golden_vector;
           Alcotest.test_case "draw allocation" `Quick test_rng_draw_allocation;
+          Alcotest.test_case "clean draws" `Quick test_rng_clean_draws;
+          Alcotest.test_case "advance and clean draws bounds" `Quick
+            test_rng_advance_bounds;
+          QCheck_alcotest.to_alcotest qcheck_rng_advance;
         ] );
       ( "dist",
         [
