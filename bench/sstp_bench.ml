@@ -1,6 +1,6 @@
 (* SSTP experiments (section 6): hierarchical repair efficiency against
-   a flat announce-everything baseline, scaling with store size, and
-   the profile-driven allocator's behaviour. *)
+   a flat announce-everything baseline, scaling with store size, the
+   feedback share as a reliability dial, and multicast groups. *)
 
 module Engine = Softstate_sim.Engine
 module Rng = Softstate_util.Rng

@@ -304,9 +304,26 @@ let protocol_to_string = function
         (f17 mu_cold_kbps) (f17 mu_fb_kbps) nack_bits suppression
         (f17 nack_slot)
 
+(* The ranges the runner's constructors enforce, so a line that parses
+   runs without an [Invalid_argument] from inside the run. Each test
+   is a positive comparison, so NaN falls outside every range. *)
+let positive x = x > 0.0 && Float.is_finite x
+let non_negative x = x >= 0.0 && Float.is_finite x
+let probability p = p >= 0.0 && p <= 1.0
+let at_least k n = n >= k
+let any _ = true
+
 let protocol_of_string s =
-  let fl x = float_of_string_opt x in
-  let it x = int_of_string_opt x in
+  let fl x =
+    match float_of_string_opt x with
+    | Some f when positive f -> Some f
+    | _ -> None
+  in
+  let it x =
+    match int_of_string_opt x with
+    | Some n when at_least 1 n -> Some n
+    | _ -> None
+  in
   let bo x = bool_of_string_opt x in
   match String.split_on_char ':' s with
   | [ "open"; mu ] -> (
@@ -353,7 +370,7 @@ let topology_to_string = function
    for depth 3. *)
 let topology_of_string s =
   let pos x =
-    match int_of_string_opt x with Some n when n >= 1 -> Some n | _ -> None
+    match int_of_string_opt x with Some n when at_least 1 n -> Some n | _ -> None
   in
   let bad = Error ("bad topology " ^ s) in
   match String.split_on_char ':' s with
@@ -433,7 +450,9 @@ let sstp_workload_of_string s =
         with
         | Some f_keys, Some f_rate, Some f_mult, Some f_period, Some f_dwell,
           Some f_zipf
-          when f_keys > 0 && f_rate > 0.0 ->
+          when f_keys > 0 && positive f_rate && positive f_mult
+               && positive f_period && f_dwell >= 0.0 && f_dwell <= f_period
+               && non_negative f_zipf ->
             Ok (Flash { f_keys; f_rate; f_mult; f_period; f_dwell; f_zipf })
         | _ -> Error ("bad sstp workload " ^ s))
     | _ -> Error ("bad sstp workload " ^ s)
@@ -489,17 +508,15 @@ let field fields key parse =
   | None -> Error (Printf.sprintf "missing field %s" key)
   | Some v -> parse v
 
-let int_field fields key =
+let numeric_field kind of_string ~ok fields key =
   field fields key (fun v ->
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "bad integer %s=%s" key v))
+      match of_string v with
+      | Some x when ok x -> Ok x
+      | Some _ -> Error (Printf.sprintf "%s out of range %s=%s" kind key v)
+      | None -> Error (Printf.sprintf "bad %s %s=%s" kind key v))
 
-let float_field fields key =
-  field fields key (fun v ->
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "bad number %s=%s" key v))
+let int_field = numeric_field "integer" int_of_string_opt
+let float_field = numeric_field "number" float_of_string_opt
 
 (* Fields added after a release default when absent, so older
    reproducer lines keep parsing. *)
@@ -540,13 +557,13 @@ let of_string line =
       else
         match tag with
         | "core" ->
-            let* seed = int_field fields "seed" in
-            let* duration = float_field fields "dur" in
-            let* lambda_kbps = float_field fields "lambda" in
-            let* size_bits = int_field fields "size" in
+            let* seed = int_field ~ok:any fields "seed" in
+            let* duration = float_field ~ok:positive fields "dur" in
+            let* lambda_kbps = float_field ~ok:positive fields "lambda" in
+            let* size_bits = int_field ~ok:(at_least 1) fields "size" in
             let* death = field fields "death" death_of_string in
             let* expiry = field fields "expiry" expiry_of_string in
-            let* update_fraction = float_field fields "uf" in
+            let* update_fraction = float_field ~ok:probability fields "uf" in
             let* arrival =
               opt_field fields "arrival" ~default:Workload.Poisson
                 arrival_of_string
@@ -564,34 +581,38 @@ let of_string line =
                    faults; sched; empty_policy; record_series = true;
                    obs = None })
         | "gossip" ->
-            let* g_seed = int_field fields "seed" in
+            let* g_seed = int_field ~ok:any fields "seed" in
             let* g_topology = field fields "topo" topology_of_string in
-            let* g_nodes = int_field fields "nodes" in
+            let* g_nodes = int_field ~ok:(at_least 1) fields "nodes" in
             let* g_mode =
               field fields "mode" (function
                 | "push" -> Ok Softstate_core.Gossip.Push
                 | "push-pull" -> Ok Softstate_core.Gossip.Push_pull
                 | m -> Error ("bad gossip mode " ^ m))
             in
-            let* g_fanout = int_field fields "fanout" in
-            let* g_loss = float_field fields "loss" in
-            let* g_round_period = float_field fields "period" in
-            let* g_max_rounds = int_field fields "rounds" in
-            let* g_initial = int_field fields "init" in
-            let* g_target = float_field fields "target" in
+            let* g_fanout = int_field ~ok:(at_least 1) fields "fanout" in
+            let* g_loss = float_field ~ok:probability fields "loss" in
+            let* g_round_period = float_field ~ok:positive fields "period" in
+            let* g_max_rounds = int_field ~ok:(at_least 0) fields "rounds" in
+            let* g_initial = int_field ~ok:(at_least 1) fields "init" in
+            let* g_target =
+              float_field ~ok:(fun t -> t > 0.0 && t <= 1.0) fields "target"
+            in
             Ok
               (Gossip
                  { Experiment.g_seed; g_topology; g_nodes; g_mode; g_fanout;
                    g_loss; g_round_period; g_max_rounds; g_initial; g_target })
         | "sstp" ->
-            let* s_seed = int_field fields "seed" in
-            let* mu_total_kbps = float_field fields "mu" in
+            let* s_seed = int_field ~ok:any fields "seed" in
+            let* mu_total_kbps = float_field ~ok:positive fields "mu" in
             let* s_loss = field fields "loss" loss_of_string in
-            let* publishes = int_field fields "pubs" in
-            let* publish_window = float_field fields "pubwin" in
-            let* removes = int_field fields "removes" in
-            let* s_duration = float_field fields "dur" in
-            let* summary_period = float_field fields "sumper" in
+            let* publishes = int_field ~ok:(at_least 0) fields "pubs" in
+            let* publish_window =
+              float_field ~ok:non_negative fields "pubwin"
+            in
+            let* removes = int_field ~ok:(at_least 0) fields "removes" in
+            let* s_duration = float_field ~ok:positive fields "dur" in
+            let* summary_period = float_field ~ok:positive fields "sumper" in
             let* workload =
               opt_field fields "workload" ~default:Script
                 sstp_workload_of_string

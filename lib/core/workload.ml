@@ -13,13 +13,14 @@ type shape =
 let validate_shape = function
   | Poisson -> ()
   | Flash_crowd { mult; period; dwell; zipf_s } ->
-      if mult <= 0.0 then
+      (* negated comparisons, so NaN parameters are rejected too *)
+      if not (mult > 0.0) then
         invalid_arg "Workload: flash-crowd mult must be positive";
-      if period <= 0.0 then
+      if not (period > 0.0) then
         invalid_arg "Workload: flash-crowd period must be positive";
-      if dwell < 0.0 || dwell > period then
+      if not (dwell >= 0.0 && dwell <= period) then
         invalid_arg "Workload: flash-crowd dwell must lie in [0, period]";
-      if zipf_s < 0.0 then
+      if not (zipf_s >= 0.0) then
         invalid_arg "Workload: flash-crowd zipf_s must be non-negative"
 
 type t = {

@@ -6,7 +6,7 @@
    constructors built, and the field labels read and assigned. Bare
    names resolve only into their own unit, so only dotted references
    count as another unit's. A constructor path also counts under its
-   dotted suffixes ([Sstp.Session.Target] as [Session.Target]); a
+   dotted suffixes ([Sstp.Session.Manual] as [Session.Manual]); a
    field, under its label alone. *)
 
 let last name =

@@ -1,12 +1,12 @@
 (** Weighted hierarchical link-sharing.
 
-    SSTP's profile-driven allocator (§6.1, Figure 12) splits session
-    bandwidth with a class hierarchy — the paper suggests CBQ or
-    H-FSC. This module provides the piece of those systems the
-    framework needs: a tree of weighted classes where each interior
-    node shares its parent's allocation among its children in
-    proportion to weight, and selection descends from the root picking
-    among backlogged subtrees with stride scheduling at every level.
+    SSTP (§6.1, Figure 12) splits session bandwidth with a class
+    hierarchy — the paper suggests CBQ or H-FSC. This module provides
+    the piece of those systems the framework needs: a tree of
+    weighted classes where each interior node shares its parent's
+    allocation among its children in proportion to weight, and
+    selection descends from the root picking among backlogged
+    subtrees with stride scheduling at every level.
 
     Example hierarchy from the paper:
     {v

@@ -116,9 +116,7 @@ let create ?obs ?transport ~engine ~rng ~config ~members () =
   let sender_config =
     { Sender.summary_period = config.summary_period;
       mu_hot_bps = config.mu_hot_bps;
-      mu_cold_bps = config.mu_cold_bps;
-      allocator = None;
-      mu_total_bps = config.mu_total_bps }
+      mu_cold_bps = config.mu_cold_bps }
   in
   let sender = Sender.create ?obs ~engine ~config:sender_config () in
   let link_rng = Rng.split rng in

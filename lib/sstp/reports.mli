@@ -3,8 +3,9 @@
     The receiver counts data-channel packets by their envelope
     sequence numbers; every reporting interval it computes the loss
     fraction over the interval and ships it to the sender, which
-    smooths successive reports with an EWMA. The smoothed estimate
-    drives the profile-driven bandwidth allocator. *)
+    smooths successive reports with an EWMA. The smoothed estimate is
+    the sender's [sender.loss_estimate] metrics probe; it does not
+    change the bandwidth split. *)
 
 module Receiver_side : sig
   type t

@@ -14,16 +14,12 @@ type config = {
   summary_period : float;
   mu_hot_bps : float;
   mu_cold_bps : float;
-  allocator : Allocator.t option;
-  mu_total_bps : float;
 }
 
 let default_config ~mu_total_bps =
   { summary_period = 1.0;
     mu_hot_bps = 0.63 *. mu_total_bps;
-    mu_cold_bps = 0.27 *. mu_total_bps;
-    allocator = None;
-    mu_total_bps }
+    mu_cold_bps = 0.27 *. mu_total_bps }
 
 type klass = {
   name : string;
@@ -33,7 +29,6 @@ type klass = {
 }
 
 type t = {
-  engine : Engine.t;
   config : config;
   namespace : Namespace.t;
   mutable classes : klass array;
@@ -53,9 +48,6 @@ type t = {
   mutable sent_data : int;
   mutable sent_summaries : int;
   mutable sent_signatures : int;
-  mutable published_bits : float; (* for lambda estimation *)
-  mutable lambda_window_start : float;
-  mutable lambda_estimate_bps : float;
 }
 
 let default_class = "default"
@@ -79,16 +71,14 @@ let create ?obs ~engine ~config () =
          queue = Queue.create (); sent = 0 } |]
   in
   let t =
-    { engine; config; namespace = Namespace.create (); classes;
+    { config; namespace = Namespace.create (); classes;
       class_of_path = Hashtbl.create 64; pending = Hashtbl.create 64; sched;
       data_node; cold_node; reports = Reports.Sender_side.create ();
       size_bits = Wire.sizer ();
       trace = Obs.trace_of obs; traced = Trace.enabled (Obs.trace_of obs);
       seq = 0;
       next_summary_due = Engine.now engine; sent_data = 0; sent_summaries = 0;
-      sent_signatures = 0;
-      published_bits = 0.0; lambda_window_start = Engine.now engine;
-      lambda_estimate_bps = 0.0 }
+      sent_signatures = 0 }
   in
   (match obs with
   | Some o ->
@@ -152,18 +142,6 @@ let enqueue_work t klass work =
 let enqueue_for_path t path work =
   enqueue_work t (class_for_path t path) work
 
-(* Rolling one-second window estimate of the application's publish
-   rate, used for the allocator's rate-constraint check. *)
-let note_published t bits =
-  let now = Engine.now t.engine in
-  let window = now -. t.lambda_window_start in
-  if window >= 1.0 then begin
-    t.lambda_estimate_bps <- t.published_bits /. window;
-    t.published_bits <- 0.0;
-    t.lambda_window_start <- now
-  end;
-  t.published_bits <- t.published_bits +. bits
-
 let publish t ~path ~payload ?meta ?klass () =
   (match klass with
   | Some name ->
@@ -173,7 +151,6 @@ let publish t ~path ~payload ?meta ?klass () =
   (match meta with
   | Some m -> Namespace.set_meta t.namespace ~path m
   | None -> ());
-  note_published t (float_of_int (8 * String.length payload));
   enqueue_for_path t path (Send_data path)
 
 let remove t ~path =
@@ -287,20 +264,6 @@ let rec fetch t ~now =
                  work); its backlog flag is now wrong - re-select *)
               fetch t ~now))
 
-let retune t =
-  match t.config.allocator with
-  | None -> ()
-  | Some allocator ->
-      let loss = Reports.Sender_side.loss_estimate t.reports in
-      let decision =
-        Allocator.decide allocator ~mu_total_bps:t.config.mu_total_bps ~loss
-          ~lambda_bps:t.lambda_estimate_bps
-      in
-      Hierarchy.set_weight t.sched t.data_node
-        (Float.max 1.0 decision.Allocator.mu_hot_bps);
-      Hierarchy.set_weight t.sched t.cold_node
-        (Float.max 1.0 decision.Allocator.mu_cold_bps)
-
 let handle_feedback t ~now:_ msg =
   match msg with
   | Wire.Sig_request { path } ->
@@ -309,9 +272,7 @@ let handle_feedback t ~now:_ msg =
   | Wire.Nack { path } ->
       let path = Path.of_string path in
       enqueue_for_path t path (Send_data path)
-  | Wire.Receiver_report _ ->
-      Reports.Sender_side.on_report t.reports msg;
-      retune t
+  | Wire.Receiver_report _ -> Reports.Sender_side.on_report t.reports msg
   | Wire.Data _ | Wire.Summary _ | Wire.Signatures _ | Wire.Remove _ ->
       invalid_arg "Sender.handle_feedback: not a feedback message"
 

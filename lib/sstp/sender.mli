@@ -2,8 +2,8 @@
 
     Owns the authoritative namespace. Transmits original data and
     repair responses from per-class foreground queues, announces the
-    root summary cold on a fixed period, and consumes receiver reports
-    to retune its bandwidth split through the allocator.
+    root summary cold on a fixed period, and smooths receiver reports
+    into a loss estimate (the [sender.loss_estimate] probe).
 
     Bandwidth is managed by a two-level hierarchical scheduler
     (§6.1, Figure 12): the root splits between the {e data} class and
@@ -20,17 +20,14 @@ type t
 
 type config = {
   summary_period : float;   (** seconds between cold root summaries *)
-  mu_hot_bps : float;       (** initial data (foreground) weight *)
-  mu_cold_bps : float;      (** initial cold (summary) weight *)
-  allocator : Allocator.t option;
-      (** when present, receiver reports retune the weights *)
-  mu_total_bps : float;     (** session bandwidth for the allocator *)
+  mu_hot_bps : float;       (** data (foreground) weight *)
+  mu_cold_bps : float;      (** cold (summary) weight *)
 }
 
 (* lint: allow U001 (a) used by test "validation" *)
 val default_config : mu_total_bps:float -> config
 (** 70/30 data/cold split of 90% of the session bandwidth, 1 s summary
-    period, no allocator. *)
+    period. *)
 
 val create :
   ?obs:Softstate_obs.Obs.t ->

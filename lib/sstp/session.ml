@@ -7,7 +7,6 @@ module Metrics = Softstate_obs.Metrics
 
 type reliability =
   | Announce_only
-  | Target of float
   | Manual of { mu_hot_bps : float; mu_cold_bps : float; mu_fb_bps : float }
 
 type config = {
@@ -19,7 +18,6 @@ type config = {
   summary_period : float;
   repair_timeout : float;
   report_period : float;
-  profile : Profile.t option;
 }
 
 let default_config ~mu_total_bps =
@@ -34,8 +32,7 @@ let default_config ~mu_total_bps =
           mu_fb_bps = 0.15 *. mu_total_bps };
     summary_period = 1.0;
     repair_timeout = 2.0;
-    report_period = 5.0;
-    profile = None }
+    report_period = 5.0 }
 
 type t = {
   engine : Engine.t;
@@ -85,46 +82,23 @@ let register_session_probes t obs =
 let splits config =
   match config.reliability with
   | Manual { mu_hot_bps; mu_cold_bps; mu_fb_bps } ->
-      (mu_hot_bps, mu_cold_bps, mu_fb_bps, None)
+      (mu_hot_bps, mu_cold_bps, mu_fb_bps)
   | Announce_only ->
-      (0.7 *. config.mu_total_bps, 0.3 *. config.mu_total_bps, 0.0, None)
-  | Target target ->
-      let profile =
-        match config.profile with
-        | Some p -> p
-        | None ->
-            Profile.analytic_open_loop
-              ~lambda_kbps:(0.3 *. config.mu_total_bps /. 1000.0)
-              ~mu_total_kbps:(config.mu_total_bps /. 1000.0)
-              ~p_death:0.2
-      in
-      let allocator =
-        Allocator.create ~profile ~target_consistency:target ()
-      in
-      let d =
-        Allocator.decide allocator ~mu_total_bps:config.mu_total_bps ~loss:0.0
-          ~lambda_bps:(0.2 *. config.mu_total_bps)
-      in
-      ( Float.max 1.0 d.Allocator.mu_hot_bps,
-        Float.max 1.0 d.Allocator.mu_cold_bps,
-        Float.max 1.0 d.Allocator.mu_fb_bps,
-        Some allocator )
+      (0.7 *. config.mu_total_bps, 0.3 *. config.mu_total_bps, 0.0)
 
 let create ?obs ?transport ~engine ~rng ~config () =
-  if config.mu_total_bps <= 0.0 then
-    invalid_arg "Session.create: bandwidth must be positive";
+  if not (config.mu_total_bps > 0.0 && Float.is_finite config.mu_total_bps)
+  then invalid_arg "Session.create: bandwidth must be positive and finite";
   let transport =
     match transport with
     | Some tr -> tr
     | None -> Net.Transport.single_hop ?obs engine
   in
-  let mu_hot, mu_cold, mu_fb, allocator = splits config in
+  let mu_hot, mu_cold, mu_fb = splits config in
   let sender_config =
     { Sender.summary_period = config.summary_period;
       mu_hot_bps = mu_hot;
-      mu_cold_bps = mu_cold;
-      allocator;
-      mu_total_bps = config.mu_total_bps }
+      mu_cold_bps = mu_cold }
   in
   let sender = Sender.create ?obs ~engine ~config:sender_config () in
   let link_rng = Rng.split rng in

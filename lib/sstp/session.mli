@@ -13,9 +13,6 @@
 type reliability =
   | Announce_only
       (** no feedback channel: open-loop summaries + data *)
-  (* lint: allow U002 (a) used by test "target split and retune" *)
-  | Target of float
-      (** profile-driven allocation toward a consistency target *)
   | Manual of { mu_hot_bps : float; mu_cold_bps : float; mu_fb_bps : float }
 
 type config = {
@@ -27,9 +24,6 @@ type config = {
   summary_period : float;
   repair_timeout : float;
   report_period : float;
-  profile : Profile.t option;
-      (** consistency profile for {!Target}; defaults to the analytic
-          open-loop profile *)
 }
 
 val default_config : mu_total_bps:float -> config

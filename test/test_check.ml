@@ -254,6 +254,55 @@ let test_topology_grammar_rejects () =
     [ "random:10:nan"; "star:0"; "chain:-1"; "tree:0:2"; "tree:0";
       "random:1:0.5"; "random:10:2" ]
 
+(* A numeric field outside the range the runner's constructors enforce
+   is a parse [Error], never an [Invalid_argument] (or a silent run)
+   once the scenario starts. *)
+let test_numeric_ranges_rejected () =
+  let core =
+    "core seed=1 dur=50 lambda=10 size=1000 death=service:0.5 expiry=none \
+     uf=0 arrival=poisson loss=0.1 proto=twoq:10:5 topo=single-hop faults=- \
+     sched=stride empty=consistent"
+  in
+  let sstp =
+    "sstp seed=1 mu=64 loss=0.1 pubs=10 pubwin=20 removes=2 dur=60 sumper=1 \
+     workload=script"
+  in
+  let gossip =
+    "gossip seed=1 topo=single-hop nodes=50 mode=push fanout=1 loss=0.1 \
+     period=1 rounds=20 init=1 target=0.9"
+  in
+  let with_field base field =
+    let key = List.hd (String.split_on_char '=' field) in
+    String.concat " "
+      (List.map
+         (fun tok ->
+           if String.starts_with ~prefix:(key ^ "=") tok then field else tok)
+         (String.split_on_char ' ' base))
+  in
+  List.iter
+    (fun base ->
+      match Scenario.of_string base with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e)
+    [ core; sstp; gossip ];
+  List.iter
+    (fun (base, field) ->
+      match Scenario.of_string (with_field base field) with
+      | Ok _ -> Alcotest.failf "accepted %s" field
+      | Error _ -> ())
+    [ (sstp, "mu=nan"); (sstp, "mu=0"); (sstp, "sumper=0"); (sstp, "dur=nan");
+      (sstp, "pubs=-3"); (sstp, "removes=-1"); (sstp, "pubwin=nan");
+      (sstp, "workload=flash:8:2:nan:10:2:1");
+      (core, "lambda=0"); (core, "size=-5"); (core, "uf=3"); (core, "dur=nan");
+      (core, "proto=open:nan"); (core, "proto=twoq:0:5");
+      (core, "proto=fb:10:5:0:100:true"); (core, "proto=fb:10:5:2:0:true");
+      (core, "proto=mc:0:10:5:2:100:true:0.1");
+      (core, "proto=mc:3:10:5:2:100:true:0");
+      (core, "arrival=flash:nan:10:2:0");
+      (gossip, "fanout=0"); (gossip, "period=nan"); (gossip, "loss=nan");
+      (gossip, "nodes=0"); (gossip, "rounds=-1"); (gossip, "init=0");
+      (gossip, "target=0") ]
+
 (* ------------------------------------------------------------------ *)
 (* qcheck properties over the generator *)
 
@@ -314,6 +363,8 @@ let () =
           Alcotest.test_case "oracle select" `Quick test_oracle_select;
           Alcotest.test_case "topology grammar rejects" `Quick
             test_topology_grammar_rejects;
+          Alcotest.test_case "numeric ranges rejected" `Quick
+            test_numeric_ranges_rejected;
           Alcotest.test_case "loss grammar rejects" `Quick
             test_loss_grammar_rejects;
         ] );

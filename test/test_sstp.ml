@@ -1,5 +1,5 @@
 (* Tests for the SSTP framework: MD5 digests, paths, namespace hash tree,
-   wire codec, reports, profiles, allocator, and end-to-end sessions. *)
+   wire codec, reports, and end-to-end sessions. *)
 
 module Engine = Softstate_sim.Engine
 module Rng = Softstate_util.Rng
@@ -8,8 +8,6 @@ module Path = Sstp.Path
 module Namespace = Sstp.Namespace
 module Wire = Sstp.Wire
 module Reports = Sstp.Reports
-module Profile = Sstp.Profile
-module Allocator = Sstp.Allocator
 module Session = Sstp.Session
 
 let check_close eps = Alcotest.(check (float eps))
@@ -476,137 +474,6 @@ let test_reports_sender_smoothing () =
   check_close 1e-9 "ewma" 0.25 (Reports.Sender_side.loss_estimate s)
 
 (* ------------------------------------------------------------------ *)
-(* Profile / Allocator *)
-
-(* A profile from its axes and grid: [grid.(i).(j)] is the consistency
-   at [losses.(i)], [shares.(j)]. *)
-let profile ~losses ~shares ~grid =
-  Profile.of_measurements
-    (List.concat
-       (List.mapi
-          (fun i loss ->
-            List.mapi (fun j share -> (loss, share, grid.(i).(j))) shares)
-          losses))
-
-let test_profile_interpolation () =
-  let p =
-    profile ~losses:[ 0.0; 1.0 ] ~shares:[ 0.0; 1.0 ]
-      ~grid:[| [| 0.0; 1.0 |]; [| 0.0; 0.5 |] |]
-  in
-  check_close 1e-9 "corner" 1.0 (Profile.consistency_at p ~loss:0.0 ~share:1.0);
-  check_close 1e-9 "bilinear center" 0.375
-    (Profile.consistency_at p ~loss:0.5 ~share:0.5);
-  check_close 1e-9 "clamped outside" 0.5
-    (Profile.consistency_at p ~loss:2.0 ~share:2.0)
-
-let test_profile_best_share () =
-  let p =
-    profile ~losses:[ 0.1 ] ~shares:[ 0.1; 0.2; 0.3 ]
-      ~grid:[| [| 0.5; 0.8; 0.9 |] |]
-  in
-  Alcotest.(check (option (float 1e-9))) "meets 0.75" (Some 0.2)
-    (Profile.best_share p ~loss:0.1 ~target:0.75);
-  Alcotest.(check (option (float 1e-9))) "unreachable" None
-    (Profile.best_share p ~loss:0.1 ~target:0.95);
-  check_close 1e-9 "argmax" 0.3 (Profile.argmax_share p ~loss:0.1)
-
-let test_profile_of_measurements () =
-  let triples =
-    [ (0.1, 0.2, 0.9); (0.1, 0.4, 0.95); (0.3, 0.2, 0.7); (0.3, 0.4, 0.8) ]
-  in
-  let p = Profile.of_measurements triples in
-  check_close 1e-9 "grid read back" 0.7
-    (Profile.consistency_at p ~loss:0.3 ~share:0.2);
-  Alcotest.check_raises "holes rejected"
-    (Invalid_argument "Profile.of_measurements: grid has holes") (fun () ->
-      ignore (Profile.of_measurements [ (0.1, 0.2, 0.9); (0.3, 0.4, 0.8) ]))
-
-let test_profile_analytic_monotone () =
-  let p = Profile.analytic_open_loop ~lambda_kbps:15.0 ~mu_total_kbps:45.0 ~p_death:0.5 in
-  (* more data share -> no worse consistency; more loss -> no better *)
-  let c1 = Profile.consistency_at p ~loss:0.2 ~share:0.3 in
-  let c2 = Profile.consistency_at p ~loss:0.2 ~share:0.9 in
-  Alcotest.(check bool) "share helps" true (c2 >= c1);
-  let c3 = Profile.consistency_at p ~loss:0.5 ~share:0.9 in
-  Alcotest.(check bool) "loss hurts" true (c3 <= c2)
-
-(* Save [p] to a temporary file and read its text back as
-   "loss share consistency" triples, one per non-comment line. *)
-let saved_triples p =
-  let path = Filename.temp_file "profile" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Profile.save p ~path;
-      In_channel.with_open_text path In_channel.input_all
-      |> String.split_on_char '\n'
-      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-      |> List.map (fun l ->
-             Scanf.sscanf l "%f %f %f" (fun loss share c -> (loss, share, c))))
-
-let test_profile_roundtrip_string () =
-  let p =
-    profile ~losses:[ 0.05; 0.3 ] ~shares:[ 0.1; 0.2; 0.4 ]
-      ~grid:[| [| 0.91; 0.95; 0.99 |]; [| 0.55; 0.7; 0.86 |] |]
-  in
-  let p' = Profile.of_measurements (saved_triples p) in
-  List.iter
-    (fun (loss, share) ->
-      check_close 1e-12
-        (Printf.sprintf "cell %.2f/%.2f" loss share)
-        (Profile.consistency_at p ~loss ~share)
-        (Profile.consistency_at p' ~loss ~share))
-    [ (0.05, 0.1); (0.3, 0.4); (0.2, 0.25); (0.05, 0.4) ]
-
-let test_profile_save_load () =
-  let p = Profile.analytic_open_loop ~lambda_kbps:15.0 ~mu_total_kbps:45.0 ~p_death:0.5 in
-  let triples = saved_triples p in
-  Alcotest.(check int) "one line per cell" 100 (List.length triples);
-  let p' = Profile.of_measurements triples in
-  check_close 1e-12 "loaded grid matches"
-    (Profile.consistency_at p ~loss:0.22 ~share:0.53)
-    (Profile.consistency_at p' ~loss:0.22 ~share:0.53)
-
-let test_allocator_decision_structure () =
-  let profile =
-    profile ~losses:[ 0.0; 0.5 ] ~shares:[ 0.1; 0.2; 0.3 ]
-      ~grid:[| [| 0.8; 0.9; 0.95 |]; [| 0.5; 0.7; 0.85 |] |]
-  in
-  let a = Allocator.create ~profile ~target_consistency:0.9 () in
-  let d = Allocator.decide a ~mu_total_bps:100_000.0 ~loss:0.1 ~lambda_bps:20_000.0 in
-  check_close 1e-6 "splits partition total" 100_000.0
-    (d.Allocator.mu_data_bps +. d.Allocator.mu_fb_bps);
-  check_close 1e-6 "data partitions hot/cold" d.Allocator.mu_data_bps
-    (d.Allocator.mu_hot_bps +. d.Allocator.mu_cold_bps);
-  Alcotest.(check bool) "hot covers lambda with headroom" true
-    (d.Allocator.mu_hot_bps >= 20_000.0)
-
-let test_allocator_rate_constraint () =
-  (* An application publishing faster than the data share can carry
-     gets the hot cap, and cold keeps its tenth of data. *)
-  let profile =
-    profile ~losses:[ 0.0; 0.5 ] ~shares:[ 0.1; 0.5 ]
-      ~grid:[| [| 0.9; 0.99 |]; [| 0.6; 0.9 |] |]
-  in
-  let a = Allocator.create ~profile ~target_consistency:0.95 () in
-  let d = Allocator.decide a ~mu_total_bps:50_000.0 ~loss:0.4 ~lambda_bps:45_000.0 in
-  check_close 1e-6 "hot capped" (0.9 *. d.Allocator.mu_data_bps)
-    d.Allocator.mu_hot_bps;
-  check_close 1e-6 "cold keeps a tenth" (0.1 *. d.Allocator.mu_data_bps)
-    d.Allocator.mu_cold_bps
-
-let test_allocator_feedback_capped () =
-  (* Even a profile that "wants" 90% feedback is capped at half. *)
-  let profile =
-    profile ~losses:[ 0.0; 0.5 ] ~shares:[ 0.1; 0.9 ]
-      ~grid:[| [| 0.1; 0.99 |]; [| 0.1; 0.99 |] |]
-  in
-  let a = Allocator.create ~profile ~target_consistency:0.95 () in
-  let d = Allocator.decide a ~mu_total_bps:100_000.0 ~loss:0.2 ~lambda_bps:10_000.0 in
-  Alcotest.(check bool) "fb capped at half" true
-    (d.Allocator.mu_fb_bps <= 50_000.0 +. 1e-6)
-
-(* ------------------------------------------------------------------ *)
 (* Session end-to-end *)
 
 let make_session ?(loss = 0.0) ?(fb_loss = 0.0) ?(mu = 64_000.0) ?seed:(sd = 5)
@@ -775,6 +642,66 @@ let test_session_interest_filter () =
      and, if it is absent, it stays absent *)
   Alcotest.(check bool) "converged on kept branch only or fully" true
     (Session.consistency s >= 0.5)
+
+let test_session_bandwidth_checked () =
+  List.iter
+    (fun mu ->
+      let config = Session.default_config ~mu_total_bps:mu in
+      Alcotest.check_raises
+        (Printf.sprintf "mu = %g" mu)
+        (Invalid_argument
+           "Session.create: bandwidth must be positive and finite")
+        (fun () ->
+          ignore
+            (Session.create ~engine:(Engine.create ()) ~rng:(Rng.create 1)
+               ~config ())))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
+
+(* Receiver reports carried over the wire to the sender's smoothed
+   loss estimate: a [Manual] session with 100 leaves, one rewrite per
+   100 ms for 120 s, reports every 5 s. *)
+let test_session_reports_estimate_loss () =
+  let estimate ~loss ~seed =
+    let engine = Engine.create () in
+    let obs = Softstate_obs.Obs.create () in
+    let config =
+      { (Session.default_config ~mu_total_bps:128_000.0) with
+        Session.loss =
+          (if loss = 0.0 then Net.Loss.never else Net.Loss.bernoulli loss);
+        summary_period = 0.25 }
+    in
+    let s = Session.create ~obs ~engine ~rng:(Rng.create seed) ~config () in
+    for i = 0 to 99 do
+      Session.publish s ~path:(Printf.sprintf "db/g%d/k%d" (i mod 10) i)
+        ~payload:"v0"
+    done;
+    let g = Rng.create (seed + 100) in
+    let (_ : unit -> bool) =
+      Engine.every engine ~period:0.1 (fun _ ->
+          let i = Rng.int g 100 in
+          Session.publish s ~path:(Printf.sprintf "db/g%d/k%d" (i mod 10) i)
+            ~payload:(Printf.sprintf "v%d" (Rng.int g 1000)))
+    in
+    Engine.run ~until:120.0 engine;
+    Alcotest.(check bool) "reports sent" true
+      (Sstp.Receiver.reports_sent (Session.receiver s) > 0);
+    match
+      Softstate_obs.Metrics.get (Softstate_obs.Obs.metrics obs)
+        "sender.loss_estimate" ~now:120.0
+    with
+    | Some v -> v
+    | None -> Alcotest.fail "no sender.loss_estimate probe"
+  in
+  for seed = 1 to 5 do
+    check_close 0.0 (Printf.sprintf "lossless, seed %d" seed) 0.0
+      (estimate ~loss:0.0 ~seed);
+    List.iter
+      (fun p ->
+        check_close 0.05
+          (Printf.sprintf "p = %g, seed %d" p seed)
+          p (estimate ~loss:p ~seed))
+      [ 0.1; 0.3 ]
+  done
 
 let test_session_track_consistency () =
   let engine = Engine.create () in
@@ -1060,68 +987,6 @@ let test_session_meta_converges () =
     (Namespace.meta
        (Sstp.Receiver.namespace (Session.receiver s))
        (Path.of_string "m/img"))
-
-(* [Session.Target]: the session hands the sender
-   [Allocator.decide]'s split (analytic open-loop profile, send rate
-   0.2 mu, no loss yet), and each receiver report retunes it. A
-   [Manual] twin given that same split runs the same trace until the
-   first report (receivers report every 5 s), and another one after. *)
-let test_session_target () =
-  let mu = 64_000.0 in
-  let d =
-    let profile =
-      Profile.analytic_open_loop ~lambda_kbps:(0.3 *. mu /. 1000.0)
-        ~mu_total_kbps:(mu /. 1000.0) ~p_death:0.2
-    in
-    Allocator.decide
-      (Allocator.create ~profile ~target_consistency:0.9 ())
-      ~mu_total_bps:mu ~loss:0.0 ~lambda_bps:(0.2 *. mu)
-  in
-  let run reliability =
-    let engine = Engine.create () in
-    let trace = Softstate_obs.Trace.memory () in
-    let config =
-      { (Session.default_config ~mu_total_bps:mu) with
-        Session.loss = Net.Loss.bernoulli 0.3;
-        reliability;
-        (* summaries due at once, so the cold class contends for the
-           link and the hot/cold weights decide the packet order *)
-        summary_period = 0.01 }
-    in
-    let s =
-      Session.create ~obs:(Softstate_obs.Obs.create ~trace ()) ~engine
-        ~rng:(Rng.create 61) ~config ()
-    in
-    publish_tree s ~groups:4 ~items:10;
-    let n = ref 0 in
-    let (_ : unit -> bool) =
-      Engine.every engine ~period:0.05 (fun _ ->
-          incr n;
-          Session.publish s
-            ~path:(Printf.sprintf "g%d/i%d" (!n mod 4) (!n mod 10))
-            ~payload:(String.make 400 (Char.chr (65 + (!n mod 26)))))
-    in
-    Engine.run ~until:30.0 engine;
-    Alcotest.(check int) "trace kept whole" 0
-      (Softstate_obs.Trace.overwritten trace);
-    Softstate_obs.Trace.events trace
-  in
-  let target = run (Session.Target 0.9) in
-  let twin =
-    run
-      (Session.Manual
-         { mu_hot_bps = Float.max 1.0 d.Allocator.mu_hot_bps;
-           mu_cold_bps = Float.max 1.0 d.Allocator.mu_cold_bps;
-           mu_fb_bps = Float.max 1.0 d.Allocator.mu_fb_bps })
-  in
-  let before_report =
-    List.filter (fun e -> e.Softstate_obs.Trace.time < 5.0)
-  in
-  Alcotest.(check bool) "the decided split, until the first report" true
-    (before_report target = before_report twin);
-  Alcotest.(check bool) "traffic before the first report" true
-    (List.length (before_report target) > 100);
-  Alcotest.(check bool) "reports retune the split" false (target = twin)
 
 let test_session_meta_driven_interest () =
   (* The PDA example of section 6.2: the receiver declines repair of
@@ -1610,22 +1475,6 @@ let () =
           Alcotest.test_case "loss estimation" `Quick test_reports_loss_estimation;
           Alcotest.test_case "sender smoothing" `Quick test_reports_sender_smoothing;
         ] );
-      ( "profile",
-        [
-          Alcotest.test_case "interpolation" `Quick test_profile_interpolation;
-          Alcotest.test_case "best share" `Quick test_profile_best_share;
-          Alcotest.test_case "of_measurements" `Quick test_profile_of_measurements;
-          Alcotest.test_case "analytic monotone" `Quick test_profile_analytic_monotone;
-          Alcotest.test_case "string roundtrip" `Quick test_profile_roundtrip_string;
-          Alcotest.test_case "save/load" `Quick test_profile_save_load;
-        ] );
-      ( "allocator",
-        [
-          Alcotest.test_case "decision structure" `Quick
-            test_allocator_decision_structure;
-          Alcotest.test_case "rate constraint" `Quick test_allocator_rate_constraint;
-          Alcotest.test_case "feedback capped" `Quick test_allocator_feedback_capped;
-        ] );
       ( "sender-classes",
         [
           Alcotest.test_case "validation" `Quick test_sender_class_validation;
@@ -1649,6 +1498,10 @@ let () =
           Alcotest.test_case "announce only" `Quick test_session_announce_only_no_feedback;
           Alcotest.test_case "interest filter" `Quick test_session_interest_filter;
           Alcotest.test_case "tracked average" `Quick test_session_track_consistency;
+          Alcotest.test_case "bandwidth checked" `Quick
+            test_session_bandwidth_checked;
+          Alcotest.test_case "reports estimate loss" `Quick
+            test_session_reports_estimate_loss;
           Alcotest.test_case "golden lossy session" `Quick test_session_golden;
           Alcotest.test_case "golden partial interest" `Quick
             test_session_partial_interest_golden;
@@ -1663,8 +1516,6 @@ let () =
           Alcotest.test_case "meta converges" `Quick test_session_meta_converges;
           Alcotest.test_case "meta-driven interest" `Quick
             test_session_meta_driven_interest;
-          Alcotest.test_case "target split and retune" `Quick
-            test_session_target;
         ] );
       ( "group",
         [
