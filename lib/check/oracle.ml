@@ -425,6 +425,18 @@ let convergence note outcome =
               outcome.Scenario.horizon ])
 
 (* ------------------------------------------------------------------ *)
+(* legality: the SSTP namespaces' cached digest state *)
+
+let legality note outcome =
+  match outcome.Scenario.payload with
+  | Scenario.Core_result _ | Scenario.Gossip_result _ -> []
+  | Scenario.Sstp_result r -> (
+      note "legality:sstp";
+      match r.Scenario.namespaces_legal with
+      | Ok () -> []
+      | Error m -> [ v "legality" "namespace fold state illegal: %s" m ])
+
+(* ------------------------------------------------------------------ *)
 (* replay / jobs (need a runner) *)
 
 let replay note rerun outcome =
@@ -596,7 +608,7 @@ let backlog note outcome =
 
 let names =
   [ "conservation"; "clock"; "consistency"; "counters"; "convergence";
-    "backlog"; "replay"; "jobs" ]
+    "legality"; "backlog"; "replay"; "jobs" ]
 
 (* Every coverage bucket an oracle can note; the fuzzer's coverage map
    scores branch coverage against this catalogue. *)
@@ -606,7 +618,7 @@ let branches =
     "clock:empty"; "consistency:core"; "consistency:gossip";
     "consistency:sstp"; "counters:core"; "counters:gossip"; "counters:sstp";
     "counters:single-hop"; "convergence:converged"; "convergence:never";
-    "backlog:series"; "backlog:skipped"; "backlog:unstable"; "replay:equal";
+    "legality:sstp"; "backlog:series"; "backlog:skipped"; "backlog:unstable"; "replay:equal";
     "replay:diverged"; "jobs:ran"; "jobs:skipped" ]
 
 let all ?(note = fun _ -> ()) ?rerun () =
@@ -615,6 +627,7 @@ let all ?(note = fun _ -> ()) ?rerun () =
     { name = "consistency"; check = consistency note };
     { name = "counters"; check = counters note };
     { name = "convergence"; check = convergence note };
+    { name = "legality"; check = legality note };
     { name = "backlog"; check = backlog note } ]
   @ (match rerun with
     | None -> []

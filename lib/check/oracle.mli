@@ -23,6 +23,10 @@
       first deliveries never exceed transmissions x receivers.
     - [convergence] — an SSTP session over moderate loss reaches
       digest agreement within the grace window {!Scenario.run} allows.
+    - [legality] — after an SSTP run, both namespaces' cached digest
+      state passes {!Sstp.Namespace.check}: every fresh interior node's
+      terms, XOR accumulator, digest and leaf count agree with its
+      children.
     - [backlog] — the NACK-repair loop is stable: the NACK issue-rate
       series (from {!Softstate_obs.Lifecycle.nack_depth_series}) must
       not end the run in a storm that built up during it — a final

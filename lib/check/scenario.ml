@@ -744,6 +744,7 @@ type sstp_result = {
   sender_root : string;
   receiver_root : string;
   converged_after : float option;
+  namespaces_legal : (unit, string) result;
 }
 
 type payload =
@@ -846,7 +847,7 @@ let run_sstp scenario s =
       link_utilisation = Session.link_utilisation session;
       sender_root = fst (Session.root_digests session);
       receiver_root = snd (Session.root_digests session);
-      converged_after = None }
+      converged_after = None; namespaces_legal = Ok () }
   in
   (* grace run for the convergence oracle: same loss process, just
      more time for summaries and repairs to drain *)
@@ -860,8 +861,17 @@ let run_sstp scenario s =
   in
   let converged_after = grace () in
   let horizon = Engine.now engine in
+  let legal side ns =
+    Result.map_error (fun m -> side ^ " " ^ m) (Sstp.Namespace.check ns)
+  in
+  let namespaces_legal =
+    Result.bind
+      (legal "sender" (Sstp.Sender.namespace (Session.sender session)))
+      (fun () ->
+        legal "receiver" (Sstp.Receiver.namespace (Session.receiver session)))
+  in
   { scenario;
-    payload = Sstp_result { measured with converged_after };
+    payload = Sstp_result { measured with converged_after; namespaces_legal };
     horizon;
     events = Trace.events sink;
     events_dropped = Trace.overwritten sink;

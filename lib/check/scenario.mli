@@ -104,6 +104,9 @@ type sstp_result = {
           match — checked at the horizon, then after every extra 30 s
           of grace run (same loss process), up to +300 s. [None] if
           the session never converged. *)
+  namespaces_legal : (unit, string) result;
+      (** {!Sstp.Namespace.check} of the sender's, then the receiver's
+          namespace once the grace run ends *)
 }
 
 type payload =

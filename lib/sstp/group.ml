@@ -106,8 +106,8 @@ let offer_feedback t msg =
 
 let create ?obs ?transport ~engine ~rng ~config ~members () =
   if members < 1 then invalid_arg "Group.create: members >= 1";
-  if config.nack_slot <= 0.0 then
-    invalid_arg "Group.create: nack slot must be positive";
+  if not (config.nack_slot > 0.0 && Float.is_finite config.nack_slot) then
+    invalid_arg "Group.create: nack slot must be positive and finite";
   let transport =
     match transport with
     | Some tr -> tr

@@ -5,9 +5,10 @@
     parts, where [⟦s⟧ = len(s) ":" s] with [len] in decimal:
     - [h(leaf) = MD5(⟦"leaf"⟧ · ⟦payload⟧ · ⟦m₁⟧ · … · ⟦mⱼ⟧)] over the
       leaf's meta tags in their stored order;
-    - [h(node) = MD5(⟦"node"⟧ · ⟦name₁⟧ · ⟦h(c₁)⟧ · … · ⟦nameₖ⟧ · ⟦h(cₖ)⟧)]
-      over the children in name order. Interior meta tags are not
-      hashed.
+    - [h(node) = MD5(⟦"node"⟧ · ⟦A⟧)] with
+      [A = ⊕ᵢ MD5(⟦nameᵢ⟧ · ⟦h(cᵢ)⟧)], the bytewise XOR of one term per
+      child; a node without children has [A] = 16 zero bytes. Interior
+      meta tags are not hashed.
 
     The framing keeps ["ab"]·["c"] apart from ["a"]·["bc"] and a leaf
     apart from an interior node. Digest equality of two trees implies
@@ -15,20 +16,33 @@
     divergence by descending only into mismatching subtrees — the
     recursive-descent repair of the announcement protocol.
 
+    The XOR combiner makes [A] a set hash of the (name, digest) pairs:
+    it is order-free by construction, and each pair's term can be
+    swapped out alone. Between honest replicas it detects divergence
+    with collisions at about 2⁻¹²⁸ for content not chosen to collide.
+    It is not collision-resistant against someone who chooses names
+    and payloads: XOR-combined hashes (XHASH) fall to linear algebra
+    over GF(2) given enough chosen terms (Bellare and Micciancio,
+    EUROCRYPT '97). SSTP trusts its publishers; do not rely on these
+    digests to authenticate content.
+
     Cost model. Each node keeps its children in two arrays sorted by
-    name ([String.compare], the order the digest frames them in), so a
+    name ([String.compare], the order {!children} lists them in), so a
     path lookup is one binary search per segment, and {!diff} and
     {!matching_leaves} are merge walks over those arrays. Adding or
     removing a child copies its parent's arrays (O(fan-out)); replacing
     a leaf's payload does not. Digests are cached and recomputed lazily
     along the dirty spine: an update costs O(depth) invalidations, and
     the next digest read rehashes only the stale nodes on that spine.
-    An interior node keeps its framed parts in one byte buffer with
-    each child's digest at a fixed offset; rehashing it blits the
-    children's 16-byte digests into place and runs one MD5 over the
-    buffer, with no allocation beyond the new digest. The buffer is
-    laid out again only when a child is added, removed or pruned. The
-    same pass counts each node's subtree leaves. *)
+    An interior node keeps [A]; each child keeps the digest its parent
+    last folded in and its 16-byte term. Rehashing an interior node
+    compares each child's current digest with the folded one: O(fan-out)
+    compares, plus, for each child whose digest moved, one small MD5 to
+    make its new term and two 16-byte XORs to swap it into [A], then one
+    MD5 over the 25-byte [⟦"node"⟧ · ⟦A⟧]. A new child is folded in by
+    the next read like any moved one; a removed child's term is XORed
+    out of [A]; nothing is laid out again. The same pass counts each
+    node's subtree leaves. *)
 
 type t
 
@@ -72,7 +86,8 @@ val meta : t -> Path.t -> string list
 val digest : t -> Path.t -> Digest.t option
 val root_digest : t -> Digest.t
 (** The root summary announced on the cold channel. An empty tree is
-    an interior node with no children: [MD5("4:node")]. *)
+    an interior node with no children: [MD5("4:node16:" · 0¹⁶)], with
+    [0¹⁶] sixteen zero bytes. *)
 
 val children : t -> Path.t -> Wire.child list
 (** Name-ordered children with their digests, kinds and meta tags —
@@ -116,3 +131,12 @@ val payload_bits : t -> int
 (* lint: allow U001 (a) used by test "order independence" *)
 val equal : t -> t -> bool
 (** Digest-based comparison of two trees. *)
+
+val check : t -> (unit, string) result
+(** The legality of the cached digest state: [Ok ()] when every
+    interior node whose digest is fresh agrees with its children —
+    each term is [MD5(⟦name⟧ · ⟦folded digest⟧)], [A] is the XOR of the
+    terms, the node's digest is the MD5 of [⟦"node"⟧ · ⟦A⟧], each fresh
+    child's digest is the one folded in, and the node's leaf count is
+    its children's sum. [Error] names the first node that breaks it.
+    Reads no digest, so it refreshes nothing. *)

@@ -37,8 +37,13 @@ type t = {
 }
 
 let create ?obs ~engine ~config ~send_feedback () =
-  if config.repair_timeout <= 0.0 || config.report_period <= 0.0 then
-    invalid_arg "Receiver.create: periods must be positive";
+  if
+    not
+      (config.repair_timeout > 0.0
+      && Float.is_finite config.repair_timeout
+      && config.report_period > 0.0
+      && Float.is_finite config.report_period)
+  then invalid_arg "Receiver.create: periods must be positive and finite";
   let t =
     { engine; config; namespace = Namespace.create (); send_feedback;
       reports = Reports.Receiver_side.create ();

@@ -53,10 +53,15 @@ type t = {
 let default_class = "default"
 
 let create ?obs ~engine ~config () =
-  if config.summary_period <= 0.0 then
-    invalid_arg "Sender.create: summary period must be positive";
-  if config.mu_hot_bps <= 0.0 || config.mu_cold_bps <= 0.0 then
-    invalid_arg "Sender.create: rates must be positive";
+  if not (config.summary_period > 0.0 && Float.is_finite config.summary_period)
+  then invalid_arg "Sender.create: summary period must be positive and finite";
+  if
+    not
+      (config.mu_hot_bps > 0.0
+      && Float.is_finite config.mu_hot_bps
+      && config.mu_cold_bps > 0.0
+      && Float.is_finite config.mu_cold_bps)
+  then invalid_arg "Sender.create: rates must be positive and finite";
   let sched = Hierarchy.create () in
   let root = Hierarchy.root sched in
   let data_node =
@@ -105,7 +110,8 @@ let add_class t ~name ~weight =
     invalid_arg "Sender.add_class: 'default' is reserved";
   if Array.exists (fun k -> String.equal k.name name) t.classes then
     invalid_arg "Sender.add_class: class exists";
-  if weight <= 0.0 then invalid_arg "Sender.add_class: weight must be positive";
+  if not (weight > 0.0 && Float.is_finite weight) then
+    invalid_arg "Sender.add_class: weight must be positive and finite";
   t.classes <-
     Array.append t.classes
       [| { name; node = Hierarchy.add_child t.sched ~parent:t.data_node ~weight;

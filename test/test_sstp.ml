@@ -37,18 +37,29 @@ let test_md5_rfc_vectors () =
         (Digest.to_hex (Digest.string input)))
     rfc_vectors
 
-(* A leaf digest is the MD5 of its framed part list, concatenated. *)
+(* Bytewise XOR of two digests. *)
+let xor16 x y =
+  String.init 16 (fun i -> Char.chr (Char.code x.[i] lxor Char.code y.[i]))
+
+(* A leaf digest is the MD5 of its framed part list, concatenated; an
+   interior digest is the MD5 of ⟦"node"⟧ · ⟦A⟧, with A the XOR of one
+   MD5(⟦name⟧ · ⟦digest⟧) term per child. *)
 let test_md5_digest_list () =
   let ns = Namespace.create () in
   let path = Path.of_string "a/b" in
   ignore (Namespace.put ns ~path ~payload:"hello");
   Namespace.set_meta ns ~path [ "t=1"; "" ];
+  ignore (Namespace.put ns ~path:(Path.of_string "a/c") ~payload:"x");
+  let b = Digest.string "4:leaf5:hello3:t=10:"
+  and c = Digest.string "4:leaf1:x" in
   Alcotest.(check (option string)) "leaf = MD5 of framed parts"
-    (Some (Digest.to_hex (Digest.string "4:leaf5:hello3:t=10:")))
+    (Some (Digest.to_hex b))
     (Option.map Digest.to_hex (Namespace.digest ns path));
-  let leaf = Option.get (Namespace.digest ns path) in
-  Alcotest.(check (option string)) "interior = MD5 of framed children"
-    (Some (Digest.to_hex (Digest.string ("4:node1:b16:" ^ leaf))))
+  let a =
+    xor16 (Digest.string ("1:b16:" ^ b)) (Digest.string ("1:c16:" ^ c))
+  in
+  Alcotest.(check (option string)) "interior = MD5 of the folded terms"
+    (Some (Digest.to_hex (Digest.string ("4:node16:" ^ a))))
     (Option.map Digest.to_hex (Namespace.digest ns (Path.of_string "a")))
 
 let qcheck_md5_distinct =
@@ -213,7 +224,7 @@ let test_namespace_iter_leaves () =
 let test_namespace_golden () =
   let ns = Namespace.create () in
   Alcotest.(check string) "empty tree digest"
-    "814cc4d49b562e27a612def812d9873a"
+    "6e211f4cda756b6835c420be3bf6fd2d"
     (Digest.to_hex (Namespace.root_digest ns));
   List.iter
     (fun (p, v) -> ignore (Namespace.put ns ~path:(Path.of_string p) ~payload:v))
@@ -227,7 +238,7 @@ let test_namespace_golden () =
   Namespace.set_meta ns ~path:(Path.of_string "img") [ "media" ];
   ignore (Namespace.remove ns ~path:(Path.of_string "tmp"));
   Alcotest.(check string) "fixed tree digest"
-    "376ac233797572a3271970e8ccacd97e"
+    "633e03a4eac279f217f0bf82738625d2"
     (Digest.to_hex (Namespace.root_digest ns))
 
 (* Words allocated by one leaf update and the root read that follows,
@@ -728,8 +739,8 @@ let test_session_golden () =
   let sender_root, receiver_root = Session.root_digests s in
   Alcotest.(check string) "session bitwise stable"
     "avg=0x1.e7980e0bf08c9p-1 summaries=78 reports=8 \
-     sender=b61b615e5537d03742ffd7c3e03f8824 \
-     receiver=db60095ab3254b7a88d4bd2c40ed2a44"
+     sender=e17f56c5ba38faace31c123230c8056c \
+     receiver=46ded5f3bee21f805ffd403e52464ead"
     (Printf.sprintf "avg=%h summaries=%d reports=%d sender=%s receiver=%s"
        (Session.average_consistency s)
        (Sstp.Sender.sent_summaries (Session.sender s))
@@ -769,8 +780,8 @@ let test_session_partial_interest_golden () =
   let sender_root, receiver_root = Session.root_digests s in
   Alcotest.(check string) "partial interest bitwise stable"
     "avg=0x1.8d336f4761fa5p-1 nacks=7 queries=30 \
-     sender=10e19510c5f1595caddd2ae8a0ecf3a1 \
-     receiver=60d6ca69658a15137766770154211626"
+     sender=a33000aa607379cb90a30065b0fdd759 \
+     receiver=995f5694c3ff865ae9e381c47d99e500"
     (Printf.sprintf "avg=%h nacks=%d queries=%d sender=%s receiver=%s"
        (Session.average_consistency s)
        (Sstp.Receiver.nacks_sent receiver)
@@ -895,6 +906,47 @@ let test_sender_class_validation () =
   Alcotest.check_raises "unknown class" Not_found (fun () ->
       Sstp.Sender.publish sender ~path:(Path.of_string "x/y") ~payload:"v"
         ~klass:"video" ())
+
+(* Each SSTP constructor rejects a rate, period, slot or weight of 0,
+   -1, NaN or +infinity with its own [Invalid_argument]: a NaN must not
+   pass a [<= 0.0] test and reach a scheduler weight or a timer. *)
+let test_constructor_rejects_bad_floats () =
+  let engine = Engine.create () in
+  let raises_from prefix label f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument m when String.starts_with ~prefix m -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+  in
+  let sender = Sstp.Sender.default_config ~mu_total_bps:64_000.0
+  and receiver = Sstp.Receiver.default_config
+  and group = Sstp.Group.default_config ~mu_total_bps:64_000.0 in
+  let create_sender config () = ignore (Sstp.Sender.create ~engine ~config ())
+  and create_receiver config () =
+    ignore
+      (Sstp.Receiver.create ~engine ~config ~send_feedback:ignore ())
+  and create_group config () =
+    ignore
+      (Sstp.Group.create ~engine ~rng:(Rng.create 1) ~config ~members:2 ())
+  in
+  List.iter
+    (fun x ->
+      let case what = Printf.sprintf "%s = %h" what x in
+      raises_from "Sender.create:" (case "summary_period")
+        (create_sender { sender with summary_period = x });
+      raises_from "Sender.create:" (case "mu_hot_bps")
+        (create_sender { sender with mu_hot_bps = x });
+      raises_from "Sender.create:" (case "mu_cold_bps")
+        (create_sender { sender with mu_cold_bps = x });
+      raises_from "Receiver.create:" (case "repair_timeout")
+        (create_receiver { receiver with repair_timeout = x });
+      raises_from "Receiver.create:" (case "report_period")
+        (create_receiver { receiver with report_period = x });
+      raises_from "Group.create:" (case "nack_slot")
+        (create_group { group with nack_slot = x });
+      raises_from "Sender.add_class:" (case "weight") (fun () ->
+          Sstp.Sender.add_class (make_sender engine) ~name:"audio" ~weight:x))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 let test_sender_class_proportional_service () =
   (* Saturate two classes with work and drain the sender directly: the
@@ -1230,6 +1282,153 @@ let qcheck_namespace_interleaved_reads =
                (Namespace.root_digest (rebuild ns)))
         steps)
 
+(* The digest definition computed from nothing over a leaf model (path
+   string to payload and tags): a leaf is MD5 of its framed parts; an
+   interior node is MD5(⟦"node"⟧ · ⟦A⟧) with A the XOR of
+   MD5(⟦name⟧ · ⟦h(child)⟧) over its children. *)
+let reference_digest leaves =
+  let frame s = string_of_int (String.length s) ^ ":" ^ s in
+  (* [p] past [prefix], if [prefix] is a prefix of it *)
+  let rec below prefix p =
+    match (prefix, p) with
+    | [], rest -> Some rest
+    | x :: xs, y :: ys when String.equal x y -> below xs ys
+    | _ -> None
+  in
+  let rec h path =
+    match List.assoc_opt (Path.to_string path) leaves with
+    | Some (payload, meta) ->
+        Digest.string (String.concat "" (List.map frame ("leaf" :: payload :: meta)))
+    | None ->
+        let names =
+          List.sort_uniq String.compare
+            (List.filter_map
+               (fun (k, _) ->
+                 match below path (Path.of_string k) with
+                 | Some (name :: _) -> Some name
+                 | _ -> None)
+               leaves)
+        in
+        let a =
+          List.fold_left
+            (fun a name ->
+              xor16 a
+                (Digest.string (frame name ^ frame (h (path @ [ name ])))))
+            (String.make 16 '\000') names
+        in
+        Digest.string (frame "node" ^ frame a)
+  in
+  h
+
+(* Random scripts of puts, re-puts, tag changes and removals, each step
+   followed by a few reads through [digest], [diff], [children] and
+   [root_digest] that refresh parts of the tree ahead of their parents.
+   After each step the fold state passes [Namespace.check], and every
+   node's digest, read root first, equals [reference_digest] over a leaf
+   model kept beside it. *)
+let qcheck_namespace_fold_reference =
+  let paths =
+    [| ""; "a"; "a/x"; "a/y"; "a/x/1"; "b"; "b/1"; "b/2"; "b/3"; "c/d/e";
+       "c/d/f"; "c" |]
+  in
+  let pool = [| "1"; "2"; "3"; "a"; "d"; "e"; "f"; "x"; "y" |] in
+  let np = Array.length paths in
+  let remote mask =
+    List.filter_map
+      (fun i ->
+        if mask land (1 lsl i) = 0 then None
+        else
+          Some
+            { Wire.name = pool.(i); digest = Digest.string pool.(i);
+              kind = Wire.Leaf; meta = [] })
+      (List.init (Array.length pool) Fun.id)
+  in
+  let apply ns model (kind, pi, v) =
+    let key = paths.(pi) in
+    let path = Path.of_string key in
+    match kind with
+    | 0 | 1 | 2 -> (
+        match Namespace.put ns ~path ~payload:v with
+        | _ ->
+            let meta =
+              match List.assoc_opt key model with
+              | Some (_, meta) -> meta
+              | None -> []
+            in
+            (key, (v, meta)) :: List.remove_assoc key model
+        | exception Invalid_argument _ -> model)
+    | 3 -> (
+        let tags = if v = "" then [] else [ v; "t" ] in
+        match Namespace.set_meta ns ~path tags with
+        | () -> (
+            match List.assoc_opt key model with
+            | Some (payload, _) ->
+                (key, (payload, tags)) :: List.remove_assoc key model
+            | None -> model)
+        | exception Invalid_argument _ -> model)
+    | _ ->
+        ignore (Namespace.remove ns ~path);
+        List.filter
+          (fun (k, _) -> not (Path.is_prefix ~prefix:path (Path.of_string k)))
+          model
+  in
+  let read ns (kind, pi, mask) =
+    let path = Path.of_string paths.(pi) in
+    match kind with
+    | 0 -> ignore (Namespace.digest ns path)
+    | 1 -> ignore (Namespace.diff ns path (remote mask))
+    | 2 -> ignore (Namespace.children ns path)
+    | _ -> ignore (Namespace.root_digest ns)
+  in
+  (* every node the model implies, parents before children *)
+  let nodes model =
+    let rec prefixes above = function
+      | [] -> []
+      | seg :: rest ->
+          let p = above @ [ seg ] in
+          p :: prefixes p rest
+    in
+    List.stable_sort
+      (fun a b -> Int.compare (List.length a) (List.length b))
+      (List.sort_uniq compare
+         ([] :: List.concat_map (fun (k, _) -> prefixes [] (Path.of_string k)) model))
+  in
+  let step_gen =
+    QCheck.Gen.(
+      pair
+        (triple (int_bound 4) (int_bound (np - 1)) (oneofl [ ""; "p"; "q" ]))
+        (list_size (int_bound 3)
+           (triple (int_bound 3) (int_bound (np - 1)) (int_bound 511))))
+  in
+  let show_step ((k, pi, v), reads) =
+    Printf.sprintf "(%d,%S,%S)[%s]" k paths.(pi) v
+      (String.concat ";"
+         (List.map
+            (fun (k, pi, m) -> Printf.sprintf "%d,%S,%d" k paths.(pi) m)
+            reads))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun steps -> String.concat " " (List.map show_step steps))
+      QCheck.Gen.(list_size (int_bound 30) step_gen)
+  in
+  QCheck.Test.make ~name:"namespace fold = from-scratch reference"
+    ~count:500 arb (fun steps ->
+      let ns = Namespace.create () in
+      let model = ref [] in
+      List.for_all
+        (fun (op, reads) ->
+          model := apply ns !model op;
+          List.iter (read ns) reads;
+          let legal = Namespace.check ns in
+          let h = reference_digest !model in
+          let agree =
+            List.for_all
+              (fun path -> Namespace.digest ns path = Some (h path))
+              (nodes !model)
+          in
+          legal = Ok () && agree && Namespace.check ns = Ok ())
+        steps)
 
 (* The per-leaf definition of consistency that [Namespace.matching_leaves]
    replaces: look every sender leaf up from the root on both sides. *)
@@ -1423,7 +1622,8 @@ let () =
     List.map QCheck_alcotest.to_alcotest
       [ qcheck_md5_distinct; qcheck_namespace_digest_agreement;
         qcheck_wire_data_roundtrip; qcheck_namespace_model;
-        qcheck_namespace_interleaved_reads; qcheck_matching_leaves;
+        qcheck_namespace_interleaved_reads; qcheck_namespace_fold_reference;
+        qcheck_matching_leaves;
         qcheck_diff ]
   in
   Alcotest.run "sstp"
@@ -1478,6 +1678,8 @@ let () =
       ( "sender-classes",
         [
           Alcotest.test_case "validation" `Quick test_sender_class_validation;
+          Alcotest.test_case "constructors reject bad floats" `Quick
+            test_constructor_rejects_bad_floats;
           Alcotest.test_case "proportional service" `Quick
             test_sender_class_proportional_service;
           Alcotest.test_case "reweight" `Quick test_sender_class_reweight;
